@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -235,11 +236,11 @@ def _write(path: Path, text: str) -> None:
 def _trajectory_text(traj: Trajectory, fmt: str) -> tuple[str, str]:
     if fmt == "json":
         doc = {
-            "x": [float(v) for v in traj.xs],
-            "value": [None if not np.isfinite(v) else float(v)
-                      for v in traj.values],
-            "derivative": [None if not np.isfinite(v) else float(v)
-                           for v in traj.derivatives],
+            "x": traj.xs.tolist(),
+            "value": [v if math.isfinite(v) else None
+                      for v in traj.values.tolist()],
+            "derivative": [v if math.isfinite(v) else None
+                           for v in traj.derivatives.tolist()],
             "segments": [list(s) for s in traj.segments],
             "pole_brackets": [list(b) for b in traj.pole_brackets],
         }

@@ -10,13 +10,10 @@ routes actually means something.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .expr import Expr, diff, lambdify, simplify
 
@@ -79,12 +76,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """rtol/atol drive the embedded adaptive pair; "rk4" selects the fixed
-    step scheme used for order checks (steps refined below max_step)."""
+    """rtol/atol drive the embedded adaptive pair; "rk4" selects classical
+    RK4 with one step per grid interval (rtol/atol unused)."""
 
     rtol: float = 1e-9
     atol: float = 1e-12
-    max_step: float = math.inf
     method: str = "adaptive"
 
     def __post_init__(self):
@@ -131,17 +127,10 @@ class Trajectory:
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    start = None
-    for i, ok in enumerate(mask):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask)))
-    return runs
+    """Maximal half-open index ranges on which mask is true."""
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return list(zip(edges[0::2], edges[1::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +138,21 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
 
 def _integrate(rhs, grid: Grid, y0: Sequence[float],
                cfg: IntegratorConfig) -> Trajectory:
+    def guarded(x, y):
+        # scalar callbacks raise on a singular or out-of-domain coefficient
+        try:
+            return rhs(x, y)
+        except (ArithmeticError, ValueError):
+            raise StepUnderflowError((float(x), grid.x1), None) from None
+
     xs = grid.xs
     if cfg.method == "rk4":
-        return _integrate_rk4(rhs, xs, y0, cfg)
-    sol = solve_ivp(rhs, (grid.x0, grid.x1), np.asarray(y0, dtype=float),
+        return _integrate_rk4(guarded, xs, y0)
+    from scipy.integrate import solve_ivp  # only this path needs scipy
+
+    sol = solve_ivp(guarded, (grid.x0, grid.x1), np.asarray(y0, dtype=float),
                     method="RK45", rtol=cfg.rtol, atol=cfg.atol,
-                    max_step=cfg.max_step, t_eval=xs, dense_output=True)
+                    t_eval=xs, dense_output=True)
     if sol.status != 0 or len(sol.t) < len(xs):
         n_ok = len(sol.t)
         reached = float(sol.t[-1]) if n_ok else grid.x0
@@ -168,32 +166,76 @@ def _integrate(rhs, grid: Grid, y0: Sequence[float],
                       segments=[(0, len(xs))], dense=sol.sol)
 
 
-def _integrate_rk4(rhs, xs: np.ndarray, y0: Sequence[float],
-                   cfg: IntegratorConfig) -> Trajectory:
-    dx = float(xs[1] - xs[0])
-    substeps = max(1, math.ceil(dx / cfg.max_step)) if math.isfinite(cfg.max_step) else 1
+def _integrate_rk4(rhs, xs: np.ndarray, y0: Sequence[float]) -> Trajectory:
+    """Classical RK4 for a general system y' = rhs(x, y), one step per grid
+    interval; stops at the first non-finite state."""
+    h = float(xs[1] - xs[0])
     y = np.asarray(y0, dtype=float)
     out = np.empty((len(xs), len(y)))
     out[0] = y
     for i in range(len(xs) - 1):
         x = float(xs[i])
-        h = dx / substeps
-        for _ in range(substeps):
-            k1 = np.asarray(rhs(x, y))
-            k2 = np.asarray(rhs(x + h / 2, y + h / 2 * k1))
-            k3 = np.asarray(rhs(x + h / 2, y + h / 2 * k2))
-            k4 = np.asarray(rhs(x + h, y + h * k3))
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x += h
+        k1 = np.asarray(rhs(x, y))
+        k2 = np.asarray(rhs(x + h / 2, y + h / 2 * k1))
+        k3 = np.asarray(rhs(x + h / 2, y + h / 2 * k2))
+        k4 = np.asarray(rhs(x + h, y + h * k3))
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(y)):
-            partial = None
-            if i >= 1:
-                partial = Trajectory(xs=xs[:i + 1], values=out[:i + 1, 0],
-                                     derivatives=out[:i + 1, 1],
-                                     segments=[(0, i + 1)])
-            raise StepUnderflowError((float(xs[i]), float(xs[-1])), partial)
+            raise _stalled(xs, out[:, 0], out[:, 1], i)
         out[i + 1] = y
     return Trajectory(xs=xs, values=out[:, 0], derivatives=out[:, 1],
+                      segments=[(0, len(xs))])
+
+
+def _stalled(xs: np.ndarray, values: np.ndarray, derivatives: np.ndarray,
+             i: int) -> StepUnderflowError:
+    """The error for a step i whose end state is non-finite; its partial
+    trajectory is the finite prefix xs[:i + 1] when that has two points."""
+    partial = None
+    if i >= 1:
+        partial = Trajectory(xs=xs[:i + 1], values=values[:i + 1],
+                             derivatives=derivatives[:i + 1],
+                             segments=[(0, i + 1)])
+    return StepUnderflowError((float(xs[i]), float(xs[-1])), partial)
+
+
+def _linear_rk4(ufn, xs: np.ndarray, phi0: float, dphi0: float) -> Trajectory:
+    """RK4 for y = (phi, phi') under phi'' = U phi.  The system is linear,
+    so step n is exactly y_{n+1} = M_n y_n with a 2x2 M_n that depends only
+    on U at x_n, x_n + h/2 and x_n + h.  U is evaluated once on all stage
+    nodes, the columns of every M_n come from the stage formulas applied
+    elementwise to the basis vectors, and the trajectory is the running
+    product, accumulated over Python floats."""
+    h = float(xs[1] - xs[0])
+    x = xs[:-1]
+    u1, u2, u4 = ufn(x), ufn(x + h / 2), ufn(x + h)
+
+    def step(a, b):
+        # the stages of rhs(x, y) = (y1, U y0) from y = (a, b)
+        k1 = (b, u1 * a)
+        k2 = (b + h / 2 * k1[1], u2 * (a + h / 2 * k1[0]))
+        k3 = (b + h / 2 * k2[1], u2 * (a + h / 2 * k2[0]))
+        k4 = (b + h * k3[1], u4 * (a + h * k3[0]))
+        return (a + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+                b + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
+
+    with np.errstate(all="ignore"):
+        m00, m10 = step(1.0, 0.0)
+        m01, m11 = step(0.0, 1.0)
+    y0, y1 = float(phi0), float(dphi0)
+    vals, ders = [y0], [y1]
+    for a00, a01, a10, a11 in zip(m00.tolist(), m01.tolist(),
+                                  m10.tolist(), m11.tolist()):
+        y0, y1 = a00 * y0 + a01 * y1, a10 * y0 + a11 * y1
+        vals.append(y0)
+        ders.append(y1)
+    values = np.array(vals)
+    derivatives = np.array(ders)
+    bad = np.flatnonzero(~(np.isfinite(values) & np.isfinite(derivatives)))
+    if bad.size:
+        # a non-finite initial state fails the first step
+        raise _stalled(xs, values, derivatives, max(int(bad[0]), 1) - 1)
+    return Trajectory(xs=xs, values=values, derivatives=derivatives,
                       segments=[(0, len(xs))])
 
 
@@ -201,7 +243,10 @@ def integrate_linear(U: Expr, grid: Grid, phi0: float, dphi0: float,
                      cfg: IntegratorConfig = DEFAULT_CONFIG,
                      env: Mapping[str, float] | None = None) -> Trajectory:
     """Integrate phi'' = U(x) phi from (phi0, phi0')."""
-    ufn = lambdify(simplify(U), env, scalar=True)
+    U = simplify(U)
+    if cfg.method == "rk4":
+        return _linear_rk4(lambdify(U, env), grid.xs, phi0, dphi0)
+    ufn = lambdify(U, env, scalar=True)
 
     def rhs(x, y):
         return (y[1], ufn(x) * y[0])
@@ -267,25 +312,23 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr | None = None,
             dpsi = _fd_first(psi, float(xs[1] - xs[0]))
     keep &= np.isfinite(psi)
 
-    brackets: list[tuple[float, float]] = []
-    cuts: set[int] = set()
-    inside = _phi_membership(phi)
-    for i in range(len(xs) - 1):
-        if not (finite[i] and finite[i + 1] and inside(i) and inside(i + 1)):
-            continue
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            brackets.append(_refine_zero(phi, i))
-            cuts.add(i)
+    # sign changes between finite samples that lie inside phi's segments
+    usable = np.zeros_like(finite)
+    for i0, i1 in phi.segments:
+        usable[i0:i1] = True
+    usable &= finite
+    with np.errstate(all="ignore"):
+        crossing = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
+    cuts = np.flatnonzero(usable[:-1] & usable[1:] & crossing)
+    brackets = [_refine_zero(phi, i) for i in cuts.tolist()]
 
     segments = []
     for i0, i1 in _runs(keep):
         start = i0
-        for i in range(i0, i1 - 1):
-            if i in cuts:
-                segments.append((start, i + 1))
-                start = i + 1
+        for i in cuts[(cuts >= i0) & (cuts < i1 - 1)].tolist():
+            segments.append((start, i + 1))
+            start = i + 1
         segments.append((start, i1))
-    segments = [(a, b) for a, b in segments if b > a]
 
     psi_expr = None
     if phi.expr is not None:
@@ -295,13 +338,6 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr | None = None,
                       derivatives=np.where(keep, dpsi, np.nan),
                       segments=segments, pole_brackets=brackets,
                       expr=psi_expr)
-
-
-def _phi_membership(phi: Trajectory) -> Callable[[int], bool]:
-    member = np.zeros(len(phi.xs), dtype=bool)
-    for i0, i1 in phi.segments:
-        member[i0:i1] = True
-    return lambda i: bool(member[i])
 
 
 def _refine_zero(phi: Trajectory, i: int, width: float = 1e-10) -> tuple[float, float]:
@@ -510,6 +546,7 @@ def compare(a: Trajectory, b: Trajectory) -> ErrorMetrics:
             if len(bx) == len(a.xs[sel]) and np.array_equal(bx, x):
                 yb = by
             elif len(bx) >= 4:
+                from scipy.interpolate import CubicSpline
                 yb = CubicSpline(bx, by)(x)
             else:
                 yb = np.interp(x, bx, by)
@@ -541,9 +578,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     for (a, b) in traj.pole_brackets:
         lines.append(f"# pole [{float(a)!r},{float(b)!r}]")
     for seg_id, (i0, i1) in enumerate(traj.segments):
-        for i in range(i0, i1):
-            lines.append(f"{float(traj.xs[i])!r},{float(traj.values[i])!r},"
-                         f"{float(traj.derivatives[i])!r},{seg_id}")
+        rows = zip(traj.xs[i0:i1].tolist(), traj.values[i0:i1].tolist(),
+                   traj.derivatives[i0:i1].tolist())
+        lines.extend(f"{x!r},{v!r},{d!r},{seg_id}" for x, v, d in rows)
     return "\n".join(lines) + "\n"
 
 

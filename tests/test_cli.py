@@ -2,7 +2,14 @@
 environment overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import vdplin
 from vdplin.cli import run
 from vdplin.expr import parse
 
@@ -153,3 +160,28 @@ def test_env_rtol_override(tmp_path, monkeypatch):
     assert run(["custom", "--P", "0", "--out", str(tmp_path / "b")]) == 0
     assert run(["custom", "--P", "0", "--rtol", "1e-9",
                 "--out", str(tmp_path / "c")]) == 0
+
+
+@pytest.mark.parametrize("method", ["rk4", "adaptive"])
+@pytest.mark.parametrize("P", ["1/(x-1)", "sqrt(x-1)"])
+def test_singular_potential_is_an_eval_failure(tmp_path, capsys, method, P):
+    # U is infinite at x = 1 on the grid, or undefined on x < 1
+    code = run(["custom", "--P", P, "--method", method, "--out", str(tmp_path)])
+    assert code == 2
+    assert "integration stalled" in capsys.readouterr().err
+
+
+def test_rk4_runs_never_import_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "from vdplin.cli import run\n"
+        "assert 'scipy' not in sys.modules\n"
+        f"assert run(['custom', '--P', 'x/(2+x^2)', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    src = str(Path(vdplin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from vdplin.colehopf import TransformBundle, VdpParams, solve_chain
-from vdplin.expr import Const, parse
+from vdplin.expr import Const, lambdify, parse, simplify
 from vdplin.odesolve import (DisjointSegmentsError, Grid, IntegratorConfig,
                              SegmentTooShortError, StepUnderflowError,
-                             Trajectory, cole_hopf_map, compare,
-                             integrate_linear, integrate_vdp, lienard_residual,
-                             regular_window, residual, trajectory_csv)
+                             Trajectory, _integrate_rk4, _runs, cole_hopf_map,
+                             compare, integrate_linear, integrate_vdp,
+                             lienard_residual, regular_window, residual,
+                             trajectory_csv)
 
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
 
@@ -57,6 +58,43 @@ def test_rk4_order_is_four():
     e1, e2 = endpoint_error(51), endpoint_error(101)
     ratio = e1 / e2
     assert 16 * 0.7 <= ratio <= 16 * 1.3
+
+
+def test_rk4_propagators_match_generic_loop():
+    # the general-system RK4 loop on y' = (y1, U y0) is the reference for
+    # the step-propagator kernel behind integrate_linear(method="rk4")
+    custom = solve_chain(parse("x/(2+x^2)"), VdpParams(1.0, 1.5, 0.4))
+    cases = [
+        (Const(-1.0), Grid(0.0, math.pi, 101), 0.0, 1.0),
+        (custom.U, Grid(0.0, 5.0, 2001), 1.0, 0.0),
+    ]
+    for U, grid, phi0, dphi0 in cases:
+        got = integrate_linear(U, grid, phi0, dphi0,
+                               IntegratorConfig(method="rk4"))
+        ufn = lambdify(simplify(U), scalar=True)
+        want = _integrate_rk4(lambda x, y: (y[1], ufn(x) * y[0]), grid.xs,
+                              (phi0, dphi0))
+        assert got.segments == want.segments == [(0, grid.n)]
+        for a, b in ((got.values, want.values),
+                     (got.derivatives, want.derivatives)):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_rk4_blow_up_keeps_finite_prefix():
+    # phi' grows about 640-fold per step, so the partial trajectory ends
+    # within three decades of overflow
+    grid = Grid(0.0, 10.0, 1001)
+    with pytest.raises(StepUnderflowError) as err:
+        integrate_linear(Const(1e6), grid, 1.0, 0.0,
+                         IntegratorConfig(method="rk4"))
+    part = err.value.partial
+    k = len(part.xs)
+    assert 2 <= k < grid.n
+    assert part.segments == [(0, k)]
+    assert np.all(np.isfinite(part.values))
+    assert np.all(np.isfinite(part.derivatives))
+    assert abs(part.derivatives[-1]) > np.finfo(float).max / 1e3
+    assert err.value.bracket == (float(grid.xs[k - 1]), 10.0)
 
 
 def test_adaptive_tolerance_monotonicity():
@@ -151,6 +189,39 @@ def test_map_pole_symmetry():
     for x in (-1e-3, 1e-3):
         i = int(np.argmin(np.abs(psi.xs - x)))
         assert psi.values[i] * (psi.xs[i] - star) == pytest.approx(1.0, rel=0.05)
+
+
+def test_map_splits_at_every_pole():
+    grid = Grid(0.5, 20.0, 3901)
+    phi = Trajectory.from_expr(parse("sin(x)"), grid)
+    psi = cole_hopf_map(Const(0.0), phi, U=Const(-1.0))
+    assert len(psi.pole_brackets) == 6
+    for k, (a, b) in enumerate(psi.pole_brackets, start=1):
+        assert a <= k * math.pi <= b and b - a <= 1e-9
+    assert len(psi.segments) == 7
+    assert psi.segments[0][0] == 0 and psi.segments[-1][1] == grid.n
+    for (_, end), (start, _) in zip(psi.segments, psi.segments[1:]):
+        assert start == end
+
+
+def test_runs_matches_scan():
+    def scan(mask):
+        runs, start = [], None
+        for i, ok in enumerate(mask):
+            if ok and start is None:
+                start = i
+            elif not ok and start is not None:
+                runs.append((start, i))
+                start = None
+        if start is not None:
+            runs.append((start, len(mask)))
+        return runs
+
+    rng = np.random.default_rng(5)
+    masks = [np.zeros(0, bool), np.ones(3, bool), np.zeros(3, bool)]
+    masks += [rng.random(n) < 0.6 for n in (1, 2, 17, 200)]
+    for mask in masks:
+        assert _runs(mask) == scan(mask)
 
 
 def test_map_case1_gives_shifted_tanh():
@@ -300,6 +371,12 @@ def test_trajectory_csv_format():
     # shortest round-trip floats survive parsing
     x0 = float(data[0].split(",")[0])
     assert x0 == -1.0
+    # the same bytes as formatting each numpy sample on its own
+    want = lines[:2]
+    for seg_id, (i0, i1) in enumerate(psi.segments):
+        want += [f"{float(psi.xs[i])!r},{float(psi.values[i])!r},"
+                 f"{float(psi.derivatives[i])!r},{seg_id}" for i in range(i0, i1)]
+    assert text == "\n".join(want) + "\n"
 
 
 def test_regular_window_avoids_singularity():
