@@ -7,10 +7,13 @@ For the perturbed Van der Pol equation
 
 and the substitution psi = P(x) + phi'/phi with phi'' = U(x) phi, requiring
 the reduced coefficients a_1..a_4 to vanish fixes g, h, v and U in terms of
-P, and a_0 = 0 then defines the forcing f.  Everything here is obtained from
-the reduction engine in :mod:`vdplin.wcalc`; hand-derived reference formulas
-for the same quantities are kept only as cross-checks whose outcome is
-recorded in a discrepancy ledger carried by the bundle.
+P, and a_0 = 0 then defines the forcing f.  Here g, h, v and U are that
+solution typed in as closed forms; they are not derived by the reduction
+engine in :mod:`vdplin.wcalc`, only checked against it by sampling
+(``verify_annihilation`` evaluates the engine's a_0..a_4 on a grid).  The
+forcing f is the engine's a_0, and hand-derived reference formulas are
+kept as cross-checks whose outcome is recorded in a discrepancy ledger
+carried by the bundle.
 """
 
 from __future__ import annotations
@@ -207,11 +210,14 @@ def solve_chain(P: Expr, params: VdpParams, grid=None,
                 env: Mapping[str, float] | None = None) -> TransformBundle:
     """Build the unique TransformBundle for a given shift function P.
 
-    g, h, v, U come from annihilating a_4..a_1 in turn; f is the a_0 the
-    engine produces with f = 0, so a_0 = 0 holds by construction.  The
-    reference closed form for f is evaluated against the derived one on
-    ``grid`` (1000 points on [0, 5] by default) and the outcome recorded in
-    the bundle ledger.  Total: never raises for differentiable P."""
+    g, h, v and U are the closed forms that annihilate a_4..a_1, typed in
+    below rather than solved for; nothing here checks them, and
+    ``verify_annihilation`` tests them by sampling the engine's a_1..a_4.
+    f is the a_0 the engine produces with f = 0, so a_0 = 0 holds by
+    construction.  The reference closed form for f is evaluated against
+    the derived one on ``grid`` (1000 points on [0, 5] by default) and the
+    outcome recorded in the bundle ledger.  Total: never raises for
+    differentiable P."""
     P = simplify(as_expr(P))
     mu = Const(params.mu)
     mb = Const(params.mu * params.beta)

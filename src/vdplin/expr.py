@@ -8,6 +8,12 @@ removal, no canonical forms), a printer whose output re-parses to an
 equivalent tree, and compilation to fast scalar or numpy-vectorized
 callables.
 
+Nodes are hash-consed: every constructor call goes through a weak intern
+table, so structurally equal trees are the same object, equality and
+hashing are identity, and a tree printed and re-parsed shares its subtrees
+again.  The results of ``simplify`` and ``lambdify`` are cached on the node
+they were computed for.
+
 Correctness downstream rests on evaluation at sample points, not on
 syntactic normal forms, so ``simplify`` never changes the value of an
 expression anywhere the original is defined.
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -63,11 +70,42 @@ class UnboundParameterError(ExprError):
         self.name = name
 
 
-class Expr:
-    """Base node.  Instances are immutable and hashable; arithmetic
-    operators build new trees (numbers are coerced to constants)."""
+class _Interned(type):
+    """Metaclass of Expr: a constructor call returns the live node with the
+    same type, payload and children if there is one.  Children are already
+    interned, so the key holds them by identity.  Const keys carry the sign
+    bit so that 0.0 and -0.0 stay apart.  A node enters the table only
+    after its field checks have passed."""
 
-    __slots__ = ()
+    def __call__(cls, *args):
+        if cls is Const:
+            v = float(args[0])
+            key = (cls, v, math.copysign(1.0, v))
+        else:
+            key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = type.__call__(cls, *args)
+            _NODES[key] = node
+        return node
+
+
+# weak values: a node leaves the table when its last reference is dropped
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+# cached simplify result of a node that simplifies to itself (storing the
+# node in its own slot would make a reference cycle)
+_SAME = object()
+
+
+class Expr(metaclass=_Interned):
+    """Base node.  Instances are immutable and interned: building a tree
+    equal to a live one returns that very object, so ``==`` and ``hash``
+    are identity.  Arithmetic operators build new trees (numbers are
+    coerced to constants).  The slots hold the cached ``simplify`` result
+    and compiled callables; they are unset until first computed."""
+
+    __slots__ = ("__weakref__", "_simplified", "_vector_fn", "_scalar_fn")
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -113,7 +151,7 @@ class Expr:
         return simplify(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Const(Expr):
     value: float
 
@@ -123,12 +161,12 @@ class Const(Expr):
             object.__setattr__(self, "value", float(self.value))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Param(Expr):
     name: str
 
@@ -137,42 +175,42 @@ class Param(Expr):
             raise ValueError(f"invalid parameter name {self.name!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Fun(Expr):
     name: str
     arg: Expr
@@ -314,7 +352,9 @@ def diff(e: Expr) -> Expr:
     """Exact derivative with respect to x; parameters are constants.
 
     The result is not simplified (run ``simplify`` afterwards if a tidy
-    tree matters).  Shared subtrees stay shared in the output."""
+    tree matters).  Shared subtrees stay shared in the output, and since
+    nodes are interned, a derivative equal to an existing tree is that
+    tree.  Nothing is cached across calls."""
     return _diff(e, {})
 
 
@@ -396,17 +436,20 @@ def simplify(e: Expr) -> Expr:
 
     Pointwise equality with the input is preserved at every x where the
     input is defined.  Unchanged subtrees keep their identity, so sharing
-    in the input survives."""
-    return _simplify(e, {})
+    in the input survives.  The result is cached on every node visited, so
+    simplifying a tree again, or any tree sharing its subtrees, does not
+    walk them again."""
+    return _simplify(e)
 
 
-def _simplify(node: Expr, memo: dict) -> Expr:
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    out = _simplify_node(node, memo)
-    memo[key] = out
-    return out
+def _simplify(node: Expr) -> Expr:
+    try:
+        out = node._simplified
+    except AttributeError:
+        out = _simplify_node(node)
+        object.__setattr__(node, "_simplified", _SAME if out is node else out)
+        return out
+    return node if out is _SAME else out
 
 
 def _neg_of(e: Expr) -> Expr:
@@ -419,18 +462,18 @@ def _neg_of(e: Expr) -> Expr:
     return Neg(e)
 
 
-def _simplify_node(node: Expr, memo: dict) -> Expr:
+def _simplify_node(node: Expr) -> Expr:
     if isinstance(node, (Const, Var, Param)):
         return node
 
     if isinstance(node, Neg):
-        a = _simplify(node.arg, memo)
+        a = _simplify(node.arg)
         if isinstance(a, (Const, Neg)):
             return _neg_of(a)
         return node if a is node.arg else Neg(a)
 
     if isinstance(node, Fun):
-        a = _simplify(node.arg, memo)
+        a = _simplify(node.arg)
         if isinstance(a, Const):
             folded = _try_fold(Fun(node.name, a))
             if folded is not None:
@@ -438,8 +481,8 @@ def _simplify_node(node: Expr, memo: dict) -> Expr:
         return node if a is node.arg else Fun(node.name, a)
 
     if isinstance(node, Pow):
-        b = _simplify(node.base, memo)
-        ex = _simplify(node.exponent, memo)
+        b = _simplify(node.base)
+        ex = _simplify(node.exponent)
         if _is_const(ex, 0.0):
             return ONE
         if _is_const(ex, 1.0):
@@ -455,8 +498,8 @@ def _simplify_node(node: Expr, memo: dict) -> Expr:
         return Pow(b, ex)
 
     if isinstance(node, (Add, Sub, Mul, Div)):
-        a = _simplify(node.left, memo)
-        b = _simplify(node.right, memo)
+        a = _simplify(node.left)
+        b = _simplify(node.right)
         if isinstance(node, Add):
             if isinstance(a, Const) and isinstance(b, Const):
                 return Const(a.value + b.value)
@@ -622,7 +665,8 @@ def _fmt_number(v: float) -> str:
 
 def to_str(e: Expr) -> str:
     """Print in the input grammar; the output re-parses to a tree that is
-    pointwise equal (and structurally equal for parser-produced trees)."""
+    pointwise equal (and, for parser-produced trees, the same node).  The
+    DAG prints as a tree, but parsing it shares equal subtrees again."""
     return _print(e, 0)
 
 
@@ -817,10 +861,16 @@ def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
     once.  With ``scalar=True`` the result works on floats via ``math``
     (domain violations raise); otherwise it accepts floats or numpy arrays
     and returns arrays, mapping domain violations to nan/inf silently so
-    callers can mask them.
+    callers can mask them.  The callable is cached on the node after
+    ``subst(e, env)``, so compiling an equal tree again returns it.
     """
     if env:
         e = subst(e, env)
+    slot = "_scalar_fn" if scalar else "_vector_fn"
+    try:
+        return getattr(e, slot)
+    except AttributeError:
+        pass
     missing = free_params(e)
     if missing:
         raise UnboundParameterError(sorted(missing)[0])
@@ -897,11 +947,14 @@ def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
     code = "def _compiled(x):\n" + "\n".join(lines) + f"\n    return {tok(e)}\n"
     ns = dict(_SCALAR_NS if scalar else _VECTOR_NS)
     exec(compile(code, "<lambdify>", "exec"), ns)
-    fn = ns["_compiled"]
+    fn = ns.pop("_compiled")  # so fn and its globals form no cycle
+    if not scalar:
+        fn = _vectorized(fn)
+    object.__setattr__(e, slot, fn)
+    return fn
 
-    if scalar:
-        return fn
 
+def _vectorized(fn: Callable) -> Callable:
     def vector_fn(xs):
         arr = np.asarray(xs, dtype=float)
         with np.errstate(all="ignore"):

@@ -121,10 +121,6 @@ class Trajectory:
                    derivatives=np.where(good, derivs, np.nan),
                    segments=_runs(good), expr=e)
 
-    def segment_spans(self) -> list[tuple[float, float]]:
-        return [(float(self.xs[i0]), float(self.xs[i1 - 1]))
-                for i0, i1 in self.segments]
-
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal half-open index ranges on which mask is true."""

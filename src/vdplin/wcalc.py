@@ -92,12 +92,6 @@ class WPoly:
     def scale(self, factor: Expr) -> "WPoly":
         return wpoly([factor * c for c in self.coeffs])
 
-    def pow(self, n: int) -> "WPoly":
-        acc = wpoly([Const(1.0)])
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
 
 def wpoly(coeffs: Sequence[Expr | float]) -> WPoly:
     """Build a WPoly, simplifying coefficients and trimming a leading run of

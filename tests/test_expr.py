@@ -1,13 +1,20 @@
 """Expression engine: parsing, evaluation, exact differentiation,
-simplification and the printer round trip."""
+simplification, the printer round trip and node interning."""
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import draw_vdp_instance
+from vdplin import expr
+from vdplin.catalog import CatalogError, p_general
+from vdplin.colehopf import solve_chain, verify_printed_coeffs
 from vdplin.expr import (Add, Const, EvalDomainError, Fun, Mul, Neg, Param,
                          ParseError, Pow, Sub, UnboundParameterError, X,
                          diff, fractional_power_nodes, free_params, lambdify,
@@ -248,3 +255,156 @@ def test_simplify_ulp_budget_over_thousand_points():
             assert abs(after - before) <= budget
             checked += 1
     assert checked >= 1000
+
+
+# ---------------------------------------------------------------------------
+# interning
+
+def _dag(e) -> dict:
+    """Distinct node objects reachable from e, by id."""
+    seen = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        stack.extend(getattr(node, f.name) for f in dataclasses.fields(node)
+                     if isinstance(getattr(node, f.name), expr.Expr))
+    return seen
+
+
+def _rebuild(e):
+    """An equal tree built node by node through the constructors."""
+    args = [getattr(e, f.name) for f in dataclasses.fields(e)]
+    return type(e)(*(_rebuild(a) if isinstance(a, expr.Expr) else a
+                     for a in args))
+
+
+def _general_instances(count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        params, C1, C2, k_sign = draw_vdp_instance(rng)
+        try:
+            out.append((params, p_general(params, C1, C2, k_sign)))
+        except CatalogError:
+            continue
+    return out
+
+
+def test_equal_trees_are_the_same_object():
+    def build():
+        return Add(Mul(Const(2), X), Fun("sin", Pow(X, Const(3.0))))
+
+    assert build() is build()
+    assert parse("2*x + sin(x^3)") is build()
+    text = "mu*(beta - x^2)/(1 + exp(-x))"
+    assert parse(text) is parse(text)
+    assert Const(1) is Const(1.0)
+
+
+def test_signed_zero_constants_stay_apart():
+    assert Const(0.0) is not Const(-0.0)
+    assert lambdify(X / Const(-0.0))(1.0) == -np.inf
+    assert lambdify(X / Const(0.0))(1.0) == np.inf
+
+
+def test_invalid_names_enter_no_table_entry():
+    before = len(expr._NODES)
+    for build in (lambda: Param("x"), lambda: Param("1a"),
+                  lambda: Param("a-b"), lambda: Fun("erf", X)):
+        with pytest.raises(ValueError) as err:
+            build()
+        # the traceback in err keeps the failed call's frame, and so any
+        # half-built node, alive: the table must not hold one
+        assert err.tb is not None
+        assert len(expr._NODES) == before
+
+
+def test_intern_table_drains_without_collection():
+    # with the cyclic collector off, the table can only drain if no node
+    # is kept alive by a reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(expr._NODES)
+        (params, P), = _general_instances(1, seed=3)
+        b = solve_chain(P, params)
+        b = b.with_entries(verify_printed_coeffs(b.P, b.U, params, b.v, b.h,
+                                                 b.g, b.f))
+        lambdify(b.f)(np.linspace(0.0, 1.0, 5))
+        lambdify(b.U, scalar=True)(0.5)
+        assert len(expr._NODES) > before + 100
+        del b, P
+        assert len(expr._NODES) == before
+    finally:
+        gc.enable()
+
+
+def test_cached_results_match_a_fresh_compile():
+    def build():
+        return parse("(x + 0)*1*sin(x)*exp(-x/3) + x^2/(1 + x^2) + 0*x")
+
+    xs = np.linspace(-2.0, 2.0, 41)
+    e = build()
+    vector, scalar, simple = lambdify(e), lambdify(e, scalar=True), simplify(e)
+    assert simple is not e
+    # a tree built in another call is the same node, with the same results
+    assert lambdify(build()) is vector
+    assert lambdify(build(), scalar=True) is scalar
+    assert simplify(build()) is simple
+
+    alive = weakref.ref(e)
+    del e
+    assert alive() is None
+    e2 = build()  # a new node: nothing cached on it yet
+    fresh = lambdify(e2)
+    assert fresh is not vector
+    assert np.array_equal(fresh(xs), vector(xs))
+    fresh_scalar = lambdify(e2, scalar=True)
+    assert fresh_scalar is not scalar
+    assert all(fresh_scalar(float(x)) == scalar(float(x)) for x in xs)
+    assert simplify(e2) is simple
+
+
+def test_lambdify_cache_follows_the_bound_values():
+    e = parse("a*x + sin(x)")
+    two = lambdify(e, {"a": 2.0}, scalar=True)
+    three = lambdify(e, {"a": 3.0}, scalar=True)
+    assert two(1.0) == 2.0 + math.sin(1.0)
+    assert three(1.0) == 3.0 + math.sin(1.0)
+    with pytest.raises(UnboundParameterError):
+        lambdify(e, scalar=True)
+
+
+def test_round_trip_keeps_sharing():
+    for params, P in _general_instances(4, seed=11):
+        b = solve_chain(P, params)
+        n_f = len(_dag(b.f))
+        assert len(_dag(parse(to_str(b.f)))) <= 1.1 * n_f
+        for name in ("P", "U", "v", "h", "f"):
+            e = getattr(b, name)
+            nodes = _dag(e)
+            back = parse(to_str(e))
+            # equal up to how negative constants print: -0.5 re-parses as
+            # Neg(Const(0.5)), at most two new nodes per constant
+            negative = sum(isinstance(n, Const) and n.value < 0
+                           for n in nodes.values())
+            assert len(_dag(back)) <= len(nodes) + 2 * negative, name
+            assert parse(to_str(back)) is back
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs())
+def test_interned_trees_and_round_trip_values(e):
+    assert _rebuild(e) is e
+    s = to_str(e)
+    back = parse(s)
+    assert parse(s) is back
+    for x in (-1.5, 0.0, 0.8):
+        v1 = _try_eval(e, x)
+        v2 = _try_eval(back, x)
+        if v1 is None or v2 is None:
+            continue
+        assert v1 == v2
