@@ -25,9 +25,10 @@ from .colehopf import (TransformBundle, VdpParams, bundle_from_json,
                        verify_annihilation, verify_printed_coeffs)
 from .expr import Expr, ExprError, parse, subst
 from .lienard import lienard_coeffs, lienard_spec_to_dict, riccati_u
-from .odesolve import (Grid, IntegratorConfig, StepUnderflowError, Trajectory,
-                       cole_hopf_map, integrate_linear, lienard_residual,
-                       residual, trajectory_csv)
+from .odesolve import (Grid, IntegratorConfig, SegmentTooShortError,
+                       StepUnderflowError, Trajectory, cole_hopf_map,
+                       integrate_linear, lienard_residual, residual,
+                       trajectory_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,8 +94,13 @@ class RunConfig:
             raise UsageError(f"need x1 > x0, got [{self.x0}, {self.x1}]")
         if self.n < 2:
             raise UsageError(f"need n >= 2, got {self.n}")
-        for name in ("rtol", "atol", "pole_tol", "guard_tol"):
-            if getattr(self, name) <= 0:
+        for name in ("x0", "x1", "mu", "beta", "alpha",
+                     "C1", "C2", "C3", "C4", "c", "a"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite")
+        for name in ("rtol", "atol", "pole_tol", "guard_tol", "residual_tol"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # nan fails too
                 raise UsageError(f"{name} must be positive")
 
     @property
@@ -415,7 +421,7 @@ def run(argv: list[str]) -> int:
             FileNotFoundError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_EXPR
-    except VerificationFailure as err:
+    except (VerificationFailure, SegmentTooShortError) as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK

@@ -103,9 +103,11 @@ class Expr(metaclass=_Interned):
     equal to a live one returns that very object, so ``==`` and ``hash``
     are identity.  Arithmetic operators build new trees (numbers are
     coerced to constants).  The slots hold the cached ``simplify`` result
-    and compiled callables; they are unset until first computed."""
+    and compiled callables (``_env_fn`` holds the one most recently bound
+    to an ``env``); they are unset until first computed."""
 
-    __slots__ = ("__weakref__", "_simplified", "_vector_fn", "_scalar_fn")
+    __slots__ = ("__weakref__", "_simplified", "_vector_fn", "_scalar_fn",
+                 "_env_fn")
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -862,10 +864,19 @@ def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
     (domain violations raise); otherwise it accepts floats or numpy arrays
     and returns arrays, mapping domain violations to nan/inf silently so
     callers can mask them.  The callable is cached on the node after
-    ``subst(e, env)``, so compiling an equal tree again returns it.
+    ``subst(e, env)``, so compiling an equal tree again returns it.  With
+    an ``env``, ``e`` itself also keeps the last (scalar, env) it was
+    compiled for and the callable, which nothing else keeps alive.
     """
     if env:
-        e = subst(e, env)
+        key = (scalar, tuple((k, float(v), math.copysign(1.0, float(v)))
+                             for k, v in sorted(env.items())))
+        cached = getattr(e, "_env_fn", None)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        fn = lambdify(subst(e, env), scalar=scalar)
+        object.__setattr__(e, "_env_fn", (key, fn))
+        return fn
     slot = "_scalar_fn" if scalar else "_vector_fn"
     try:
         return getattr(e, slot)

@@ -15,6 +15,7 @@ from typing import Callable, Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from ._floatfmt import csv_rows
 from .expr import Expr, diff, lambdify, simplify
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -568,16 +569,21 @@ def compare(a: Trajectory, b: Trajectory) -> ErrorMetrics:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV with header x,value,derivative,segment; one row per grid point
-    inside a pole-free segment, floats as shortest round-trip decimals.
-    Pole brackets appear as comment lines."""
+    inside a pole-free segment, floats as shortest round-trip decimals
+    (the bytes of ``repr``).  Pole brackets appear as comment lines."""
     lines = ["x,value,derivative,segment"]
     for (a, b) in traj.pole_brackets:
         lines.append(f"# pole [{float(a)!r},{float(b)!r}]")
-    for seg_id, (i0, i1) in enumerate(traj.segments):
-        rows = zip(traj.xs[i0:i1].tolist(), traj.values[i0:i1].tolist(),
-                   traj.derivatives[i0:i1].tolist())
-        lines.extend(f"{x!r},{v!r},{d!r},{seg_id}" for x, v, d in rows)
-    return "\n".join(lines) + "\n"
+    head = "\n".join(lines) + "\n"
+    if not traj.segments:
+        return head
+    rows = np.concatenate([np.arange(i0, i1) for i0, i1 in traj.segments])
+    seg_of_row = np.repeat(np.arange(len(traj.segments)),
+                           [i1 - i0 for i0, i1 in traj.segments])
+    columns = np.stack([traj.xs[rows], traj.values[rows],
+                        traj.derivatives[rows]], axis=1)
+    return head + csv_rows(columns, [str(i) for i in range(len(traj.segments))],
+                           seg_of_row)
 
 
 def regular_window(exprs: Sequence[Expr], x0: float, x1: float,

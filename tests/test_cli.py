@@ -185,3 +185,33 @@ def test_rk4_runs_never_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--beta", "inf"),
+                                         ("--alpha", "-inf"), ("--C1", "nan"),
+                                         ("--a", "inf"), ("--x1", "inf")])
+def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, flag, value):
+    code = run(["custom", "--P", "C1*x + a", f"{flag}={value}",
+                "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "must be finite" in err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+def test_non_positive_residual_tol_is_a_usage_error(tmp_path, capsys):
+    code = run(["custom", "--P", "x/(2+x^2)", "--residual-tol", "-1",
+                "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "usage error: residual_tol must be positive\n"
+
+
+def test_grid_too_short_for_the_stencils_is_a_verification_failure(
+        tmp_path, capsys):
+    code = run(["custom", "--P", "x/(2+x^2)", "--n", "3",
+                "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == ("verification failure: no segment "
+                                       "long enough for the residual "
+                                       "stencils\n")

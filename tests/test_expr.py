@@ -408,3 +408,15 @@ def test_interned_trees_and_round_trip_values(e):
         if v1 is None or v2 is None:
             continue
         assert v1 == v2
+
+
+def test_lambdify_with_env_is_cached_on_the_node():
+    e = parse("a*x + sin(x)")
+    for scalar in (False, True):
+        f = lambdify(e, {"a": 2.0}, scalar=scalar)
+        assert lambdify(e, {"a": 2.0}, scalar=scalar) is f
+    assert lambdify(e, {"a": 2.0}) is not lambdify(e, {"a": 2.0}, scalar=True)
+    # signed zeros are different bindings
+    q = parse("x/a")
+    assert lambdify(q, {"a": 0.0})(1.0) == np.inf
+    assert lambdify(q, {"a": -0.0})(1.0) == -np.inf

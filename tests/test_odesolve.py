@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vdplin._floatfmt import repr_fields
 from vdplin.colehopf import TransformBundle, VdpParams, solve_chain
 from vdplin.expr import Const, lambdify, parse, simplify
 from vdplin.odesolve import (DisjointSegmentsError, Grid, IntegratorConfig,
@@ -383,3 +386,93 @@ def test_regular_window_avoids_singularity():
     a, b = regular_window([parse("1/(x-2)")], 0.0, 5.0, cap=50.0)
     assert (2.0 < a or b < 2.0)
     assert b - a >= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the vectorized shortest-repr kernel behind trajectory_csv
+
+def _kernel_texts(values):
+    fields, _ = repr_fields(np.asarray(values, dtype=float))
+    return [bytes(f).replace(b"\0", b"").decode() for f in fields]
+
+
+def _first_mismatch(got, want):
+    """None when the lists agree; else the first differing pair (a short
+    failure message where a diff of the whole lists would take minutes)."""
+    if len(got) != len(want):
+        return len(got), len(want)
+    return next(((a, b) for a, b in zip(got, want) if a != b), None)
+
+
+def _csv_reference(traj):
+    """trajectory_csv with one repr per value."""
+    lines = ["x,value,derivative,segment"]
+    lines += [f"# pole [{float(a)!r},{float(b)!r}]"
+              for a, b in traj.pole_brackets]
+    for seg_id, (i0, i1) in enumerate(traj.segments):
+        lines += [f"{float(traj.xs[i])!r},{float(traj.values[i])!r},"
+                  f"{float(traj.derivatives[i])!r},{seg_id}"
+                  for i in range(i0, i1)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_kernel_bytes_equal_repr(values):
+    # st.floats() draws nan, +-inf, subnormals and +-0.0 too
+    assert _kernel_texts(values) == [repr(float(v)) for v in values]
+
+
+def test_kernel_sweep_powers_and_their_neighbours():
+    centres = [c * 10.0 ** k for k in range(-8, 41)
+               for c in (1.0, 1.5, 2.0, 3.0, 5.0, 7.0, 9.5)]
+    # a power of two has an asymmetric rounding interval
+    centres += [2.0 ** k for k in range(-30, 131)]
+    values = list(centres)
+    up, down = np.array(centres), np.array(centres)
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        values += up.tolist() + down.tolist()
+    values += [-v for v in values]
+    assert _first_mismatch(_kernel_texts(values),
+                           [repr(v) for v in values]) is None
+
+
+def test_kernel_near_the_rounding_interval_edge():
+    # v = m / 2^52 in [1, 2) scales to s = v * 10^16 = m * 5^16 / 2^36, and
+    # its interval's half-width is 10^16 / 2^53 = 5^16 / 2^37: pick the v
+    # whose 15- or 16-digit rounding lies within 0.01 of the interval's edge
+    # (in units of the 17th digit), on either side
+    values = []
+    for m in range(2 ** 52 + 10 ** 9, 2 ** 52 + 10 ** 9 + 100000):
+        for unit in (10, 100):
+            d = 2 * (m * 5 ** 16 % (unit << 36))  # 2^37 (s mod unit)
+            gap = min(abs(d - 5 ** 16), abs((unit << 37) - d - 5 ** 16))
+            if gap < 2 ** 37 // 100:
+                values.append(m / 2 ** 52)
+    assert len(values) > 50
+    assert _first_mismatch(_kernel_texts(values),
+                           [repr(v) for v in values]) is None
+
+
+def test_kernel_fast_path_carries_a_normal_sample():
+    v = np.random.default_rng(20001).standard_normal(20001)
+    slow = repr_fields(v)[1]
+    assert len(slow) < 0.01 * v.size
+    assert _first_mismatch(_kernel_texts(v), [repr(x) for x in v.tolist()]) \
+        is None
+
+
+def test_trajectory_csv_equals_repr_on_fourteen_poles():
+    params = VdpParams(2.0, 2.0, 0.0)
+    bundle = solve_chain(parse("0.5+0.1*sin(x)"), params)
+    phi = integrate_linear(bundle.U, Grid(0.0, 40.0, 20001), 1.0, 0.0,
+                           IntegratorConfig(method="rk4"))
+    psi = cole_hopf_map(bundle.P, phi, U=bundle.U)
+    assert len(psi.pole_brackets) == 14 and len(psi.segments) == 15
+    for traj in (phi, psi):
+        assert _first_mismatch(trajectory_csv(traj).splitlines(),
+                               _csv_reference(traj).splitlines()) is None
+    empty = Trajectory(xs=phi.xs, values=phi.values,
+                       derivatives=phi.derivatives, segments=[])
+    assert trajectory_csv(empty) == "x,value,derivative,segment\n"
