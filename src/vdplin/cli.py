@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .colehopf import (TransformBundle, VdpParams, bundle_from_json,
-                       bundle_to_dict, seeded_construction, solve_chain,
-                       verify_annihilation, verify_printed_coeffs)
+from .colehopf import (VdpParams, bundle_from_json, bundle_to_dict,
+                       seeded_construction, solve_chain, verify_annihilation,
+                       verify_printed_coeffs)
 from .expr import Expr, ExprError, parse, subst
 from .lienard import lienard_coeffs, lienard_spec_to_dict, riccati_u
 from .odesolve import (Grid, IntegratorConfig, SegmentTooShortError,
@@ -254,17 +254,26 @@ def _trajectory_text(traj: Trajectory, fmt: str) -> tuple[str, str]:
     return trajectory_csv(traj), "csv"
 
 
-def _emit_run(cfg: RunConfig, bundle: TransformBundle, phi: Trajectory,
-              psi: Trajectory, report, extra: dict | None = None) -> None:
-    _write(cfg.out / "bundle.json", json.dumps(bundle_to_dict(bundle),
-                                               indent=2) + "\n")
+# every file a subcommand can write into --out
+_ARTIFACTS = ("bundle.json", "lienard.json", "phi.csv", "psi.csv",
+              "phi.json", "psi.json", "residual.json", "verify.json")
+
+
+def _emit_run(cfg: RunConfig, spec_name: str, spec: dict, phi: Trajectory,
+              psi: Trajectory, report_doc: dict) -> None:
+    """Write a run's spec (bundle or Lienard), trajectories and residual
+    report, and remove the artifacts of other runs that this one does not
+    write, so --out holds only this run's files."""
+    files = {spec_name: json.dumps(spec, indent=2) + "\n"}
     for name, traj in (("phi", phi), ("psi", psi)):
         text, ext = _trajectory_text(traj, cfg.fmt)
-        _write(cfg.out / f"{name}.{ext}", text)
-    doc = {"residual": report.to_dict()}
-    if extra:
-        doc.update(extra)
-    _write(cfg.out / "residual.json", json.dumps(doc, indent=2) + "\n")
+        files[f"{name}.{ext}"] = text
+    files["residual.json"] = json.dumps(report_doc, indent=2) + "\n"
+    for name, text in files.items():
+        _write(cfg.out / name, text)
+    for name in _ARTIFACTS:
+        if name not in files:
+            (cfg.out / name).unlink(missing_ok=True)
 
 
 def _parse_expr(text: str, what: str) -> Expr:
@@ -304,7 +313,8 @@ def _run_case(cfg: RunConfig) -> None:
     report = residual(bundle, psi, guard_tol=cfg.guard_tol)
     bundle = bundle.with_entries(verify_printed_coeffs(
         bundle.P, bundle.U, params, bundle.v, bundle.h, bundle.g, bundle.f))
-    _emit_run(cfg, bundle, phi, psi, report)
+    _emit_run(cfg, "bundle.json", bundle_to_dict(bundle), phi, psi,
+              {"residual": report.to_dict()})
     gate = _residual_gate(cfg, psi)
     if report.max_abs > gate:
         raise VerificationFailure(
@@ -326,7 +336,8 @@ def _run_custom_or_seeded(cfg: RunConfig) -> None:
                            cfg.integrator)
     psi = cole_hopf_map(bundle.P, phi, U=bundle.U, pole_tol=cfg.pole_tol)
     report = residual(bundle, psi, guard_tol=cfg.guard_tol)
-    _emit_run(cfg, bundle, phi, psi, report)
+    _emit_run(cfg, "bundle.json", bundle_to_dict(bundle), phi, psi,
+              {"residual": report.to_dict()})
     gate = _residual_gate(cfg, psi)
     if report.max_abs > gate:
         raise VerificationFailure(
@@ -356,14 +367,8 @@ def _run_lienard(cfg: RunConfig) -> None:
         from .expr import lambdify
         b0 = np.max(np.abs(lambdify(spec.b[0])(cfg.grid.xs)))
         extra["b0_max"] = float(b0)
-    _write(cfg.out / "lienard.json",
-           json.dumps(lienard_spec_to_dict(spec), indent=2) + "\n")
-    for name, traj in (("phi", phi), ("psi", psi)):
-        text, ext = _trajectory_text(traj, cfg.fmt)
-        _write(cfg.out / f"{name}.{ext}", text)
-    doc = {"residual": report.to_dict()}
-    doc.update(extra)
-    _write(cfg.out / "residual.json", json.dumps(doc, indent=2) + "\n")
+    _emit_run(cfg, "lienard.json", lienard_spec_to_dict(spec), phi, psi,
+              {"residual": report.to_dict(), **extra})
 
     if cfg.riccati and extra["b0_max"] > ANNIHILATION_GATE:
         raise VerificationFailure(

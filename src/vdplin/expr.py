@@ -5,8 +5,8 @@ variable ``x``, named parameters, arithmetic, powers and the elementary
 functions exp/log/sin/cos/tan/sinh/cosh/sqrt.  It supports exact
 differentiation, conservative simplification (constant folding and identity
 removal, no canonical forms), a printer whose output re-parses to an
-equivalent tree, and compilation to fast scalar or numpy-vectorized
-callables.
+equivalent tree, and compilation to callables: compiled Python code for
+scalars, a tape of numpy steps for arrays.
 
 Nodes are hash-consed: every constructor call goes through a weak intern
 table, so structurally equal trees are the same object, equality and
@@ -22,6 +22,7 @@ expression anywhere the original is defined.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import weakref
 from dataclasses import dataclass
@@ -103,8 +104,11 @@ class Expr(metaclass=_Interned):
     equal to a live one returns that very object, so ``==`` and ``hash``
     are identity.  Arithmetic operators build new trees (numbers are
     coerced to constants).  The slots hold the cached ``simplify`` result
-    and compiled callables (``_env_fn`` holds the one most recently bound
-    to an ``env``); they are unset until first computed."""
+    and the ``lambdify`` callables: ``_vector_fn`` runs a tape of numpy
+    steps, ``_scalar_fn`` is compiled Python code, and ``_env_fn`` holds
+    the one most recently bound to an ``env``.  None of them references a
+    node, so caching makes no reference cycle.  They are unset until first
+    computed."""
 
     __slots__ = ("__weakref__", "_simplified", "_vector_fn", "_scalar_fn",
                  "_env_fn")
@@ -223,6 +227,8 @@ class Fun(Expr):
 
 
 X = Var()
+
+_BINARY_NODES = (Add, Sub, Mul, Div)
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -591,27 +597,34 @@ def _subst(node: Expr, values: Mapping[str, float], memo: dict) -> Expr:
 
 
 def free_params(e: Expr) -> frozenset[str]:
-    names: set[str] = set()
-    _walk_params(e, names, set())
-    return frozenset(names)
+    return frozenset(n.name for n in _postorder(e) if isinstance(n, Param))
 
 
-def _walk_params(node: Expr, names: set, seen: set) -> None:
-    if id(node) in seen:
-        return
-    seen.add(id(node))
-    if isinstance(node, Param):
-        names.add(node.name)
-    elif isinstance(node, Neg):
-        _walk_params(node.arg, names, seen)
-    elif isinstance(node, Fun):
-        _walk_params(node.arg, names, seen)
-    elif isinstance(node, Pow):
-        _walk_params(node.base, names, seen)
-        _walk_params(node.exponent, names, seen)
-    elif isinstance(node, (Add, Sub, Mul, Div)):
-        _walk_params(node.left, names, seen)
-        _walk_params(node.right, names, seen)
+def _postorder(e: Expr) -> list[Expr]:
+    """The distinct nodes under e, each after its children (left before
+    right, base before exponent).  Iterative, so deep trees cannot hit the
+    recursion limit; a None on the stack marks that the node below it has
+    had its children listed."""
+    order: list[Expr] = []
+    seen: set[Expr] = set()
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            order.append(stack.pop())
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack += (node, None)
+        t = type(node)
+        if t in _BINARY_NODES:
+            stack += (node.right, node.left)
+        elif t is Neg or t is Fun:
+            stack.append(node.arg)
+        elif t is Pow:
+            stack += (node.exponent, node.base)
+    return order
 
 
 def fractional_power_nodes(e: Expr) -> list[Pow]:
@@ -668,11 +681,17 @@ def _fmt_number(v: float) -> str:
 def to_str(e: Expr) -> str:
     """Print in the input grammar; the output re-parses to a tree that is
     pointwise equal (and, for parser-produced trees, the same node).  The
-    DAG prints as a tree, but parsing it shares equal subtrees again."""
-    return _print(e, 0)
+    DAG prints as a tree, but parsing it shares equal subtrees again.  Each
+    shared subtree is printed once per precedence context and its text
+    reused, so the work is the size of the DAG plus the output."""
+    return _print(e, 0, {})
 
 
-def _print(node: Expr, ctx: int) -> str:
+def _print(node: Expr, ctx: int, memo: dict) -> str:
+    key = (node, ctx)  # interned nodes hash by identity
+    s = memo.get(key)
+    if s is not None:
+        return s
     if isinstance(node, Const):
         s = _fmt_number(node.value)
     elif isinstance(node, Var):
@@ -680,23 +699,29 @@ def _print(node: Expr, ctx: int) -> str:
     elif isinstance(node, Param):
         s = node.name
     elif isinstance(node, Fun):
-        s = f"{node.name}({_print(node.arg, 0)})"
+        s = f"{node.name}({_print(node.arg, 0, memo)})"
     elif isinstance(node, Neg):
-        s = "-" + _print(node.arg, _PREC_NEG)
+        s = "-" + _print(node.arg, _PREC_NEG, memo)
     elif isinstance(node, Add):
-        s = _print(node.left, _PREC_ADD) + "+" + _print(node.right, _PREC_ADD + 1)
+        s = (_print(node.left, _PREC_ADD, memo) + "+"
+             + _print(node.right, _PREC_ADD + 1, memo))
     elif isinstance(node, Sub):
-        s = _print(node.left, _PREC_ADD) + "-" + _print(node.right, _PREC_ADD + 1)
+        s = (_print(node.left, _PREC_ADD, memo) + "-"
+             + _print(node.right, _PREC_ADD + 1, memo))
     elif isinstance(node, Mul):
-        s = _print(node.left, _PREC_MUL) + "*" + _print(node.right, _PREC_MUL + 1)
+        s = (_print(node.left, _PREC_MUL, memo) + "*"
+             + _print(node.right, _PREC_MUL + 1, memo))
     elif isinstance(node, Div):
-        s = _print(node.left, _PREC_MUL) + "/" + _print(node.right, _PREC_MUL + 1)
+        s = (_print(node.left, _PREC_MUL, memo) + "/"
+             + _print(node.right, _PREC_MUL + 1, memo))
     elif isinstance(node, Pow):
-        s = _print(node.base, _PREC_POW + 1) + "^" + _print(node.exponent, _PREC_NEG)
+        s = (_print(node.base, _PREC_POW + 1, memo) + "^"
+             + _print(node.exponent, _PREC_NEG, memo))
     else:  # pragma: no cover
         raise TypeError(f"unknown node {node!r}")
     if _prec(node) < ctx:
-        return "(" + s + ")"
+        s = "(" + s + ")"
+    memo[key] = s
     return s
 
 
@@ -848,25 +873,30 @@ _SCALAR_NS = {
     "_sqrt": math.sqrt, "_pow": _pow_scalar,
 }
 
-_VECTOR_NS = {
-    "_exp": np.exp, "_log": np.log, "_sin": np.sin, "_cos": np.cos,
-    "_tan": np.tan, "_sinh": np.sinh, "_cosh": np.cosh, "_sqrt": np.sqrt,
-    "_pow": np.power,
-}
+# vector steps: each binary node maps to its operator, each function to
+# the numpy ufunc of that name
+_VECTOR_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+                  Div: operator.truediv}
+_VECTOR_FUNS = {name: getattr(np, name) for name in FUNCTIONS}
 
 
 def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
              scalar: bool = False) -> Callable:
     """Compile to a callable f(x).
 
-    The expression DAG is flattened with common subexpressions evaluated
-    once.  With ``scalar=True`` the result works on floats via ``math``
-    (domain violations raise); otherwise it accepts floats or numpy arrays
-    and returns arrays, mapping domain violations to nan/inf silently so
-    callers can mask them.  The callable is cached on the node after
-    ``subst(e, env)``, so compiling an equal tree again returns it.  With
-    an ``env``, ``e`` itself also keeps the last (scalar, env) it was
-    compiled for and the callable, which nothing else keeps alive.
+    One post-order walk of the expression DAG lists each distinct subtree
+    once, so common subexpressions are evaluated once, and finds the
+    unbound parameters (the first by name is reported).  With
+    ``scalar=True`` the walk is turned into Python source, compiled, and
+    the result works on floats via ``math`` (domain violations raise).
+    Otherwise it becomes a tape of numpy and ``operator`` steps run by a
+    small interpreter, with no ``compile``; the callable accepts floats or
+    numpy arrays and returns arrays, mapping domain violations to nan/inf
+    silently (constant subtrees included) so callers can mask them.  The
+    callable is cached on the node after ``subst(e, env)`` and holds no
+    node, so compiling an equal tree again returns it.  With an ``env``,
+    ``e`` itself also keeps the last (scalar, env) it was compiled for and
+    the callable, which nothing else keeps alive.
     """
     if env:
         key = (scalar, tuple((k, float(v), math.copysign(1.0, float(v)))
@@ -882,28 +912,31 @@ def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
         return getattr(e, slot)
     except AttributeError:
         pass
-    missing = free_params(e)
+    order = _postorder(e)
+    missing = [n.name for n in order if isinstance(n, Param)]
     if missing:
-        raise UnboundParameterError(sorted(missing)[0])
+        raise UnboundParameterError(min(missing))
+    fn = _scalar_code(order) if scalar else _vector_tape(order)
+    object.__setattr__(e, slot, fn)
+    return fn
 
+
+def _scalar_code(order: list[Expr]) -> Callable:
+    """Compile the post-ordered nodes (root last) to a Python function of
+    one float, one assignment per operation, constants inlined."""
     lines: list[str] = []
     tokens: dict[int, str] = {}
-    counter = [0]
 
     def tok(node: Expr) -> str:
-        key = id(node)
-        if key in tokens:
-            return tokens[key]
-        if isinstance(node, Const):
-            t = repr(node.value)
-        elif isinstance(node, Var):
-            t = "x"
-        else:
-            t = _emit(node)
-        tokens[key] = t
-        return t
+        return tokens[id(node)]
 
-    def _emit(node: Expr) -> str:
+    for node in order:
+        if isinstance(node, Const):
+            tokens[id(node)] = repr(node.value)
+            continue
+        if isinstance(node, Var):
+            tokens[id(node)] = "x"
+            continue
         if isinstance(node, Neg):
             rhs = f"-({tok(node.arg)})"
         elif isinstance(node, Add):
@@ -924,52 +957,66 @@ def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
             rhs = f"_{node.name}({tok(node.arg)})"
         else:  # pragma: no cover
             raise TypeError(f"unknown node {node!r}")
-        counter[0] += 1
-        name = f"v{counter[0]}"
+        name = f"v{len(lines) + 1}"
         lines.append(f"    {name} = {rhs}")
-        return name
+        tokens[id(node)] = name
 
-    # iterative post-order so deep trees cannot hit the recursion limit
-    order: list[Expr] = []
-    seen: set[int] = set()
-    stack: list[tuple[Expr, bool]] = [(e, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if isinstance(node, Neg):
-            stack.append((node.arg, False))
-        elif isinstance(node, Fun):
-            stack.append((node.arg, False))
-        elif isinstance(node, Pow):
-            stack.append((node.exponent, False))
-            stack.append((node.base, False))
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    for node in order:
-        tok(node)
-
-    code = "def _compiled(x):\n" + "\n".join(lines) + f"\n    return {tok(e)}\n"
-    ns = dict(_SCALAR_NS if scalar else _VECTOR_NS)
+    code = ("def _compiled(x):\n" + "\n".join(lines)
+            + f"\n    return {tok(order[-1])}\n")
+    ns = dict(_SCALAR_NS)
     exec(compile(code, "<lambdify>", "exec"), ns)
-    fn = ns.pop("_compiled")  # so fn and its globals form no cycle
-    if not scalar:
-        fn = _vectorized(fn)
-    object.__setattr__(e, slot, fn)
-    return fn
+    return ns.pop("_compiled")  # so fn and its globals form no cycle
 
 
-def _vectorized(fn: Callable) -> Callable:
+def _vector_tape(order: list[Expr]) -> Callable:
+    """Turn the post-ordered nodes (root last) into a tape and return the
+    callable that runs it.  Slot 0 holds x and every constant holds an
+    ``np.float64``, so constant subtrees follow numpy semantics as well.
+    Each step ``(fn, out, a, b)`` stores ``fn`` of slots a and b (b None
+    for unary steps) in slot ``out``.  An integer power is ``a ** k`` with
+    k a Python int, any other power ``np.power``.  The tape holds values
+    and functions only, never a node."""
+    init: list = [None]
+    slots: dict[Expr, int] = {}
+    steps: list[tuple] = []
+    for node in order:
+        t = type(node)
+        if t is Const:
+            slots[node] = len(init)
+            init.append(np.float64(node.value))
+            continue
+        if t is Var:
+            slots[node] = 0
+            continue
+        if t in _BINARY_NODES:
+            fn, a, b = _VECTOR_BINARY[t], slots[node.left], slots[node.right]
+        elif t is Neg:
+            fn, a, b = operator.neg, slots[node.arg], None
+        elif t is Fun:
+            fn, a, b = _VECTOR_FUNS[node.name], slots[node.arg], None
+        else:  # Pow
+            ex = node.exponent
+            a = slots[node.base]
+            if type(ex) is Const and ex.value.is_integer():
+                fn, b = operator.pow, len(init)
+                init.append(int(ex.value))
+            else:
+                fn, b = np.power, slots[ex]
+        slots[node] = len(init)
+        steps.append((fn, len(init), a, b))
+        init.append(None)
+    return _vectorized(tuple(init), tuple(steps), slots[order[-1]])
+
+
+def _vectorized(init: tuple, steps: tuple, result: int) -> Callable:
     def vector_fn(xs):
         arr = np.asarray(xs, dtype=float)
+        vals = list(init)
+        vals[0] = arr
         with np.errstate(all="ignore"):
-            out = fn(arr)
+            for fn, out, a, b in steps:
+                vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+        out = vals[result]
         if np.ndim(out) == 0:
             out = np.full(arr.shape, float(out))
         return out

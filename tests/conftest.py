@@ -4,7 +4,7 @@ nonlinear integration inside its conditioning limits."""
 
 import numpy as np
 
-from vdplin.catalog import p_general
+from vdplin.catalog import CatalogError, p_general
 from vdplin.colehopf import VdpParams, solve_chain
 from vdplin.expr import lambdify, simplify
 from vdplin.odesolve import (Grid, IntegratorConfig, StepUnderflowError,
@@ -27,6 +27,20 @@ def draw_vdp_instance(rng):
     C1, C2 = rng.uniform(-1, 1, 2)
     k_sign = 1 if rng.random() < 0.5 else -1
     return VdpParams(mu, beta, alpha), float(C1), float(C2), k_sign
+
+
+def general_instances(count, seed):
+    """``count`` (params, P) pairs of general-P instances drawn from
+    ``seed``, skipping draws that ``p_general`` refuses."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        params, C1, C2, k_sign = draw_vdp_instance(rng)
+        try:
+            out.append((params, p_general(params, C1, C2, k_sign)))
+        except CatalogError:
+            continue
+    return out
 
 
 def build_instance(rng):

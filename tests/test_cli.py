@@ -215,3 +215,49 @@ def test_grid_too_short_for_the_stencils_is_a_verification_failure(
     assert capsys.readouterr().err == ("verification failure: no segment "
                                        "long enough for the residual "
                                        "stencils\n")
+
+
+@pytest.mark.parametrize("P", ["x + 1/0", "x + 0^(-1)"])
+def test_constant_singularity_is_an_eval_failure(tmp_path, capsys, P):
+    # U is infinite everywhere: the vector callables give inf, not a
+    # ZeroDivisionError traceback
+    code = run(["custom", "--P", P, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: integration stalled in [0, 5]\n"
+
+
+def test_infinite_lienard_coefficient_is_a_verification_failure(
+        tmp_path, capsys):
+    code = run(["lienard", "--c2", "1/0", "--P", "0.3 - 0.2*x + 0.15*x^2",
+                "--riccati", "--x1", "2", "--n", "2001",
+                "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("verification failure: ")
+
+
+def test_reused_out_holds_only_the_last_runs_files(tmp_path):
+    out = tmp_path / "run"
+    custom = ["custom", "--P", "x/(2+x^2)", "--x1", "3", "--out", str(out)]
+
+    def names():
+        return {p.name for p in out.iterdir()}
+
+    assert run(["lienard", "--c0", "0.4", "--c1", "-0.2", "--c2", "0.3",
+                "--P", "0.3 - 0.2*x + 0.15*x^2", "--riccati", "--x1", "2",
+                "--n", "2001", "--dphi0", "0.3", "--out", str(out)]) == 0
+    assert names() == {"lienard.json", "phi.csv", "psi.csv", "residual.json"}
+    assert run(custom) == 0
+    assert names() == {"bundle.json", "phi.csv", "psi.csv", "residual.json"}
+    alone = _read_tree(out)
+    assert run(custom + ["--format", "json"]) == 0
+    assert names() == {"bundle.json", "phi.json", "psi.json", "residual.json"}
+
+    # verify removes nothing: its --bundle may sit in the same directory
+    assert run(["verify", "--bundle", str(out / "bundle.json"), "--x1", "3",
+                "--out", str(out)]) == 0
+    assert names() == {"bundle.json", "phi.json", "psi.json", "residual.json",
+                       "verify.json"}
+    # a later run removes the stale report, and its files are the bytes a
+    # run into an empty directory writes
+    assert run(custom) == 0
+    assert _read_tree(out) == alone

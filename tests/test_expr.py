@@ -11,9 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_vdp_instance
+from conftest import general_instances
 from vdplin import expr
-from vdplin.catalog import CatalogError, p_general
 from vdplin.colehopf import solve_chain, verify_printed_coeffs
 from vdplin.expr import (Add, Const, EvalDomainError, Fun, Mul, Neg, Param,
                          ParseError, Pow, Sub, UnboundParameterError, X,
@@ -281,18 +280,6 @@ def _rebuild(e):
                      for a in args))
 
 
-def _general_instances(count, seed):
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        params, C1, C2, k_sign = draw_vdp_instance(rng)
-        try:
-            out.append((params, p_general(params, C1, C2, k_sign)))
-        except CatalogError:
-            continue
-    return out
-
-
 def test_equal_trees_are_the_same_object():
     def build():
         return Add(Mul(Const(2), X), Fun("sin", Pow(X, Const(3.0))))
@@ -308,6 +295,20 @@ def test_signed_zero_constants_stay_apart():
     assert Const(0.0) is not Const(-0.0)
     assert lambdify(X / Const(-0.0))(1.0) == -np.inf
     assert lambdify(X / Const(0.0))(1.0) == np.inf
+
+
+def test_constant_subtrees_give_inf_or_nan():
+    # a constant-only subtree follows numpy semantics like any other
+    # point: no ZeroDivisionError or OverflowError
+    xs = np.linspace(0.0, 1.0, 5)
+    for text in ("x + 1/0", "x + 0^(-1)", "1/0 - 1/0", "x*(1e300*1e300)",
+                 "x + log(0)", "sqrt(-1) + x"):
+        vals = lambdify(parse(text))(xs)
+        assert vals.shape == xs.shape
+        assert not np.isfinite(vals).any(), text
+    assert np.all(lambdify(parse("x + 1/0"))(xs) == np.inf)
+    assert np.all(lambdify(parse("x + 0^(-1)"))(xs) == np.inf)
+    assert np.all(np.isnan(lambdify(parse("1/0 - 1/0"))(xs)))
 
 
 def test_invalid_names_enter_no_table_entry():
@@ -329,7 +330,7 @@ def test_intern_table_drains_without_collection():
     gc.disable()
     try:
         before = len(expr._NODES)
-        (params, P), = _general_instances(1, seed=3)
+        (params, P), = general_instances(1, seed=3)
         b = solve_chain(P, params)
         b = b.with_entries(verify_printed_coeffs(b.P, b.U, params, b.v, b.h,
                                                  b.g, b.f))
@@ -379,7 +380,7 @@ def test_lambdify_cache_follows_the_bound_values():
 
 
 def test_round_trip_keeps_sharing():
-    for params, P in _general_instances(4, seed=11):
+    for params, P in general_instances(4, seed=11):
         b = solve_chain(P, params)
         n_f = len(_dag(b.f))
         assert len(_dag(parse(to_str(b.f)))) <= 1.1 * n_f

@@ -1,0 +1,306 @@
+"""The vector tape of ``lambdify`` and the memoized printer against the code
+they replaced: a generated-source vector compiler and a recursive printer,
+both kept here verbatim as references.  The tape must give the same bits,
+and the printer the same text."""
+
+import builtins
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vdplin import colehopf, expr
+from vdplin.colehopf import bundle_to_json, solve_chain, verify_printed_coeffs
+from vdplin.expr import (FUNCTIONS, Add, Const, Div, Fun, Mul, Neg, Param,
+                         Pow, Sub, UnboundParameterError, Var, X, free_params,
+                         lambdify, parse, subst, to_str)
+
+from conftest import general_instances
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def _ref_vectorized(fn):
+    def vector_fn(xs):
+        arr = np.asarray(xs, dtype=float)
+        with np.errstate(all="ignore"):
+            out = fn(arr)
+        if np.ndim(out) == 0:
+            out = np.full(arr.shape, float(out))
+        return out
+
+    return vector_fn
+
+
+_REF_VECTOR_NS = {
+    "_exp": np.exp, "_log": np.log, "_sin": np.sin, "_cos": np.cos,
+    "_tan": np.tan, "_sinh": np.sinh, "_cosh": np.cosh, "_sqrt": np.sqrt,
+    "_pow": np.power,
+}
+
+
+def ref_lambdify(e, env=None):
+    """The vector compiler as it was: Python source with constants inlined
+    as float literals, one assignment per distinct node, ``compile`` and
+    ``exec``."""
+    if env:
+        e = subst(e, env)
+    missing = free_params(e)
+    if missing:
+        raise UnboundParameterError(sorted(missing)[0])
+
+    lines = []
+    tokens = {}
+    counter = [0]
+
+    def tok(node):
+        key = id(node)
+        if key in tokens:
+            return tokens[key]
+        if isinstance(node, Const):
+            t = repr(node.value)
+        elif isinstance(node, Var):
+            t = "x"
+        else:
+            t = _emit(node)
+        tokens[key] = t
+        return t
+
+    def _emit(node):
+        if isinstance(node, Neg):
+            rhs = f"-({tok(node.arg)})"
+        elif isinstance(node, Add):
+            rhs = f"({tok(node.left)}) + ({tok(node.right)})"
+        elif isinstance(node, Sub):
+            rhs = f"({tok(node.left)}) - ({tok(node.right)})"
+        elif isinstance(node, Mul):
+            rhs = f"({tok(node.left)}) * ({tok(node.right)})"
+        elif isinstance(node, Div):
+            rhs = f"({tok(node.left)}) / ({tok(node.right)})"
+        elif isinstance(node, Pow):
+            ex = node.exponent
+            if isinstance(ex, Const) and float(ex.value).is_integer():
+                rhs = f"({tok(node.base)}) ** ({int(ex.value)})"
+            else:
+                rhs = f"_pow({tok(node.base)}, {tok(ex)})"
+        elif isinstance(node, Fun):
+            rhs = f"_{node.name}({tok(node.arg)})"
+        else:  # pragma: no cover
+            raise TypeError(f"unknown node {node!r}")
+        counter[0] += 1
+        name = f"v{counter[0]}"
+        lines.append(f"    {name} = {rhs}")
+        return name
+
+    order = []
+    seen = set()
+    stack = [(e, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        if isinstance(node, Neg):
+            stack.append((node.arg, False))
+        elif isinstance(node, Fun):
+            stack.append((node.arg, False))
+        elif isinstance(node, Pow):
+            stack.append((node.exponent, False))
+            stack.append((node.base, False))
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+    for node in order:
+        tok(node)
+
+    code = "def _compiled(x):\n" + "\n".join(lines) + f"\n    return {tok(e)}\n"
+    ns = dict(_REF_VECTOR_NS)
+    exec(compile(code, "<lambdify>", "exec"), ns)
+    return _ref_vectorized(ns.pop("_compiled"))
+
+
+def ref_print(node, ctx=0):
+    """The printer as it was: a plain recursion, one visit per use."""
+    P = expr
+    if isinstance(node, Const):
+        s = P._fmt_number(node.value)
+    elif isinstance(node, Var):
+        s = "x"
+    elif isinstance(node, Param):
+        s = node.name
+    elif isinstance(node, Fun):
+        s = f"{node.name}({ref_print(node.arg, 0)})"
+    elif isinstance(node, Neg):
+        s = "-" + ref_print(node.arg, P._PREC_NEG)
+    elif isinstance(node, Add):
+        s = (ref_print(node.left, P._PREC_ADD) + "+"
+             + ref_print(node.right, P._PREC_ADD + 1))
+    elif isinstance(node, Sub):
+        s = (ref_print(node.left, P._PREC_ADD) + "-"
+             + ref_print(node.right, P._PREC_ADD + 1))
+    elif isinstance(node, Mul):
+        s = (ref_print(node.left, P._PREC_MUL) + "*"
+             + ref_print(node.right, P._PREC_MUL + 1))
+    elif isinstance(node, Div):
+        s = (ref_print(node.left, P._PREC_MUL) + "/"
+             + ref_print(node.right, P._PREC_MUL + 1))
+    elif isinstance(node, Pow):
+        s = (ref_print(node.base, P._PREC_POW + 1) + "^"
+             + ref_print(node.exponent, P._PREC_NEG))
+    else:  # pragma: no cover
+        raise TypeError(f"unknown node {node!r}")
+    if P._prec(node) < ctx:
+        return "(" + s + ")"
+    return s
+
+
+# ---------------------------------------------------------------------------
+# random DAGs
+
+_CONSTANTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e-3, 1e300,
+                     -1e300, 710.0]),
+    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+)
+_KINDS = ("neg", "add", "sub", "mul", "div", "int_pow", "frac_pow",
+          "pow", "fun")
+_BINARY = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}
+
+
+@st.composite
+def _dags(draw, max_ops=14):
+    """Each new node takes its operands from the nodes built before it, so
+    subtrees are shared, and constants meet constants often enough to give
+    constant-only subtrees (1/0, 0^-1, 1e300*1e300, ...)."""
+    pool = [X] + [Const(v) for v in draw(st.lists(_CONSTANTS, min_size=1,
+                                                  max_size=4))]
+    for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
+        kind = draw(st.sampled_from(_KINDS))
+        a = draw(st.sampled_from(pool))
+        if kind == "neg":
+            node = Neg(a)
+        elif kind in _BINARY:
+            node = _BINARY[kind](a, draw(st.sampled_from(pool)))
+        elif kind == "int_pow":
+            k = draw(st.integers(min_value=-3, max_value=4))
+            node = Pow(a, Const(float(k)))
+        elif kind == "frac_pow":
+            node = Pow(a, Const(draw(st.sampled_from([0.5, -0.5, 1.5,
+                                                      1 / 3, -2.25]))))
+        elif kind == "pow":
+            node = Pow(a, draw(st.sampled_from(pool)))
+        else:
+            node = Fun(draw(st.sampled_from(FUNCTIONS)), a)
+        pool.append(node)
+    return pool[-1]
+
+
+_XS = np.array([-2.5, -1.0, -0.0, 0.0, 1e-8, 0.3, 1.0, 2.0, 7.5, 40.0])
+
+
+def _same_bits(got, want):
+    got = np.asarray(got)
+    want = np.asarray(want)
+    if got.shape != want.shape or got.dtype != want.dtype:
+        return False
+    nan = np.isnan(want)
+    if not np.array_equal(np.isnan(got), nan):
+        return False
+    return np.array_equal(got[~nan].view(np.uint64),
+                          want[~nan].view(np.uint64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dags(), st.lists(st.floats(allow_nan=False, width=64), max_size=4))
+def test_tape_matches_the_generated_code_bit_for_bit(e, extra):
+    xs = np.concatenate([_XS, np.array(extra, dtype=float)])
+    got = lambdify(e)(xs)
+    got_scalar = lambdify(e)(0.3)
+    assert to_str(e) == ref_print(e)
+    try:
+        want = ref_lambdify(e)(xs)
+        want_scalar = ref_lambdify(e)(0.3)
+    except (ZeroDivisionError, OverflowError):
+        # the generated code evaluated constant subtrees on Python floats,
+        # which raise; the tape maps them to inf/nan like any other point
+        assert got.shape == xs.shape and got.dtype == np.float64
+        return
+    assert _same_bits(got, want)
+    assert _same_bits(got_scalar, want_scalar)
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_every_function_matches_the_reference(name):
+    xs = np.linspace(-3.0, 3.0, 61)
+    e = Fun(name, X * Const(0.75) - Const(0.25))
+    assert _same_bits(lambdify(e)(xs), ref_lambdify(e)(xs))
+
+
+# ---------------------------------------------------------------------------
+# the chain's bundles
+
+
+def test_general_bundles_print_and_serialize_as_the_reference(monkeypatch):
+    for params, P in general_instances(4, seed=23):
+        b = solve_chain(P, params)
+        b = b.with_entries(verify_printed_coeffs(b.P, b.U, params, b.v, b.h,
+                                                 b.g, b.f))
+        for name in ("P", "U", "g", "h", "v", "f"):
+            e = getattr(b, name)
+            assert to_str(e) == ref_print(e), name
+        text = bundle_to_json(b)
+        xs = np.linspace(0.0, 5.0, 201)
+        values = [lambdify(a)(xs) for a in b.coefficients().as_tuple()]
+
+        with monkeypatch.context() as m:
+            m.setattr(colehopf, "to_str", ref_print)
+            m.setattr(colehopf, "lambdify", ref_lambdify)
+            ref = solve_chain(P, params)
+            ref = ref.with_entries(verify_printed_coeffs(
+                ref.P, ref.U, params, ref.v, ref.h, ref.g, ref.f))
+            assert bundle_to_json(ref) == text
+        for got, a in zip(values, ref.coefficients().as_tuple()):
+            assert _same_bits(got, ref_lambdify(a)(xs))
+
+
+# ---------------------------------------------------------------------------
+# compilation
+
+
+def test_vector_lambdify_never_compiles(monkeypatch):
+    calls = []
+
+    def counting_compile(*args, **kwargs):
+        calls.append(args)
+        return builtins.compile(*args, **kwargs)
+
+    monkeypatch.setattr(expr, "compile", counting_compile, raising=False)
+    # a constant no other test uses, so nothing is cached on these nodes
+    c = Const(math.pi / 977.0)
+    e = Fun("sin", X * c) + Pow(X, Const(3.0)) / (Const(1.0) + X * X)
+    vals = lambdify(e)(np.linspace(0.0, 1.0, 11))
+    assert np.all(np.isfinite(vals))
+    assert calls == []
+    lambdify(e, {"unused": 1.0})
+    assert calls == []
+    # the scalar path still compiles, so the patch is seen
+    lambdify(e, scalar=True)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scalar", [False, True])
+def test_unbound_error_names_the_first_parameter(scalar):
+    e = parse("zeta*x + mu*b + sin(a2*x) + a1")
+    with pytest.raises(UnboundParameterError) as err:
+        lambdify(e, scalar=scalar)
+    assert err.value.name == "a1"
+    with pytest.raises(UnboundParameterError) as err:
+        lambdify(e, {"a1": 1.0, "a2": 2.0}, scalar=scalar)
+    assert err.value.name == "b"
