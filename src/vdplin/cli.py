@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Subcommands build bundles (catalog cases, a custom shift, a seeded
-potential, a Lienard instance), integrate, verify and write deterministic
-artifacts: bundle JSON with the discrepancy ledger, phi/psi trajectory CSV
-and a residual report.  Exit codes: 0 success, 1 usage, 2 expression
-parse/eval failure, 3 verification failure.
+Every subcommand runs one pipeline: build -> integrate -> map -> residual
+-> emit -> gate.  Only build depends on the subcommand.  It yields P, U,
+the closed-form phi of case1-3, the residual of the Van der Pol or Lienard
+equation, the spec to write (a bundle with its discrepancy ledger, or a
+Lienard spec) and the gates checked before the residual gate (b0 for
+lienard --riccati, annihilation for verify).  A run writes the spec, the
+phi/psi trajectories and a residual report; verify writes verify.json.
+Exit codes: 0 success, 1 usage, 2 expression parse/eval failure or
+unusable input file, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -14,21 +18,22 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import catalog
-from .colehopf import (VdpParams, bundle_from_json, bundle_to_dict,
-                       seeded_construction, solve_chain, verify_annihilation,
+from .colehopf import (BundleFormatError, SingularGridError, VdpParams,
+                       bundle_from_json, bundle_to_dict, seeded_construction,
+                       solve_chain, verify_annihilation,
                        verify_printed_coeffs)
-from .expr import Expr, ExprError, parse, subst
+from .expr import Expr, ExprError, lambdify, parse, subst
 from .lienard import lienard_coeffs, lienard_spec_to_dict, riccati_u
-from .odesolve import (Grid, IntegratorConfig, SegmentTooShortError,
-                       StepUnderflowError, Trajectory, cole_hopf_map,
-                       integrate_linear, lienard_residual, residual,
-                       trajectory_csv)
+from .odesolve import (Grid, IntegratorConfig, NonFiniteCoefficientError,
+                       SegmentTooShortError, StepUnderflowError, Trajectory,
+                       cole_hopf_map, integrate_linear, lienard_residual,
+                       residual, trajectory_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,77 +54,6 @@ class UsageError(Exception):
 
 class VerificationFailure(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: one subcommand plus everything it may need."""
-
-    subcommand: str
-    mu: float
-    beta: float
-    alpha: float
-    P: str | None
-    s: str | None
-    branch: str
-    k_sign: int
-    C1: float
-    C2: float
-    C3: float
-    C4: float
-    c: float
-    a: float
-    c0: str | None
-    c1: str | None
-    c2: str | None
-    U: str | None
-    riccati: bool
-    x0: float
-    x1: float
-    n: int
-    rtol: float
-    atol: float
-    pole_tol: float
-    guard_tol: float
-    residual_tol: float | None
-    phi0: float
-    dphi0: float
-    out: Path
-    fmt: str
-    method: str
-    bundle_path: Path | None
-
-    def validate(self) -> None:
-        if not (self.x1 > self.x0):
-            raise UsageError(f"need x1 > x0, got [{self.x0}, {self.x1}]")
-        if self.n < 2:
-            raise UsageError(f"need n >= 2, got {self.n}")
-        for name in ("x0", "x1", "mu", "beta", "alpha",
-                     "C1", "C2", "C3", "C4", "c", "a"):
-            if not math.isfinite(getattr(self, name)):
-                raise UsageError(f"{name} must be finite")
-        for name in ("rtol", "atol", "pole_tol", "guard_tol", "residual_tol"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:  # nan fails too
-                raise UsageError(f"{name} must be positive")
-
-    @property
-    def params(self) -> VdpParams:
-        return VdpParams(self.mu, self.beta, self.alpha)
-
-    @property
-    def grid(self) -> Grid:
-        return Grid(self.x0, self.x1, self.n)
-
-    @property
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(rtol=self.rtol, atol=self.atol,
-                                method=self.method)
-
-    @property
-    def constants(self) -> dict[str, float]:
-        return {"C1": self.C1, "C2": self.C2, "C3": self.C3, "C4": self.C4,
-                "c": self.c, "a": self.a}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,27 +142,21 @@ def _resolve_rtol(flag_value: float | None) -> float:
     return 1e-9
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        subcommand=ns.subcommand,
-        mu=ns.mu, beta=ns.beta, alpha=ns.alpha,
-        P=getattr(ns, "P", None), s=getattr(ns, "s", None),
-        branch=getattr(ns, "branch", "plus"),
-        k_sign=1 if getattr(ns, "k_sign", "plus") == "plus" else -1,
-        C1=ns.C1, C2=ns.C2, C3=ns.C3, C4=ns.C4, c=ns.c, a=ns.a,
-        c0=getattr(ns, "c0", None), c1=getattr(ns, "c1", None),
-        c2=getattr(ns, "c2", None), U=getattr(ns, "U", None),
-        riccati=getattr(ns, "riccati", False),
-        x0=ns.x0, x1=ns.x1, n=ns.n,
-        rtol=_resolve_rtol(ns.rtol), atol=ns.atol,
-        pole_tol=ns.pole_tol, guard_tol=ns.guard_tol,
-        residual_tol=ns.residual_tol,
-        phi0=ns.phi0, dphi0=ns.dphi0,
-        out=ns.out, fmt=ns.fmt, method=ns.method,
-        bundle_path=getattr(ns, "bundle", None),
-    )
-    cfg.validate()
-    return cfg
+def _check_args(ns: argparse.Namespace) -> None:
+    """Resolve ``ns.rtol`` and refuse values no run can use."""
+    ns.rtol = _resolve_rtol(ns.rtol)
+    if not (ns.x1 > ns.x0):
+        raise UsageError(f"need x1 > x0, got [{ns.x0}, {ns.x1}]")
+    if ns.n < 2:
+        raise UsageError(f"need n >= 2, got {ns.n}")
+    for name in ("x0", "x1", "mu", "beta", "alpha",
+                 "C1", "C2", "C3", "C4", "c", "a"):
+        if not math.isfinite(getattr(ns, name)):
+            raise UsageError(f"{name} must be finite")
+    for name in ("rtol", "atol", "pole_tol", "guard_tol", "residual_tol"):
+        value = getattr(ns, name)
+        if value is not None and not value > 0:  # nan fails too
+            raise UsageError(f"{name} must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +165,10 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(text.encode())
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _trajectory_text(traj: Trajectory, fmt: str) -> tuple[str, str]:
@@ -250,7 +182,7 @@ def _trajectory_text(traj: Trajectory, fmt: str) -> tuple[str, str]:
             "segments": [list(s) for s in traj.segments],
             "pole_brackets": [list(b) for b in traj.pole_brackets],
         }
-        return json.dumps(doc, indent=2) + "\n", "json"
+        return _json_text(doc), "json"
     return trajectory_csv(traj), "csv"
 
 
@@ -259,174 +191,134 @@ _ARTIFACTS = ("bundle.json", "lienard.json", "phi.csv", "psi.csv",
               "phi.json", "psi.json", "residual.json", "verify.json")
 
 
-def _emit_run(cfg: RunConfig, spec_name: str, spec: dict, phi: Trajectory,
-              psi: Trajectory, report_doc: dict) -> None:
-    """Write a run's spec (bundle or Lienard), trajectories and residual
-    report, and remove the artifacts of other runs that this one does not
-    write, so --out holds only this run's files."""
-    files = {spec_name: json.dumps(spec, indent=2) + "\n"}
+def _emit_run(ns: argparse.Namespace, spec_name: str, spec: dict,
+              phi: Trajectory, psi: Trajectory, report_doc: dict) -> None:
+    """Write a run's spec, trajectories and residual report, and remove the
+    artifacts of other runs, so --out holds only this run's files."""
+    files = {spec_name: _json_text(spec)}
     for name, traj in (("phi", phi), ("psi", psi)):
-        text, ext = _trajectory_text(traj, cfg.fmt)
+        text, ext = _trajectory_text(traj, ns.fmt)
         files[f"{name}.{ext}"] = text
-    files["residual.json"] = json.dumps(report_doc, indent=2) + "\n"
+    files["residual.json"] = _json_text(report_doc)
     for name, text in files.items():
-        _write(cfg.out / name, text)
+        _write(ns.out / name, text)
     for name in _ARTIFACTS:
         if name not in files:
-            (cfg.out / name).unlink(missing_ok=True)
-
-
-def _parse_expr(text: str, what: str) -> Expr:
-    try:
-        return parse(text)
-    except ExprError as err:
-        raise ExprError(f"{what}: {err}") from err
-
-
-def _residual_gate(cfg: RunConfig, traj: Trajectory) -> float:
-    if cfg.residual_tol is not None:
-        return cfg.residual_tol
-    return (RESIDUAL_GATE_SYMBOLIC if traj.expr is not None
-            else RESIDUAL_GATE_SAMPLED)
+            (ns.out / name).unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# the pipeline
 
-def _run_case(cfg: RunConfig) -> None:
-    params = cfg.params
-    if cfg.subcommand == "case1":
-        sol = catalog.case1(params, cfg.k_sign)
-    elif cfg.subcommand == "case2":
-        sol = catalog.case2(params)
+def _build(ns: argparse.Namespace, grid: Grid):
+    """Returns ``(P, U, phi_expr, measure, spec, finish)``: the closed-form
+    phi or None; ``measure(psi, guard_tol=...)``, the residual report; the
+    spec's (file name, document), None for verify; ``finish(residual_doc)``,
+    the report document and the messages of the gates that failed before
+    the residual gate, None for a report of the residual alone."""
+    constants = {k: getattr(ns, k) for k in ("C1", "C2", "C3", "C4", "c", "a")}
+
+    def flag_expr(name: str) -> Expr:
+        try:
+            return subst(parse(getattr(ns, name)), constants)
+        except ExprError as err:
+            raise ExprError(f"--{name}: {err}") from err
+
+    if ns.subcommand == "lienard":
+        c = [flag_expr(f"c{i}") for i in range(3)]
+        P = flag_expr("P")
+        if ns.riccati:
+            U = riccati_u(P)
+        elif ns.U is not None:
+            U = flag_expr("U")
+        else:
+            raise UsageError("lienard needs --riccati or --U <expr>")
+        lien = lienard_coeffs(c, P, U, grid=grid.xs)
+
+        def finish(res: dict) -> tuple[dict, list[str]]:
+            b0 = float(np.max(np.abs(lambdify(lien.b[0])(grid.xs))))
+            return {"residual": res, "b0_max": b0}, (
+                [f"Riccati potential left b0 at {b0:g}"]
+                if b0 > ANNIHILATION_GATE else [])
+
+        return (lien.P, lien.U, None,
+                partial(lienard_residual, lien.c, lien.b),
+                ("lienard.json", lienard_spec_to_dict(lien)),
+                finish if ns.riccati else None)
+
+    phi_expr, spec, finish = None, None, None
+    if ns.subcommand == "verify":
+        bundle = bundle_from_json(ns.bundle.read_text())
+        ann = verify_annihilation(bundle, grid)
+
+        def finish(res: dict) -> tuple[dict, list[str]]:
+            doc = {"annihilation": ann.to_dict(), "residual": res,
+                   "ledger": [e.to_dict() for e in bundle.ledger]}
+            return doc, [] if ann.passed else [
+                f"annihilation failed: max|a_i| = {max(ann.max_abs):g}"]
     else:
-        sol = catalog.case3(params, cfg.c)
-    bundle = sol.bundle
+        params = VdpParams(ns.mu, ns.beta, ns.alpha)
+        if ns.subcommand == "custom":
+            bundle = solve_chain(flag_expr("P"), params)
+        elif ns.subcommand == "seeded":
+            bundle = seeded_construction(flag_expr("s"), params, ns.branch)
+        else:
+            if ns.subcommand == "case1":
+                sol = catalog.case1(params, 1 if ns.k_sign == "plus" else -1)
+            elif ns.subcommand == "case2":
+                sol = catalog.case2(params)
+            else:
+                sol = catalog.case3(params, ns.c)
+            bundle = sol.bundle
+            if sol.phi is not None:
+                phi_expr = subst(sol.phi, {"C3": ns.C3, "C4": ns.C4})
+        bundle = bundle.with_entries(verify_printed_coeffs(
+            bundle.P, bundle.U, params, bundle.v, bundle.h, bundle.g,
+            bundle.f))
+        spec = ("bundle.json", bundle_to_dict(bundle))
+    return (bundle.P, bundle.U, phi_expr, partial(residual, bundle), spec,
+            finish)
 
-    if sol.phi is not None:
-        phi_expr = subst(sol.phi, {"C3": cfg.C3, "C4": cfg.C4})
-        phi = Trajectory.from_expr(phi_expr, cfg.grid)
+
+def _pipeline(ns: argparse.Namespace) -> None:
+    grid = Grid(ns.x0, ns.x1, ns.n)
+    P, U, phi_expr, measure, spec, finish = _build(ns, grid)
+    if phi_expr is not None:
+        phi = Trajectory.from_expr(phi_expr, grid)
     else:
-        phi = integrate_linear(bundle.U, cfg.grid, cfg.phi0, cfg.dphi0,
-                               cfg.integrator)
-    psi = cole_hopf_map(bundle.P, phi, U=bundle.U, pole_tol=cfg.pole_tol)
-    report = residual(bundle, psi, guard_tol=cfg.guard_tol)
-    bundle = bundle.with_entries(verify_printed_coeffs(
-        bundle.P, bundle.U, params, bundle.v, bundle.h, bundle.g, bundle.f))
-    _emit_run(cfg, "bundle.json", bundle_to_dict(bundle), phi, psi,
-              {"residual": report.to_dict()})
-    gate = _residual_gate(cfg, psi)
-    if report.max_abs > gate:
-        raise VerificationFailure(
-            f"residual {report.max_abs:g} above gate {gate:g}")
-
-
-def _run_custom_or_seeded(cfg: RunConfig) -> None:
-    params = cfg.params
-    if cfg.subcommand == "custom":
-        P = subst(_parse_expr(cfg.P, "--P"), cfg.constants)
-        bundle = solve_chain(P, params)
+        phi = integrate_linear(U, grid, ns.phi0, ns.dphi0, IntegratorConfig(
+            rtol=ns.rtol, atol=ns.atol, method=ns.method))
+    psi = cole_hopf_map(P, phi, U=U, pole_tol=ns.pole_tol)
+    report = measure(psi, guard_tol=ns.guard_tol)
+    res = report.to_dict()
+    doc, failures = finish(res) if finish else ({"residual": res}, [])
+    if spec is None:
+        _write(ns.out / "verify.json", _json_text(doc))
     else:
-        s = subst(_parse_expr(cfg.s, "--s"), cfg.constants)
-        bundle = seeded_construction(s, params, cfg.branch)
-    bundle = bundle.with_entries(verify_printed_coeffs(
-        bundle.P, bundle.U, params, bundle.v, bundle.h, bundle.g, bundle.f))
-
-    phi = integrate_linear(bundle.U, cfg.grid, cfg.phi0, cfg.dphi0,
-                           cfg.integrator)
-    psi = cole_hopf_map(bundle.P, phi, U=bundle.U, pole_tol=cfg.pole_tol)
-    report = residual(bundle, psi, guard_tol=cfg.guard_tol)
-    _emit_run(cfg, "bundle.json", bundle_to_dict(bundle), phi, psi,
-              {"residual": report.to_dict()})
-    gate = _residual_gate(cfg, psi)
+        _emit_run(ns, *spec, phi, psi, doc)
+    gate = ns.residual_tol or (RESIDUAL_GATE_SAMPLED if psi.expr is None
+                               else RESIDUAL_GATE_SYMBOLIC)
     if report.max_abs > gate:
-        raise VerificationFailure(
-            f"residual {report.max_abs:g} above gate {gate:g}")
-
-
-def _run_lienard(cfg: RunConfig) -> None:
-    env = cfg.constants
-    c = [subst(_parse_expr(text, f"--c{i}"), env)
-         for i, text in enumerate((cfg.c0, cfg.c1, cfg.c2))]
-    P = subst(_parse_expr(cfg.P, "--P"), env)
-    if cfg.riccati:
-        U = riccati_u(P)
-    elif cfg.U is not None:
-        U = subst(_parse_expr(cfg.U, "--U"), env)
-    else:
-        raise UsageError("lienard needs --riccati or --U <expr>")
-
-    spec = lienard_coeffs(c, P, U, grid=cfg.grid.xs)
-    phi = integrate_linear(spec.U, cfg.grid, cfg.phi0, cfg.dphi0,
-                           cfg.integrator)
-    psi = cole_hopf_map(spec.P, phi, U=spec.U, pole_tol=cfg.pole_tol)
-    report = lienard_residual(spec.c, spec.b, psi, guard_tol=cfg.guard_tol)
-
-    extra = {}
-    if cfg.riccati:
-        from .expr import lambdify
-        b0 = np.max(np.abs(lambdify(spec.b[0])(cfg.grid.xs)))
-        extra["b0_max"] = float(b0)
-    _emit_run(cfg, "lienard.json", lienard_spec_to_dict(spec), phi, psi,
-              {"residual": report.to_dict(), **extra})
-
-    if cfg.riccati and extra["b0_max"] > ANNIHILATION_GATE:
-        raise VerificationFailure(
-            f"Riccati potential left b0 at {extra['b0_max']:g}")
-    gate = _residual_gate(cfg, psi)
-    if report.max_abs > gate:
-        raise VerificationFailure(
-            f"residual {report.max_abs:g} above gate {gate:g}")
-
-
-def _run_verify(cfg: RunConfig) -> None:
-    bundle = bundle_from_json(cfg.bundle_path.read_text())
-    ann = verify_annihilation(bundle, cfg.grid)
-    phi = integrate_linear(bundle.U, cfg.grid, cfg.phi0, cfg.dphi0,
-                           cfg.integrator)
-    psi = cole_hopf_map(bundle.P, phi, U=bundle.U, pole_tol=cfg.pole_tol)
-    report = residual(bundle, psi, guard_tol=cfg.guard_tol)
-    doc = {
-        "annihilation": ann.to_dict(),
-        "residual": report.to_dict(),
-        "ledger": [e.to_dict() for e in bundle.ledger],
-    }
-    _write(cfg.out / "verify.json", json.dumps(doc, indent=2) + "\n")
-    if not ann.passed:
-        raise VerificationFailure(
-            f"annihilation failed: max|a_i| = {max(ann.max_abs):g}")
-    gate = _residual_gate(cfg, psi)
-    if report.max_abs > gate:
-        raise VerificationFailure(
-            f"residual {report.max_abs:g} above gate {gate:g}")
+        failures.append(f"residual {report.max_abs:g} above gate {gate:g}")
+    if failures:
+        raise VerificationFailure(failures[0])
 
 
 def run(argv: list[str]) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        cfg = config_from_args(ns)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if cfg.subcommand in ("case1", "case2", "case3"):
-            _run_case(cfg)
-        elif cfg.subcommand in ("custom", "seeded"):
-            _run_custom_or_seeded(cfg)
-        elif cfg.subcommand == "lienard":
-            _run_lienard(cfg)
-        elif cfg.subcommand == "verify":
-            _run_verify(cfg)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown subcommand {cfg.subcommand!r}")
+        _check_args(ns)
+        _pipeline(ns)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (ExprError, catalog.CatalogError, StepUnderflowError,
-            FileNotFoundError, json.JSONDecodeError) as err:
+            SingularGridError, BundleFormatError, OSError,
+            json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_EXPR
-    except (VerificationFailure, SegmentTooShortError) as err:
+    except (VerificationFailure, SegmentTooShortError,
+            NonFiniteCoefficientError) as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK

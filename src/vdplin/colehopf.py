@@ -30,7 +30,7 @@ from .wcalc import CoeffSet, reduce_vdp
 
 __all__ = [
     "VdpParams", "TransformBundle", "LedgerEntry", "AnnihilationReport",
-    "SingularGridError", "solve_chain", "seeded_construction",
+    "SingularGridError", "BundleFormatError", "solve_chain", "seeded_construction",
     "verify_annihilation", "verify_printed_coeffs", "compare_forms",
     "reference_coefficient_forms", "reference_forcing_form",
     "bundle_to_json", "bundle_from_json", "DEFAULT_CHECK_POINTS",
@@ -48,6 +48,10 @@ class SingularGridError(Exception):
         locs = ", ".join(f"{x:g}" for x in list(xs)[:5])
         super().__init__(f"{what} is singular at grid points [{locs}...]")
         self.xs = list(xs)
+
+
+class BundleFormatError(ValueError):
+    """A bundle document does not have the shape bundle_to_dict writes."""
 
 
 @dataclass(frozen=True)
@@ -320,14 +324,22 @@ def bundle_to_json(bundle: TransformBundle) -> str:
 
 
 def bundle_from_dict(d: dict) -> TransformBundle:
-    params = VdpParams(mu=float(d["params"]["mu"]),
-                       beta=float(d["params"]["beta"]),
-                       alpha=float(d["params"]["alpha"]))
-    return TransformBundle(
-        P=parse(d["P"]), U=parse(d["U"]), g=parse(d["g"]), h=parse(d["h"]),
-        v=parse(d["v"]), f=parse(d["f"]), params=params,
-        ledger=tuple(LedgerEntry.from_dict(e) for e in d.get("ledger", [])),
-    )
+    """Rebuild a bundle; a document of the wrong shape raises
+    ``BundleFormatError``, an expression that does not parse ``ParseError``."""
+    try:
+        if not isinstance(d, dict):
+            raise TypeError("not a JSON object")
+        params = VdpParams(mu=float(d["params"]["mu"]),
+                           beta=float(d["params"]["beta"]),
+                           alpha=float(d["params"]["alpha"]))
+        return TransformBundle(
+            P=parse(d["P"]), U=parse(d["U"]), g=parse(d["g"]), h=parse(d["h"]),
+            v=parse(d["v"]), f=parse(d["f"]), params=params,
+            ledger=tuple(map(LedgerEntry.from_dict, d.get("ledger", []))),
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        problem = f"missing field {err}" if isinstance(err, KeyError) else err
+        raise BundleFormatError(f"malformed bundle: {problem}") from None
 
 
 def bundle_from_json(text: str) -> TransformBundle:

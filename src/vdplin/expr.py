@@ -508,23 +508,22 @@ def _simplify_node(node: Expr) -> Expr:
     if isinstance(node, (Add, Sub, Mul, Div)):
         a = _simplify(node.left)
         b = _simplify(node.right)
+        if isinstance(a, Const) and isinstance(b, Const) and not (
+                isinstance(node, Div) and b.value == 0.0):
+            v = _VECTOR_BINARY[type(node)](a.value, b.value)
+            if math.isfinite(v):  # an overflow stays unfolded
+                return Const(v)
         if isinstance(node, Add):
-            if isinstance(a, Const) and isinstance(b, Const):
-                return Const(a.value + b.value)
             if _is_const(a, 0.0):
                 return b
             if _is_const(b, 0.0):
                 return a
         elif isinstance(node, Sub):
-            if isinstance(a, Const) and isinstance(b, Const):
-                return Const(a.value - b.value)
             if _is_const(b, 0.0):
                 return a
             if _is_const(a, 0.0):
                 return _neg_of(b)
         elif isinstance(node, Mul):
-            if isinstance(a, Const) and isinstance(b, Const):
-                return Const(a.value * b.value)
             if _is_const(a, 0.0) or _is_const(b, 0.0):
                 return ZERO
             if _is_const(a, 1.0):
@@ -536,8 +535,6 @@ def _simplify_node(node: Expr) -> Expr:
             if _is_const(b, -1.0):
                 return _neg_of(a)
         else:  # Div
-            if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-                return Const(a.value / b.value)
             if _is_const(a, 0.0):
                 return ZERO
             if _is_const(b, 1.0):
@@ -814,7 +811,10 @@ class _Parser:
     def parse_atom(self) -> Expr:
         kind, val, pos = self.advance()
         if kind == "num":
-            return Const(float(val))
+            value = float(val)
+            if math.isinf(value):
+                raise ParseError(f"number {val} overflows a float", pos)
+            return Const(value)
         if kind == "ident":
             nkind, nval, _ = self.peek()
             if nkind == "op" and nval == "(":
@@ -923,16 +923,19 @@ def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
 
 def _scalar_code(order: list[Expr]) -> Callable:
     """Compile the post-ordered nodes (root last) to a Python function of
-    one float, one assignment per operation, constants inlined."""
+    one float, one assignment per operation, constants bound as names
+    (the repr of inf or nan is not a Python literal)."""
     lines: list[str] = []
     tokens: dict[int, str] = {}
+    ns = dict(_SCALAR_NS)
 
     def tok(node: Expr) -> str:
         return tokens[id(node)]
 
     for node in order:
         if isinstance(node, Const):
-            tokens[id(node)] = repr(node.value)
+            tokens[id(node)] = name = f"c{len(ns)}"
+            ns[name] = node.value
             continue
         if isinstance(node, Var):
             tokens[id(node)] = "x"
@@ -963,7 +966,6 @@ def _scalar_code(order: list[Expr]) -> Callable:
 
     code = ("def _compiled(x):\n" + "\n".join(lines)
             + f"\n    return {tok(order[-1])}\n")
-    ns = dict(_SCALAR_NS)
     exec(compile(code, "<lambdify>", "exec"), ns)
     return ns.pop("_compiled")  # so fn and its globals form no cycle
 

@@ -24,7 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Grid", "IntegratorConfig", "Trajectory", "ResidualReport",
     "SegmentResidual", "ErrorMetrics", "StepUnderflowError",
-    "SegmentTooShortError", "DisjointSegmentsError", "integrate_linear",
+    "SegmentTooShortError", "NonFiniteCoefficientError",
+    "DisjointSegmentsError", "integrate_linear",
     "integrate_vdp", "cole_hopf_map", "residual", "lienard_residual",
     "compare", "trajectory_csv", "regular_window",
     "DEFAULT_POLE_TOL", "DEFAULT_GUARD_TOL",
@@ -46,6 +47,10 @@ class StepUnderflowError(Exception):
 
 class SegmentTooShortError(Exception):
     """No pole-free segment long enough for the difference stencils."""
+
+
+class NonFiniteCoefficientError(Exception):
+    """A coefficient of the equation is not finite at any grid point."""
 
 
 class DisjointSegmentsError(Exception):
@@ -407,13 +412,15 @@ class ResidualReport:
                 "skipped_segments": self.skipped_segments}
 
 
-def _residual_core(traj: Trajectory, rfun, guard_tol: float) -> ResidualReport:
+def _residual_core(traj: Trajectory, rfun, guard_tol: float,
+                   coeffs=()) -> ResidualReport:
     """Shared residual machinery.  rfun(x, psi, dpsi, ddpsi) -> R array.
 
     Closed-form trajectories are differentiated exactly; sampled ones use
     five-point stencils (two points trimmed at each segment end).  A guard
     band of width guard_tol in x is excluded around every pole bracket;
-    segments too short for the stencil are skipped and counted."""
+    segments too short for the stencil are skipped and counted.  If none is
+    left, the error names the first (name, fn) in coeffs finite nowhere."""
     xs = traj.xs
     if traj.expr is not None:
         d1e = simplify(diff(traj.expr))
@@ -462,6 +469,10 @@ def _residual_core(traj: Trajectory, rfun, guard_tol: float) -> ResidualReport:
                                      int(ok.sum()), seg_max, seg_l2))
         overall = max(overall, seg_max)
     if not stats:
+        for name, fn in coeffs:
+            if not np.isfinite(fn(xs)).any():
+                raise NonFiniteCoefficientError(
+                    f"coefficient {name} is not finite anywhere on the grid")
         raise SegmentTooShortError(
             "no segment long enough for the residual stencils")
     return ResidualReport(segments=tuple(stats), max_abs=overall,
@@ -500,7 +511,9 @@ def lienard_residual(c: Sequence[Expr], b: Sequence[Expr], traj: Trajectory,
         restoring = sum(fn(x) * psi ** i for i, fn in enumerate(bfns))
         return ddpsi + damping * dpsi + restoring
 
-    return _residual_core(traj, rfun, guard_tol)
+    named = ([(f"c{i}", fn) for i, fn in enumerate(cfns)]
+             + [(f"b{i}", fn) for i, fn in enumerate(bfns)])
+    return _residual_core(traj, rfun, guard_tol, named)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ environment overrides."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 
 import vdplin
 from vdplin.cli import run
+from vdplin.colehopf import (VdpParams, bundle_to_dict, bundle_to_json,
+                             solve_chain)
 from vdplin.expr import parse
 
 
@@ -261,3 +264,118 @@ def test_reused_out_holds_only_the_last_runs_files(tmp_path):
     # run into an empty directory writes
     assert run(custom) == 0
     assert _read_tree(out) == alone
+
+
+def test_non_finite_lienard_coefficient_is_named(tmp_path, capsys):
+    code = run(["lienard", "--c2", "1/0", "--P", "0.3 - 0.2*x + 0.15*x^2",
+                "--riccati", "--x1", "2", "--n", "2001",
+                "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == ("verification failure: coefficient "
+                                       "c2 is not finite anywhere on the "
+                                       "grid\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["custom", "--P", "1e400*x"],
+     "error: --P: number 1e400 overflows a float (at byte 0)\n"),
+    (["lienard", "--P", "x", "--U", "1e400"],
+     "error: --U: number 1e400 overflows a float (at byte 0)\n"),
+    # 1e300*1e300 stays unfolded, so U is infinite and integration stops
+    (["custom", "--P", "1e300*1e300*x"],
+     "error: integration stalled in [0, 5]\n"),
+], ids=["P-literal", "U-literal", "P-product"])
+def test_non_finite_constant_is_an_expression_error(tmp_path, capsys, argv,
+                                                    message):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == message
+
+
+def _write_bundle(path, P):
+    path.write_text(bundle_to_json(solve_chain(parse(P), VdpParams(1, 1, 0))))
+
+
+def _write_without_params(path):
+    doc = bundle_to_dict(solve_chain(parse("x"), VdpParams(1, 1, 0)))
+    del doc["params"]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda p: _write_bundle(p, "1/(x-1)"),
+     "error: coefficient a0 is singular at grid points [1...]\n"),
+    (lambda p: _write_bundle(p, "sqrt(x-1)"),
+     "error: coefficient a0 is singular at grid points "
+     "[0, 0.01, 0.02, 0.03, 0.04...]\n"),
+    (_write_without_params,
+     "error: malformed bundle: missing field 'params'\n"),
+    (lambda p: p.write_text("[1, 2]"),
+     "error: malformed bundle: not a JSON object\n"),
+    (lambda p: p.mkdir(), None),
+], ids=["pole", "sqrt-domain", "no-params", "json-array", "directory"])
+def test_unusable_bundle_is_an_error_line(tmp_path, capsys, make, message):
+    bundle = tmp_path / "bundle.json"
+    make(bundle)
+    code = run(["verify", "--bundle", str(bundle), "--out",
+                str(tmp_path / "v")])
+    assert code == 2
+    err = capsys.readouterr().err
+    if message is None:  # the OS words the directory error
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bundle) in err
+    else:
+        assert err == message
+
+
+_LIENARD = ["lienard", "--c0", "0.4", "--c1", "-0.2", "--c2", "0.3",
+            "--P", "0.3 - 0.2*x + 0.15*x^2", "--x1", "2", "--n", "2001",
+            "--dphi0", "0.3"]
+_RUN_FILES = {"phi.csv", "psi.csv", "residual.json"}
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["case1", "--mu", "2", "--beta", "1", "--alpha", "0.75"],
+     {"bundle.json"} | _RUN_FILES),
+    (["case2", "--mu", "2", "--beta", "2", "--alpha", "4"],
+     {"bundle.json"} | _RUN_FILES),
+    (["case3", "--mu", "1", "--beta", "1", "--alpha", "0", "--c", "1"],
+     {"bundle.json"} | _RUN_FILES),
+    (["custom", "--P", "x/(2+x^2)", "--x1", "3"],
+     {"bundle.json"} | _RUN_FILES),
+    (["seeded", "--s", "a*x", "--a", "0.4", "--x1", "3"],
+     {"bundle.json"} | _RUN_FILES),
+    (_LIENARD + ["--riccati"], {"lienard.json"} | _RUN_FILES),
+    (_LIENARD + ["--U", "0.5"], {"lienard.json"} | _RUN_FILES),
+    (["verify", "--x1", "3"], {"verify.json"}),
+], ids=["case1", "case2", "case3", "custom", "seeded", "lienard-riccati",
+        "lienard-U", "verify"])
+def test_every_run_kind_applies_the_residual_gate(tmp_path, capsys, argv,
+                                                  files):
+    # every residual at the default settings lies between 1e-17 and 1e-9,
+    # so a run kind that skipped the gate would exit 0 here
+    if argv[0] == "verify":
+        assert run(["custom", "--P", "x/(2+x^2)", "--x1", "3",
+                    "--out", str(tmp_path / "src")]) == 0
+        argv = argv + ["--bundle", str(tmp_path / "src" / "bundle.json")]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(argv + ["--residual-tol", "1e-20", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"verification failure: residual \S+ above gate "
+                        r"1e-20\n", err), err
+    assert {p.name for p in out.iterdir()} == files
+
+
+def test_annihilation_gate_runs_before_the_residual_gate(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["custom", "--P", "0.25", "--out", str(out)]) == 0
+    doc = json.loads((out / "bundle.json").read_text())
+    doc["f"] = doc["f"] + " + 1"
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", "--bundle", str(bad), "--residual-tol", "1e-20",
+                "--out", str(tmp_path / "v")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: annihilation failed")
+    assert (tmp_path / "v" / "verify.json").is_file()

@@ -1,14 +1,20 @@
 """Solve chain: the closed-form coefficient functions it produces, the
 annihilation guarantee, the seeded construction and the ledger machinery."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from vdplin.colehopf import (SingularGridError, TransformBundle, VdpParams,
-                             bundle_from_json, bundle_to_json,
+from vdplin import catalog
+from vdplin.colehopf import (BundleFormatError, SingularGridError,
+                             TransformBundle, VdpParams, bundle_from_dict,
+                             bundle_from_json, bundle_to_dict, bundle_to_json,
                              seeded_construction, solve_chain,
                              verify_annihilation, verify_printed_coeffs)
 from vdplin.expr import Const, lambdify, parse, simplify, subst, to_str
+from vdplin.lienard import lienard_coeffs, lienard_spec_to_dict, riccati_u
 from vdplin.odesolve import Grid
 
 XS = np.linspace(0.0, 5.0, 501)
@@ -203,3 +209,50 @@ def test_chain_with_free_parameters_is_total():
     b = solve_chain(parse("a*x"), VdpParams(1.0, 1.0, 0.0))
     assert b.ledger[0].agrees is None
     assert "a" in to_str(b.P)
+
+
+def test_finite_constant_bundles_keep_their_bytes():
+    # sha256 of the symbolic fields (everything but the sampled ledger) as
+    # printed before non-finite folds were left unfolded; finite folds must
+    # print the same bytes
+    P = parse("0.3 - 0.2*x + 0.15*x^2")
+    docs = {
+        "custom": bundle_to_dict(solve_chain(parse("x/(2+x^2)"),
+                                             VdpParams(1, 1.5, 0.4))),
+        "consts": bundle_to_dict(solve_chain(
+            parse("2*3*x + 0.1 + 0.2 - 1e300*1e-300 + sqrt(2)/7 + 2^10"),
+            VdpParams(2, 1, 0.75))),
+        "seeded": bundle_to_dict(seeded_construction(
+            parse("0.4*x"), VdpParams(1, 1, 0.5), "minus")),
+        "case1": bundle_to_dict(catalog.case1(VdpParams(2, 1, 0.75)).bundle),
+        "case3": bundle_to_dict(catalog.case3(VdpParams(1, 1, 0), 1.0).bundle),
+        "lienard": lienard_spec_to_dict(lienard_coeffs(
+            [parse("0.4"), parse("-0.2"), parse("0.3")], P, riccati_u(P))),
+    }
+    expected = {
+        "custom": "eb560ff92e13f4fdf15dbb9c3d255198bcf0a58c881fdb464478fa22b436bd05",
+        "consts": "6fc9236007fc6721ab1a00e7280364bd30af12f15a92048d5c6d5f15f4bb4a02",
+        "seeded": "3fbcccd2cd602498edf229710b2efac6451e65deef51334d7c363a10c1130cb0",
+        "case1": "ff06cf37215c860d071bbf9d1c7a00efb2c8599d984ab7088987595e8d6ebc1f",
+        "case3": "bf38027cdafff05c9c425e96991f0b5a6c27defc6c14fb4f3c3f2d9d59f6f246",
+        "lienard": "c08b648a0fd99ded35ebb7614472156fed736479d77339fb670cc09933b729e3",
+    }
+    for name, doc in docs.items():
+        symbolic = {k: v for k, v in doc.items() if k != "ledger"}
+        digest = hashlib.sha256(
+            json.dumps(symbolic, sort_keys=True).encode()).hexdigest()
+        assert digest == expected[name], name
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "not a JSON object"),
+    ({"P": "x"}, "missing field 'params'"),
+    ({"params": {"mu": 1, "beta": 1, "alpha": "nan"}, "P": "x", "U": "0",
+      "g": "-1", "h": "2", "v": "2", "f": "0"}, "alpha must be finite"),
+    ({"params": {"mu": 1, "beta": 1, "alpha": 0}, "P": 3, "U": "0",
+      "g": "-1", "h": "2", "v": "2", "f": "0"}, ""),
+])
+def test_malformed_bundle_document_raises_one_error_type(doc, message):
+    with pytest.raises(BundleFormatError, match="^malformed bundle: ") as info:
+        bundle_from_dict(doc)
+    assert message in str(info.value)

@@ -421,3 +421,27 @@ def test_lambdify_with_env_is_cached_on_the_node():
     q = parse("x/a")
     assert lambdify(q, {"a": 0.0})(1.0) == np.inf
     assert lambdify(q, {"a": -0.0})(1.0) == -np.inf
+
+
+def test_overflowing_literal_is_a_parse_error():
+    with pytest.raises(ParseError, match="number 1e400 overflows a float"):
+        parse("1e400*x")
+    assert parse("1e308").value == 1e308
+
+
+def test_non_finite_folds_are_left_unfolded():
+    # folding 1e300*1e300 would give inf, which no literal can print
+    e = simplify(parse("1e300*1e300*x"))
+    assert e is parse("1e300*1e300*x")
+    assert to_str(e) == "1e+300*1e+300*x"
+    assert parse(to_str(e)) is e
+    assert to_str(simplify(parse("1/0 + x"))) == "1/0+x"
+    # finite folds are unchanged
+    assert simplify(parse("2*3*x + 6/4")) is parse("6*x+1.5")
+
+
+def test_scalar_code_binds_non_finite_constants():
+    assert lambdify(Const(math.inf) * X, scalar=True)(1.0) == math.inf
+    assert math.isnan(lambdify(Const(math.nan) + X, scalar=True)(1.0))
+    assert math.copysign(1.0, lambdify(Const(-0.0) - X, scalar=True)(0.0)) \
+        == -1.0
