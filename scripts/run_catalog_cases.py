@@ -35,8 +35,9 @@ def main():
         rep = residual(bundle, psi)
 
         (OUT / f"{name}.bundle.json").write_text(bundle_to_json(bundle))
-        (OUT / f"{name}.phi.csv").write_text(trajectory_csv(phi))
-        (OUT / f"{name}.psi.csv").write_text(trajectory_csv(psi))
+        phi_csv, psi_csv = trajectory_csv(phi, psi)
+        (OUT / f"{name}.phi.csv").write_bytes(phi_csv)
+        (OUT / f"{name}.psi.csv").write_bytes(psi_csv)
         (OUT / f"{name}.residual.json").write_text(
             json.dumps(rep.to_dict(), indent=2) + "\n")
 

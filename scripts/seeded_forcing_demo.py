@@ -36,7 +36,7 @@ def run(tag, seed_text, params, branch, grid, consts=None):
     header = "x,forcing"
     rows = [f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, fvals)]
     (OUT / f"{tag}.forcing.csv").write_text("\n".join([header] + rows) + "\n")
-    (OUT / f"{tag}.psi.csv").write_text(trajectory_csv(psi))
+    (OUT / f"{tag}.psi.csv").write_bytes(trajectory_csv(psi)[0])
 
     print(f"{tag} ({branch} branch): P = {to_str(bundle.P)}")
     print(f"  potential U = {to_str(bundle.U)}")

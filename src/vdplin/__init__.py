@@ -15,7 +15,7 @@ from .odesolve import (DisjointSegmentsError, ErrorMetrics, Grid,
                        IntegratorConfig, ResidualReport, SegmentTooShortError,
                        StepUnderflowError, Trajectory, cole_hopf_map, compare,
                        integrate_linear, integrate_vdp, lienard_residual,
-                       residual, trajectory_csv)
+                       residual, trajectory_csv, trajectory_json)
 from .wcalc import CoeffSet, WPoly, psi_poly, reduce_lienard, reduce_vdp, w_derive
 
 __version__ = "0.1.0"

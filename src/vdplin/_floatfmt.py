@@ -2,9 +2,9 @@
 
 ``repr(float)`` prints the shortest decimal that reads back as the same
 double, and of those the one nearest to it (Steele & White 1990).  Calling
-it once per value dominates the cost of a large CSV, so ``csv_rows`` prints
-whole arrays with numpy instead, by an exactness argument in the spirit of
-Ryu (Adams, PLDI 2018):
+it once per value dominates the cost of a large trajectory file, so
+``repr_fields`` prints whole arrays with numpy instead, by an exactness
+argument in the spirit of Ryu (Adams, PLDI 2018):
 
 1. |v| in [1e-6, 1e38) is scaled by an exact power of ten 10^j, |j| <= 22,
    into s in [1e16, 1e17).  Dekker's error-free product keeps s exact as a
@@ -35,9 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["repr_fields", "csv_rows"]
+__all__ = ["repr_fields", "join_rows"]
 
-_BLOCK = 4096  # rows per pass in csv_rows; bounds the temporary arrays
+_BLOCK = 4096  # rows per pass in join_rows; bounds the temporary arrays
 
 _LO, _HI = 1e-6, 1e38
 _TOL = 1e-9  # in units of the 17th digit; arithmetic errors are below 1e-14
@@ -228,31 +228,29 @@ def repr_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fields, slow
 
 
-def csv_rows(columns: np.ndarray, labels: Sequence[str],
-             label_of_row: np.ndarray) -> str:
-    """One line per row of the (n, c) float array ``columns``: the repr of
-    each value, then ``labels[label_of_row[row]]``, comma-separated."""
-    columns = np.asarray(columns, dtype=np.float64)
-    n_rows, n_cols = columns.shape
-    tags = [label.encode() for label in labels]
-    tag_width = max((len(t) for t in tags), default=0)
-    tag_bytes = np.zeros((len(tags), tag_width + 1), dtype=np.uint8)
-    for i, t in enumerate(tags):
-        tag_bytes[i, :len(t)] = np.frombuffer(t, dtype=np.uint8)
-    tag_bytes[:, -1] = ord("\n")
+def join_rows(columns: Sequence[np.ndarray], tails: Sequence[bytes],
+              tail_of_row: np.ndarray) -> bytes:
+    """One line per row of the field arrays ``columns`` (each of shape
+    (n, WIDTH), as ``repr_fields`` returns them): the row's fields joined by
+    commas, then ``tails[tail_of_row[row]]``, which ends the line."""
+    n_cols = len(columns)
+    tail_width = max(len(t) for t in tails)
+    tail_bytes = np.zeros((len(tails), tail_width), dtype=np.uint8)
+    for i, t in enumerate(tails):
+        tail_bytes[i, :len(t)] = np.frombuffer(t, dtype=np.uint8)
 
     field = WIDTH + 1
     chunks = []
-    for start in range(0, n_rows, _BLOCK):
-        block = columns[start:start + _BLOCK]
-        rows = np.empty((len(block), n_cols * field + tag_width + 1),
+    for start in range(0, len(tail_of_row), _BLOCK):
+        stop = min(start + _BLOCK, len(tail_of_row))
+        rows = np.empty((stop - start, n_cols * field - 1 + tail_width),
                         dtype=np.uint8)
-        cells = rows[:, :n_cols * field].reshape(len(block), n_cols, field)
-        cells[:, :, :WIDTH] = repr_fields(block)[0].reshape(
-            len(block), n_cols, WIDTH)
-        cells[:, :, WIDTH] = ord(",")
-        rows[:, n_cols * field:] = np.take(
-            tag_bytes, label_of_row[start:start + _BLOCK], axis=0)
+        for j, col in enumerate(columns):
+            rows[:, j * field:j * field + WIDTH] = col[start:stop]
+            if j:
+                rows[:, j * field - 1] = ord(",")
+        rows[:, n_cols * field - 1:] = np.take(
+            tail_bytes, tail_of_row[start:stop], axis=0)
         flat = rows.ravel()
         chunks.append(flat[flat != 0].tobytes())
-    return b"".join(chunks).decode("ascii")
+    return b"".join(chunks)

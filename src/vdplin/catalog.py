@@ -81,7 +81,10 @@ class ClosedFormSolution:
 
 
 def _k_value(params: VdpParams, k_sign: int) -> tuple[float, float]:
-    radicand = (params.mu * params.beta) ** 2 - 4.0 * params.alpha
+    mb = params.mu * params.beta
+    radicand = mb * mb - 4.0 * params.alpha
+    if radicand == math.inf:
+        raise CatalogError("mu^2 beta^2 - 4 alpha overflows a float")
     if radicand < 0.0:
         raise ComplexKError(
             f"mu^2 beta^2 - 4 alpha = {radicand:g} < 0; no real decay rate")

@@ -33,7 +33,7 @@ from .lienard import lienard_coeffs, lienard_spec_to_dict, riccati_u
 from .odesolve import (Grid, IntegratorConfig, NonFiniteCoefficientError,
                        SegmentTooShortError, StepUnderflowError, Trajectory,
                        cole_hopf_map, integrate_linear, lienard_residual,
-                       residual, trajectory_csv)
+                       residual, trajectory_csv, trajectory_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,60 +61,73 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the options the subcommands share, in --help order; True marks the model
+# options, which only the run subcommands take (verify reads its model from
+# the bundle and writes no trajectories)
+_SHARED_OPTIONS = (
+    (True, "--mu", dict(type=float, default=1.0)),
+    (True, "--beta", dict(type=float, default=1.0)),
+    (True, "--alpha", dict(type=float, default=0.0)),
+    (False, "--x0", dict(type=float, default=0.0)),
+    (False, "--x1", dict(type=float, default=5.0)),
+    (False, "--n", dict(type=int, default=501)),
+    (False, "--rtol", dict(
+        type=float, default=None,
+        help="adaptive integrator relative tolerance "
+             "(default 1e-9; env VDP_RTOL overrides, flag wins)")),
+    (False, "--atol", dict(type=float, default=1e-12)),
+    (False, "--pole-tol", dict(type=float, default=1e-8)),
+    (False, "--guard-tol", dict(type=float, default=1e-2)),
+    (False, "--residual-tol", dict(
+        type=float, default=None,
+        help="residual gate; defaults to 1e-8 for closed-form "
+             "trajectories, 1e-6 for sampled ones")),
+    (False, "--phi0", dict(type=float, default=1.0)),
+    (False, "--dphi0", dict(type=float, default=0.0)),
+    (True, "--C1", dict(type=float, default=0.0)),
+    (True, "--C2", dict(type=float, default=0.0)),
+    (True, "--C3", dict(type=float, default=1.0)),
+    (True, "--C4", dict(type=float, default=1.0)),
+    (True, "--c", dict(type=float, default=1.0)),
+    (True, "--a", dict(type=float, default=1.0)),
+    (False, "--out", dict(type=Path, default=Path("."))),
+    (True, "--format", dict(dest="fmt", choices=("csv", "json"),
+                            default="csv")),
+    (False, "--method", dict(
+        choices=("rk4", "adaptive"), default="rk4",
+        help="linear integrator; the fixed-step default keeps the "
+             "discretization error smooth so the finite-difference "
+             "residual check stays meaningful")),
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="vdplin", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    run_options = argparse.ArgumentParser(add_help=False)
+    verify_options = argparse.ArgumentParser(add_help=False)
+    for model, flag, kwargs in _SHARED_OPTIONS:
+        run_options.add_argument(flag, **kwargs)
+        if not model:
+            verify_options.add_argument(flag, **kwargs)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mu", type=float, default=1.0)
-        p.add_argument("--beta", type=float, default=1.0)
-        p.add_argument("--alpha", type=float, default=0.0)
-        p.add_argument("--x0", type=float, default=0.0)
-        p.add_argument("--x1", type=float, default=5.0)
-        p.add_argument("--n", type=int, default=501)
-        p.add_argument("--rtol", type=float, default=None,
-                       help="adaptive integrator relative tolerance "
-                            "(default 1e-9; env VDP_RTOL overrides, flag wins)")
-        p.add_argument("--atol", type=float, default=1e-12)
-        p.add_argument("--pole-tol", type=float, default=1e-8)
-        p.add_argument("--guard-tol", type=float, default=1e-2)
-        p.add_argument("--residual-tol", type=float, default=None,
-                       help="residual gate; defaults to 1e-8 for closed-form "
-                            "trajectories, 1e-6 for sampled ones")
-        p.add_argument("--phi0", type=float, default=1.0)
-        p.add_argument("--dphi0", type=float, default=0.0)
-        p.add_argument("--C1", type=float, default=0.0)
-        p.add_argument("--C2", type=float, default=0.0)
-        p.add_argument("--C3", type=float, default=1.0)
-        p.add_argument("--C4", type=float, default=1.0)
-        p.add_argument("--c", type=float, default=1.0)
-        p.add_argument("--a", type=float, default=1.0)
-        p.add_argument("--out", type=Path, default=Path("."))
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default="csv")
-        p.add_argument("--method", choices=("rk4", "adaptive"), default="rk4",
-                       help="linear integrator; the fixed-step default keeps "
-                            "the discretization error smooth so the finite-"
-                            "difference residual check stays meaningful")
+    def add(name: str, text: str, shared=run_options):
+        return sub.add_parser(name, help=text, parents=[shared])
 
     for name in ("case1", "case2", "case3"):
-        p = sub.add_parser(name, help=f"catalog {name} pipeline")
-        common(p)
+        p = add(name, f"catalog {name} pipeline")
         if name == "case1":
             p.add_argument("--k-sign", choices=("plus", "minus"),
                            default="plus")
 
-    p = sub.add_parser("custom", help="solve the chain for a given shift P")
-    common(p)
+    p = add("custom", "solve the chain for a given shift P")
     p.add_argument("--P", required=True)
 
-    p = sub.add_parser("seeded", help="seeded potential construction")
-    common(p)
+    p = add("seeded", "seeded potential construction")
     p.add_argument("--s", required=True)
     p.add_argument("--branch", choices=("plus", "minus"), default="plus")
 
-    p = sub.add_parser("lienard", help="polynomial Lienard pipeline")
-    common(p)
+    p = add("lienard", "polynomial Lienard pipeline")
     p.add_argument("--c0", default="0")
     p.add_argument("--c1", default="0")
     p.add_argument("--c2", default="0")
@@ -123,8 +136,7 @@ def build_parser() -> _Parser:
     p.add_argument("--riccati", action="store_true",
                    help="set U = P^2 - P' and require b0 to vanish")
 
-    p = sub.add_parser("verify", help="re-verify a stored bundle")
-    common(p)
+    p = add("verify", "re-verify a stored bundle", verify_options)
     p.add_argument("--bundle", type=Path, required=True)
 
     return parser
@@ -151,7 +163,8 @@ def _check_args(ns: argparse.Namespace) -> None:
         raise UsageError(f"need n >= 2, got {ns.n}")
     for name in ("x0", "x1", "mu", "beta", "alpha",
                  "C1", "C2", "C3", "C4", "c", "a"):
-        if not math.isfinite(getattr(ns, name)):
+        # verify takes no model options
+        if not math.isfinite(getattr(ns, name, 0.0)):
             raise UsageError(f"{name} must be finite")
     for name in ("rtol", "atol", "pole_tol", "guard_tol", "residual_tol"):
         value = getattr(ns, name)
@@ -162,28 +175,13 @@ def _check_args(ns: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(text.encode())
+    path.write_bytes(data)
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _trajectory_text(traj: Trajectory, fmt: str) -> tuple[str, str]:
-    if fmt == "json":
-        doc = {
-            "x": traj.xs.tolist(),
-            "value": [v if math.isfinite(v) else None
-                      for v in traj.values.tolist()],
-            "derivative": [v if math.isfinite(v) else None
-                           for v in traj.derivatives.tolist()],
-            "segments": [list(s) for s in traj.segments],
-            "pole_brackets": [list(b) for b in traj.pole_brackets],
-        }
-        return _json_text(doc), "json"
-    return trajectory_csv(traj), "csv"
+def _json_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode()
 
 
 # every file a subcommand can write into --out
@@ -195,13 +193,13 @@ def _emit_run(ns: argparse.Namespace, spec_name: str, spec: dict,
               phi: Trajectory, psi: Trajectory, report_doc: dict) -> None:
     """Write a run's spec, trajectories and residual report, and remove the
     artifacts of other runs, so --out holds only this run's files."""
-    files = {spec_name: _json_text(spec)}
-    for name, traj in (("phi", phi), ("psi", psi)):
-        text, ext = _trajectory_text(traj, ns.fmt)
-        files[f"{name}.{ext}"] = text
-    files["residual.json"] = _json_text(report_doc)
-    for name, text in files.items():
-        _write(ns.out / name, text)
+    printer = trajectory_json if ns.fmt == "json" else trajectory_csv
+    phi_data, psi_data = printer(phi, psi)
+    files = {spec_name: _json_bytes(spec), f"phi.{ns.fmt}": phi_data,
+             f"psi.{ns.fmt}": psi_data,
+             "residual.json": _json_bytes(report_doc)}
+    for name, data in files.items():
+        _write(ns.out / name, data)
     for name in _ARTIFACTS:
         if name not in files:
             (ns.out / name).unlink(missing_ok=True)
@@ -216,9 +214,9 @@ def _build(ns: argparse.Namespace, grid: Grid):
     spec's (file name, document), None for verify; ``finish(residual_doc)``,
     the report document and the messages of the gates that failed before
     the residual gate, None for a report of the residual alone."""
-    constants = {k: getattr(ns, k) for k in ("C1", "C2", "C3", "C4", "c", "a")}
-
     def flag_expr(name: str) -> Expr:
+        constants = {k: getattr(ns, k)
+                     for k in ("C1", "C2", "C3", "C4", "c", "a")}
         try:
             return subst(parse(getattr(ns, name)), constants)
         except ExprError as err:
@@ -293,7 +291,7 @@ def _pipeline(ns: argparse.Namespace) -> None:
     res = report.to_dict()
     doc, failures = finish(res) if finish else ({"residual": res}, [])
     if spec is None:
-        _write(ns.out / "verify.json", _json_text(doc))
+        _write(ns.out / "verify.json", _json_bytes(doc))
     else:
         _emit_run(ns, *spec, phi, psi, doc)
     gate = ns.residual_tol or (RESIDUAL_GATE_SAMPLED if psi.expr is None

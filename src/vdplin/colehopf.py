@@ -69,6 +69,9 @@ class VdpParams:
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
+        if not np.isfinite(self.mu * self.beta):
+            raise ex.ExprError(f"mu*beta = {self.mu!r}*{self.beta!r} "
+                               "overflows a float")
 
 
 @dataclass(frozen=True)

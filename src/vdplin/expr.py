@@ -670,6 +670,8 @@ def _prec(node: Expr) -> int:
 
 
 def _fmt_number(v: float) -> str:
+    if not math.isfinite(v):  # no literal reads back as inf or nan
+        raise ExprError(f"constant {v!r} is not finite")
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)

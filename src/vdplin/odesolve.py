@@ -10,12 +10,14 @@ routes actually means something.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from ._floatfmt import csv_rows
+from ._floatfmt import join_rows, repr_fields
 from .expr import Expr, diff, lambdify, simplify
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,7 +29,7 @@ __all__ = [
     "SegmentTooShortError", "NonFiniteCoefficientError",
     "DisjointSegmentsError", "integrate_linear",
     "integrate_vdp", "cole_hopf_map", "residual", "lienard_residual",
-    "compare", "trajectory_csv", "regular_window",
+    "compare", "trajectory_csv", "trajectory_json", "regular_window",
     "DEFAULT_POLE_TOL", "DEFAULT_GUARD_TOL",
 ]
 
@@ -201,13 +203,15 @@ def _stalled(xs: np.ndarray, values: np.ndarray, derivatives: np.ndarray,
     return StepUnderflowError((float(xs[i]), float(xs[-1])), partial)
 
 
-def _linear_rk4(ufn, xs: np.ndarray, phi0: float, dphi0: float) -> Trajectory:
-    """RK4 for y = (phi, phi') under phi'' = U phi.  The system is linear,
-    so step n is exactly y_{n+1} = M_n y_n with a 2x2 M_n that depends only
-    on U at x_n, x_n + h/2 and x_n + h.  U is evaluated once on all stage
-    nodes, the columns of every M_n come from the stage formulas applied
-    elementwise to the basis vectors, and the trajectory is the running
-    product, accumulated over Python floats."""
+_SCAN_BLOCK = 64  # steps per block of the RK4 scan
+
+
+def _step_matrices(ufn, xs: np.ndarray) -> np.ndarray:
+    """RK4 for y = (phi, phi') under phi'' = U phi is linear, so step n is
+    exactly y_{n+1} = M_n y_n with a 2x2 M_n that depends only on U at x_n,
+    x_n + h/2 and x_n + h.  Returns every M_n, shape (2, 2, n - 1): U is
+    evaluated once on all stage nodes, and the columns come from the stage
+    formulas applied elementwise to the basis vectors."""
     h = float(xs[1] - xs[0])
     x = xs[:-1]
     u1, u2, u4 = ufn(x), ufn(x + h / 2), ufn(x + h)
@@ -221,18 +225,63 @@ def _linear_rk4(ufn, xs: np.ndarray, phi0: float, dphi0: float) -> Trajectory:
         return (a + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
                 b + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
 
+    m = np.empty((2, 2, len(x)))
     with np.errstate(all="ignore"):
-        m00, m10 = step(1.0, 0.0)
-        m01, m11 = step(0.0, 1.0)
+        m[0, 0], m[1, 0] = step(1.0, 0.0)
+        m[0, 1], m[1, 1] = step(0.0, 1.0)
+    return m
+
+
+def _linear_rk4(ufn, xs: np.ndarray, phi0: float, dphi0: float) -> Trajectory:
+    """RK4 for phi'' = U phi from (phi0, phi0'), as a blocked scan of the
+    step matrices (Blelloch 1990): the running products inside every block
+    of _SCAN_BLOCK steps, all blocks at once; then the state at each block
+    start, carried from block to block; then every state as its in-block
+    product applied to its block's start.
+
+    A block whose products are not all finite is stepped one M_n at a time
+    instead, so neither a product that overflows while the state does not
+    nor an inf times a zero component of the state stops the run early: the
+    first non-finite state is the one the step-by-step recurrence reaches."""
+    n_steps = len(xs) - 1
+    size = min(_SCAN_BLOCK, n_steps)
+    n_blocks = -(-n_steps // size)
+    # m[k, i, j, b] is entry (i, j) of M_{b * size + k}; identities pad
+    flat = np.empty((2, 2, n_blocks * size))
+    flat[:, :, :n_steps] = _step_matrices(ufn, xs)
+    flat[:, :, n_steps:] = np.eye(2)[:, :, None]
+    m = flat.reshape(2, 2, n_blocks, size).transpose(3, 0, 1, 2).copy()
+    prod = np.empty_like(m)
+    prod[0] = m[0]
+    with np.errstate(all="ignore"):
+        for k in range(1, size):
+            np.multiply(m[k, :, :1], prod[k - 1, :1], out=prod[k])
+            prod[k] += m[k, :, 1:] * prod[k - 1, 1:]
+    finite = np.isfinite(prod).all(axis=(0, 1, 2)).tolist()
+
+    starts = np.full((2, n_blocks), np.nan)
+    stepped = {}
     y0, y1 = float(phi0), float(dphi0)
-    vals, ders = [y0], [y1]
-    for a00, a01, a10, a11 in zip(m00.tolist(), m01.tolist(),
-                                  m10.tolist(), m11.tolist()):
-        y0, y1 = a00 * y0 + a01 * y1, a10 * y0 + a11 * y1
-        vals.append(y0)
-        ders.append(y1)
-    values = np.array(vals)
-    derivatives = np.array(ders)
+    last = prod[-1].reshape(4, n_blocks).T.tolist()
+    for b in range(n_blocks):
+        if not (math.isfinite(y0) and math.isfinite(y1)):
+            break
+        starts[:, b] = y0, y1
+        if finite[b]:
+            p00, p01, p10, p11 = last[b]
+            y0, y1 = p00 * y0 + p01 * y1, p10 * y0 + p11 * y1
+            continue
+        states = []
+        for a00, a01, a10, a11 in m[:, :, :, b].reshape(size, 4).tolist():
+            y0, y1 = a00 * y0 + a01 * y1, a10 * y0 + a11 * y1
+            states.append((y0, y1))
+        stepped[b] = states
+    with np.errstate(all="ignore"):
+        ys = prod[:, :, 0] * starts[0] + prod[:, :, 1] * starts[1]
+    for b, states in stepped.items():
+        ys[:, :, b] = states
+    values = np.concatenate(([phi0], ys[:, 0].T.ravel()[:n_steps]))
+    derivatives = np.concatenate(([dphi0], ys[:, 1].T.ravel()[:n_steps]))
     bad = np.flatnonzero(~(np.isfinite(values) & np.isfinite(derivatives)))
     if bad.size:
         # a non-finite initial state fails the first step
@@ -580,23 +629,76 @@ def compare(a: Trajectory, b: Trajectory) -> ErrorMetrics:
 # ---------------------------------------------------------------------------
 # serialization and grid utilities
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """CSV with header x,value,derivative,segment; one row per grid point
-    inside a pole-free segment, floats as shortest round-trip decimals
-    (the bytes of ``repr``).  Pole brackets appear as comment lines."""
-    lines = ["x,value,derivative,segment"]
-    for (a, b) in traj.pole_brackets:
-        lines.append(f"# pole [{float(a)!r},{float(b)!r}]")
-    head = "\n".join(lines) + "\n"
-    if not traj.segments:
-        return head
-    rows = np.concatenate([np.arange(i0, i1) for i0, i1 in traj.segments])
-    seg_of_row = np.repeat(np.arange(len(traj.segments)),
-                           [i1 - i0 for i0, i1 in traj.segments])
-    columns = np.stack([traj.xs[rows], traj.values[rows],
-                        traj.derivatives[rows]], axis=1)
-    return head + csv_rows(columns, [str(i) for i in range(len(traj.segments))],
-                           seg_of_row)
+def _shared_grid(trajs: Sequence[Trajectory]) -> np.ndarray:
+    xs = trajs[0].xs
+    for traj in trajs[1:]:
+        if traj.xs is not xs and not np.array_equal(traj.xs, xs):
+            raise ValueError("trajectories printed together need one grid")
+    return xs
+
+
+def trajectory_csv(*trajs: Trajectory) -> list[bytes]:
+    """The CSV file of each trajectory, all on one grid: header
+    x,value,derivative,segment, pole brackets as comment lines, then one row
+    per grid point inside a pole-free segment, floats as shortest round-trip
+    decimals (the bytes of ``repr``).  The grid column is formatted once."""
+    x_fields = repr_fields(_shared_grid(trajs))[0]
+    files = []
+    for traj in trajs:
+        head = "x,value,derivative,segment\n" + "".join(
+            f"# pole [{float(a)!r},{float(b)!r}]\n"
+            for a, b in traj.pole_brackets)
+        body = b""
+        if traj.segments:
+            rows = np.concatenate([np.arange(i0, i1)
+                                   for i0, i1 in traj.segments])
+            seg_of_row = np.repeat(np.arange(len(traj.segments)),
+                                   [i1 - i0 for i0, i1 in traj.segments])
+            body = join_rows(
+                [np.take(x_fields, rows, axis=0),
+                 repr_fields(traj.values[rows])[0],
+                 repr_fields(traj.derivatives[rows])[0]],
+                [f",{i}\n".encode() for i in range(len(traj.segments))],
+                seg_of_row)
+        files.append(head.encode() + body)
+    return files
+
+
+def _json_array(values: np.ndarray,
+                nonfinite: Callable[[float], str]) -> bytes:
+    """A float array as ``json.dumps(list, indent=2)`` prints it one level
+    deep, each non-finite value v as ``nonfinite(v)``."""
+    if not len(values):
+        return b"[]"
+    fields = repr_fields(values)[0]
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        text = nonfinite(float(values[i])).encode()
+        fields[i] = 0
+        fields[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    last = np.zeros(len(values), dtype=np.intp)
+    last[-1] = 1
+    return b"[\n    " + join_rows([fields], [b",\n    ", b"\n  ]"], last)
+
+
+def trajectory_json(*trajs: Trajectory) -> list[bytes]:
+    """The JSON file of each trajectory, all on one grid: the bytes of
+    ``json.dumps(doc, indent=2)`` and a newline, for doc = {"x", "value",
+    "derivative", "segments", "pole_brackets"} with non-finite samples as
+    null.  The grid array is formatted once."""
+    x_text = _json_array(_shared_grid(trajs), json.dumps)
+    null = lambda v: "null"  # noqa: E731
+
+    def nested(doc) -> bytes:
+        return json.dumps(doc, indent=2).replace("\n", "\n  ").encode()
+
+    return [b"".join((
+        b'{\n  "x": ', x_text,
+        b',\n  "value": ', _json_array(traj.values, null),
+        b',\n  "derivative": ', _json_array(traj.derivatives, null),
+        b',\n  "segments": ', nested([list(s) for s in traj.segments]),
+        b',\n  "pole_brackets": ',
+        nested([list(b) for b in traj.pole_brackets]),
+        b"\n}\n")) for traj in trajs]
 
 
 def regular_window(exprs: Sequence[Expr], x0: float, x1: float,

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import vdplin
-from vdplin.cli import run
+from vdplin.cli import build_parser, run
 from vdplin.colehopf import (VdpParams, bundle_to_dict, bundle_to_json,
                              solve_chain)
 from vdplin.expr import parse
@@ -116,6 +116,34 @@ def test_exit_codes_usage_and_parse(tmp_path):
     assert run(["custom", "--P", "x +* 2", "--out", str(tmp_path)]) == 2
     assert run(["case1", "--mu", "1", "--beta", "1", "--alpha", "99",
                 "--out", str(tmp_path)]) == 2  # complex rate refused
+
+
+@pytest.mark.parametrize("name", ["top", "case1", "case2", "case3", "custom",
+                                  "seeded", "lienard"])
+def test_help_text_is_pinned(monkeypatch, capsys, name):
+    # tests/help holds the --help text of each run subcommand and of the
+    # top level at 80 columns, as it was before the shared options were
+    # built once; only verify's help has changed since
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(([] if name == "top" else [name])
+                                  + ["--help"])
+    want = (Path(__file__).parent / "help" / f"{name}.txt").read_text()
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("option", [["--mu", "99"], ["--alpha", "7"],
+                                    ["--C1", "2"], ["--format", "json"]])
+def test_verify_refuses_model_options(tmp_path, capsys, option):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(bundle_to_json(solve_chain(parse("x/(2+x^2)"),
+                                                 VdpParams(1, 1, 0))))
+    argv = ["verify", "--bundle", str(bundle), "--out", str(tmp_path / "v")]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + option) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: unrecognized arguments: {' '.join(option)}\n")
 
 
 def test_byte_determinism_all_subcommands(tmp_path):
@@ -284,7 +312,18 @@ def test_non_finite_lienard_coefficient_is_named(tmp_path, capsys):
     # 1e300*1e300 stays unfolded, so U is infinite and integration stops
     (["custom", "--P", "1e300*1e300*x"],
      "error: integration stalled in [0, 5]\n"),
-], ids=["P-literal", "U-literal", "P-product"])
+    # products of finite parameters that overflow
+    (["custom", "--P", "x", "--mu", "1e200", "--beta", "1e200"],
+     "error: mu*beta = 1e+200*1e+200 overflows a float\n"),
+    (["case1", "--mu", "1e200", "--beta", "1e200"],
+     "error: mu*beta = 1e+200*1e+200 overflows a float\n"),
+    (["case1", "--mu", "1e100", "--beta", "1e60"],
+     "error: mu^2 beta^2 - 4 alpha overflows a float\n"),
+    # c mu^2 beta^2 of the case3 reference U reaches the printer
+    (["case3", "--mu", "1e150", "--beta", "0.1", "--c", "1e10"],
+     "error: constant inf is not finite\n"),
+], ids=["P-literal", "U-literal", "P-product", "mu-beta-custom",
+        "mu-beta-case1", "k-squared", "printed-constant"])
 def test_non_finite_constant_is_an_expression_error(tmp_path, capsys, argv,
                                                     message):
     assert run(argv + ["--out", str(tmp_path)]) == 2

@@ -1,6 +1,7 @@
 """Numerical layer: integrator accuracy and order, the substitution map
 with pole handling, residual measurement and trajectory comparison."""
 
+import json
 import math
 
 import numpy as np
@@ -13,10 +14,11 @@ from vdplin.colehopf import TransformBundle, VdpParams, solve_chain
 from vdplin.expr import Const, lambdify, parse, simplify
 from vdplin.odesolve import (DisjointSegmentsError, Grid, IntegratorConfig,
                              SegmentTooShortError, StepUnderflowError,
-                             Trajectory, _integrate_rk4, _runs, cole_hopf_map,
-                             compare, integrate_linear, integrate_vdp,
-                             lienard_residual, regular_window, residual,
-                             trajectory_csv)
+                             Trajectory, _SCAN_BLOCK, _integrate_rk4,
+                             _linear_rk4, _runs, _stalled, _step_matrices,
+                             cole_hopf_map, compare, integrate_linear,
+                             integrate_vdp, lienard_residual, regular_window,
+                             residual, trajectory_csv, trajectory_json)
 
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
 
@@ -98,6 +100,89 @@ def test_rk4_blow_up_keeps_finite_prefix():
     assert np.all(np.isfinite(part.derivatives))
     assert abs(part.derivatives[-1]) > np.finfo(float).max / 1e3
     assert err.value.bracket == (float(grid.xs[k - 1]), 10.0)
+
+
+def _sequential_rk4(ufn, xs, phi0, dphi0):
+    """The step-by-step recurrence y_{n+1} = M_n y_n over Python floats,
+    with the stall rule of _linear_rk4: the reference for its blocked scan."""
+    y0, y1 = float(phi0), float(dphi0)
+    vals, ders = [y0], [y1]
+    for a00, a01, a10, a11 in zip(
+            *_step_matrices(ufn, xs).reshape(4, -1).tolist()):
+        y0, y1 = a00 * y0 + a01 * y1, a10 * y0 + a11 * y1
+        vals.append(y0)
+        ders.append(y1)
+    values, derivatives = np.array(vals), np.array(ders)
+    bad = np.flatnonzero(~(np.isfinite(values) & np.isfinite(derivatives)))
+    if bad.size:
+        raise _stalled(xs, values, derivatives, max(int(bad[0]), 1) - 1)
+    return Trajectory(xs=xs, values=values, derivatives=derivatives,
+                      segments=[(0, len(xs))])
+
+
+def _rk4_outcome(integrate, ufn, xs, phi0, dphi0):
+    """(None, trajectory), or (bracket, partial trajectory) of a stall."""
+    try:
+        return None, integrate(ufn, xs, phi0, dphi0)
+    except StepUnderflowError as err:
+        return err.bracket, err.partial
+
+
+def _assert_same_rk4(ufn, xs, phi0, dphi0):
+    """The scan stops where the recurrence does, with the same partial
+    trajectory to 1e-13 relative; returns the recurrence's outcome."""
+    got = _rk4_outcome(_linear_rk4, ufn, xs, phi0, dphi0)
+    want = _rk4_outcome(_sequential_rk4, ufn, xs, phi0, dphi0)
+    assert got[0] == want[0]
+    assert (got[1] is None) == (want[1] is None)
+    if want[1] is not None:
+        assert np.array_equal(got[1].xs, want[1].xs)
+        assert got[1].segments == want[1].segments
+        for a, b in ((got[1].values, want[1].values),
+                     (got[1].derivatives, want[1].derivatives)):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+    return want
+
+
+@pytest.mark.parametrize("n", [2, 3, 3 * _SCAN_BLOCK + 6, 20001])
+def test_rk4_scan_matches_the_recurrence(n):
+    ufn = lambdify(parse("1 + x^2/4"))
+    bracket, traj = _assert_same_rk4(ufn, Grid(0.0, 2.0, n).xs, 1.0, 0.5)
+    assert bracket is None and len(traj.xs) == n
+
+
+@pytest.mark.parametrize("offset", [0, _SCAN_BLOCK // 2, _SCAN_BLOCK - 1])
+def test_rk4_scan_stalls_where_the_recurrence_does(offset):
+    # U jumps from 0 to 1e6 at x_on; the state then grows about 640-fold
+    # per step and overflows at step i, placed at each offset in its block
+    xs = Grid(0.0, 10.0, 1001).xs
+
+    def onset(j):
+        x_on = xs[j] - 0.0025
+        return lambda x: np.where(x >= x_on, 1e6, 0.0)
+
+    def stall_step(j):
+        return len(_rk4_outcome(_sequential_rk4, onset(j), xs, 1.0, 0.0)[1]
+                   .xs) - 1
+
+    j = 100 + (offset - stall_step(100)) % _SCAN_BLOCK
+    assert stall_step(j) % _SCAN_BLOCK == offset
+    assert _assert_same_rk4(onset(j), xs, 1.0, 0.0)[0] is not None
+
+
+@pytest.mark.parametrize("phi0, dphi0", [(1.0, 0.0), (0.0, 1.0),
+                                         (math.nan, 0.0)])
+def test_rk4_scan_steps_blocks_whose_products_overflow(phi0, dphi0):
+    # U = 1e300 at h U^(1/2) = 9: M_n[1, 0] is 1e150 times M_n[1, 1], so
+    # the products of the first block overflow at step 59 while a state
+    # from (0, 1) stays finite to step 116; an inf times its zero first
+    # component must not stop it there
+    xs = np.linspace(0.0, 9e-147, 1001)
+    bracket, partial = _assert_same_rk4(lambda x: np.full_like(x, 1e300), xs,
+                                        phi0, dphi0)
+    assert bracket is not None
+    steps = 0 if partial is None else len(partial.xs) - 1
+    assert steps == {1.0: 59, 0.0: 116}.get(phi0, 0)
 
 
 def test_adaptive_tolerance_monotonicity():
@@ -362,7 +447,12 @@ def test_trajectory_csv_format():
     grid = Grid(-1.0, 1.0, 11)
     phi = Trajectory.from_expr(parse("x"), grid)
     psi = cole_hopf_map(Const(0.0), phi, U=Const(0.0))
-    text = trajectory_csv(psi)
+    (data,) = trajectory_csv(psi)
+    text = data.decode()
+    # printed beside phi, psi's rows (the grid without the pole at x = 0)
+    # take their x fields from the shared grid column
+    assert sum(i1 - i0 for i0, i1 in psi.segments) < grid.n
+    assert trajectory_csv(phi, psi) == [_csv_reference(phi).encode(), data]
     lines = text.splitlines()
     assert lines[0] == "x,value,derivative,segment"
     assert lines[1].startswith("# pole [")
@@ -470,9 +560,38 @@ def test_trajectory_csv_equals_repr_on_fourteen_poles():
                            IntegratorConfig(method="rk4"))
     psi = cole_hopf_map(bundle.P, phi, U=bundle.U)
     assert len(psi.pole_brackets) == 14 and len(psi.segments) == 15
-    for traj in (phi, psi):
-        assert _first_mismatch(trajectory_csv(traj).splitlines(),
+    for data, traj in zip(trajectory_csv(phi, psi), (phi, psi)):
+        assert _first_mismatch(data.decode().splitlines(),
                                _csv_reference(traj).splitlines()) is None
     empty = Trajectory(xs=phi.xs, values=phi.values,
                        derivatives=phi.derivatives, segments=[])
-    assert trajectory_csv(empty) == "x,value,derivative,segment\n"
+    assert trajectory_csv(empty) == [b"x,value,derivative,segment\n"]
+
+
+def _json_reference(traj):
+    """trajectory_json through json.dumps."""
+    def finite_or_none(values):
+        return [v if math.isfinite(v) else None for v in values.tolist()]
+
+    doc = {"x": traj.xs.tolist(), "value": finite_or_none(traj.values),
+           "derivative": finite_or_none(traj.derivatives),
+           "segments": [list(s) for s in traj.segments],
+           "pole_brackets": [list(b) for b in traj.pole_brackets]}
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def test_trajectory_json_equals_json_dumps():
+    bundle = solve_chain(parse("0.5+0.1*sin(x)"), VdpParams(2.0, 2.0, 0.0))
+    phi = integrate_linear(bundle.U, Grid(0.0, 40.0, 4001), 1.0, 0.0,
+                           IntegratorConfig(method="rk4"))
+    psi = cole_hopf_map(bundle.P, phi, U=bundle.U)
+    assert len(psi.pole_brackets) == 14
+    assert trajectory_json(phi, psi) == [_json_reference(phi),
+                                         _json_reference(psi)]
+    # non-finite samples print as null, a non-finite x as json.dumps does
+    xs = np.array([0.0, -0.0, 1e-7, math.nan, math.inf, -math.inf, 2.5])
+    odd = Trajectory(xs=xs, values=xs[::-1].copy(), derivatives=xs * 3,
+                     segments=[], pole_brackets=[(0.5, 0.75)])
+    assert trajectory_json(odd) == [_json_reference(odd)]
+    with pytest.raises(ValueError):
+        trajectory_json(phi, odd)
