@@ -80,6 +80,16 @@ class ClosedFormSolution:
     constants: CatalogConstants
 
 
+def _power(name: str, value: float, exponent: int) -> float:
+    """``value ** exponent`` for a reference constant; float ``**`` raises
+    on overflow, and the refusal names the power."""
+    try:
+        return value ** exponent
+    except OverflowError:
+        raise CatalogError(f"{name}^{exponent} = {value!r}^{exponent} "
+                           "overflows a float") from None
+
+
 def _k_value(params: VdpParams, k_sign: int) -> tuple[float, float]:
     mb = params.mu * params.beta
     radicand = mb * mb - 4.0 * params.alpha
@@ -203,7 +213,8 @@ def case1(params: VdpParams, k_sign: int = 1) -> ClosedFormSolution:
         compare_forms("case1-reference-U", bundle.U,
                       Const(params.alpha / 2.0 + (3 * k + mb) * (k - mb) / 16.0)),
         compare_forms("case1-reference-v", bundle.v,
-                      Const(-params.mu ** 3 * params.beta ** 2 / 8.0
+                      Const(-_power("mu", params.mu, 3)
+                            * _power("beta", params.beta, 2) / 8.0
                             + params.mu / 2.0 * (params.alpha - params.beta
                                                  + k * k / 4.0)
                             + 3.0 * k / 2.0)),
@@ -252,7 +263,8 @@ def case2(params: VdpParams) -> ClosedFormSolution:
         compare_forms("case2-reference-U", bundle.U,
                       Const(params.alpha / 2.0 - mb * mb / 16.0)),
         compare_forms("case2-reference-h", bundle.h,
-                      Const(params.mu ** 2 * params.beta / 2.0 + 2.0)),
+                      Const(_power("mu", params.mu, 2) * params.beta / 2.0
+                            + 2.0)),
         compare_forms("case2-reference-v", bundle.v,
                       Const(params.mu / 2.0 * (params.alpha - params.beta
                                                - mb * mb / 4.0))),
@@ -308,7 +320,8 @@ def case3(params: VdpParams, c: float) -> ClosedFormSolution:
     ref_P = Const(c * mb) * exp(Const(mb / 2.0) * X) / (Const(c) + e_neg)
     ref_U = -(Const(c * mb * mb) * (e_neg - Const(c))) / (e_neg + Const(c)) ** 2
     ref_v = Const(mb) * (e_neg - Const(2.0 * c)) / (e_neg + Const(c))
-    ref_h = 2.0 + Const(params.mu ** 2 * params.beta * c) / (e_neg + Const(c))
+    ref_h = 2.0 + (Const(_power("mu", params.mu, 2) * params.beta * c)
+                   / (e_neg + Const(c)))
 
     entries = [
         compare_forms("case3-P-from-general-P",

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +140,10 @@ def build_parser() -> _Parser:
     p.add_argument("--bundle", type=Path, required=True)
 
     return parser
+
+
+# run() parses with one parser per process; parse_args leaves it unchanged
+_parser = cache(build_parser)
 
 
 def _resolve_rtol(flag_value: float | None) -> float:
@@ -304,7 +308,7 @@ def _pipeline(ns: argparse.Namespace) -> None:
 
 def run(argv: list[str]) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _parser().parse_args(argv)
         _check_args(ns)
         _pipeline(ns)
     except UsageError as err:

@@ -6,7 +6,10 @@ functions exp/log/sin/cos/tan/sinh/cosh/sqrt.  It supports exact
 differentiation, conservative simplification (constant folding and identity
 removal, no canonical forms), a printer whose output re-parses to an
 equivalent tree, and compilation to callables: compiled Python code for
-scalars, a tape of numpy steps for arrays.
+scalars, a tape of numpy steps for arrays.  The tape writes each result
+into a slot whose value has had its last read, so a call on a grid holds
+only as many arrays as values are live at once, and the buffers numpy
+frees are reused rather than new pages faulted in.
 
 Nodes are hash-consed: every constructor call goes through a weak intern
 table, so structurally equal trees are the same object, equality and
@@ -979,37 +982,64 @@ def _vector_tape(order: list[Expr]) -> Callable:
     Each step ``(fn, out, a, b)`` stores ``fn`` of slots a and b (b None
     for unary steps) in slot ``out``.  An integer power is ``a ** k`` with
     k a Python int, any other power ``np.power``.  The tape holds values
-    and functions only, never a node."""
+    and functions only, never a node.
+
+    Slots of computed values are reused, as registers are in linear-scan
+    allocation (Poletto & Sarkar, ACM TOPLAS 21(5), 1999).  One walk from
+    the root back gives each value its slot at its last read and frees
+    that slot at the step that makes the value, so an operand read for
+    the last time takes the result's slot and the step writes over it.  A
+    call thus needs no more slots than values are live at once (a chain
+    of any length runs in two arrays besides x), and numpy gets back the
+    buffers it has just freed instead of faulting in new pages.  The
+    steps make the same calls on the same operands in the same order, so
+    reuse changes no bit of any result."""
     init: list = [None]
-    slots: dict[Expr, int] = {}
-    steps: list[tuple] = []
-    for node in order:
+    home: dict[Expr, int] = {}
+    free: list[int] = []
+
+    def slot(node: Expr) -> int:
+        s = home.get(node)
+        if s is None:  # the last read of node: take a slot for it
+            t = type(node)
+            if t is Const:
+                s = len(init)
+                init.append(np.float64(node.value))
+            elif t is Var:
+                s = 0
+            elif free:
+                s = free.pop()
+            else:
+                s = len(init)
+                init.append(None)
+            home[node] = s
+        return s
+
+    result = slot(order[-1])  # the caller reads the root
+    tape: list[tuple] = []
+    for node in reversed(order):
         t = type(node)
-        if t is Const:
-            slots[node] = len(init)
-            init.append(np.float64(node.value))
+        if t is Const or t is Var:
             continue
-        if t is Var:
-            slots[node] = 0
-            continue
+        out = home[node]
+        free.append(out)  # no earlier step reads what this one writes
         if t in _BINARY_NODES:
-            fn, a, b = _VECTOR_BINARY[t], slots[node.left], slots[node.right]
+            fn, a, b = _VECTOR_BINARY[t], slot(node.left), slot(node.right)
         elif t is Neg:
-            fn, a, b = operator.neg, slots[node.arg], None
+            fn, a, b = operator.neg, slot(node.arg), None
         elif t is Fun:
-            fn, a, b = _VECTOR_FUNS[node.name], slots[node.arg], None
+            fn, a, b = _VECTOR_FUNS[node.name], slot(node.arg), None
         else:  # Pow
             ex = node.exponent
-            a = slots[node.base]
+            a = slot(node.base)
             if type(ex) is Const and ex.value.is_integer():
                 fn, b = operator.pow, len(init)
                 init.append(int(ex.value))
             else:
-                fn, b = np.power, slots[ex]
-        slots[node] = len(init)
-        steps.append((fn, len(init), a, b))
-        init.append(None)
-    return _vectorized(tuple(init), tuple(steps), slots[order[-1]])
+                fn, b = np.power, slot(ex)
+        tape.append((fn, out, a, b))
+    tape.reverse()
+    return _vectorized(tuple(init), tuple(tape), result)
 
 
 def _vectorized(init: tuple, steps: tuple, result: int) -> Callable:

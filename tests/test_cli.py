@@ -25,6 +25,13 @@ def _read_tree(root):
     return out
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this vdplin."""
+    src = str(Path(vdplin.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_case1_end_to_end(tmp_path):
     out = tmp_path / "run"
     code = run(["case1", "--mu", "2", "--beta", "1", "--alpha", "0.75",
@@ -210,12 +217,33 @@ def test_rk4_runs_never_import_scipy(tmp_path):
         f"assert run(['custom', '--P', 'x/(2+x^2)', '--out', {str(tmp_path)!r}]) == 0\n"
         "assert 'scipy' not in sys.modules\n"
     )
-    src = str(Path(vdplin.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runs_in_one_process_match_runs_made_alone(tmp_path, capsys):
+    # run() parses with one parser per process: a usage error, a run and a
+    # verify made in turn here give what each gives in a fresh interpreter
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(bundle_to_json(solve_chain(parse("x/(2+x^2)"),
+                                                 VdpParams(1, 1, 0))))
+    argvs = [["custom", "--P", "x", "--n", "many"],
+             ["custom", "--P", "x/(2+x^2)", "--mu", "0.5", "--n", "301"],
+             ["verify", "--bundle", str(bundle), "--n", "301"]]
+    here = []
+    for i, argv in enumerate(argvs):
+        code = run(argv + ["--out", str(tmp_path / f"here{i}")])
+        here.append((code, capsys.readouterr().err,
+                     _read_tree(tmp_path / f"here{i}")))
+    assert [h[0] for h in here] == [1, 0, 0]
+    for i, argv in enumerate(argvs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vdplin", *argv,
+             "--out", str(tmp_path / f"alone{i}")],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert here[i] == (proc.returncode, proc.stderr,
+                           _read_tree(tmp_path / f"alone{i}")), argv
 
 
 @pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--beta", "inf"),
@@ -322,8 +350,21 @@ def test_non_finite_lienard_coefficient_is_named(tmp_path, capsys):
     # c mu^2 beta^2 of the case3 reference U reaches the printer
     (["case3", "--mu", "1e150", "--beta", "0.1", "--c", "1e10"],
      "error: constant inf is not finite\n"),
+    # powers of mu in the reference constants, with mu*beta and k finite
+    (["case1", "--mu", "1e150", "--beta", "0.1"],
+     "error: mu^3 = 1e+150^3 overflows a float\n"),
+    (["case1", "--mu", "1e160", "--beta", "1e-160"],
+     "error: mu^3 = 1e+160^3 overflows a float\n"),
+    (["case1", "--mu", "1e-160", "--beta", "1e160"],
+     "error: beta^2 = 1e+160^2 overflows a float\n"),
+    (["case2", "--mu", "1e160", "--beta", "1e-160", "--alpha", "0.25"],
+     "error: mu^2 = 1e+160^2 overflows a float\n"),
+    (["case3", "--mu", "1e160", "--beta", "1e-160"],
+     "error: mu^2 = 1e+160^2 overflows a float\n"),
 ], ids=["P-literal", "U-literal", "P-product", "mu-beta-custom",
-        "mu-beta-case1", "k-squared", "printed-constant"])
+        "mu-beta-case1", "k-squared", "printed-constant", "mu-cubed-case1",
+        "mu-cubed-case1-small-beta", "beta-squared-case1",
+        "mu-squared-case2", "mu-squared-case3"])
 def test_non_finite_constant_is_an_expression_error(tmp_path, capsys, argv,
                                                     message):
     assert run(argv + ["--out", str(tmp_path)]) == 2

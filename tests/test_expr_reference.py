@@ -5,6 +5,7 @@ and the printer the same text."""
 
 import builtins
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdplin import colehopf, expr
-from vdplin.colehopf import bundle_to_json, solve_chain, verify_printed_coeffs
+from vdplin.colehopf import (bundle_from_json, bundle_to_json, solve_chain,
+                             verify_printed_coeffs)
 from vdplin.expr import (FUNCTIONS, Add, Const, Div, Fun, Mul, Neg, Param,
                          Pow, Sub, UnboundParameterError, Var, X, free_params,
                          lambdify, parse, subst, to_str)
+from vdplin.lienard import lienard_coeffs, riccati_u
 
 from conftest import general_instances
 
@@ -268,6 +271,51 @@ def test_general_bundles_print_and_serialize_as_the_reference(monkeypatch):
             assert bundle_to_json(ref) == text
         for got, a in zip(values, ref.coefficients().as_tuple()):
             assert _same_bits(got, ref_lambdify(a)(xs))
+
+
+# ---------------------------------------------------------------------------
+# slot reuse on the fine grid
+
+_FINE = np.linspace(0.0, 5.0, 20001)
+
+
+def test_bundle_tapes_match_the_reference_on_the_fine_grid():
+    # heavily shared DAGs, before and after the JSON round trip, where the
+    # tape reuses many slots
+    for params, P in general_instances(3, seed=41):
+        b = solve_chain(P, params)
+        b2 = bundle_from_json(bundle_to_json(b))
+        for bundle in (b, b2):
+            for name in ("g", "h", "v", "U", "f"):
+                e = getattr(bundle, name)
+                assert _same_bits(lambdify(e)(_FINE),
+                                  ref_lambdify(e)(_FINE)), name
+
+
+def test_riccati_lienard_tapes_match_the_reference_on_the_fine_grid():
+    (_, P), = general_instances(1, seed=43)
+    for Pc in (P, parse("0.3 - 0.2*x + 0.15*x^2")):
+        spec = lienard_coeffs([Const(0.25), Const(-0.4), Const(0.1)], Pc,
+                              riccati_u(Pc))
+        for i, b in enumerate(spec.b):
+            assert _same_bits(lambdify(b)(_FINE), ref_lambdify(b)(_FINE)), i
+
+
+def test_tape_memory_is_bounded_by_the_live_values():
+    # a chain of 240 computed values, each read once: every step may
+    # write over its operand, so the call holds a few arrays, not 240
+    e = X
+    for k in range(120):
+        e = Fun("sin", e) + Const(k + 0.125)
+    fn = lambdify(e)
+    tracemalloc.start()
+    try:
+        vals = fn(_FINE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(vals, ref_lambdify(e)(_FINE))
+    assert peak < 16 * _FINE.nbytes
 
 
 # ---------------------------------------------------------------------------
