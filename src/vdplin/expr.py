@@ -6,10 +6,13 @@ functions exp/log/sin/cos/tan/sinh/cosh/sqrt.  It supports exact
 differentiation, conservative simplification (constant folding and identity
 removal, no canonical forms), a printer whose output re-parses to an
 equivalent tree, and compilation to callables: compiled Python code for
-scalars, a tape of numpy steps for arrays.  The tape writes each result
-into a slot whose value has had its last read, so a call on a grid holds
-only as many arrays as values are live at once, and the buffers numpy
-frees are reused rather than new pages faulted in.
+scalars, a tape of numpy steps for arrays.  There is no tree interpreter:
+the compiled scalar code defines what evaluation at a point means,
+``Expr.eval`` runs it, and ``simplify`` folds a function or a power of
+constants with the functions that code calls.  The tape writes each
+result into a slot whose value has had its last read, so a call on a grid
+holds only as many arrays as values are live at once, and the buffers
+numpy frees are reused rather than new pages faulted in.
 
 Nodes are hash-consed: every constructor call goes through a weak intern
 table, so structurally equal trees are the same object, equality and
@@ -36,7 +39,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Param", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Fun", "X", "as_expr", "parse", "diff", "simplify", "subst",
-    "free_params", "fractional_power_nodes", "lambdify", "to_str",
+    "free_params", "lambdify", "to_str",
     "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "sqrt",
     "ExprError", "ParseError", "EvalDomainError", "UnboundParameterError",
     "FUNCTIONS",
@@ -59,13 +62,23 @@ class ParseError(ExprError):
 
 class EvalDomainError(ExprError):
     """Evaluation left the real domain (division by zero, log of a
-    nonpositive value, overflow, ...).  Carries the offending sub-expression
-    and the x at which it happened."""
+    nonpositive value, an overflowing math call, ...) or gave a value that
+    is not finite.  Carries the expression that was evaluated and the x at
+    which it happened."""
 
     def __init__(self, message: str, node: "Expr", x):
-        super().__init__(f"{message} in '{node}' at x={x!r}")
+        super().__init__(message)
         self.node = node
         self.x = x
+
+    def __str__(self) -> str:
+        # printed when asked for; a tree holding an inf or nan constant has
+        # no literal form, so its text is left out
+        try:
+            where = f" in '{self.node}'"
+        except ExprError:
+            where = ""
+        return f"{self.args[0]}{where} at x={self.x!r}"
 
 
 class UnboundParameterError(ExprError):
@@ -150,8 +163,22 @@ class Expr(metaclass=_Interned):
         return to_str(self)
 
     def eval(self, x: float, env: Mapping[str, float] | None = None) -> float:
-        """Evaluate at a single x with parameters bound by env."""
-        return _eval(self, float(x), env or {}, {})
+        """Evaluate at a single x with parameters bound by env, by the
+        scalar code of ``lambdify``.  The result is a finite float: a
+        domain violation (division by zero, log or sqrt out of range, a
+        fractional power of a nonpositive base, an overflowing math call)
+        or a value that is not finite raises EvalDomainError for this
+        expression.  Intermediates are plain floats, so an intermediate
+        that overflows to inf is no error if the value is finite."""
+        fn = lambdify(self, env, scalar=True)
+        x = float(x)
+        try:
+            v = fn(x)
+        except (ArithmeticError, ValueError) as err:
+            raise EvalDomainError(str(err), self, x) from None
+        if not math.isfinite(v):
+            raise EvalDomainError(f"value {v!r} is not finite", self, x)
+        return v
 
     def diff(self) -> "Expr":
         return diff(self)
@@ -275,85 +302,6 @@ def cosh(e) -> Fun:
 
 def sqrt(e) -> Fun:
     return Fun("sqrt", as_expr(e))
-
-
-# ---------------------------------------------------------------------------
-# evaluation (reference interpreter; slow but with precise error reporting)
-
-def _eval(node: Expr, x: float, env: Mapping[str, float], memo: dict) -> float:
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    if isinstance(node, Const):
-        val = node.value
-    elif isinstance(node, Var):
-        val = x
-    elif isinstance(node, Param):
-        if node.name not in env:
-            raise UnboundParameterError(node.name)
-        val = float(env[node.name])
-    elif isinstance(node, Neg):
-        val = -_eval(node.arg, x, env, memo)
-    elif isinstance(node, Add):
-        val = _eval(node.left, x, env, memo) + _eval(node.right, x, env, memo)
-    elif isinstance(node, Sub):
-        val = _eval(node.left, x, env, memo) - _eval(node.right, x, env, memo)
-    elif isinstance(node, Mul):
-        val = _eval(node.left, x, env, memo) * _eval(node.right, x, env, memo)
-    elif isinstance(node, Div):
-        den = _eval(node.right, x, env, memo)
-        if den == 0.0:
-            raise EvalDomainError("division by zero", node, x)
-        val = _eval(node.left, x, env, memo) / den
-    elif isinstance(node, Pow):
-        val = _eval_pow(node, x, env, memo)
-    elif isinstance(node, Fun):
-        val = _eval_fun(node, x, env, memo)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node {node!r}")
-    if isinstance(val, float) and math.isinf(val):
-        raise EvalDomainError("overflow", node, x)
-    memo[key] = val
-    return val
-
-
-def _eval_pow(node: Pow, x, env, memo) -> float:
-    base = _eval(node.base, x, env, memo)
-    expo = _eval(node.exponent, x, env, memo)
-    if float(expo).is_integer():
-        n = int(expo)
-        if base == 0.0 and n < 0:
-            raise EvalDomainError("zero raised to a negative power", node, x)
-        try:
-            return float(base ** n)
-        except OverflowError:
-            raise EvalDomainError("overflow", node, x) from None
-    if base > 0.0:
-        try:
-            return math.exp(expo * math.log(base))
-        except OverflowError:
-            raise EvalDomainError("overflow", node, x) from None
-    if base == 0.0 and expo > 0.0:
-        return 0.0
-    raise EvalDomainError("fractional power of a nonpositive base", node, x)
-
-
-def _eval_fun(node: Fun, x, env, memo) -> float:
-    a = _eval(node.arg, x, env, memo)
-    try:
-        if node.name == "exp":
-            return math.exp(a)
-        if node.name == "log":
-            if a <= 0.0:
-                raise EvalDomainError("log of a nonpositive value", node, x)
-            return math.log(a)
-        if node.name == "sqrt":
-            if a < 0.0:
-                raise EvalDomainError("sqrt of a negative value", node, x)
-            return math.sqrt(a)
-        return getattr(math, node.name)(a)
-    except OverflowError:
-        raise EvalDomainError("overflow", node, x) from None
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +434,7 @@ def _simplify_node(node: Expr) -> Expr:
     if isinstance(node, Fun):
         a = _simplify(node.arg)
         if isinstance(a, Const):
-            folded = _try_fold(Fun(node.name, a))
+            folded = _fold(_SCALAR_NS["_" + node.name], a.value)
             if folded is not None:
                 return folded
         return node if a is node.arg else Fun(node.name, a)
@@ -501,7 +449,7 @@ def _simplify_node(node: Expr) -> Expr:
         if _is_const(b, 1.0):
             return ONE
         if isinstance(b, Const) and isinstance(ex, Const):
-            folded = _try_fold(Pow(b, ex))
+            folded = _fold(_pow_scalar, b.value, ex.value)
             if folded is not None:
                 return folded
         if b is node.base and ex is node.exponent:
@@ -551,14 +499,16 @@ def _simplify_node(node: Expr) -> Expr:
     return node  # pragma: no cover
 
 
-def _try_fold(e: Expr) -> Const | None:
+def _fold(fn: Callable, *args: float) -> Const | None:
+    """fn of finite constants, as the scalar code calls it, if the call
+    succeeds with a finite value; None leaves the node unfolded."""
+    if not all(map(math.isfinite, args)):
+        return None
     try:
-        v = e.eval(0.0, {})
-    except ExprError:
+        v = fn(*args)
+    except (ArithmeticError, ValueError):
         return None
-    if not math.isfinite(v):
-        return None
-    return Const(v)
+    return Const(v) if math.isfinite(v) else None
 
 
 # ---------------------------------------------------------------------------
@@ -625,31 +575,6 @@ def _postorder(e: Expr) -> list[Expr]:
         elif t is Pow:
             stack += (node.exponent, node.base)
     return order
-
-
-def fractional_power_nodes(e: Expr) -> list[Pow]:
-    """Power nodes whose exponent is not an integer constant.  Such powers
-    are accepted by the parser but restrict the domain to positive bases."""
-    out: list[Pow] = []
-    stack = [e]
-    seen: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Pow):
-            ex = node.exponent
-            if not (isinstance(ex, Const) and float(ex.value).is_integer()):
-                out.append(node)
-            stack.extend((node.base, node.exponent))
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, Fun):
-            stack.append(node.arg)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            stack.extend((node.left, node.right))
-    return out
 
 
 # ---------------------------------------------------------------------------

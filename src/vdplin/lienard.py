@@ -22,7 +22,7 @@ from .colehopf import LedgerEntry, compare_forms
 from .expr import Const, Expr, as_expr, diff, parse, simplify, to_str
 from .odesolve import (Grid, IntegratorConfig, ResidualReport, Trajectory,
                        cole_hopf_map, integrate_linear, lienard_residual)
-from .wcalc import psi_poly, reduce_lienard, wpoly
+from .wcalc import psi_poly, psi_powers, reduce_lienard
 
 __all__ = ["LienardSpec", "lienard_coeffs", "riccati_u", "build_lienard",
            "reference_restoring_forms", "lienard_spec_to_json",
@@ -74,11 +74,7 @@ def lienard_coeffs(c: Sequence[Expr], P: Expr, U: Expr, grid=None,
 
     zeros = [_ZERO] * 5
     base = reduce_lienard(P, U, c, zeros).as_tuple()
-
-    psi = psi_poly(P)
-    powers = [wpoly([Const(1.0)])]
-    for _ in range(4):
-        powers.append(powers[-1] * psi)
+    powers = psi_powers(psi_poly(P))
 
     def psi_pow_coeff(j: int, i: int) -> Expr:
         cs = powers[j].coeffs

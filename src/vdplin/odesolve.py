@@ -68,6 +68,9 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x0) and math.isfinite(self.x1)):
+            raise ValueError(
+                f"need finite bounds, got [{self.x0}, {self.x1}]")
         if not (self.x1 > self.x0):
             raise ValueError(f"need x1 > x0, got [{self.x0}, {self.x1}]")
         if self.n < 2:
@@ -92,7 +95,7 @@ class IntegratorConfig:
     method: str = "adaptive"
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.rtol > 0 and self.atol > 0):  # nan is not positive
             raise ValueError("rtol and atol must be positive")
         if self.method not in ("adaptive", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")

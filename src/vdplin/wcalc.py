@@ -17,7 +17,8 @@ from typing import Sequence
 from .expr import Const, Expr, as_expr, diff, simplify
 
 __all__ = ["WPoly", "CoeffSet", "WDegreeError", "wpoly", "psi_poly",
-           "w_derive", "reduce_vdp", "reduce_lienard", "MAX_DEGREE"]
+           "psi_powers", "w_derive", "reduce_vdp", "reduce_lienard",
+           "MAX_DEGREE"]
 
 # psi'' contributes w^3 and (psi^2)psi' at most w^4; anything above 6 means
 # the equation assembly is malformed
@@ -109,6 +110,14 @@ def psi_poly(P: Expr) -> WPoly:
     return wpoly([P, 1.0])
 
 
+def psi_powers(psi: WPoly) -> list[WPoly]:
+    """psi^0, ..., psi^4, each the previous times psi."""
+    powers = [wpoly([Const(1.0)])]
+    for _ in range(4):
+        powers.append(powers[-1] * psi)
+    return powers
+
+
 def w_derive(p: WPoly, U: Expr) -> WPoly:
     """d/dx of p(x, w) along solutions of phi'' = U*phi.
 
@@ -191,10 +200,7 @@ def reduce_lienard(P: Expr, U: Expr, c: Sequence[Expr],
     psi = psi_poly(P)
     dpsi = w_derive(psi, U)
     ddpsi = w_derive(dpsi, U)
-
-    powers = [wpoly([Const(1.0)])]
-    for _ in range(4):
-        powers.append(powers[-1] * psi)
+    powers = psi_powers(psi)
 
     damping = wpoly([0.0])
     for i, ci in enumerate(c):

@@ -12,12 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import general_instances
+from test_expr_reference import ref_eval
 from vdplin import expr
 from vdplin.colehopf import solve_chain, verify_printed_coeffs
 from vdplin.expr import (Add, Const, EvalDomainError, Fun, Mul, Neg, Param,
                          ParseError, Pow, Sub, UnboundParameterError, X,
-                         diff, fractional_power_nodes, free_params, lambdify,
-                         parse, simplify, subst, to_str)
+                         diff, free_params, lambdify, parse, simplify, subst,
+                         to_str)
 
 
 def test_parse_variable_identity():
@@ -109,22 +110,16 @@ def test_subst_and_free_params():
     assert e2.eval(3.0, {"b": 1.0}) == 7.0
 
 
-def test_fractional_power_flagged():
-    assert fractional_power_nodes(parse("x^2 + x^3")) == []
-    flagged = fractional_power_nodes(parse("x^0.5"))
-    assert len(flagged) == 1
-    assert fractional_power_nodes(parse("x^y"))
-
-
 def test_lambdify_matches_interpreter():
     e = parse("sin(x)*exp(-x/3) + x^2/(1+x^2)")
     xs = np.linspace(-2, 2, 41)
     fast = lambdify(e)(xs)
-    slow = np.array([e.eval(float(x)) for x in xs])
+    slow = np.array([ref_eval(e, float(x)) for x in xs])
     # numpy and libm elementary functions may differ in the last ulp
     assert np.max(np.abs(fast - slow)) <= 4 * np.max(np.spacing(np.abs(slow)))
     fscalar = lambdify(e, scalar=True)
-    assert fscalar(0.7) == e.eval(0.7)
+    assert fscalar(0.7) == ref_eval(e, 0.7)
+    assert all(e.eval(float(x)) == ref_eval(e, float(x)) for x in xs)
 
 
 def test_lambdify_binds_env_and_rejects_free_params():
@@ -445,3 +440,28 @@ def test_scalar_code_binds_non_finite_constants():
     assert math.isnan(lambdify(Const(math.nan) + X, scalar=True)(1.0))
     assert math.copysign(1.0, lambdify(Const(-0.0) - X, scalar=True)(0.0)) \
         == -1.0
+
+
+def test_eval_errors_name_the_expression_and_the_point():
+    e = Const(math.inf) * X  # no literal prints inf
+    with pytest.raises(EvalDomainError) as err:
+        e.eval(1.0)
+    assert err.value.node is e and err.value.x == 1.0
+    assert str(err.value) == "value inf is not finite at x=1.0"
+    nan = Const(math.nan) + X
+    with pytest.raises(EvalDomainError, match="value nan is not finite"):
+        nan.eval(0.5)
+    q = parse("1/x")
+    with pytest.raises(EvalDomainError) as err:
+        q.eval(0.0)
+    assert err.value.node is q
+    assert str(err.value) == "float division by zero in '1/x' at x=0.0"
+
+
+def test_eval_follows_float_arithmetic_in_between():
+    # an intermediate may overflow to inf; only the value must be finite
+    assert parse("1/(1e200*1e200*x)").eval(1.0) == 0.0
+    with pytest.raises(EvalDomainError, match="value inf is not finite"):
+        parse("1e200*1e200*x").eval(1.0)
+    with pytest.raises(EvalDomainError):
+        parse("exp(x)").eval(710.0)  # math.exp raises on overflow

@@ -1,7 +1,9 @@
-"""The vector tape of ``lambdify`` and the memoized printer against the code
-they replaced: a generated-source vector compiler and a recursive printer,
-both kept here verbatim as references.  The tape must give the same bits,
-and the printer the same text."""
+"""The vector tape of ``lambdify``, the memoized printer and the constant
+folds of ``simplify`` against the code they replaced: a generated-source
+vector compiler, a recursive printer and the recursive interpreter that
+once backed ``Expr.eval``, all kept here verbatim as references.  The tape
+must give the same bits, the printer the same text, and a fold the same
+constant where the interpreter gave a finite value and none elsewhere."""
 
 import builtins
 import math
@@ -15,9 +17,10 @@ from hypothesis import strategies as st
 from vdplin import colehopf, expr
 from vdplin.colehopf import (bundle_from_json, bundle_to_json, solve_chain,
                              verify_printed_coeffs)
-from vdplin.expr import (FUNCTIONS, Add, Const, Div, Fun, Mul, Neg, Param,
-                         Pow, Sub, UnboundParameterError, Var, X, free_params,
-                         lambdify, parse, subst, to_str)
+from vdplin.expr import (FUNCTIONS, Add, Const, Div, EvalDomainError, Expr,
+                         Fun, Mul, Neg, Param, Pow, Sub,
+                         UnboundParameterError, Var, X, free_params,
+                         lambdify, parse, simplify, subst, to_str)
 from vdplin.lienard import lienard_coeffs, riccati_u
 
 from conftest import general_instances
@@ -127,6 +130,88 @@ def ref_lambdify(e, env=None):
     ns = dict(_REF_VECTOR_NS)
     exec(compile(code, "<lambdify>", "exec"), ns)
     return _ref_vectorized(ns.pop("_compiled"))
+
+
+def ref_eval(e, x, env=None):
+    """The interpreter as it was: a recursion over the tree that raises
+    EvalDomainError at the first node giving inf or leaving the domain."""
+    return _ref_eval(e, float(x), env or {}, {})
+
+
+def _ref_eval(node, x, env, memo):
+    key = id(node)
+    if key in memo:
+        return memo[key]
+    if isinstance(node, Const):
+        val = node.value
+    elif isinstance(node, Var):
+        val = x
+    elif isinstance(node, Param):
+        if node.name not in env:
+            raise UnboundParameterError(node.name)
+        val = float(env[node.name])
+    elif isinstance(node, Neg):
+        val = -_ref_eval(node.arg, x, env, memo)
+    elif isinstance(node, Add):
+        val = _ref_eval(node.left, x, env, memo) + _ref_eval(node.right, x, env, memo)
+    elif isinstance(node, Sub):
+        val = _ref_eval(node.left, x, env, memo) - _ref_eval(node.right, x, env, memo)
+    elif isinstance(node, Mul):
+        val = _ref_eval(node.left, x, env, memo) * _ref_eval(node.right, x, env, memo)
+    elif isinstance(node, Div):
+        den = _ref_eval(node.right, x, env, memo)
+        if den == 0.0:
+            raise EvalDomainError("division by zero", node, x)
+        val = _ref_eval(node.left, x, env, memo) / den
+    elif isinstance(node, Pow):
+        val = _ref_eval_pow(node, x, env, memo)
+    elif isinstance(node, Fun):
+        val = _ref_eval_fun(node, x, env, memo)
+    else:  # pragma: no cover
+        raise TypeError(f"unknown node {node!r}")
+    if isinstance(val, float) and math.isinf(val):
+        raise EvalDomainError("overflow", node, x)
+    memo[key] = val
+    return val
+
+
+def _ref_eval_pow(node, x, env, memo):
+    base = _ref_eval(node.base, x, env, memo)
+    expo = _ref_eval(node.exponent, x, env, memo)
+    if float(expo).is_integer():
+        n = int(expo)
+        if base == 0.0 and n < 0:
+            raise EvalDomainError("zero raised to a negative power", node, x)
+        try:
+            return float(base ** n)
+        except OverflowError:
+            raise EvalDomainError("overflow", node, x) from None
+    if base > 0.0:
+        try:
+            return math.exp(expo * math.log(base))
+        except OverflowError:
+            raise EvalDomainError("overflow", node, x) from None
+    if base == 0.0 and expo > 0.0:
+        return 0.0
+    raise EvalDomainError("fractional power of a nonpositive base", node, x)
+
+
+def _ref_eval_fun(node, x, env, memo):
+    a = _ref_eval(node.arg, x, env, memo)
+    try:
+        if node.name == "exp":
+            return math.exp(a)
+        if node.name == "log":
+            if a <= 0.0:
+                raise EvalDomainError("log of a nonpositive value", node, x)
+            return math.log(a)
+        if node.name == "sqrt":
+            if a < 0.0:
+                raise EvalDomainError("sqrt of a negative value", node, x)
+            return math.sqrt(a)
+        return getattr(math, node.name)(a)
+    except OverflowError:
+        raise EvalDomainError("overflow", node, x) from None
 
 
 def ref_print(node, ctx=0):
@@ -244,6 +329,66 @@ def test_every_function_matches_the_reference(name):
     xs = np.linspace(-3.0, 3.0, 61)
     e = Fun(name, X * Const(0.75) - Const(0.25))
     assert _same_bits(lambdify(e)(xs), ref_lambdify(e)(xs))
+
+
+# ---------------------------------------------------------------------------
+# constant folds
+
+
+def _ref_fold(e):
+    """What simplify folded e into when it asked the interpreter: the
+    constant if the value was finite, else e itself."""
+    try:
+        v = ref_eval(e, 0.0)
+    except EvalDomainError:
+        return e
+    return Const(v) if math.isfinite(v) else e
+
+
+def _bits(e: Expr):
+    return e.value.hex() if isinstance(e, Const) else e
+
+
+_INF, _NAN = math.inf, math.nan
+_EDGE_FOLDS = [
+    Pow(Const(0.0), Const(-1.0)), Pow(Const(-0.0), Const(-3.0)),
+    Pow(Const(-8.0), Const(1 / 3)), Pow(Const(0.0), Const(0.5)),
+    Pow(Const(0.0), Const(-0.5)), Pow(Const(2.0), Const(1e20)),
+    Pow(Const(0.5), Const(1e20)), Pow(Const(-2.0), Const(3.0)),
+    Pow(Const(2.0), Const(0.5)), Pow(Const(1e200), Const(2.0)),
+    Pow(Const(10.0), Const(400.5)), Pow(Const(-1.0), Const(1e300)),
+    Fun("exp", Const(710.0)), Fun("exp", Const(709.0)),
+    Fun("log", Const(0.0)), Fun("log", Const(-0.0)), Fun("log", Const(-1.0)),
+    Fun("sqrt", Const(-0.0)), Fun("sqrt", Const(-1e-300)),
+    Fun("sqrt", Const(2.0)), Fun("cosh", Const(800.0)),
+    Fun("sinh", Const(-800.0)), Fun("tan", Const(1e300)),
+    Fun("sin", Const(1e300)),
+    # non-finite operands are never folded
+    Fun("exp", Const(_INF)), Fun("exp", Const(-_INF)), Fun("exp", Const(_NAN)),
+    Fun("log", Const(_INF)), Fun("sqrt", Const(_NAN)), Fun("sin", Const(_INF)),
+    Fun("tan", Const(_NAN)), Pow(Const(_INF), Const(2.0)),
+    Pow(Const(2.0), Const(-_INF)), Pow(Const(0.5), Const(_INF)),
+    Pow(Const(_NAN), Const(0.5)), Pow(Const(2.0), Const(_NAN)),
+    Pow(Const(-_INF), Const(3.0)),
+]
+
+
+@pytest.mark.parametrize("e", _EDGE_FOLDS, ids=repr)
+def test_fold_matches_the_interpreter_at_the_edges(e):
+    assert _bits(simplify(e)) == _bits(_ref_fold(e))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FUNCTIONS + ("pow",)),
+       st.floats(width=64), st.floats(width=64))
+def test_fold_matches_the_interpreter(name, a, b):
+    if name == "pow":
+        e = Pow(Const(a), Const(b))
+        if b in (0.0, 1.0) or a == 1.0:
+            return  # x^0, x^1 and 1^x are identities, not folds
+    else:
+        e = Fun(name, Const(a))
+    assert _bits(simplify(e)) == _bits(_ref_fold(e))
 
 
 # ---------------------------------------------------------------------------

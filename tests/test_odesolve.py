@@ -595,3 +595,22 @@ def test_trajectory_json_equals_json_dumps():
     assert trajectory_json(odd) == [_json_reference(odd)]
     with pytest.raises(ValueError):
         trajectory_json(phi, odd)
+
+
+def test_grid_refuses_non_finite_bounds():
+    for x0, x1 in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                   (0.0, math.nan)):
+        with pytest.raises(ValueError, match="need finite bounds"):
+            Grid(x0, x1, 5)
+    with pytest.raises(ValueError, match="need x1 > x0"):
+        Grid(1.0, 1.0, 5)
+
+
+def test_integrator_config_refuses_nan_tolerances():
+    # the constructor only: an adaptive integration with a nan rtol never
+    # returns
+    for bad in ({"rtol": math.nan}, {"atol": math.nan}, {"rtol": 0.0},
+                {"atol": -1e-12}, {"rtol": math.nan, "method": "rk4"}):
+        with pytest.raises(ValueError, match="rtol and atol must be positive"):
+            IntegratorConfig(**bad)
+
