@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TYPE_CHECKING
 
@@ -155,22 +156,169 @@ def _integrate(rhs, grid: Grid, y0: Sequence[float],
     xs = grid.xs
     if cfg.method == "rk4":
         return _integrate_rk4(guarded, xs, y0)
-    from scipy.integrate import solve_ivp  # only this path needs scipy
-
-    sol = solve_ivp(guarded, (grid.x0, grid.x1), np.asarray(y0, dtype=float),
-                    method="RK45", rtol=cfg.rtol, atol=cfg.atol,
-                    t_eval=xs, dense_output=True)
-    if sol.status != 0 or len(sol.t) < len(xs):
-        n_ok = len(sol.t)
-        reached = float(sol.t[-1]) if n_ok else grid.x0
+    ts, starts, stages, finished = _dopri45(guarded, grid.x0, grid.x1, y0,
+                                            cfg.rtol, cfg.atol)
+    # the grid points up to the last accepted step
+    n_ok = len(xs) if finished else int(np.searchsorted(xs, ts[-1], "right"))
+    dense = _dense_output(ts, starts, stages) if len(ts) > 1 else None
+    if not finished:
         partial = None
         if n_ok >= 2:
-            partial = Trajectory(xs=np.asarray(sol.t), values=sol.y[0],
-                                 derivatives=sol.y[1],
-                                 segments=[(0, n_ok)], dense=sol.sol)
-        raise StepUnderflowError((reached, grid.x1), partial)
-    return Trajectory(xs=xs, values=sol.y[0], derivatives=sol.y[1],
-                      segments=[(0, len(xs))], dense=sol.sol)
+            ys = dense(xs[:n_ok])
+            partial = Trajectory(xs=xs[:n_ok], values=ys[0],
+                                 derivatives=ys[1], segments=[(0, n_ok)],
+                                 dense=dense)
+        raise StepUnderflowError((float(xs[n_ok - 1]), grid.x1), partial)
+    ys = dense(xs)
+    return Trajectory(xs=xs, values=ys[0], derivatives=ys[1],
+                      segments=[(0, len(xs))], dense=dense)
+
+
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980) with the step control
+# and the initial step of scipy's RK45, and Shampine's (1986) free quartic
+# interpolant; the coefficients are scipy's.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                                17253 / 339200, -22 / 525, 1 / 40)
+# row i is stage i's contribution to the coefficients of theta .. theta^4
+_DENSE_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1 / 5  # minus one over (error estimator order + 1)
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+_SQRT2 = 2 ** 0.5
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / _SQRT2
+
+
+def _initial_step(rhs, t: float, ya: float, yb: float, fa: float, fb: float,
+                  length: float, rtol: float, atol: float) -> float:
+    """The first step size of Hairer, Norsett and Wanner, Sec. II.4."""
+    sa, sb = atol + abs(ya) * rtol, atol + abs(yb) * rtol
+    d0 = _rms(ya / sa, yb / sb)
+    d1 = _rms(fa / sa, fb / sb)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    ga, gb = rhs(t + h0, (ya + h0 * fa, yb + h0 * fb))
+    # h0 is 0 only for an infinite d1, and then h1 is 0 whatever d2 is; a
+    # float divided by zero raises, where numpy's gives inf
+    d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0 if h0 > 0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        d = max(d1, d2)
+        h1 = (0.01 / d) ** 0.2 if d > 0 else math.inf
+    return min(100 * h0, h1, length)
+
+
+def _dopri45(rhs, x0: float, x1: float, y0: Sequence[float], rtol: float,
+             atol: float) -> tuple[array, array, array, bool]:
+    """Integrate the pair y' = rhs(x, y) from x0 to x1 > x0 on Python
+    floats, step for step as scipy's RK45.  Returns the step ends (x0
+    first), the state at each step start and the seven stages of each
+    step, both flattened, and whether x1 was reached; a step that would
+    have to shrink below ten ulps of x, or a non-finite initial state,
+    ends the run early."""
+    t, x1 = float(x0), float(x1)
+    ya, yb = float(y0[0]), float(y0[1])
+    # 8 bytes a value: a long run keeps every stage of every step
+    ts, starts, stages = array("d", [t]), array("d"), array("d")
+    if not (math.isfinite(ya) and math.isfinite(yb)):
+        return ts, starts, stages, False
+    rtol = max(rtol, _RTOL_FLOOR)
+    fa, fb = rhs(t, (ya, yb))
+    h_abs = _initial_step(rhs, t, ya, yb, fa, fb, x1 - t, rtol, atol)
+    while t < x1:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # a nan step size fails too
+                return ts, starts, stages, False
+            t_new = min(t + h_abs, x1)
+            h = h_abs = t_new - t
+            k2a, k2b = rhs(t + _C2 * h, (ya + _A21 * fa * h,
+                                         yb + _A21 * fb * h))
+            k3a, k3b = rhs(t + _C3 * h, (ya + (_A31 * fa + _A32 * k2a) * h,
+                                         yb + (_A31 * fb + _A32 * k2b) * h))
+            k4a, k4b = rhs(t + _C4 * h, (
+                ya + (_A41 * fa + _A42 * k2a + _A43 * k3a) * h,
+                yb + (_A41 * fb + _A42 * k2b + _A43 * k3b) * h))
+            k5a, k5b = rhs(t + _C5 * h, (
+                ya + (_A51 * fa + _A52 * k2a + _A53 * k3a + _A54 * k4a) * h,
+                yb + (_A51 * fb + _A52 * k2b + _A53 * k3b + _A54 * k4b) * h))
+            k6a, k6b = rhs(t + h, (
+                ya + (_A61 * fa + _A62 * k2a + _A63 * k3a + _A64 * k4a
+                      + _A65 * k5a) * h,
+                yb + (_A61 * fb + _A62 * k2b + _A63 * k3b + _A64 * k4b
+                      + _A65 * k5b) * h))
+            na = ya + h * (_B1 * fa + _B3 * k3a + _B4 * k4a + _B5 * k5a
+                           + _B6 * k6a)
+            nb = yb + h * (_B1 * fb + _B3 * k3b + _B4 * k4b + _B5 * k5b
+                           + _B6 * k6b)
+            k7a, k7b = rhs(t + h, (na, nb))
+            ea = (_E1 * fa + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a
+                  + _E7 * k7a) * h
+            eb = (_E1 * fb + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b
+                  + _E7 * k7b) * h
+            err = _rms(ea / (atol + max(abs(ya), abs(na)) * rtol),
+                       eb / (atol + max(abs(yb), abs(nb)) * rtol))
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(
+                    _MAX_FACTOR, _SAFETY * err ** _EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # a nan error norm shrinks the step too
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+        starts.extend((ya, yb))
+        stages.extend((fa, fb, k2a, k2b, k3a, k3b, k4a, k4b, k5a, k5b, k6a,
+                       k6b, k7a, k7b))
+        ts.append(t_new)
+        t, ya, yb, fa, fb = t_new, na, nb, k7a, k7b
+    return ts, starts, stages, True
+
+
+def _dense_output(ts: array, starts: array, stages: array) -> Callable:
+    """The interpolant of the accepted steps of _dopri45, as a function of
+    x (a float or an array) that returns the pair (y, y') with shape (2,)
+    or (2, len(x)).  A step end belongs to the step that ends there."""
+    ends = np.array(ts)
+    t_old, h = ends[:-1], np.diff(ends)
+    y_old = np.array(starts).reshape(-1, 2)
+    q = _DENSE_P.T @ np.array(stages).reshape(-1, 7, 2)  # (steps, 4, 2)
+    last = len(h) - 1
+
+    def dense(x):
+        xa = np.atleast_1d(np.asarray(x, dtype=float))
+        s = np.clip(np.searchsorted(ends, xa) - 1, 0, last)
+        theta = (xa - t_old[s]) / h[s]
+        powers = np.cumprod(np.repeat(theta[:, None], 4, axis=1), axis=1)
+        y = h[s] * np.einsum("pjc,pj->cp", q[s], powers) + y_old[s].T
+        return y[:, 0] if np.ndim(x) == 0 else y
+
+    return dense
 
 
 def _integrate_rk4(rhs, xs: np.ndarray, y0: Sequence[float]) -> Trajectory:
@@ -321,10 +469,11 @@ def integrate_vdp(bundle: "TransformBundle", grid: Grid, psi0: float,
     mu, beta, alpha = p.mu, p.beta, p.alpha
 
     def rhs(x, y):
+        # products, not powers: a float power that overflows raises
         psi, dpsi = y
-        dd = (mu * (beta - psi * psi) * dpsi - alpha * psi
-              + vfn(x) * psi ** 2 + hfn(x) * psi ** 3 + gfn(x) * psi ** 4
-              + ffn(x))
+        p2 = psi * psi
+        dd = (mu * (beta - p2) * dpsi - alpha * psi + vfn(x) * p2
+              + hfn(x) * (p2 * psi) + gfn(x) * (p2 * p2) + ffn(x))
         return (dpsi, dd)
 
     return _integrate(rhs, grid, (psi0, dpsi0), cfg)

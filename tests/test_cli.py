@@ -209,14 +209,30 @@ def test_singular_potential_is_an_eval_failure(tmp_path, capsys, method, P):
     assert "integration stalled" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", [[], ["--mu", "1", "--beta", "1.5",
+                                         "--alpha", "0.4"]])
+def test_adaptive_default_rtol_passes_the_sampled_gate(tmp_path, capsys,
+                                                       model):
+    # at rtol 1e-9 these read 3.7e-6 and 1.4e-5 against the 1e-6 gate
+    code = run(["custom", "--P", "x/(2+x^2)", "--method", "adaptive", *model,
+                "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads((tmp_path / "residual.json").read_text())
+    assert doc["residual"]["max_abs"] <= 1e-6
+
+
 def test_rk4_runs_never_import_scipy(tmp_path):
-    script = (
-        "import sys\n"
-        "from vdplin.cli import run\n"
-        "assert 'scipy' not in sys.modules\n"
-        f"assert run(['custom', '--P', 'x/(2+x^2)', '--out', {str(tmp_path)!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules\n"
-    )
+    # neither do adaptive runs: only compare resamples through scipy
+    argvs = [["custom", "--P", "x/(2+x^2)"],
+             ["custom", "--P", "x/(2+x^2)", "--method", "adaptive",
+              "--rtol", "1e-12"]]
+    script = ("import sys\n"
+              "from vdplin.cli import run\n"
+              "assert 'scipy' not in sys.modules\n")
+    for i, argv in enumerate(argvs):
+        script += (f"assert run({argv + ['--out', str(tmp_path / str(i))]!r})"
+                   " == 0\n"
+                   "assert 'scipy' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -248,7 +264,8 @@ def test_runs_in_one_process_match_runs_made_alone(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--beta", "inf"),
                                          ("--alpha", "-inf"), ("--C1", "nan"),
-                                         ("--a", "inf"), ("--x1", "inf")])
+                                         ("--a", "inf"), ("--x1", "inf"),
+                                         ("--x0", "nan"), ("--x1", "nan")])
 def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, flag, value):
     code = run(["custom", "--P", "C1*x + a", f"{flag}={value}",
                 "--out", str(tmp_path)])

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_instance, round_trip_metrics
+from vdplin import odesolve
 from vdplin._floatfmt import repr_fields
 from vdplin.colehopf import TransformBundle, VdpParams, solve_chain
 from vdplin.expr import Const, lambdify, parse, simplify
@@ -232,13 +234,155 @@ def test_vdp_round_trip_from_construction():
 
 
 def test_vdp_blow_up_reports_bracket():
-    # a positive quartic term with growing psi blows up in finite time
+    # a positive quartic term with growing psi blows up in finite time; the
+    # partial trajectory is the grid prefix the steps reached, sampled from
+    # its own dense output
     bundle = _manual_bundle(0.0, 1.0, -1.0, g="3")
+    grid = Grid(0.0, 10.0, 101)
     with pytest.raises(StepUnderflowError) as err:
-        integrate_vdp(bundle, Grid(0.0, 10.0, 101), 1.0, 1.0)
+        integrate_vdp(bundle, grid, 1.0, 1.0)
     lo, hi = err.value.bracket
     assert 0.0 < lo < hi <= 10.0
-    assert err.value.partial is not None
+    part = err.value.partial
+    assert part is not None
+    n = len(part.xs)
+    assert 2 <= n < grid.n and np.array_equal(part.xs, grid.xs[:n])
+    assert lo == part.xs[-1] and part.segments == [(0, n)]
+    assert np.all(np.isfinite(part.values))
+    assert np.array_equal(part.dense(part.xs),
+                          np.array([part.values, part.derivatives]))
+
+
+# ---------------------------------------------------------------------------
+# the adaptive integrator against scipy's RK45
+
+def _general_p_runs(seed):
+    def runs():
+        bundle, a, b = build_instance(np.random.default_rng(seed))
+        round_trip_metrics(bundle, a, b)
+    return runs
+
+
+def _blow_up_runs(psi0):
+    # a too-small step ends the run, after some steps or at x0, where the
+    # quartic term overflows
+    def runs():
+        with pytest.raises(StepUnderflowError):
+            integrate_vdp(_manual_bundle(0.0, 1.0, -1.0, g="3"),
+                          Grid(0.0, 10.0, 101), psi0, 1.0)
+    return runs
+
+
+_ADAPTIVE_FIXTURES = {
+    "cosh": test_linear_cosh_oracle,
+    "sin": test_linear_sine_zero_at_pi,
+    "1 + x": lambda: integrate_linear(Const(0.0), Grid(0.0, 3.0, 61), 1.0,
+                                      1.0),
+    "1": lambda: integrate_linear(Const(0.0), Grid(0.0, 3.0, 61), 1.0, 0.0),
+    # a front in U rejects steps and then accepts a much shorter one
+    "front": lambda: integrate_linear(
+        parse("-1 + 50/(1 + exp(-400*(x - 1)))"), Grid(0.0, 2.0, 41), 1.0,
+        0.0, IntegratorConfig(rtol=1e-6, atol=1e-12)),
+    "round trip": test_vdp_round_trip_from_construction,
+    "general P 1": _general_p_runs(20260808),
+    "general P 2": _general_p_runs(98),
+    "blow-up": _blow_up_runs(1.0),
+    "overflow": _blow_up_runs(1e80),
+}
+
+
+def _counted(rhs):
+    calls = [0]
+
+    def counting(x, y):
+        calls[0] += 1
+        return rhs(x, y)
+    return counting, calls
+
+
+@pytest.mark.parametrize("name", list(_ADAPTIVE_FIXTURES))
+def test_adaptive_steps_as_scipy_rk45(monkeypatch, name):
+    # scipy's RK45 stays the reference: the same rhs calls, the same grid
+    # points reached, and the same samples up to the rounding of its dot
+    # products
+    from scipy.integrate import solve_ivp
+
+    runs = []
+    integrate = odesolve._integrate
+
+    def spy(rhs, grid, y0, cfg):
+        runs.append((rhs, grid, y0, cfg))
+        return integrate(rhs, grid, y0, cfg)
+
+    monkeypatch.setattr(odesolve, "_integrate", spy)
+    _ADAPTIVE_FIXTURES[name]()
+    assert runs
+    for rhs, grid, y0, cfg in runs:
+        ours, our_calls = _counted(rhs)
+        try:
+            t = integrate(ours, grid, y0, cfg)
+        except StepUnderflowError as err:
+            t = err.partial
+        theirs, their_calls = _counted(rhs)
+        with np.errstate(all="ignore"):
+            sol = solve_ivp(theirs, (grid.x0, grid.x1),
+                            np.asarray(y0, float), method="RK45",
+                            rtol=cfg.rtol, atol=cfg.atol, t_eval=grid.xs)
+        assert our_calls == their_calls
+        if len(sol.t) < 2:
+            assert t is None
+            continue
+        assert np.array_equal(t.xs, sol.t)
+        got = np.array([t.values, t.derivatives])
+        scale = np.max(np.abs(sol.y), axis=1, keepdims=True)
+        assert np.all(np.abs(got - sol.y) <= 1e-11 * scale)
+
+
+def test_adaptive_step_end_belongs_to_the_step_that_ends_there():
+    # two steps with zero stages, the second starting from a state the
+    # first does not reach
+    dense = odesolve._dense_output([0.0, 1.0, 2.0], [0.0, 0.0, 5.0, 5.0],
+                                   [0.0] * 28)
+    assert dense(1.0).tolist() == [0.0, 0.0]
+    assert dense(np.array([0.0, 0.5, 1.0, 1.5, 2.0])).tolist() == [
+        [0.0, 0.0, 0.0, 5.0, 5.0]] * 2
+
+
+def test_adaptive_rhs_error_leaves_no_partial():
+    # sqrt(1 - x) is out of its domain at the first stage past x = 1
+    with pytest.raises(StepUnderflowError) as err:
+        integrate_linear(parse("sqrt(1 - x)"), Grid(0.0, 2.0, 41), 1.0, 0.0)
+    assert 1.0 < err.value.bracket[0] < err.value.bracket[1] == 2.0
+    assert err.value.partial is None
+
+
+def test_adaptive_nan_step_size_ends_the_run():
+    # psi^2 overflows and mu = 0 times it is nan, so the first step size is
+    # nan: the run stops at x0 instead of retrying a nan step for ever
+    with pytest.raises(StepUnderflowError) as err:
+        integrate_vdp(_manual_bundle(0.0, 1.0, -1.0, g="3"),
+                      Grid(0.0, 10.0, 101), 1e160, 1.0)
+    assert err.value.bracket == (0.0, 10.0)
+    assert err.value.partial is None
+
+
+def test_adaptive_rtol_is_floored_at_a_hundred_ulps():
+    grid = Grid(0.0, 2.0, 21)
+    floor = IntegratorConfig(rtol=100 * np.finfo(float).eps, atol=1e-14)
+    below = IntegratorConfig(rtol=1e-17, atol=1e-14)
+    a = integrate_linear(Const(1.0), grid, 1.0, 0.0, floor)
+    b = integrate_linear(Const(1.0), grid, 1.0, 0.0, below)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.derivatives, b.derivatives)
+
+
+@pytest.mark.parametrize("method", ["adaptive", "rk4"])
+def test_non_finite_initial_state_fails_the_first_step(method):
+    cfg = IntegratorConfig(method=method)
+    with pytest.raises(StepUnderflowError) as err:
+        integrate_linear(Const(1.0), Grid(0.0, 2.0, 21), math.nan, 0.0, cfg)
+    assert err.value.bracket == (0.0, 2.0)
+    assert err.value.partial is None
 
 
 # ---------------------------------------------------------------------------
