@@ -9,7 +9,10 @@ equivalent tree, and compilation to callables: compiled Python code for
 scalars, a tape of numpy steps for arrays.  There is no tree interpreter:
 the compiled scalar code defines what evaluation at a point means,
 ``Expr.eval`` runs it, and ``simplify`` folds a function or a power of
-constants with the functions that code calls.  The tape writes each
+constants with the functions that code calls.  The scalar code takes
+named parameters as arguments, so a node is compiled once whatever values
+they are given, and ``lambdify_ode`` makes the right-hand side of a
+second-order equation one such function of (x, u, u').  The tape writes each
 result into a slot whose value has had its last read, so a call on a grid
 holds only as many arrays as values are live at once, and the buffers
 numpy frees are reused rather than new pages faulted in.
@@ -39,7 +42,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Param", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Fun", "X", "as_expr", "parse", "diff", "simplify", "subst",
-    "free_params", "lambdify", "to_str",
+    "free_params", "lambdify", "lambdify_ode", "to_str",
     "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "sqrt",
     "ExprError", "ParseError", "EvalDomainError", "UnboundParameterError",
     "FUNCTIONS",
@@ -121,8 +124,9 @@ class Expr(metaclass=_Interned):
     are identity.  Arithmetic operators build new trees (numbers are
     coerced to constants).  The slots hold the cached ``simplify`` result
     and the ``lambdify`` callables: ``_vector_fn`` runs a tape of numpy
-    steps, ``_scalar_fn`` is compiled Python code, and ``_env_fn`` holds
-    the one most recently bound to an ``env``.  None of them references a
+    steps, ``_scalar_fn`` is compiled Python code that takes the node's
+    parameters as arguments, with their names, and ``_env_fn`` holds the
+    callable most recently bound to an ``env``.  None of them references a
     node, so caching makes no reference cycle.  They are unset until first
     computed."""
 
@@ -816,17 +820,21 @@ def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
 
     One post-order walk of the expression DAG lists each distinct subtree
     once, so common subexpressions are evaluated once, and finds the
-    unbound parameters (the first by name is reported).  With
-    ``scalar=True`` the walk is turned into Python source, compiled, and
-    the result works on floats via ``math`` (domain violations raise).
-    Otherwise it becomes a tape of numpy and ``operator`` steps run by a
-    small interpreter, with no ``compile``; the callable accepts floats or
-    numpy arrays and returns arrays, mapping domain violations to nan/inf
-    silently (constant subtrees included) so callers can mask them.  The
-    callable is cached on the node after ``subst(e, env)`` and holds no
-    node, so compiling an equal tree again returns it.  With an ``env``,
-    ``e`` itself also keeps the last (scalar, env) it was compiled for and
-    the callable, which nothing else keeps alive.
+    parameters.  With ``scalar=True`` the walk is turned into Python
+    source that takes the parameters as arguments, compiled once per node
+    whatever values ``env`` gives them, and the result works on floats
+    via ``math`` (domain violations raise); ``env``'s values are passed
+    on each call, which gives the bits that compiling ``subst(e, env)``
+    would.  Otherwise it becomes a tape of numpy and ``operator`` steps
+    run by a small interpreter, with no ``compile``; the callable accepts
+    floats or numpy arrays and returns arrays, mapping domain violations
+    to nan/inf silently (constant subtrees included) so callers can mask
+    them.  The tape is built for ``subst(e, env)``.  Both are cached on
+    the node they were built for and hold no node, so compiling an equal
+    tree again returns them.  With an ``env``, ``e`` itself also keeps the
+    last (scalar, env) it was called with and the callable.  A parameter
+    that ``env`` does not bind raises UnboundParameterError (the first by
+    name).
     """
     if env:
         key = (scalar, tuple((k, float(v), math.copysign(1.0, float(v)))
@@ -834,35 +842,95 @@ def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
         cached = getattr(e, "_env_fn", None)
         if cached is not None and cached[0] == key:
             return cached[1]
-        fn = lambdify(subst(e, env), scalar=scalar)
+        fn = _bound_scalar(e, env) if scalar else lambdify(subst(e, env))
         object.__setattr__(e, "_env_fn", (key, fn))
         return fn
-    slot = "_scalar_fn" if scalar else "_vector_fn"
+    if scalar:
+        return _bound_scalar(e, {})
     try:
-        return getattr(e, slot)
+        return e._vector_fn
     except AttributeError:
         pass
     order = _postorder(e)
     missing = [n.name for n in order if isinstance(n, Param)]
     if missing:
         raise UnboundParameterError(min(missing))
-    fn = _scalar_code(order) if scalar else _vector_tape(order)
-    object.__setattr__(e, slot, fn)
+    fn = _vector_tape(order)
+    object.__setattr__(e, "_vector_fn", fn)
     return fn
 
 
-def _scalar_code(order: list[Expr]) -> Callable:
-    """Compile the post-ordered nodes (root last) to a Python function of
-    one float, one assignment per operation, constants bound as names
-    (the repr of inf or nan is not a Python literal)."""
+def _bound_scalar(e: Expr, env: Mapping[str, float]) -> Callable:
+    """e's scalar code as a function of x alone, its parameters given
+    env's values."""
+    names, fn = _scalar(e)
+    missing = [n for n in names if n not in env]
+    if missing:
+        raise UnboundParameterError(missing[0])
+    if not names:
+        return fn
+    values = tuple(float(env[n]) for n in names)
+    return lambda x: fn(x, values)
+
+
+def _scalar(e: Expr) -> tuple[tuple[str, ...], Callable]:
+    """The names of e's parameters, sorted, and e compiled to f(x) if
+    there are none, else to f(x, args) with args their values in that
+    order; cached on e."""
+    try:
+        return e._scalar_fn
+    except AttributeError:
+        pass
+    order = _postorder(e)
+    names = tuple(sorted({n.name for n in order if isinstance(n, Param)}))
+    entry = (names, _scalar_code(order, names))
+    object.__setattr__(e, "_scalar_fn", entry)
+    return entry
+
+
+def lambdify_ode(rate: Expr, y: str, dy: str) -> Callable:
+    """Compile the second-order equation u'' = rate(x, u, u') to the
+    right-hand side f(x, (u, u')) = (u', rate) of its first-order system:
+    one Python function over floats, as ``lambdify(..., scalar=True)``
+    compiles, in which the parameters named y and dy are the arguments u
+    and u'.  The state may be any pair that unpacks, a tuple or a numpy
+    array.  Any other parameter raises UnboundParameterError, so a caller
+    that builds rate from expressions of its own must first make sure
+    that they hold no parameter, or one would be taken for the state.
+    Not cached: rate is typically built for the call."""
+    order = _postorder(rate)
+    missing = [n.name for n in order
+               if isinstance(n, Param) and n.name not in (y, dy)]
+    if missing:
+        raise UnboundParameterError(min(missing))
+    return _scalar_code(order, (y, dy), (Param(dy), rate))
+
+
+def _scalar_code(order: list[Expr], args: tuple[str, ...] = (),
+                 results: tuple[Expr, ...] = ()) -> Callable:
+    """Compile the post-ordered nodes (root last) to a Python function,
+    one assignment per operation, constants bound as names (the repr of
+    inf or nan is not a Python literal).  It is f(x), or f(x, args) when
+    parameters are named in ``args``: the sequence args then holds their
+    values in that order, and the code reads them, never a name a
+    parameter was given.  It returns the root, or the tuple of
+    ``results`` (each in ``order`` or a parameter in ``args``)."""
     lines: list[str] = []
     tokens: dict[int, str] = {}
     ns = dict(_SCALAR_NS)
+    params = [Param(name) for name in args]  # alive while ids are keys
+    for i, node in enumerate(params):
+        tokens[id(node)] = f"a{i}"
+    if params:
+        lines.append("    " + "".join(f"a{i}, " for i in range(len(params)))
+                     + "= args")
 
     def tok(node: Expr) -> str:
         return tokens[id(node)]
 
     for node in order:
+        if id(node) in tokens:
+            continue
         if isinstance(node, Const):
             tokens[id(node)] = name = f"c{len(ns)}"
             ns[name] = node.value
@@ -894,8 +962,10 @@ def _scalar_code(order: list[Expr]) -> Callable:
         lines.append(f"    {name} = {rhs}")
         tokens[id(node)] = name
 
-    code = ("def _compiled(x):\n" + "\n".join(lines)
-            + f"\n    return {tok(order[-1])}\n")
+    out = (f"({', '.join(map(tok, results))},)" if results
+           else tok(order[-1]))
+    code = (f"def _compiled(x{', args' if params else ''}):\n"
+            + "\n".join(lines) + f"\n    return {out}\n")
     exec(compile(code, "<lambdify>", "exec"), ns)
     return ns.pop("_compiled")  # so fn and its globals form no cycle
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TYPE_CHECKING
@@ -19,7 +20,8 @@ from typing import Callable, Mapping, Sequence, TYPE_CHECKING
 import numpy as np
 
 from ._floatfmt import join_rows, repr_fields
-from .expr import Expr, diff, lambdify, simplify
+from .expr import (Expr, Param, UnboundParameterError, diff, free_params,
+                   lambdify, lambdify_ode, simplify, subst)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .colehopf import TransformBundle
@@ -203,6 +205,10 @@ _DENSE_P = np.array([
      -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+# accepted steps a run may take, over 100 times the most any test or
+# documented run takes; every step is kept for the dense output, so a
+# stiff run creeping on at steps near the smallest stops at about 100 MB
+_MAX_STEPS = 300_000
 _EXPONENT = -1 / 5  # minus one over (error estimator order + 1)
 _RTOL_FLOOR = 100 * np.finfo(float).eps
 _SQRT2 = 2 ** 0.5
@@ -238,8 +244,8 @@ def _dopri45(rhs, x0: float, x1: float, y0: Sequence[float], rtol: float,
     floats, step for step as scipy's RK45.  Returns the step ends (x0
     first), the state at each step start and the seven stages of each
     step, both flattened, and whether x1 was reached; a step that would
-    have to shrink below ten ulps of x, or a non-finite initial state,
-    ends the run early."""
+    have to shrink below ten ulps of x, a non-finite initial state, or
+    _MAX_STEPS accepted steps short of x1 end the run early."""
     t, x1 = float(x0), float(x1)
     ya, yb = float(y0[0]), float(y0[1])
     # 8 bytes a value: a long run keeps every stage of every step
@@ -250,6 +256,8 @@ def _dopri45(rhs, x0: float, x1: float, y0: Sequence[float], rtol: float,
     fa, fb = rhs(t, (ya, yb))
     h_abs = _initial_step(rhs, t, ya, yb, fa, fb, x1 - t, rtol, atol)
     while t < x1:
+        if len(ts) > _MAX_STEPS:
+            return ts, starts, stages, False
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -441,41 +449,77 @@ def _linear_rk4(ufn, xs: np.ndarray, phi0: float, dphi0: float) -> Trajectory:
                       segments=[(0, len(xs))])
 
 
+# Compiled right-hand sides, held weakly by what they are compiled from (a
+# bundle, or a potential U) with the numbers they also depend on.  The rate
+# expression is built for a compile and dies with the call, so it cannot
+# hold them; the functions reference no node and no bundle.
+_RHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _compiled_rhs(owner, key: tuple, state: tuple[str, str],
+                  rate: Callable[[Expr, Expr], Expr]) -> Callable:
+    """The rhs of u'' = rate(u, u') for the state parameters named by
+    ``state``, compiled on the first call for (owner, key) and looked up
+    after that."""
+    hit = _RHS.get(owner)
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    fn = lambdify_ode(rate(*map(Param, state)), *state)
+    _RHS[owner] = (key, fn)
+    return fn
+
+
+def _env_key(env: Mapping[str, float] | None) -> tuple:
+    # hex tells 0.0 from -0.0, which can give different results
+    return tuple(sorted((k, float(v).hex()) for k, v in (env or {}).items()))
+
+
+def _bound(e: Expr, env: Mapping[str, float] | None) -> Expr:
+    """e simplified with env substituted, refused if a parameter is left:
+    a state argument of the rhs must never take a user parameter's place,
+    even one named like it."""
+    e = simplify(e)
+    if env:
+        e = subst(e, env)
+    missing = free_params(e)
+    if missing:
+        raise UnboundParameterError(min(missing))
+    return e
+
+
 def integrate_linear(U: Expr, grid: Grid, phi0: float, dphi0: float,
                      cfg: IntegratorConfig = DEFAULT_CONFIG,
                      env: Mapping[str, float] | None = None) -> Trajectory:
     """Integrate phi'' = U(x) phi from (phi0, phi0')."""
-    U = simplify(U)
     if cfg.method == "rk4":
-        return _linear_rk4(lambdify(U, env), grid.xs, phi0, dphi0)
-    ufn = lambdify(U, env, scalar=True)
-
-    def rhs(x, y):
-        return (y[1], ufn(x) * y[0])
-
+        return _linear_rk4(lambdify(simplify(U), env), grid.xs, phi0, dphi0)
+    rhs = _compiled_rhs(U, _env_key(env), ("phi", "dphi"),
+                        lambda phi, dphi: _bound(U, env) * phi)
     return _integrate(rhs, grid, (phi0, dphi0), cfg)
 
 
 def integrate_vdp(bundle: "TransformBundle", grid: Grid, psi0: float,
                   dpsi0: float, cfg: IntegratorConfig = DEFAULT_CONFIG,
                   env: Mapping[str, float] | None = None) -> Trajectory:
-    """Directly integrate the full nonlinear equation carried by a bundle.
-    This is the oracle route: it never sees the substitution algebra."""
+    """Directly integrate the full nonlinear equation carried by a bundle,
+    psi'' = mu (beta - psi^2) psi' - alpha psi + v psi^2 + h psi^3
+    + g psi^4 + f.  This is the oracle route: it never sees the
+    substitution algebra.  The right-hand side is one compiled function
+    of (x, psi, psi'), so the subexpressions v, h, g and f share are
+    evaluated once per call; it is compiled on the first run of a bundle
+    (and env) and reused by the next."""
     p = bundle.params
-    vfn = lambdify(simplify(bundle.v), env, scalar=True)
-    hfn = lambdify(simplify(bundle.h), env, scalar=True)
-    gfn = lambdify(simplify(bundle.g), env, scalar=True)
-    ffn = lambdify(simplify(bundle.f), env, scalar=True)
-    mu, beta, alpha = p.mu, p.beta, p.alpha
 
-    def rhs(x, y):
+    def rate(psi: Expr, dpsi: Expr) -> Expr:
+        v, h, g, f = (_bound(c, env)
+                      for c in (bundle.v, bundle.h, bundle.g, bundle.f))
         # products, not powers: a float power that overflows raises
-        psi, dpsi = y
         p2 = psi * psi
-        dd = (mu * (beta - p2) * dpsi - alpha * psi + vfn(x) * p2
-              + hfn(x) * (p2 * psi) + gfn(x) * (p2 * p2) + ffn(x))
-        return (dpsi, dd)
+        return (p.mu * (p.beta - p2) * dpsi - p.alpha * psi + v * p2
+                + h * (p2 * psi) + g * (p2 * p2) + f)
 
+    key = (p.mu.hex(), p.beta.hex(), p.alpha.hex(), _env_key(env))
+    rhs = _compiled_rhs(bundle, key, ("psi", "dpsi"), rate)
     return _integrate(rhs, grid, (psi0, dpsi0), cfg)
 
 

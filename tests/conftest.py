@@ -1,9 +1,11 @@
 """Shared helpers: random instance generation for the annihilation and
-round-trip suites, and the growth-budget window used to keep the direct
-nonlinear integration inside its conditioning limits."""
+round-trip suites, the growth-budget window used to keep the direct
+nonlinear integration inside its conditioning limits, and a counter of
+compiled scalar code."""
 
 import numpy as np
 
+from vdplin import expr
 from vdplin.catalog import CatalogError, p_general
 from vdplin.colehopf import VdpParams, solve_chain
 from vdplin.expr import lambdify, simplify
@@ -104,3 +106,15 @@ def round_trip_metrics(bundle, a, b, w0=0.3, n=301, budget=11.0):
             raise
         direct = err.partial
     return compare(psi2, direct)
+
+
+def count_compiles(monkeypatch):
+    """A one-item list that counts the scalar code compiled from now on."""
+    calls = [0]
+    scalar_code = expr._scalar_code
+
+    def counting(*args):
+        calls[0] += 1
+        return scalar_code(*args)
+    monkeypatch.setattr(expr, "_scalar_code", counting)
+    return calls

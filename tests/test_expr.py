@@ -4,6 +4,7 @@ simplification, the printer round trip and node interning."""
 import dataclasses
 import gc
 import math
+import time
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import general_instances
+from conftest import count_compiles, general_instances
 from test_expr_reference import ref_eval
 from vdplin import expr
 from vdplin.colehopf import solve_chain, verify_printed_coeffs
@@ -137,12 +138,19 @@ def test_lambdify_constant_broadcasts():
 # ---------------------------------------------------------------------------
 # property tests
 
-def _exprs(max_leaves=10):
+def _exprs(max_leaves=10, params=()):
+    """Random trees over x and constants, and the parameters named in
+    params, which may also be exponents."""
     constants = st.floats(min_value=-2.0, max_value=2.0,
                           allow_nan=False).map(lambda v: Const(round(v, 3)))
-    leaves = st.one_of(st.just(X), constants)
+    leaves = st.one_of(st.just(X), constants,
+                       *(st.just(Param(name)) for name in params))
     fun_names = st.sampled_from(("exp", "sin", "cos", "sinh", "cosh",
                                  "tan", "log", "sqrt"))
+    exponents = [st.integers(min_value=0, max_value=3).map(
+        lambda k: Const(float(k)))]
+    if params:
+        exponents.append(st.sampled_from(params).map(Param))
     return st.recursive(
         leaves,
         lambda ch: st.one_of(
@@ -151,8 +159,7 @@ def _exprs(max_leaves=10):
             st.tuples(ch, ch).map(lambda t: Sub(*t)),
             st.tuples(ch, ch).map(lambda t: Mul(*t)),
             st.tuples(ch, ch).map(lambda t: t[0] / t[1]),
-            st.tuples(ch, st.integers(min_value=0, max_value=3)).map(
-                lambda t: Pow(t[0], Const(float(t[1])))),
+            st.tuples(ch, st.one_of(*exponents)).map(lambda t: Pow(*t)),
             st.tuples(fun_names, ch).map(lambda t: Fun(*t)),
         ),
         max_leaves=max_leaves,
@@ -416,6 +423,64 @@ def test_lambdify_with_env_is_cached_on_the_node():
     q = parse("x/a")
     assert lambdify(q, {"a": 0.0})(1.0) == np.inf
     assert lambdify(q, {"a": -0.0})(1.0) == -np.inf
+
+
+def _bits(fn, x):
+    """fn(x) as float.hex, or the type of the error it raises."""
+    try:
+        return fn(x).hex()
+    except (ArithmeticError, ValueError) as err:
+        return type(err)
+
+
+_ARGS = ("a", "b")
+_ARG_VALUES = st.one_of(st.integers(min_value=-3, max_value=3).map(float),
+                        st.floats(min_value=-2.0, max_value=2.0,
+                                  allow_nan=False),
+                        st.sampled_from((0.0, -0.0, 0.5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(params=_ARGS),
+       st.fixed_dictionaries({name: _ARG_VALUES for name in _ARGS}),
+       st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
+def test_parameters_as_arguments_match_substitution(e, env, x):
+    # the values passed per call give the bits of compiling subst(e, env),
+    # errors included
+    want = _bits(lambdify(subst(e, env), scalar=True), x)
+    assert _bits(lambdify(e, env, scalar=True), x) == want
+
+
+def test_integer_valued_parameter_exponent_matches_substitution():
+    # a power with a parameter exponent goes through _pow, which takes an
+    # integer-valued exponent as a ** int(b), as a constant one compiles
+    e = parse("(x - 2)^n")
+    for n in (-1.0, 0.0, 2.0, 3.0, -0.0, 0.5, 1e20):
+        env = {"n": n}
+        for x in (0.5, 2.0, 3.0):
+            want = _bits(lambdify(subst(e, env), scalar=True), x)
+            assert _bits(lambdify(e, env, scalar=True), x) == want
+    assert lambdify(e, {"n": 2.0}, scalar=True)(0.5) == 2.25
+    with pytest.raises(ZeroDivisionError):
+        lambdify(e, {"n": -1.0}, scalar=True)(2.0)
+
+
+def test_alternating_env_compiles_once(monkeypatch):
+    e = parse("a*x^2 + sin(b*x)/(1+x^2) + exp(-a*x)")
+    one, two = {"a": 0.5, "b": 1.0}, {"a": 0.5, "b": 2.0}
+    calls = count_compiles(monkeypatch)
+
+    def per_call(envs):
+        t = time.perf_counter()
+        for env in envs:
+            e.eval(0.3, env)
+        return (time.perf_counter() - t) / len(envs)
+
+    single = min(per_call([one] * 2000) for _ in range(5))
+    alternating = min(per_call([one, two] * 1000) for _ in range(5))
+    assert calls[0] <= 1  # none if an earlier test compiled e
+    assert alternating <= 2 * single
+    assert e.eval(0.3, two) == subst(e, two).eval(0.3)
 
 
 def test_overflowing_literal_is_a_parse_error():

@@ -3,17 +3,19 @@ with pole handling, residual measurement and trajectory comparison."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_instance, round_trip_metrics
+from conftest import build_instance, count_compiles, round_trip_metrics
 from vdplin import odesolve
 from vdplin._floatfmt import repr_fields
 from vdplin.colehopf import TransformBundle, VdpParams, solve_chain
-from vdplin.expr import Const, lambdify, parse, simplify
+from vdplin.expr import (Const, UnboundParameterError, lambdify, parse,
+                         simplify, subst)
 from vdplin.odesolve import (DisjointSegmentsError, Grid, IntegratorConfig,
                              SegmentTooShortError, StepUnderflowError,
                              Trajectory, _SCAN_BLOCK, _integrate_rk4,
@@ -383,6 +385,181 @@ def test_non_finite_initial_state_fails_the_first_step(method):
         integrate_linear(Const(1.0), Grid(0.0, 2.0, 21), math.nan, 0.0, cfg)
     assert err.value.bracket == (0.0, 2.0)
     assert err.value.partial is None
+
+
+# ---------------------------------------------------------------------------
+# the compiled right-hand sides
+
+def _reference_vdp_rhs(bundle):
+    """The direct integration's rhs as four separately compiled coefficient
+    functions and a closure: the reference for the fused compiled rhs."""
+    p = bundle.params
+    vfn, hfn, gfn, ffn = (lambdify(simplify(c), scalar=True)
+                          for c in (bundle.v, bundle.h, bundle.g, bundle.f))
+    mu, beta, alpha = p.mu, p.beta, p.alpha
+
+    def rhs(x, y):
+        psi, dpsi = y
+        p2 = psi * psi
+        dd = (mu * (beta - p2) * dpsi - alpha * psi + vfn(x) * p2
+              + hfn(x) * (p2 * psi) + gfn(x) * (p2 * p2) + ffn(x))
+        return (dpsi, dd)
+    return rhs
+
+
+def _reference_linear_rhs(U):
+    ufn = lambdify(simplify(U), scalar=True)
+    return lambda x, y: (y[1], ufn(x) * y[0])
+
+
+def _outcome(run):
+    """(None, trajectory), or (bracket, partial trajectory) of a stall."""
+    try:
+        return None, run()
+    except StepUnderflowError as err:
+        return err.bracket, err.partial
+
+
+def _assert_bit_identical(got, want):
+    assert got[0] == want[0]
+    assert (got[1] is None) == (want[1] is None)
+    if want[1] is not None:
+        assert np.array_equal(got[1].xs, want[1].xs)
+        assert np.array_equal(got[1].values, want[1].values)
+        assert np.array_equal(got[1].derivatives, want[1].derivatives)
+
+
+def _general_p_problem(seed):
+    # the round trip's initial data on the whole regular window
+    bundle, a, b = build_instance(np.random.default_rng(seed))
+    grid = Grid(a, b, 301)
+    psi = cole_hopf_map(bundle.P, integrate_linear(bundle.U, grid, 1.0, 0.3,
+                                                   TIGHT), U=bundle.U)
+    j0 = psi.segments[0][0]
+    return (bundle, Grid(float(psi.xs[j0]), b, 301), float(psi.values[j0]),
+            float(psi.derivatives[j0]))
+
+
+_VDP_PROBLEMS = {
+    "general P 1": lambda: _general_p_problem(20260808),
+    "general P 2": lambda: _general_p_problem(98),
+    "harmonic": lambda: (_manual_bundle(0.0, 1.0, 1.0),
+                         Grid(0.0, 2 * math.pi, 101), 1.0, 0.0),
+    "all terms": lambda: (
+        _manual_bundle(0.7, 1.1, 0.2, v="sin(x)", h="0.5/(1+x^2)",
+                       g="-0.1*exp(-x)", f="cos(2*x)"),
+        Grid(0.0, 3.0, 201), 0.4, -0.2),
+    "blow-up": lambda: (_manual_bundle(0.0, 1.0, -1.0, g="3"),
+                        Grid(0.0, 10.0, 101), 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("method", ["adaptive", "rk4"])
+@pytest.mark.parametrize("name", list(_VDP_PROBLEMS))
+def test_vdp_compiled_rhs_is_bit_identical_to_four_coefficients(name,
+                                                                method):
+    bundle, grid, psi0, dpsi0 = _VDP_PROBLEMS[name]()
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, method=method)
+    with np.errstate(over="ignore", invalid="ignore"):  # rk4's blow-up
+        got = _outcome(lambda: integrate_vdp(bundle, grid, psi0, dpsi0, cfg))
+        want = _outcome(lambda: odesolve._integrate(
+            _reference_vdp_rhs(bundle), grid, (psi0, dpsi0), cfg))
+    _assert_bit_identical(got, want)
+    if name == "blow-up":
+        assert want[0] is not None and want[1] is not None
+
+
+def test_linear_compiled_rhs_is_bit_identical_to_the_potential():
+    bundle, a, b = build_instance(np.random.default_rng(98))
+    grid = Grid(a, b, 301)
+    got = _outcome(lambda: integrate_linear(bundle.U, grid, 1.0, 0.3, TIGHT))
+    want = _outcome(lambda: odesolve._integrate(
+        _reference_linear_rhs(bundle.U), grid, (1.0, 0.3), TIGHT))
+    assert want[0] is None
+    _assert_bit_identical(got, want)
+
+
+def test_a_second_run_compiles_nothing(monkeypatch):
+    calls = count_compiles(monkeypatch)
+    bundle = _manual_bundle(0.3, 1.2, 0.1, v="sin(x)", h="x/7", g="-0.01",
+                            f="exp(-x)/9")
+    grid = Grid(0.0, 2.0, 41)
+    first = integrate_vdp(bundle, grid, 0.5, 0.1)
+    assert calls[0] == 1  # v, h, g, f and the state in one function
+    second = integrate_vdp(bundle, grid, 0.5, 0.1)
+    assert calls[0] == 1
+    assert np.array_equal(first.values, second.values)
+    U = parse("-1 + x/11")
+    integrate_linear(U, grid, 1.0, 0.0)
+    integrate_linear(U, grid, 1.0, 0.0)
+    assert calls[0] == 2
+    # another env is another function; returning to it compiles again
+    P = parse("q*x")
+    integrate_linear(P, grid, 1.0, 0.0, env={"q": 0.5})
+    integrate_linear(P, grid, 1.0, 0.0, env={"q": 0.5})
+    assert calls[0] == 3
+    integrate_linear(P, grid, 1.0, 0.0, env={"q": -0.5})
+    assert calls[0] == 4
+
+
+@pytest.mark.parametrize("method", ["adaptive", "rk4"])
+def test_a_state_argument_never_takes_a_free_parameter(method):
+    # a coefficient's parameter named like the state is still unbound
+    cfg = IntegratorConfig(method=method)
+    grid = Grid(0.0, 1.0, 21)
+    for coeff in ("v", "h", "g", "f"):
+        for name in ("psi", "dpsi"):
+            bundle = _manual_bundle(0.5, 1.0, 0.2, **{coeff: f"{name}*x"})
+            with pytest.raises(UnboundParameterError) as err:
+                integrate_vdp(bundle, grid, 0.5, 0.1, cfg)
+            assert err.value.name == name
+    with pytest.raises(UnboundParameterError) as err:
+        integrate_linear(parse("phi + dphi*x"), grid, 1.0, 0.0, cfg)
+    assert err.value.name == "dphi"
+    # bound by env, such a parameter is a number like any other
+    bundle = _manual_bundle(0.5, 1.0, 0.2, h="psi*x")
+    bound = _manual_bundle(0.5, 1.0, 0.2, h="0.25*x")
+    a = integrate_vdp(bundle, grid, 0.5, 0.1, cfg, env={"psi": 0.25})
+    b = integrate_vdp(bound, grid, 0.5, 0.1, cfg)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.derivatives, b.derivatives)
+
+
+def test_adaptive_step_budget_bounds_memory(monkeypatch):
+    # a stiff direct integration creeps on at steps just above the smallest
+    # for as long as it is let; the budget ends it with the grid prefix it
+    # reached.  Lowered here to keep the test short; the rhs-call cap makes
+    # a run that ignores the budget fail in seconds instead of running on.
+    budget = 4000
+    monkeypatch.setattr(odesolve, "_MAX_STEPS", budget)
+    integrate = odesolve._integrate
+    calls = [0]
+
+    def capped(rhs, grid, y0, cfg):
+        def counting(x, y):
+            calls[0] += 1
+            if calls[0] > 30 * budget:  # about 7 a step are made
+                raise RuntimeError("the step budget was not enforced")
+            return rhs(x, y)
+        return integrate(counting, grid, y0, cfg)
+
+    monkeypatch.setattr(odesolve, "_integrate", capped)
+    bundle = _manual_bundle(0.386, -0.435, -0.406, v="-2.61", h="2.82")
+    grid = Grid(0.0, 10.0, 101)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepUnderflowError) as err:
+            integrate_vdp(bundle, grid, 1.14, 1.11, IntegratorConfig(rtol=1e-9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # about 1.4 MB
+    part = err.value.partial
+    n = len(part.xs)
+    assert 2 <= n < grid.n and np.array_equal(part.xs, grid.xs[:n])
+    assert err.value.bracket == (float(part.xs[-1]), 10.0)
+    assert np.all(np.isfinite(part.values))
+    assert np.all(np.isfinite(part.derivatives))
 
 
 # ---------------------------------------------------------------------------
