@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -148,13 +147,13 @@ def _check_general_forcing(P: Expr, den: Expr, params: VdpParams,
             f"general P does not annihilate the forcing: max|f| = {worst:g}")
 
 
-def linear_basis(u0: float, tol: float = CONSTANT_U_TOL) -> tuple[Expr, Expr]:
+def linear_basis(u0: float) -> tuple[Expr, Expr]:
     """Real solution basis of phi'' = u0 phi for constant u0: exponentials
     for u0 > 0, {1, x} at u0 = 0, trigonometric for u0 < 0."""
-    if u0 > tol:
+    if u0 > CONSTANT_U_TOL:
         nu = math.sqrt(u0)
         return exp(Const(nu) * X), exp(Const(-nu) * X)
-    if u0 < -tol:
+    if u0 < -CONSTANT_U_TOL:
         om = math.sqrt(-u0)
         return cos(Const(om) * X), sin(Const(om) * X)
     return Const(1.0), X
@@ -171,18 +170,18 @@ def _constant_value(e: Expr, what: str) -> float:
     return e.value
 
 
-def _basis_residual_entry(name: str, basis: tuple[Expr, Expr], U: Expr,
-                          grid=None, env: Mapping[str, float] | None = None,
-                          tol: float = 1e-9) -> tuple[LedgerEntry, bool]:
+def _basis_residual_entry(name: str, basis: tuple[Expr, Expr],
+                          U: Expr) -> tuple[LedgerEntry, bool]:
     """Check |phi'' - U phi| <= tol * max(1, |phi|) for both basis
-    functions; returns the ledger entry and whether the check passed."""
-    xs = np.linspace(0.0, 5.0, 501) if grid is None else np.asarray(
-        getattr(grid, "xs", grid), dtype=float)
+    functions on 501 points of [0, 5], tol = 1e-9; returns the ledger
+    entry and whether the check passed."""
+    xs = np.linspace(0.0, 5.0, 501)
+    tol = 1e-9
     worst = 0.0
     points = 0
     for b in basis:
-        resid = lambdify(simplify(diff(diff(b)) - U * b), env)(xs)
-        scale = np.maximum(1.0, np.abs(lambdify(b, env)(xs)))
+        resid = lambdify(simplify(diff(diff(b)) - U * b))(xs)
+        scale = np.maximum(1.0, np.abs(lambdify(b)(xs)))
         ok = np.isfinite(resid) & np.isfinite(scale)
         if ok.any():
             worst = max(worst, float(np.max(np.abs(resid[ok]) / scale[ok])))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +39,8 @@ __all__ = [
 DEFAULT_CHECK_POINTS = np.linspace(0.0, 5.0, 1000)
 
 ANNIHILATION_TOL = 1e-9
+# the engine's a_i against their transcribed closed forms
+PRINTED_COEFF_TOL = 1e-10
 
 
 class SingularGridError(Exception):
@@ -151,16 +153,15 @@ def _grid_xs(grid) -> np.ndarray:
 
 
 def compare_forms(check: str, derived: Expr, reference: Expr,
-                  grid=None, env: Mapping[str, float] | None = None,
-                  tol: float = ANNIHILATION_TOL) -> LedgerEntry:
+                  grid=None, tol: float = ANNIHILATION_TOL) -> LedgerEntry:
     """Evaluate a derived and a reference expression on a grid and record
     the largest pointwise difference.  Points where either side is not
     finite (poles, domain edges) are masked out."""
     xs = _grid_xs(grid)
     ref_str = to_str(simplify(reference))
     try:
-        d = lambdify(derived, env)(xs)
-        r = lambdify(reference, env)(xs)
+        d = lambdify(derived)(xs)
+        r = lambdify(reference)(xs)
     except ex.UnboundParameterError as err:
         return LedgerEntry(check, None, None, tol, 0, ref_str,
                            f"not evaluated: {err}")
@@ -213,8 +214,7 @@ def reference_forcing_form(P: Expr, params: VdpParams) -> Expr:
 # ---------------------------------------------------------------------------
 # the chain
 
-def solve_chain(P: Expr, params: VdpParams, grid=None,
-                env: Mapping[str, float] | None = None) -> TransformBundle:
+def solve_chain(P: Expr, params: VdpParams, grid=None) -> TransformBundle:
     """Build the unique TransformBundle for a given shift function P.
 
     g, h, v and U are the closed forms that annihilate a_4..a_1, typed in
@@ -239,14 +239,13 @@ def solve_chain(P: Expr, params: VdpParams, grid=None,
     f = simplify(base.a0)
 
     entry = compare_forms("forcing-from-a0-vs-reference-closed-form", f,
-                          reference_forcing_form(P, params), grid, env)
+                          reference_forcing_form(P, params), grid)
     return TransformBundle(P=P, U=U, g=g, h=h, v=v, f=f, params=params,
                            ledger=(entry,))
 
 
 def seeded_construction(s: Expr, params: VdpParams, branch: str = "plus",
-                        grid=None,
-                        env: Mapping[str, float] | None = None) -> TransformBundle:
+                        grid=None) -> TransformBundle:
     """Reverse-direction construction: pick the potential first.
 
     For an arbitrary smooth seed s, U = 3 s^2 - mu*beta*s + alpha/2 is
@@ -261,47 +260,45 @@ def seeded_construction(s: Expr, params: VdpParams, branch: str = "plus",
         P = simplify(-s + Const(params.mu * params.beta / 3.0))
     else:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    bundle = solve_chain(P, params, grid=grid, env=env)
+    bundle = solve_chain(P, params, grid=grid)
     seed_potential = simplify(3.0 * s ** 2 - Const(params.mu * params.beta) * s
                               + Const(params.alpha / 2.0))
     entry = compare_forms(f"seed-potential-match-{branch}-branch", bundle.U,
-                          seed_potential, grid, env, tol=1e-12)
+                          seed_potential, grid, tol=1e-12)
     return bundle.with_entries([entry])
 
 
 # ---------------------------------------------------------------------------
 # verification
 
-def verify_annihilation(bundle: TransformBundle, grid,
-                        tol: float = ANNIHILATION_TOL,
-                        env: Mapping[str, float] | None = None) -> AnnihilationReport:
+def verify_annihilation(bundle: TransformBundle, grid) -> AnnihilationReport:
     """Recompute a_0..a_4 from the bundle through the engine and report the
     max of |a_i| on the grid.  Grid points hitting a singularity raise."""
     xs = _grid_xs(grid)
     coeffs = bundle.coefficients()
     maxes = []
     for i, a in enumerate(coeffs.as_tuple()):
-        vals = lambdify(a, env)(xs)
+        vals = lambdify(a)(xs)
         bad = ~np.isfinite(vals)
         if bad.any():
             raise SingularGridError(xs[bad], f"coefficient a{i}")
         maxes.append(float(np.max(np.abs(vals))))
     t = tuple(maxes)
-    return AnnihilationReport(max_abs=t, tol=tol, n_points=len(xs),
-                              passed=all(m <= tol for m in t))
+    return AnnihilationReport(max_abs=t, tol=ANNIHILATION_TOL,
+                              n_points=len(xs),
+                              passed=all(m <= ANNIHILATION_TOL for m in t))
 
 
 def verify_printed_coeffs(P: Expr, U: Expr, params: VdpParams, v: Expr,
-                          h: Expr, g: Expr, f: Expr, grid=None,
-                          env: Mapping[str, float] | None = None,
-                          tol: float = 1e-10) -> list[LedgerEntry]:
+                          h: Expr, g: Expr, f: Expr,
+                          grid=None) -> list[LedgerEntry]:
     """Compare the engine's a_0..a_4 against the transcribed reference
     forms, pointwise on the grid.  Returns one ledger entry per
     coefficient; the differences are data, whatever they turn out to be."""
     engine = reduce_vdp(P, U, params, v, h, g, f).as_tuple()
     reference = reference_coefficient_forms(P, U, params, v, h, g, f)
     return [compare_forms(f"reduced-coefficient-a{i}", engine[i], reference[i],
-                          grid, env, tol=tol)
+                          grid, tol=PRINTED_COEFF_TOL)
             for i in range(5)]
 
 

@@ -9,13 +9,16 @@ equivalent tree, and compilation to callables: compiled Python code for
 scalars, a tape of numpy steps for arrays.  There is no tree interpreter:
 the compiled scalar code defines what evaluation at a point means,
 ``Expr.eval`` runs it, and ``simplify`` folds a function or a power of
-constants with the functions that code calls.  The scalar code takes
-named parameters as arguments, so a node is compiled once whatever values
-they are given, and ``lambdify_ode`` makes the right-hand side of a
-second-order equation one such function of (x, u, u').  The tape writes each
-result into a slot whose value has had its last read, so a call on a grid
-holds only as many arrays as values are live at once, and the buffers
-numpy frees are reused rather than new pages faulted in.
+constants with the functions that code calls.  A named parameter gets a
+value from ``subst``, or from the ``env`` of ``lambdify`` and ``Expr.eval``;
+the modules above this one take expressions already bound by ``subst``.
+The scalar code takes named parameters as arguments, so a node is
+compiled once whatever values they are given, and ``lambdify_ode`` makes
+the right-hand side of a second-order equation one such function of
+(x, u, u').  The tape writes each result into a slot whose value has had
+its last read, so a call on a grid holds only as many arrays as values are
+live at once, and the buffers numpy frees are reused rather than new pages
+faulted in.
 
 Nodes are hash-consed: every constructor call goes through a weak intern
 table, so structurally equal trees are the same object, equality and
@@ -125,13 +128,11 @@ class Expr(metaclass=_Interned):
     coerced to constants).  The slots hold the cached ``simplify`` result
     and the ``lambdify`` callables: ``_vector_fn`` runs a tape of numpy
     steps, ``_scalar_fn`` is compiled Python code that takes the node's
-    parameters as arguments, with their names, and ``_env_fn`` holds the
-    callable most recently bound to an ``env``.  None of them references a
+    parameters as arguments, with their names.  None of them references a
     node, so caching makes no reference cycle.  They are unset until first
     computed."""
 
-    __slots__ = ("__weakref__", "_simplified", "_vector_fn", "_scalar_fn",
-                 "_env_fn")
+    __slots__ = ("__weakref__", "_simplified", "_vector_fn", "_scalar_fn")
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -816,7 +817,7 @@ _VECTOR_FUNS = {name: getattr(np, name) for name in FUNCTIONS}
 
 def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
              scalar: bool = False) -> Callable:
-    """Compile to a callable f(x).
+    """Compile to a callable f(x), its parameters bound by ``env``.
 
     One post-order walk of the expression DAG lists each distinct subtree
     once, so common subexpressions are evaluated once, and finds the
@@ -829,24 +830,16 @@ def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
     run by a small interpreter, with no ``compile``; the callable accepts
     floats or numpy arrays and returns arrays, mapping domain violations
     to nan/inf silently (constant subtrees included) so callers can mask
-    them.  The tape is built for ``subst(e, env)``.  Both are cached on
-    the node they were built for and hold no node, so compiling an equal
-    tree again returns them.  With an ``env``, ``e`` itself also keeps the
-    last (scalar, env) it was called with and the callable.  A parameter
-    that ``env`` does not bind raises UnboundParameterError (the first by
-    name).
+    them.  With an ``env`` the tape is that of ``subst(e, env)``.  The
+    scalar code and the tape are cached on the node they were built for
+    and hold no node, so compiling an equal tree again returns them.  A
+    parameter that ``env`` does not bind raises UnboundParameterError (the
+    first by name).
     """
-    if env:
-        key = (scalar, tuple((k, float(v), math.copysign(1.0, float(v)))
-                             for k, v in sorted(env.items())))
-        cached = getattr(e, "_env_fn", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        fn = _bound_scalar(e, env) if scalar else lambdify(subst(e, env))
-        object.__setattr__(e, "_env_fn", (key, fn))
-        return fn
     if scalar:
-        return _bound_scalar(e, {})
+        return _bound_scalar(e, env or {})
+    if env:
+        e = subst(e, env)
     try:
         return e._vector_fn
     except AttributeError:

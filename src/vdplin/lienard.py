@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .colehopf import LedgerEntry, compare_forms
 from .expr import Const, Expr, as_expr, diff, parse, simplify, to_str
@@ -58,8 +58,8 @@ def reference_restoring_forms(c: Sequence[Expr], P: Expr,
     return (b0, b1, b2, b3, b4)
 
 
-def lienard_coeffs(c: Sequence[Expr], P: Expr, U: Expr, grid=None,
-                   env: Mapping[str, float] | None = None) -> LienardSpec:
+def lienard_coeffs(c: Sequence[Expr], P: Expr, U: Expr,
+                   grid=None) -> LienardSpec:
     """Solve the engine-derived annihilation conditions for b_4..b_0.
 
     The coefficient of b_j in a_i is the w^i coefficient of psi^j (a power
@@ -89,7 +89,7 @@ def lienard_coeffs(c: Sequence[Expr], P: Expr, U: Expr, grid=None,
 
     refs = reference_restoring_forms(c, P, U)
     entries = [compare_forms(f"restoring-coefficient-b{i}", b[i], refs[i],
-                             grid, env, tol=1e-10)
+                             grid, tol=1e-10)
                for i in range(5)]
     return LienardSpec(c=c, b=tuple(b), P=P, U=U, ledger=tuple(entries))
 
@@ -106,7 +106,6 @@ def build_lienard(c: Sequence[Expr], P: Expr, U: Expr,
                   grid: Grid | None = None, phi0: float = 1.0,
                   dphi0: float | None = None,
                   cfg: IntegratorConfig | None = None,
-                  env: Mapping[str, float] | None = None,
                   ) -> tuple[LienardSpec, ResidualReport, Trajectory]:
     """Full pipeline: derive b, integrate the linear equation, map to psi
     and measure the Lienard residual off-pole.
@@ -116,11 +115,11 @@ def build_lienard(c: Sequence[Expr], P: Expr, U: Expr,
     verification threshold.  dphi0 defaults to 0."""
     grid = grid or Grid(0.0, 2.0, 2001)
     cfg = cfg or IntegratorConfig(method="rk4")
-    spec = lienard_coeffs(c, P, U, grid=grid.xs, env=env)
+    spec = lienard_coeffs(c, P, U, grid=grid.xs)
     phi = integrate_linear(spec.U, grid, phi0,
-                           0.0 if dphi0 is None else dphi0, cfg, env=env)
-    psi = cole_hopf_map(spec.P, phi, U=spec.U, env=env)
-    report = lienard_residual(spec.c, spec.b, psi, env=env)
+                           0.0 if dphi0 is None else dphi0, cfg)
+    psi = cole_hopf_map(spec.P, phi, U=spec.U)
+    report = lienard_residual(spec.c, spec.b, psi)
     return spec, report, psi
 
 

@@ -15,13 +15,13 @@ import math
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, TYPE_CHECKING
+from typing import Callable, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from ._floatfmt import join_rows, repr_fields
 from .expr import (Expr, Param, UnboundParameterError, diff, free_params,
-                   lambdify, lambdify_ode, simplify, subst)
+                   lambdify, lambdify_ode, simplify)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .colehopf import TransformBundle
@@ -38,6 +38,11 @@ __all__ = [
 
 DEFAULT_POLE_TOL = 1e-8
 DEFAULT_GUARD_TOL = 1e-2
+# a pole bracket is bisected down to this width
+_POLE_BRACKET_WIDTH = 1e-10
+# regular_window samples this many points and pads each end by this share
+_WINDOW_POINTS = 2001
+_WINDOW_MARGIN = 0.05
 
 
 class StepUnderflowError(Exception):
@@ -124,12 +129,11 @@ class Trajectory:
     dense: Callable | None = None
 
     @classmethod
-    def from_expr(cls, e: Expr, grid: Grid,
-                  env: Mapping[str, float] | None = None) -> "Trajectory":
+    def from_expr(cls, e: Expr, grid: Grid) -> "Trajectory":
         e = simplify(e)
         xs = grid.xs
-        vals = lambdify(e, env)(xs)
-        derivs = lambdify(simplify(diff(e)), env)(xs)
+        vals = lambdify(e)(xs)
+        derivs = lambdify(simplify(diff(e)))(xs)
         good = np.isfinite(vals) & np.isfinite(derivs)
         return cls(xs=xs, values=np.where(good, vals, np.nan),
                    derivatives=np.where(good, derivs, np.nan),
@@ -449,10 +453,11 @@ def _linear_rk4(ufn, xs: np.ndarray, phi0: float, dphi0: float) -> Trajectory:
                       segments=[(0, len(xs))])
 
 
-# Compiled right-hand sides, held weakly by what they are compiled from (a
-# bundle, or a potential U) with the numbers they also depend on.  The rate
-# expression is built for a compile and dies with the call, so it cannot
-# hold them; the functions reference no node and no bundle.
+# Compiled right-hand sides, held weakly by what they are compiled from: a
+# potential U, or a bundle with its mu, beta and alpha as float.hex (which
+# tells 0.0 from -0.0).  The rate expression is built for a compile and dies
+# with the call, so it cannot hold them; the functions reference no node and
+# no bundle.
 _RHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -469,18 +474,11 @@ def _compiled_rhs(owner, key: tuple, state: tuple[str, str],
     return fn
 
 
-def _env_key(env: Mapping[str, float] | None) -> tuple:
-    # hex tells 0.0 from -0.0, which can give different results
-    return tuple(sorted((k, float(v).hex()) for k, v in (env or {}).items()))
-
-
-def _bound(e: Expr, env: Mapping[str, float] | None) -> Expr:
-    """e simplified with env substituted, refused if a parameter is left:
-    a state argument of the rhs must never take a user parameter's place,
-    even one named like it."""
+def _bound(e: Expr) -> Expr:
+    """e simplified, refused if it holds a parameter: a state argument of
+    the rhs must never take a user parameter's place, even one named like
+    it."""
     e = simplify(e)
-    if env:
-        e = subst(e, env)
     missing = free_params(e)
     if missing:
         raise UnboundParameterError(min(missing))
@@ -488,37 +486,35 @@ def _bound(e: Expr, env: Mapping[str, float] | None) -> Expr:
 
 
 def integrate_linear(U: Expr, grid: Grid, phi0: float, dphi0: float,
-                     cfg: IntegratorConfig = DEFAULT_CONFIG,
-                     env: Mapping[str, float] | None = None) -> Trajectory:
+                     cfg: IntegratorConfig = DEFAULT_CONFIG) -> Trajectory:
     """Integrate phi'' = U(x) phi from (phi0, phi0')."""
     if cfg.method == "rk4":
-        return _linear_rk4(lambdify(simplify(U), env), grid.xs, phi0, dphi0)
-    rhs = _compiled_rhs(U, _env_key(env), ("phi", "dphi"),
-                        lambda phi, dphi: _bound(U, env) * phi)
+        return _linear_rk4(lambdify(simplify(U)), grid.xs, phi0, dphi0)
+    rhs = _compiled_rhs(U, (), ("phi", "dphi"),
+                        lambda phi, dphi: _bound(U) * phi)
     return _integrate(rhs, grid, (phi0, dphi0), cfg)
 
 
 def integrate_vdp(bundle: "TransformBundle", grid: Grid, psi0: float,
-                  dpsi0: float, cfg: IntegratorConfig = DEFAULT_CONFIG,
-                  env: Mapping[str, float] | None = None) -> Trajectory:
+                  dpsi0: float,
+                  cfg: IntegratorConfig = DEFAULT_CONFIG) -> Trajectory:
     """Directly integrate the full nonlinear equation carried by a bundle,
     psi'' = mu (beta - psi^2) psi' - alpha psi + v psi^2 + h psi^3
     + g psi^4 + f.  This is the oracle route: it never sees the
     substitution algebra.  The right-hand side is one compiled function
     of (x, psi, psi'), so the subexpressions v, h, g and f share are
     evaluated once per call; it is compiled on the first run of a bundle
-    (and env) and reused by the next."""
+    and reused by the next."""
     p = bundle.params
 
     def rate(psi: Expr, dpsi: Expr) -> Expr:
-        v, h, g, f = (_bound(c, env)
-                      for c in (bundle.v, bundle.h, bundle.g, bundle.f))
+        v, h, g, f = map(_bound, (bundle.v, bundle.h, bundle.g, bundle.f))
         # products, not powers: a float power that overflows raises
         p2 = psi * psi
         return (p.mu * (p.beta - p2) * dpsi - p.alpha * psi + v * p2
                 + h * (p2 * psi) + g * (p2 * p2) + f)
 
-    key = (p.mu.hex(), p.beta.hex(), p.alpha.hex(), _env_key(env))
+    key = (p.mu.hex(), p.beta.hex(), p.alpha.hex())
     rhs = _compiled_rhs(bundle, key, ("psi", "dpsi"), rate)
     return _integrate(rhs, grid, (psi0, dpsi0), cfg)
 
@@ -526,24 +522,21 @@ def integrate_vdp(bundle: "TransformBundle", grid: Grid, psi0: float,
 # ---------------------------------------------------------------------------
 # the substitution map
 
-def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr | None = None,
-                  pole_tol: float = DEFAULT_POLE_TOL,
-                  env: Mapping[str, float] | None = None) -> Trajectory:
+def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
+                  pole_tol: float = DEFAULT_POLE_TOL) -> Trajectory:
     """psi = P + phi'/phi, sampled on phi's grid.
 
     Zeros of phi are movable poles of psi: points where |phi| drops below
     pole_tol times the running maximum are excluded, sign changes of phi
     are bracketed (bisecting the dense output or the closed form when
     available) and segments are split there.  Poles are data, not errors.
-
-    When U is supplied, psi' is computed through phi'' = U phi; otherwise
-    it falls back to five-point finite differences of the psi samples.
+    psi' is computed through phi'' = U phi.
     """
     xs = phi.xs
     vals = phi.values
     P = simplify(P)
-    pfn = lambdify(P, env)
-    dpfn = lambdify(simplify(diff(P)), env)
+    pfn = lambdify(P)
+    dpfn = lambdify(simplify(diff(P)))
 
     finite = np.isfinite(vals)
     runmax = np.maximum.accumulate(np.where(finite, np.abs(vals), 0.0))
@@ -553,10 +546,7 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr | None = None,
     with np.errstate(all="ignore"):
         w = phi.derivatives / vals
         psi = pfn(xs) + w
-        if U is not None:
-            dpsi = dpfn(xs) + lambdify(simplify(U), env)(xs) - w * w
-        else:
-            dpsi = _fd_first(psi, float(xs[1] - xs[0]))
+        dpsi = dpfn(xs) + lambdify(simplify(U))(xs) - w * w
     keep &= np.isfinite(psi)
 
     # sign changes between finite samples that lie inside phi's segments
@@ -587,7 +577,7 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr | None = None,
                       expr=psi_expr)
 
 
-def _refine_zero(phi: Trajectory, i: int, width: float = 1e-10) -> tuple[float, float]:
+def _refine_zero(phi: Trajectory, i: int) -> tuple[float, float]:
     a, b = float(phi.xs[i]), float(phi.xs[i + 1])
     if phi.dense is not None:
         f = lambda x: float(phi.dense(x)[0])
@@ -599,7 +589,7 @@ def _refine_zero(phi: Trajectory, i: int, width: float = 1e-10) -> tuple[float, 
     if fa == 0.0:
         return (a, a)
     for _ in range(200):
-        if b - a <= width:
+        if b - a <= _POLE_BRACKET_WIDTH:
             break
         m = 0.5 * (a + b)
         fm = f(m)
@@ -610,13 +600,6 @@ def _refine_zero(phi: Trajectory, i: int, width: float = 1e-10) -> tuple[float, 
         else:
             a, fa = m, fm
     return (a, b)
-
-
-def _fd_first(y: np.ndarray, h: float) -> np.ndarray:
-    """Five-point central first derivative; ends filled with nan."""
-    out = np.full_like(y, np.nan)
-    out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-    return out
 
 
 def _fd_second(y: np.ndarray, h: float) -> np.ndarray:
@@ -725,16 +708,15 @@ def _residual_core(traj: Trajectory, rfun, guard_tol: float,
 
 
 def residual(bundle: "TransformBundle", traj: Trajectory,
-             guard_tol: float = DEFAULT_GUARD_TOL,
-             env: Mapping[str, float] | None = None) -> ResidualReport:
+             guard_tol: float = DEFAULT_GUARD_TOL) -> ResidualReport:
     """Residual of the full nonlinear equation on a trajectory:
     R = psi'' - mu (beta - psi^2) psi' + alpha psi - v psi^2 - h psi^3
         - g psi^4 - f."""
     p = bundle.params
-    vfn = lambdify(simplify(bundle.v), env)
-    hfn = lambdify(simplify(bundle.h), env)
-    gfn = lambdify(simplify(bundle.g), env)
-    ffn = lambdify(simplify(bundle.f), env)
+    vfn = lambdify(simplify(bundle.v))
+    hfn = lambdify(simplify(bundle.h))
+    gfn = lambdify(simplify(bundle.g))
+    ffn = lambdify(simplify(bundle.f))
 
     def rfun(x, psi, dpsi, ddpsi):
         return (ddpsi - p.mu * (p.beta - psi ** 2) * dpsi + p.alpha * psi
@@ -745,11 +727,10 @@ def residual(bundle: "TransformBundle", traj: Trajectory,
 
 
 def lienard_residual(c: Sequence[Expr], b: Sequence[Expr], traj: Trajectory,
-                     guard_tol: float = DEFAULT_GUARD_TOL,
-                     env: Mapping[str, float] | None = None) -> ResidualReport:
+                     guard_tol: float = DEFAULT_GUARD_TOL) -> ResidualReport:
     """Residual of psi'' + (sum c_i psi^i) psi' + sum b_i psi^i = 0."""
-    cfns = [lambdify(simplify(ci), env) for ci in c]
-    bfns = [lambdify(simplify(bi), env) for bi in b]
+    cfns = [lambdify(simplify(ci)) for ci in c]
+    bfns = [lambdify(simplify(bi)) for bi in b]
 
     def rfun(x, psi, dpsi, ddpsi):
         damping = sum(fn(x) * psi ** i for i, fn in enumerate(cfns))
@@ -898,22 +879,20 @@ def trajectory_json(*trajs: Trajectory) -> list[bytes]:
 
 
 def regular_window(exprs: Sequence[Expr], x0: float, x1: float,
-                   cap: float = 1e6, n: int = 2001,
-                   env: Mapping[str, float] | None = None,
-                   margin: float = 0.05) -> tuple[float, float]:
+                   cap: float = 1e6) -> tuple[float, float]:
     """Largest subinterval of [x0, x1] on which every expression stays
     finite and below cap in magnitude, shrunk by a relative margin at both
     ends.  Raises if nothing usable remains."""
-    xs = np.linspace(x0, x1, n)
-    good = np.ones(n, dtype=bool)
+    xs = np.linspace(x0, x1, _WINDOW_POINTS)
+    good = np.ones(_WINDOW_POINTS, dtype=bool)
     for e in exprs:
-        vals = lambdify(simplify(e), env)(xs)
+        vals = lambdify(simplify(e))(xs)
         good &= np.isfinite(vals) & (np.abs(vals) <= cap)
     best = max(_runs(good), key=lambda r: r[1] - r[0], default=None)
     if best is None or best[1] - best[0] < 2:
         raise ValueError("no regular subinterval found")
     a, b = xs[best[0]], xs[best[1] - 1]
-    pad = margin * (b - a)
+    pad = _WINDOW_MARGIN * (b - a)
     if b - a - 2 * pad <= 0:
         raise ValueError("regular subinterval too small")
     return float(a + pad), float(b - pad)

@@ -413,16 +413,19 @@ def test_interned_trees_and_round_trip_values(e):
         assert v1 == v2
 
 
-def test_lambdify_with_env_is_cached_on_the_node():
-    e = parse("a*x + sin(x)")
-    for scalar in (False, True):
-        f = lambdify(e, {"a": 2.0}, scalar=scalar)
-        assert lambdify(e, {"a": 2.0}, scalar=scalar) is f
-    assert lambdify(e, {"a": 2.0}) is not lambdify(e, {"a": 2.0}, scalar=True)
-    # signed zeros are different bindings
+def test_lambdify_with_env_tells_signed_zeros_apart():
+    # signed zeros are different bindings, bound by env or by subst
     q = parse("x/a")
-    assert lambdify(q, {"a": 0.0})(1.0) == np.inf
-    assert lambdify(q, {"a": -0.0})(1.0) == -np.inf
+    for bind in (lambda e, env: lambdify(e, env),
+                 lambda e, env: lambdify(subst(e, env))):
+        assert bind(q, {"a": 0.0})(1.0) == np.inf
+        assert bind(q, {"a": -0.0})(1.0) == -np.inf
+    # the scalar code raises on the division and keeps the sign elsewhere
+    for a in (0.0, -0.0):
+        with pytest.raises(ZeroDivisionError):
+            lambdify(q, {"a": a}, scalar=True)(1.0)
+        got = lambdify(parse("a*x"), {"a": a}, scalar=True)(1.0)
+        assert got.hex() == a.hex()
 
 
 def _bits(fn, x):

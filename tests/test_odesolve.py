@@ -493,12 +493,14 @@ def test_a_second_run_compiles_nothing(monkeypatch):
     integrate_linear(U, grid, 1.0, 0.0)
     integrate_linear(U, grid, 1.0, 0.0)
     assert calls[0] == 2
-    # another env is another function; returning to it compiles again
+    # a substituted U that the caller holds compiles once; another
+    # substitution is another U and compiles again
     P = parse("q*x")
-    integrate_linear(P, grid, 1.0, 0.0, env={"q": 0.5})
-    integrate_linear(P, grid, 1.0, 0.0, env={"q": 0.5})
+    bound = subst(P, {"q": 0.5})
+    integrate_linear(bound, grid, 1.0, 0.0)
+    integrate_linear(bound, grid, 1.0, 0.0)
     assert calls[0] == 3
-    integrate_linear(P, grid, 1.0, 0.0, env={"q": -0.5})
+    integrate_linear(subst(P, {"q": -0.5}), grid, 1.0, 0.0)
     assert calls[0] == 4
 
 
@@ -516,11 +518,14 @@ def test_a_state_argument_never_takes_a_free_parameter(method):
     with pytest.raises(UnboundParameterError) as err:
         integrate_linear(parse("phi + dphi*x"), grid, 1.0, 0.0, cfg)
     assert err.value.name == "dphi"
-    # bound by env, such a parameter is a number like any other
+    # substituted first, such a parameter is a number like any other
     bundle = _manual_bundle(0.5, 1.0, 0.2, h="psi*x")
-    bound = _manual_bundle(0.5, 1.0, 0.2, h="0.25*x")
-    a = integrate_vdp(bundle, grid, 0.5, 0.1, cfg, env={"psi": 0.25})
-    b = integrate_vdp(bound, grid, 0.5, 0.1, cfg)
+    substituted = TransformBundle(
+        P=bundle.P, U=bundle.U, g=bundle.g, v=bundle.v, f=bundle.f,
+        h=subst(bundle.h, {"psi": 0.25}), params=bundle.params)
+    literal = _manual_bundle(0.5, 1.0, 0.2, h="0.25*x")
+    a = integrate_vdp(substituted, grid, 0.5, 0.1, cfg)
+    b = integrate_vdp(literal, grid, 0.5, 0.1, cfg)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.derivatives, b.derivatives)
 
@@ -568,7 +573,7 @@ def test_adaptive_step_budget_bounds_memory(monkeypatch):
 def test_map_exponential_is_constant():
     grid = Grid(0.0, 2.0, 41)
     phi = Trajectory.from_expr(parse("exp(x)"), grid)
-    psi = cole_hopf_map(Const(0.0), phi)
+    psi = cole_hopf_map(Const(0.0), phi, U=Const(1.0))
     assert np.allclose(psi.values, 1.0, atol=1e-12)
     assert psi.pole_brackets == []
     assert psi.segments == [(0, 41)]
@@ -644,13 +649,19 @@ def test_map_case1_gives_shifted_tanh():
     assert rep.max_abs <= 1e-8
 
 
-def test_map_derivatives_without_potential_fall_back_to_fd():
+def test_map_derivatives_come_from_the_potential():
+    # psi' = P' + U - (phi'/phi)^2 holds at every sample, ends included
     grid = Grid(0.0, 2.0, 401)
     phi = Trajectory.from_expr(parse("exp(x) + exp(-x)"), grid)
-    psi = cole_hopf_map(Const(0.0), phi)
+    psi = cole_hopf_map(Const(0.0), phi, U=Const(1.0))
     want = 1.0 / np.cosh(psi.xs) ** 2  # d/dx tanh
-    inner = slice(2, -2)
-    assert np.max(np.abs(psi.derivatives[inner] - want[inner])) <= 1e-8
+    assert np.max(np.abs(psi.derivatives - want)) <= 1e-12
+    # the potential is read, not guessed: another U shifts psi' by the gap
+    off = cole_hopf_map(Const(0.0), phi, U=Const(1.5))
+    assert np.array_equal(off.values, psi.values)
+    assert np.allclose(off.derivatives - psi.derivatives, 0.5, atol=1e-15)
+    with pytest.raises(TypeError):
+        cole_hopf_map(Const(0.0), phi)
 
 
 # ---------------------------------------------------------------------------

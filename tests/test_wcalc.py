@@ -15,8 +15,8 @@ from vdplin.wcalc import (MAX_DEGREE, WDegreeError, psi_poly, reduce_lienard,
 RNG = np.random.default_rng(7)
 
 
-def _poly_eval(p, x, w, env=None):
-    return p.eval_at(x, w, env)
+def _poly_eval(p, x, w):
+    return p.eval_at(x, w)
 
 
 def test_psi_poly_shape():
