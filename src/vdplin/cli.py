@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from functools import cache, partial
 from pathlib import Path
@@ -71,10 +70,10 @@ _SHARED_OPTIONS = (
     (False, "--x0", dict(type=float, default=0.0)),
     (False, "--x1", dict(type=float, default=5.0)),
     (False, "--n", dict(type=int, default=501)),
+    # tight enough for the sampled residual gate on the adaptive route
     (False, "--rtol", dict(
-        type=float, default=None,
-        help="adaptive integrator relative tolerance "
-             "(default 1e-12; env VDP_RTOL overrides, flag wins)")),
+        type=float, default=1e-12,
+        help="adaptive integrator relative tolerance (default 1e-12)")),
     (False, "--atol", dict(type=float, default=1e-12)),
     (False, "--pole-tol", dict(type=float, default=1e-8)),
     (False, "--guard-tol", dict(type=float, default=1e-2)),
@@ -146,22 +145,8 @@ def build_parser() -> _Parser:
 _parser = cache(build_parser)
 
 
-def _resolve_rtol(flag_value: float | None) -> float:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("VDP_RTOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise UsageError(f"VDP_RTOL is not a number: {env!r}") from None
-    # tight enough for the sampled residual gate on the adaptive route
-    return 1e-12
-
-
 def _check_args(ns: argparse.Namespace) -> None:
-    """Resolve ``ns.rtol`` and refuse values no run can use."""
-    ns.rtol = _resolve_rtol(ns.rtol)
+    """Refuse values no run can use."""
     for name in ("x0", "x1", "mu", "beta", "alpha",
                  "C1", "C2", "C3", "C4", "c", "a"):
         # verify takes no model options
@@ -171,6 +156,10 @@ def _check_args(ns: argparse.Namespace) -> None:
         raise UsageError(f"need x1 > x0, got [{ns.x0}, {ns.x1}]")
     if ns.n < 2:
         raise UsageError(f"need n >= 2, got {ns.n}")
+    h = (ns.x1 - ns.x0) / (ns.n - 1)
+    if 12 * h * h < sys.float_info.min:
+        raise UsageError(f"grid spacing {h:g} is too fine for the residual "
+                         "stencils: 12*h^2 underflows")
     for name in ("rtol", "atol", "pole_tol", "guard_tol", "residual_tol"):
         value = getattr(ns, name)
         if value is not None and not value > 0:  # nan fails too

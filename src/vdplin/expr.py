@@ -10,15 +10,13 @@ scalars, a tape of numpy steps for arrays.  There is no tree interpreter:
 the compiled scalar code defines what evaluation at a point means,
 ``Expr.eval`` runs it, and ``simplify`` folds a function or a power of
 constants with the functions that code calls.  A named parameter gets a
-value from ``subst``, or from the ``env`` of ``lambdify`` and ``Expr.eval``;
-the modules above this one take expressions already bound by ``subst``.
-The scalar code takes named parameters as arguments, so a node is
-compiled once whatever values they are given, and ``lambdify_ode`` makes
-the right-hand side of a second-order equation one such function of
-(x, u, u').  The tape writes each result into a slot whose value has had
-its last read, so a call on a grid holds only as many arrays as values are
-live at once, and the buffers numpy frees are reused rather than new pages
-faulted in.
+value only from ``subst``: ``lambdify`` and ``Expr.eval`` refuse a tree
+that still holds one.  ``lambdify_ode`` makes the right-hand side of a
+second-order equation one compiled function of (x, u, u'), the two
+parameters that name the state its arguments.  The tape writes each
+result into a slot whose value has had its last read, so a call on a grid
+holds only as many arrays as values are live at once, and the buffers
+numpy frees are reused rather than new pages faulted in.
 
 Nodes are hash-consed: every constructor call goes through a weak intern
 table, so structurally equal trees are the same object, equality and
@@ -127,10 +125,9 @@ class Expr(metaclass=_Interned):
     are identity.  Arithmetic operators build new trees (numbers are
     coerced to constants).  The slots hold the cached ``simplify`` result
     and the ``lambdify`` callables: ``_vector_fn`` runs a tape of numpy
-    steps, ``_scalar_fn`` is compiled Python code that takes the node's
-    parameters as arguments, with their names.  None of them references a
-    node, so caching makes no reference cycle.  They are unset until first
-    computed."""
+    steps, ``_scalar_fn`` is compiled Python code over floats.  None of
+    them references a node, so caching makes no reference cycle.  They are
+    unset until first computed."""
 
     __slots__ = ("__weakref__", "_simplified", "_vector_fn", "_scalar_fn")
 
@@ -167,15 +164,15 @@ class Expr(metaclass=_Interned):
     def __str__(self) -> str:
         return to_str(self)
 
-    def eval(self, x: float, env: Mapping[str, float] | None = None) -> float:
-        """Evaluate at a single x with parameters bound by env, by the
-        scalar code of ``lambdify``.  The result is a finite float: a
-        domain violation (division by zero, log or sqrt out of range, a
-        fractional power of a nonpositive base, an overflowing math call)
-        or a value that is not finite raises EvalDomainError for this
-        expression.  Intermediates are plain floats, so an intermediate
-        that overflows to inf is no error if the value is finite."""
-        fn = lambdify(self, env, scalar=True)
+    def eval(self, x: float) -> float:
+        """Evaluate at a single x by the scalar code of ``lambdify``.  The
+        result is a finite float: a domain violation (division by zero, log
+        or sqrt out of range, a fractional power of a nonpositive base, an
+        overflowing math call) or a value that is not finite raises
+        EvalDomainError for this expression.  Intermediates are plain
+        floats, so an intermediate that overflows to inf is no error if the
+        value is finite."""
+        fn = lambdify(self, scalar=True)
         x = float(x)
         try:
             v = fn(x)
@@ -815,70 +812,34 @@ _VECTOR_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
 _VECTOR_FUNS = {name: getattr(np, name) for name in FUNCTIONS}
 
 
-def lambdify(e: Expr, env: Mapping[str, float] | None = None, *,
-             scalar: bool = False) -> Callable:
-    """Compile to a callable f(x), its parameters bound by ``env``.
+def lambdify(e: Expr, *, scalar: bool = False) -> Callable:
+    """Compile to a callable f(x).
 
     One post-order walk of the expression DAG lists each distinct subtree
     once, so common subexpressions are evaluated once, and finds the
-    parameters.  With ``scalar=True`` the walk is turned into Python
-    source that takes the parameters as arguments, compiled once per node
-    whatever values ``env`` gives them, and the result works on floats
-    via ``math`` (domain violations raise); ``env``'s values are passed
-    on each call, which gives the bits that compiling ``subst(e, env)``
-    would.  Otherwise it becomes a tape of numpy and ``operator`` steps
-    run by a small interpreter, with no ``compile``; the callable accepts
-    floats or numpy arrays and returns arrays, mapping domain violations
-    to nan/inf silently (constant subtrees included) so callers can mask
-    them.  With an ``env`` the tape is that of ``subst(e, env)``.  The
+    parameters: a tree that still holds one raises UnboundParameterError
+    (the first by name), since only ``subst`` gives parameters values.
+    With ``scalar=True`` the walk is turned into Python source and the
+    result works on floats via ``math`` (domain violations raise).
+    Otherwise it becomes a tape of numpy and ``operator`` steps run by a
+    small interpreter, with no ``compile``; the callable accepts floats or
+    numpy arrays and returns arrays, mapping domain violations to nan/inf
+    silently (constant subtrees included) so callers can mask them.  The
     scalar code and the tape are cached on the node they were built for
-    and hold no node, so compiling an equal tree again returns them.  A
-    parameter that ``env`` does not bind raises UnboundParameterError (the
-    first by name).
+    and hold no node, so compiling an equal tree again returns them.
     """
-    if scalar:
-        return _bound_scalar(e, env or {})
-    if env:
-        e = subst(e, env)
+    slot = "_scalar_fn" if scalar else "_vector_fn"
     try:
-        return e._vector_fn
+        return getattr(e, slot)
     except AttributeError:
         pass
     order = _postorder(e)
     missing = [n.name for n in order if isinstance(n, Param)]
     if missing:
         raise UnboundParameterError(min(missing))
-    fn = _vector_tape(order)
-    object.__setattr__(e, "_vector_fn", fn)
+    fn = _scalar_code(order) if scalar else _vector_tape(order)
+    object.__setattr__(e, slot, fn)
     return fn
-
-
-def _bound_scalar(e: Expr, env: Mapping[str, float]) -> Callable:
-    """e's scalar code as a function of x alone, its parameters given
-    env's values."""
-    names, fn = _scalar(e)
-    missing = [n for n in names if n not in env]
-    if missing:
-        raise UnboundParameterError(missing[0])
-    if not names:
-        return fn
-    values = tuple(float(env[n]) for n in names)
-    return lambda x: fn(x, values)
-
-
-def _scalar(e: Expr) -> tuple[tuple[str, ...], Callable]:
-    """The names of e's parameters, sorted, and e compiled to f(x) if
-    there are none, else to f(x, args) with args their values in that
-    order; cached on e."""
-    try:
-        return e._scalar_fn
-    except AttributeError:
-        pass
-    order = _postorder(e)
-    names = tuple(sorted({n.name for n in order if isinstance(n, Param)}))
-    entry = (names, _scalar_code(order, names))
-    object.__setattr__(e, "_scalar_fn", entry)
-    return entry
 
 
 def lambdify_ode(rate: Expr, y: str, dy: str) -> Callable:

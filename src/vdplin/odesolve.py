@@ -116,9 +116,12 @@ DEFAULT_CONFIG = IntegratorConfig()
 class Trajectory:
     """Sampled solution: grid, values, first-derivative samples, the
     maximal pole-free index ranges (half-open) and the x-brackets of the
-    poles.  ``expr`` is set when the samples come from a closed form, which
-    lets residuals differentiate exactly; ``dense`` is an in-memory
-    interpolant from the adaptive integrator (never serialized)."""
+    poles.  The grid is the one asked for, or its prefix up to the last
+    point reached when integration stalled, so trajectories of one grid
+    compare index by index.  ``expr`` is set when the samples come from a
+    closed form, which lets residuals differentiate exactly; ``dense`` is
+    an in-memory interpolant from the adaptive integrator (never
+    serialized)."""
 
     xs: np.ndarray
     values: np.ndarray
@@ -674,11 +677,9 @@ def _residual_core(traj: Trajectory, rfun, guard_tol: float,
         x = xs[sl]
         psi = psi_all[sl]
         dpsi = dpsi_all[sl]
-        if traj.expr is not None:
-            ddpsi = ddpsi_all[sl]
-        else:
-            ddpsi = _fd_second(psi, h)
         with np.errstate(all="ignore"):
+            ddpsi = (ddpsi_all[sl] if traj.expr is not None
+                     else _fd_second(psi, h))
             R = rfun(x, psi, dpsi, ddpsi)
         ok = np.isfinite(R)
         if trim:
@@ -758,43 +759,24 @@ class ErrorMetrics:
 
 
 def compare(a: Trajectory, b: Trajectory) -> ErrorMetrics:
-    """Pointwise error metrics over the intersection of pole-free segments,
-    resampling b onto a's grid by cubic interpolation when the grids differ.
-    Relative metrics are floored at scale 1."""
-    diffs = []
-    avals = []
-    bvals = []
-    for ia0, ia1 in a.segments:
-        for ib0, ib1 in b.segments:
-            lo = max(a.xs[ia0], b.xs[ib0])
-            hi = min(a.xs[ia1 - 1], b.xs[ib1 - 1])
-            if hi <= lo:
-                continue
-            sel = (a.xs >= lo) & (a.xs <= hi)
-            sel[:ia0] = False
-            sel[ia1:] = False
-            if not sel.any():
-                continue
-            x = a.xs[sel]
-            ya = a.values[sel]
-            bx = b.xs[ib0:ib1]
-            by = b.values[ib0:ib1]
-            if len(bx) == len(a.xs[sel]) and np.array_equal(bx, x):
-                yb = by
-            elif len(bx) >= 4:
-                from scipy.interpolate import CubicSpline
-                yb = CubicSpline(bx, by)(x)
-            else:
-                yb = np.interp(x, bx, by)
-            good = np.isfinite(ya) & np.isfinite(yb)
-            diffs.append(np.abs(ya[good] - yb[good]))
-            avals.append(ya[good])
-            bvals.append(yb[good])
-    if not diffs or not np.concatenate(diffs).size:
+    """Pointwise error metrics at the grid points inside a pole-free
+    segment of both trajectories, taken by index: the two must share one
+    grid, though either may stop short of the other, as a partial
+    trajectory does.  Relative metrics are floored at scale 1."""
+    n = min(len(a.xs), len(b.xs))
+    if not np.array_equal(a.xs[:n], b.xs[:n]):
+        raise ValueError("trajectories compared need one grid")
+    inside = np.zeros(n, dtype=bool)
+    for i0, i1 in a.segments:
+        for j0, j1 in b.segments:
+            inside[max(i0, j0):min(i1, j1)] = True
+    ya = a.values[:n][inside]
+    yb = b.values[:n][inside]
+    good = np.isfinite(ya) & np.isfinite(yb)
+    ya, yb = ya[good], yb[good]
+    if not ya.size:
         raise DisjointSegmentsError("no overlapping pole-free region")
-    d = np.concatenate(diffs)
-    ya = np.concatenate(avals)
-    yb = np.concatenate(bvals)
+    d = np.abs(ya - yb)
     scale = np.maximum(1.0, np.maximum(np.abs(ya), np.abs(yb)))
     linf = float(np.max(d))
     rel_linf = float(np.max(d / scale))

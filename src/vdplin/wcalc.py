@@ -45,12 +45,6 @@ class WPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval_at(self, x: float, w: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * w + c.eval(x)
-        return acc
-
     def __add__(self, other: "WPoly") -> "WPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         out = []

@@ -189,15 +189,17 @@ def test_json_trajectory_format(tmp_path):
     assert len(doc["x"]) == len(doc["value"])
 
 
-def test_env_rtol_override(tmp_path, monkeypatch):
-    # a parse failure in the environment variable is a usage error
+def test_rtol_flag_alone_sets_the_tolerance(tmp_path, monkeypatch):
+    # the environment plays no part
     monkeypatch.setenv("VDP_RTOL", "not-a-number")
-    assert run(["custom", "--P", "0", "--out", str(tmp_path / "a")]) == 1
-    # valid env value is accepted; explicit flag wins
-    monkeypatch.setenv("VDP_RTOL", "1e-7")
-    assert run(["custom", "--P", "0", "--out", str(tmp_path / "b")]) == 0
-    assert run(["custom", "--P", "0", "--rtol", "1e-9",
-                "--out", str(tmp_path / "c")]) == 0
+    parser = build_parser()
+    assert parser.parse_args(["custom", "--P", "0"]).rtol == 1e-12
+    assert parser.parse_args(["custom", "--P", "0",
+                              "--rtol", "1e-9"]).rtol == 1e-9
+    # the flag reaches the integrator: at 1e-9 this input fails the
+    # sampled gate it passes at the default
+    assert run(["custom", "--P", "x/(2+x^2)", "--method", "adaptive",
+                "--rtol", "1e-9", "--out", str(tmp_path)]) == 3
 
 
 @pytest.mark.parametrize("method", ["rk4", "adaptive"])
@@ -221,11 +223,22 @@ def test_adaptive_default_rtol_passes_the_sampled_gate(tmp_path, capsys,
     assert doc["residual"]["max_abs"] <= 1e-6
 
 
-def test_rk4_runs_never_import_scipy(tmp_path):
-    # neither do adaptive runs: only compare resamples through scipy
+def test_no_subcommand_and_no_compare_imports_scipy(tmp_path):
+    # scipy is a test dependency only: every subcommand, with either
+    # method, and compare run without it
     argvs = [["custom", "--P", "x/(2+x^2)"],
              ["custom", "--P", "x/(2+x^2)", "--method", "adaptive",
-              "--rtol", "1e-12"]]
+              "--rtol", "1e-12"],
+             ["case1", "--mu", "2", "--beta", "1", "--alpha", "0.75"],
+             ["case2", "--mu", "2", "--beta", "2", "--alpha", "4"],
+             ["case3", "--mu", "1", "--beta", "1", "--alpha", "0", "--c", "1"],
+             ["seeded", "--s", "a*x", "--a", "0.4", "--mu", "1", "--beta", "1",
+              "--alpha", "0.5", "--x1", "3"],
+             ["lienard", "--c0", "0.4", "--c1", "-0.2", "--c2", "0.3",
+              "--P", "0.3 - 0.2*x + 0.15*x^2", "--riccati", "--x1", "2",
+              "--dphi0", "0.3"],
+             ["verify", "--bundle", str(tmp_path / "0" / "bundle.json")],
+             ["custom", "--P", "x/(2+x^2)", "--format", "json"]]
     script = ("import sys\n"
               "from vdplin.cli import run\n"
               "assert 'scipy' not in sys.modules\n")
@@ -233,6 +246,18 @@ def test_rk4_runs_never_import_scipy(tmp_path):
         script += (f"assert run({argv + ['--out', str(tmp_path / str(i))]!r})"
                    " == 0\n"
                    "assert 'scipy' not in sys.modules\n")
+    script += ("from vdplin import (Grid, VdpParams, cole_hopf_map, compare,\n"
+               "                    integrate_linear, integrate_vdp,\n"
+               "                    solve_chain)\n"
+               "from vdplin.expr import parse\n"
+               "b = solve_chain(parse('x/(4+x^2)'), VdpParams(0.7, 1.1, 0.2))\n"
+               "grid = Grid(0.0, 3.0, 301)\n"
+               "psi = cole_hopf_map(b.P, integrate_linear(b.U, grid, 1.0, 0.2),\n"
+               "                    U=b.U)\n"
+               "direct = integrate_vdp(b, grid, float(psi.values[0]),\n"
+               "                       float(psi.derivatives[0]))\n"
+               "assert compare(psi, direct).rel_linf <= 1e-6\n"
+               "assert 'scipy' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -281,6 +306,18 @@ def test_non_positive_residual_tol_is_a_usage_error(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == \
         "usage error: residual_tol must be positive\n"
+
+
+def test_grid_too_fine_for_the_stencils_is_a_usage_error(tmp_path):
+    # 12*h^2 underflows to 0 at this spacing; a fresh interpreter shows
+    # any numpy warning on stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "vdplin", "custom", "--P", "x", "--x1",
+         "1e-300", "--out", str(tmp_path)],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("usage error: grid spacing 2e-303 is too fine for "
+                           "the residual stencils: 12*h^2 underflows\n")
 
 
 def test_grid_too_short_for_the_stencils_is_a_verification_failure(

@@ -481,7 +481,7 @@ def test_vector_lambdify_never_compiles(monkeypatch):
     vals = lambdify(e)(np.linspace(0.0, 1.0, 11))
     assert np.all(np.isfinite(vals))
     assert calls == []
-    lambdify(e, {"unused": 1.0})
+    lambdify(subst(e, {"unused": 1.0}))
     assert calls == []
     # the scalar path still compiles, so the patch is seen
     lambdify(e, scalar=True)
@@ -495,5 +495,5 @@ def test_unbound_error_names_the_first_parameter(scalar):
         lambdify(e, scalar=scalar)
     assert err.value.name == "a1"
     with pytest.raises(UnboundParameterError) as err:
-        lambdify(e, {"a1": 1.0, "a2": 2.0}, scalar=scalar)
+        lambdify(subst(e, {"a1": 1.0, "a2": 2.0}), scalar=scalar)
     assert err.value.name == "b"

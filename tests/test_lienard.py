@@ -18,8 +18,8 @@ RNG = np.random.default_rng(23)
 XS = np.linspace(0.0, 2.0, 201)
 
 
-def _max_abs(e, xs=XS, env=None):
-    vals = lambdify(e, env)(xs)
+def _max_abs(e, xs=XS):
+    vals = lambdify(e)(xs)
     return float(np.max(np.abs(vals)))
 
 

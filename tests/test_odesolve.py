@@ -758,16 +758,29 @@ def test_compare_identical_and_shifted():
     assert m.linf == pytest.approx(1e-3, rel=1e-10)
 
 
-def test_compare_resamples_different_grids():
+def test_compare_needs_one_grid_and_takes_a_prefix():
     a = Trajectory.from_expr(parse("sin(x)"), Grid(0.0, 2.0, 101))
-    b = Trajectory.from_expr(parse("sin(x)"), Grid(0.0, 2.0, 157))
-    m = compare(a, b)
-    assert m.linf <= 1e-7  # cubic resampling error only
+    for grid in (Grid(0.0, 2.0, 157), Grid(0.5, 2.5, 101)):
+        b = Trajectory.from_expr(parse("sin(x)"), grid)
+        with pytest.raises(ValueError, match="need one grid"):
+            compare(a, b)
+        with pytest.raises(ValueError, match="need one grid"):
+            compare(b, a)
+    # a partial trajectory is the grid prefix its steps reached, so the
+    # two are compared over that prefix, either way round
+    c = Trajectory.from_expr(parse("sin(x) + 0.001*x"), Grid(0.0, 2.0, 101))
+    partial = Trajectory(xs=c.xs[:40], values=c.values[:40],
+                         derivatives=c.derivatives[:40], segments=[(0, 40)])
+    for m in (compare(a, partial), compare(partial, a)):
+        assert m.n_points == 40
+        assert m.linf == pytest.approx(0.001 * c.xs[39], rel=1e-9)
 
 
 def test_compare_disjoint_raises():
-    a = Trajectory.from_expr(parse("x"), Grid(0.0, 1.0, 11))
-    b = Trajectory.from_expr(parse("x"), Grid(2.0, 3.0, 11))
+    grid = Grid(0.0, 1.0, 11)
+    a = Trajectory.from_expr(parse("x"), grid)
+    b = Trajectory.from_expr(parse("x"), grid)
+    a.segments, b.segments = [(0, 5)], [(5, 11)]
     with pytest.raises(DisjointSegmentsError):
         compare(a, b)
 
