@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import general_instances
+from conftest import count_compiles, general_instances
 from test_expr_reference import ref_eval
 from vdplin import expr
 from vdplin.colehopf import solve_chain, verify_printed_coeffs
@@ -374,6 +374,16 @@ def test_cached_results_match_a_fresh_compile():
     assert simplify(e2) is simple
 
 
+def test_lambdify_cache_follows_the_bound_values():
+    e = parse("a*x + sin(x)")
+    two = lambdify(subst(e, {"a": 2.0}), scalar=True)
+    three = lambdify(subst(e, {"a": 3.0}), scalar=True)
+    assert two(1.0) == 2.0 + math.sin(1.0)
+    assert three(1.0) == 3.0 + math.sin(1.0)
+    with pytest.raises(UnboundParameterError):
+        lambdify(e, scalar=True)
+
+
 def test_round_trip_keeps_sharing():
     for params, P in general_instances(4, seed=11):
         b = solve_chain(P, params)
@@ -417,6 +427,48 @@ def test_subst_tells_signed_zeros_apart():
             lambdify(subst(q, {"a": a}), scalar=True)(1.0)
         got = lambdify(subst(parse("a*x"), {"a": a}), scalar=True)(1.0)
         assert got.hex() == a.hex()
+
+
+def _bits(fn, x):
+    """fn(x) as float.hex, or the type of the error it raises."""
+    try:
+        return fn(x).hex()
+    except (ArithmeticError, ValueError) as err:
+        return type(err)
+
+
+def test_integer_valued_parameter_exponent_matches_substitution():
+    # an exponent bound by subst goes through _pow, which takes an
+    # integer-valued exponent as a ** int(b), signed zero included
+    e = parse("(x - 2)^n")
+    for n in (-1.0, 0.0, 2.0, 3.0, -0.0, 0.5, 1e20):
+        f = lambdify(subst(e, {"n": n}), scalar=True)
+        for x in (0.5, 3.0, 4.0):
+            if n.is_integer():
+                want = _bits(lambda x: (x - 2) ** int(n), x)
+            elif x > 2:
+                want = _bits(lambda x: math.exp(n * math.log(x - 2)), x)
+            else:
+                want = ValueError
+            assert _bits(f, x) == want
+    assert lambdify(subst(e, {"n": 2.0}), scalar=True)(0.5) == 2.25
+    with pytest.raises(ZeroDivisionError):
+        lambdify(subst(e, {"n": -1.0}), scalar=True)(2.0)
+
+
+def test_alternating_bindings_compile_once(monkeypatch):
+    # while a bound tree is held, subst returns that interned tree for the
+    # same binding, so its cached code is found again instead of compiled
+    e = parse("a*x^2 + sin(b*x)/(1+x^2) + exp(-a*x)")
+    one, two = {"a": 0.5, "b": 1.0}, {"a": 0.5, "b": 2.0}
+    bound = [subst(e, one), subst(e, two)]
+    calls = count_compiles(monkeypatch)
+    for _ in range(100):
+        for values in (one, two):
+            subst(e, values).eval(0.3)
+    assert calls[0] <= 2  # none if an earlier test compiled both
+    assert subst(e, one) is bound[0] and subst(e, two) is bound[1]
+    assert subst(e, two).eval(0.3) == ref_eval(bound[1], 0.3)
 
 
 def test_overflowing_literal_is_a_parse_error():
