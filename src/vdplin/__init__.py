@@ -10,7 +10,7 @@ from .colehopf import (AnnihilationReport, LedgerEntry, TransformBundle,
                        verify_printed_coeffs)
 from .expr import (Expr, EvalDomainError, ParseError, UnboundParameterError,
                    diff, lambdify, parse, simplify, subst, to_str)
-from .lienard import LienardSpec, build_lienard, lienard_coeffs, riccati_u
+from .lienard import LienardSpec, lienard_coeffs, riccati_u
 from .odesolve import (DisjointSegmentsError, ErrorMetrics, Grid,
                        IntegratorConfig, ResidualReport, SegmentTooShortError,
                        StepUnderflowError, Trajectory, cole_hopf_map, compare,

@@ -23,13 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .colehopf import (BundleFormatError, SingularGridError, VdpParams,
-                       bundle_from_json, bundle_to_dict, seeded_construction,
-                       solve_chain, verify_annihilation,
-                       verify_printed_coeffs)
+from .colehopf import (ANNIHILATION_TOL, BundleFormatError,
+                       SingularGridError, VdpParams, bundle_from_json,
+                       bundle_to_dict, seeded_construction, solve_chain,
+                       verify_annihilation, verify_printed_coeffs)
 from .expr import Expr, ExprError, lambdify, parse, subst
 from .lienard import lienard_coeffs, lienard_spec_to_dict, riccati_u
-from .odesolve import (Grid, IntegratorConfig, NonFiniteCoefficientError,
+from .odesolve import (DEFAULT_GUARD_TOL, DEFAULT_POLE_TOL, Grid,
+                       IntegratorConfig, NonFiniteCoefficientError,
                        SegmentTooShortError, StepUnderflowError, Trajectory,
                        cole_hopf_map, integrate_linear, lienard_residual,
                        residual, trajectory_csv, trajectory_json)
@@ -43,8 +44,6 @@ EXIT_VERIFY = 3
 # residual floor; the gate reflects which route produced psi''
 RESIDUAL_GATE_SYMBOLIC = 1e-8
 RESIDUAL_GATE_SAMPLED = 1e-6
-
-ANNIHILATION_GATE = 1e-9
 
 
 class UsageError(Exception):
@@ -75,8 +74,8 @@ _SHARED_OPTIONS = (
         type=float, default=1e-12,
         help="adaptive integrator relative tolerance (default 1e-12)")),
     (False, "--atol", dict(type=float, default=1e-12)),
-    (False, "--pole-tol", dict(type=float, default=1e-8)),
-    (False, "--guard-tol", dict(type=float, default=1e-2)),
+    (False, "--pole-tol", dict(type=float, default=DEFAULT_POLE_TOL)),
+    (False, "--guard-tol", dict(type=float, default=DEFAULT_GUARD_TOL)),
     (False, "--residual-tol", dict(
         type=float, default=None,
         help="residual gate; defaults to 1e-8 for closed-form "
@@ -145,25 +144,23 @@ def build_parser() -> _Parser:
 _parser = cache(build_parser)
 
 
-def _check_args(ns: argparse.Namespace) -> None:
-    """Refuse values no run can use."""
-    for name in ("x0", "x1", "mu", "beta", "alpha",
-                 "C1", "C2", "C3", "C4", "c", "a"):
+def _check_args(ns: argparse.Namespace) -> tuple[Grid, IntegratorConfig]:
+    """Refuse values no run can use; returns the run's grid and integrator
+    configuration."""
+    try:
+        grid = Grid(ns.x0, ns.x1, ns.n)
+        cfg = IntegratorConfig(rtol=ns.rtol, atol=ns.atol, method=ns.method)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+    for name in ("mu", "beta", "alpha", "C1", "C2", "C3", "C4", "c", "a"):
         # verify takes no model options
         if not math.isfinite(getattr(ns, name, 0.0)):
             raise UsageError(f"{name} must be finite")
-    if not (ns.x1 > ns.x0):
-        raise UsageError(f"need x1 > x0, got [{ns.x0}, {ns.x1}]")
-    if ns.n < 2:
-        raise UsageError(f"need n >= 2, got {ns.n}")
-    h = (ns.x1 - ns.x0) / (ns.n - 1)
-    if 12 * h * h < sys.float_info.min:
-        raise UsageError(f"grid spacing {h:g} is too fine for the residual "
-                         "stencils: 12*h^2 underflows")
-    for name in ("rtol", "atol", "pole_tol", "guard_tol", "residual_tol"):
+    for name in ("pole_tol", "guard_tol", "residual_tol"):
         value = getattr(ns, name)
         if value is not None and not value > 0:  # nan fails too
             raise UsageError(f"{name} must be positive")
+    return grid, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +228,7 @@ def _build(ns: argparse.Namespace, grid: Grid):
             b0 = float(np.max(np.abs(lambdify(lien.b[0])(grid.xs))))
             return {"residual": res, "b0_max": b0}, (
                 [f"Riccati potential left b0 at {b0:g}"]
-                if b0 > ANNIHILATION_GATE else [])
+                if b0 > ANNIHILATION_TOL else [])
 
         return (lien.P, lien.U, None,
                 partial(lienard_residual, lien.c, lien.b),
@@ -272,14 +269,13 @@ def _build(ns: argparse.Namespace, grid: Grid):
             finish)
 
 
-def _pipeline(ns: argparse.Namespace) -> None:
-    grid = Grid(ns.x0, ns.x1, ns.n)
+def _pipeline(ns: argparse.Namespace, grid: Grid,
+              cfg: IntegratorConfig) -> None:
     P, U, phi_expr, measure, spec, finish = _build(ns, grid)
     if phi_expr is not None:
         phi = Trajectory.from_expr(phi_expr, grid)
     else:
-        phi = integrate_linear(U, grid, ns.phi0, ns.dphi0, IntegratorConfig(
-            rtol=ns.rtol, atol=ns.atol, method=ns.method))
+        phi = integrate_linear(U, grid, ns.phi0, ns.dphi0, cfg)
     psi = cole_hopf_map(P, phi, U=U, pole_tol=ns.pole_tol)
     report = measure(psi, guard_tol=ns.guard_tol)
     res = report.to_dict()
@@ -299,8 +295,7 @@ def _pipeline(ns: argparse.Namespace) -> None:
 def run(argv: list[str]) -> int:
     try:
         ns = _parser().parse_args(argv)
-        _check_args(ns)
-        _pipeline(ns)
+        _pipeline(ns, *_check_args(ns))
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -39,7 +39,8 @@ __all__ = [
 DEFAULT_CHECK_POINTS = np.linspace(0.0, 5.0, 1000)
 
 ANNIHILATION_TOL = 1e-9
-# the engine's a_i against their transcribed closed forms
+# an engine-derived coefficient (a_i, Lienard b_i) against its transcribed
+# closed form
 PRINTED_COEFF_TOL = 1e-10
 
 

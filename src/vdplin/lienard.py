@@ -9,7 +9,10 @@ substitution.  The b_i produced that way are authoritative; the transcribed
 reference forms are evaluated against them and the outcome recorded, since
 several of them are known to disagree.  The choice U = P^2 - P' (a Riccati
 relation: -P is then a logarithmic derivative of a linear solution) kills
-b_0 identically with the constant damping term left free.
+b_0 identically with the constant damping term left free.  The Van der
+Pol equation is the instance c = (-mu beta, 0, mu), b = (-f, alpha, -v,
+-h, -g); ``odesolve.lienard_residual`` measures a trajectory against a
+spec.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .colehopf import LedgerEntry, compare_forms
+from .colehopf import PRINTED_COEFF_TOL, LedgerEntry, compare_forms
 from .expr import Const, Expr, as_expr, diff, parse, simplify, to_str
-from .odesolve import (Grid, IntegratorConfig, ResidualReport, Trajectory,
-                       cole_hopf_map, integrate_linear, lienard_residual)
 from .wcalc import psi_poly, psi_powers, reduce_lienard
 
-__all__ = ["LienardSpec", "lienard_coeffs", "riccati_u", "build_lienard",
+__all__ = ["LienardSpec", "lienard_coeffs", "riccati_u",
            "reference_restoring_forms", "lienard_spec_to_json",
            "lienard_spec_from_json"]
 
@@ -89,7 +90,7 @@ def lienard_coeffs(c: Sequence[Expr], P: Expr, U: Expr,
 
     refs = reference_restoring_forms(c, P, U)
     entries = [compare_forms(f"restoring-coefficient-b{i}", b[i], refs[i],
-                             grid, tol=1e-10)
+                             grid, tol=PRINTED_COEFF_TOL)
                for i in range(5)]
     return LienardSpec(c=c, b=tuple(b), P=P, U=U, ledger=tuple(entries))
 
@@ -100,27 +101,6 @@ def riccati_u(P: Expr) -> Expr:
     damping coefficient free."""
     P = as_expr(P)
     return simplify(P ** 2 - diff(P))
-
-
-def build_lienard(c: Sequence[Expr], P: Expr, U: Expr,
-                  grid: Grid | None = None, phi0: float = 1.0,
-                  dphi0: float | None = None,
-                  cfg: IntegratorConfig | None = None,
-                  ) -> tuple[LienardSpec, ResidualReport, Trajectory]:
-    """Full pipeline: derive b, integrate the linear equation, map to psi
-    and measure the Lienard residual off-pole.
-
-    Defaults favor the residual check: a fine fixed-step grid keeps the
-    finite-difference second derivative's truncation error below the 1e-8
-    verification threshold.  dphi0 defaults to 0."""
-    grid = grid or Grid(0.0, 2.0, 2001)
-    cfg = cfg or IntegratorConfig(method="rk4")
-    spec = lienard_coeffs(c, P, U, grid=grid.xs)
-    phi = integrate_linear(spec.U, grid, phi0,
-                           0.0 if dphi0 is None else dphi0, cfg)
-    psi = cole_hopf_map(spec.P, phi, U=spec.U)
-    report = lienard_residual(spec.c, spec.b, psi)
-    return spec, report, psi
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import weakref
 from array import array
 from dataclasses import dataclass, field
@@ -69,20 +70,26 @@ class DisjointSegmentsError(Exception):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform output grid on [x0, x1] with n samples."""
+    """Uniform output grid on [x0, x1] with n samples, coarse enough that
+    the 12*h^2 of the residual stencils does not underflow."""
 
     x0: float
     x1: float
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x0) and math.isfinite(self.x1)):
-            raise ValueError(
-                f"need finite bounds, got [{self.x0}, {self.x1}]")
+        for name in ("x0", "x1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: need finite "
+                                 f"bounds, got [{self.x0}, {self.x1}]")
         if not (self.x1 > self.x0):
             raise ValueError(f"need x1 > x0, got [{self.x0}, {self.x1}]")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
+        h = self.spacing
+        if 12 * h * h < sys.float_info.min:
+            raise ValueError(f"grid spacing {h:g} is too fine for the "
+                             "residual stencils: 12*h^2 underflows")
 
     @property
     def xs(self) -> np.ndarray:
@@ -643,28 +650,44 @@ class ResidualReport:
                 "skipped_segments": self.skipped_segments}
 
 
-def _residual_core(traj: Trajectory, rfun, guard_tol: float,
-                   coeffs=()) -> ResidualReport:
-    """Shared residual machinery.  rfun(x, psi, dpsi, ddpsi) -> R array.
+def _on_grid(coeffs: Sequence[Expr], xs: np.ndarray) -> list[np.ndarray]:
+    """The values of each coefficient on the grid xs."""
+    return [lambdify(simplify(e))(xs) for e in coeffs]
 
-    Closed-form trajectories are differentiated exactly; sampled ones use
-    five-point stencils (two points trimmed at each segment end).  A guard
-    band of width guard_tol in x is excluded around every pole bracket;
-    segments too short for the stencil are skipped and counted.  If none is
-    left, the error names the first (name, fn) in coeffs finite nowhere."""
+
+def _residual_core(traj: Trajectory, c: Sequence, b: Sequence,
+                   guard_tol: float) -> ResidualReport:
+    """Residual R = psi'' + (c0 + c1 psi + c2 psi^2) psi' + sum b_i psi^i of
+    the Lienard equation whose coefficients c0..c2, b0..b4 take the given
+    values (floats, or arrays on the whole grid) at traj.xs.
+
+    Both polynomials are evaluated in Horner form.  Closed-form
+    trajectories are differentiated exactly; sampled ones use five-point
+    stencils (two points trimmed at each segment end).  A guard band of
+    width guard_tol in x is excluded around every pole bracket; segments
+    too short for the stencil are skipped and counted.  If none is left,
+    the error names the first coefficient finite nowhere."""
     xs = traj.xs
     if traj.expr is not None:
         d1e = simplify(diff(traj.expr))
-        d2e = simplify(diff(d1e))
-        psi_all = lambdify(traj.expr)(xs)
-        dpsi_all = lambdify(d1e)(xs)
-        ddpsi_all = lambdify(d2e)(xs)
+        psi = lambdify(traj.expr)(xs)
+        dpsi = lambdify(d1e)(xs)
+        ddpsi = lambdify(simplify(diff(d1e)))(xs)
         trim = 0
     else:
-        h = float(xs[1] - xs[0])
-        psi_all = traj.values
-        dpsi_all = traj.derivatives
+        psi = traj.values
+        dpsi = traj.derivatives
+        ddpsi = np.full_like(psi, np.nan)
         trim = 2
+    c0, c1, c2 = c
+    b0, b1, b2, b3, b4 = b
+    with np.errstate(all="ignore"):
+        if trim:
+            h = float(xs[1] - xs[0])
+            for i0, i1 in traj.segments:
+                ddpsi[i0:i1] = _fd_second(psi[i0:i1], h)
+        R = (ddpsi + ((c2 * psi + c1) * psi + c0) * dpsi
+             + (((b4 * psi + b3) * psi + b2) * psi + b1) * psi + b0)
 
     stats = []
     skipped = 0
@@ -673,33 +696,28 @@ def _residual_core(traj: Trajectory, rfun, guard_tol: float,
         if i1 - i0 < max(5, 2 * trim + 1):
             skipped += 1
             continue
-        sl = slice(i0, i1)
-        x = xs[sl]
-        psi = psi_all[sl]
-        dpsi = dpsi_all[sl]
-        with np.errstate(all="ignore"):
-            ddpsi = (ddpsi_all[sl] if traj.expr is not None
-                     else _fd_second(psi, h))
-            R = rfun(x, psi, dpsi, ddpsi)
-        ok = np.isfinite(R)
+        x = xs[i0:i1]
+        r = R[i0:i1]
+        ok = np.isfinite(r)
         if trim:
             ok[:trim] = False
             ok[-trim:] = False
-        for (a, b) in traj.pole_brackets:
-            ok &= (x < a - guard_tol) | (x > b + guard_tol)
+        for (lo, hi) in traj.pole_brackets:
+            ok &= (x < lo - guard_tol) | (x > hi + guard_tol)
         if not ok.any():
             skipped += 1
             continue
-        Rok = np.abs(R[ok])
+        Rok = np.abs(r[ok])
         seg_max = float(np.max(Rok))
-        seg_l2 = float(np.sqrt(np.trapezoid(R[ok] ** 2, x[ok]))) if ok.sum() > 1 \
+        seg_l2 = float(np.sqrt(np.trapezoid(r[ok] ** 2, x[ok]))) if ok.sum() > 1 \
             else seg_max
         stats.append(SegmentResidual(float(x[ok][0]), float(x[ok][-1]),
                                      int(ok.sum()), seg_max, seg_l2))
         overall = max(overall, seg_max)
     if not stats:
-        for name, fn in coeffs:
-            if not np.isfinite(fn(xs)).any():
+        names = ("c0", "c1", "c2", "b0", "b1", "b2", "b3", "b4")
+        for name, vals in zip(names, (*c, *b)):
+            if not np.isfinite(vals).any():
                 raise NonFiniteCoefficientError(
                     f"coefficient {name} is not finite anywhere on the grid")
         raise SegmentTooShortError(
@@ -712,35 +730,21 @@ def residual(bundle: "TransformBundle", traj: Trajectory,
              guard_tol: float = DEFAULT_GUARD_TOL) -> ResidualReport:
     """Residual of the full nonlinear equation on a trajectory:
     R = psi'' - mu (beta - psi^2) psi' + alpha psi - v psi^2 - h psi^3
-        - g psi^4 - f."""
+        - g psi^4 - f,
+    the Lienard residual of ``lienard_residual`` with damping coefficients
+    c = (-mu beta, 0, mu) and restoring coefficients
+    b = (-f, alpha, -v, -h, -g)."""
     p = bundle.params
-    vfn = lambdify(simplify(bundle.v))
-    hfn = lambdify(simplify(bundle.h))
-    gfn = lambdify(simplify(bundle.g))
-    ffn = lambdify(simplify(bundle.f))
-
-    def rfun(x, psi, dpsi, ddpsi):
-        return (ddpsi - p.mu * (p.beta - psi ** 2) * dpsi + p.alpha * psi
-                - vfn(x) * psi ** 2 - hfn(x) * psi ** 3 - gfn(x) * psi ** 4
-                - ffn(x))
-
-    return _residual_core(traj, rfun, guard_tol)
+    v, h, g, f = _on_grid((bundle.v, bundle.h, bundle.g, bundle.f), traj.xs)
+    return _residual_core(traj, (-p.mu * p.beta, 0.0, p.mu),
+                          (-f, p.alpha, -v, -h, -g), guard_tol)
 
 
 def lienard_residual(c: Sequence[Expr], b: Sequence[Expr], traj: Trajectory,
                      guard_tol: float = DEFAULT_GUARD_TOL) -> ResidualReport:
     """Residual of psi'' + (sum c_i psi^i) psi' + sum b_i psi^i = 0."""
-    cfns = [lambdify(simplify(ci)) for ci in c]
-    bfns = [lambdify(simplify(bi)) for bi in b]
-
-    def rfun(x, psi, dpsi, ddpsi):
-        damping = sum(fn(x) * psi ** i for i, fn in enumerate(cfns))
-        restoring = sum(fn(x) * psi ** i for i, fn in enumerate(bfns))
-        return ddpsi + damping * dpsi + restoring
-
-    named = ([(f"c{i}", fn) for i, fn in enumerate(cfns)]
-             + [(f"b{i}", fn) for i, fn in enumerate(bfns)])
-    return _residual_core(traj, rfun, guard_tol, named)
+    return _residual_core(traj, _on_grid(c, traj.xs), _on_grid(b, traj.xs),
+                          guard_tol)
 
 
 # ---------------------------------------------------------------------------

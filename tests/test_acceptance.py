@@ -18,10 +18,10 @@ from vdplin.cli import run as cli_run
 from vdplin.colehopf import VdpParams, solve_chain, verify_annihilation
 from vdplin.expr import (Add, Const, Div, EvalDomainError, Fun, Mul, Neg,
                          Pow, Sub, X, diff, lambdify, parse, subst)
-from vdplin.lienard import build_lienard, riccati_u
+from vdplin.lienard import lienard_coeffs, riccati_u
 from vdplin.odesolve import (Grid, IntegratorConfig, Trajectory,
                              cole_hopf_map, compare, integrate_linear,
-                             integrate_vdp, residual)
+                             integrate_vdp, lienard_residual, residual)
 
 
 def _report(num, name, detail):
@@ -136,6 +136,8 @@ def test_criterion_6_lienard_suite():
     rng = np.random.default_rng(61)
     worst_b0 = worst_res = 0.0
     xs = np.linspace(0.0, 2.0, 501)
+    grid = Grid(0.0, 2.0, 2001)
+    rk4 = IntegratorConfig(method="rk4")
     for _ in range(20):
         pc = rng.uniform(-0.5, 0.5, 3)
         P = subst(parse("p0 + p1*x + p2*x^2"),
@@ -146,7 +148,10 @@ def test_criterion_6_lienard_suite():
             cv = rng.uniform(-0.5, 0.5, 2)
             c.append(subst(parse("q0 + q1*x"), {"q0": cv[0], "q1": cv[1]}))
         psi0 = float(rng.uniform(0.0, 0.8))
-        spec, report, psi = build_lienard(c, P, U, dphi0=psi0 - P.eval(0.0))
+        spec = lienard_coeffs(c, P, U, grid=grid.xs)
+        phi = integrate_linear(spec.U, grid, 1.0, psi0 - P.eval(0.0), rk4)
+        psi = cole_hopf_map(spec.P, phi, U=spec.U)
+        report = lienard_residual(spec.c, spec.b, psi)
 
         assert spec.b[4] is spec.c[2]                       # exact identity
         b0 = float(np.max(np.abs(lambdify(spec.b[0])(xs))))

@@ -12,8 +12,8 @@ import pytest
 
 import vdplin
 from vdplin.cli import build_parser, run
-from vdplin.colehopf import (VdpParams, bundle_to_dict, bundle_to_json,
-                             solve_chain)
+from vdplin.colehopf import (TransformBundle, VdpParams, bundle_to_dict,
+                             bundle_to_json, solve_chain)
 from vdplin.expr import parse
 
 
@@ -383,6 +383,23 @@ def test_non_finite_lienard_coefficient_is_named(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err == ("verification failure: coefficient "
                                        "c2 is not finite anywhere on the "
+                                       "grid\n")
+
+
+def test_non_finite_vdp_forcing_is_named(tmp_path, capsys, monkeypatch):
+    # no derived bundle has an f finite nowhere whose U integrates, so the
+    # chain is swapped for one that returns such a bundle
+    def chain(P, params):
+        bundle = solve_chain(P, params)
+        return TransformBundle(P=bundle.P, U=bundle.U, g=bundle.g,
+                               h=bundle.h, v=bundle.v,
+                               f=parse("sqrt(-1 - x^2)"), params=params)
+
+    monkeypatch.setattr("vdplin.cli.solve_chain", chain)
+    code = run(["custom", "--P", "x/(2+x^2)", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == ("verification failure: coefficient "
+                                       "b0 is not finite anywhere on the "
                                        "grid\n")
 
 

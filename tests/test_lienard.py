@@ -1,6 +1,6 @@
 """Lienard classification: back-substituted restoring coefficients, the
 Riccati potential, the embedding of the unforced quartic family and the
-end-to-end pipeline."""
+residual of integrated Riccati instances."""
 
 import math
 
@@ -9,9 +9,10 @@ import pytest
 
 from vdplin.colehopf import VdpParams, solve_chain
 from vdplin.expr import Const, lambdify, parse, simplify, subst
-from vdplin.lienard import (build_lienard, lienard_coeffs,
-                            lienard_spec_from_json, lienard_spec_to_json,
-                            riccati_u)
+from vdplin.lienard import (lienard_coeffs, lienard_spec_from_json,
+                            lienard_spec_to_json, riccati_u)
+from vdplin.odesolve import (Grid, IntegratorConfig, cole_hopf_map,
+                             integrate_linear, lienard_residual)
 from vdplin.wcalc import reduce_lienard
 
 RNG = np.random.default_rng(23)
@@ -121,19 +122,23 @@ def test_vdp_embedding():
         assert _max_abs(a) <= 1e-9
 
 
-def test_build_lienard_pipeline():
+def test_riccati_instances_integrate_pole_free():
     cases = [
         ("0.3 - 0.2*x + 0.15*x^2", ("0.4", "-0.2", "0.3")),
         ("0.1*x^2 - 0.4", ("0", "0.5", "-0.3")),
         ("0.25*x", ("0.6", "0", "0")),
     ]
+    grid = Grid(0.0, 2.0, 2001)
     for ptext, ctext in cases:
         P = parse(ptext)
         U = riccati_u(P)
         c = [parse(s) for s in ctext]
         psi0 = 0.6  # nonnegative start keeps phi positive for Riccati U
-        spec, report, psi = build_lienard(c, P, U,
-                                          dphi0=psi0 - P.eval(0.0))
+        spec = lienard_coeffs(c, P, U, grid=grid.xs)
+        phi = integrate_linear(spec.U, grid, 1.0, psi0 - P.eval(0.0),
+                               IntegratorConfig(method="rk4"))
+        psi = cole_hopf_map(spec.P, phi, U=spec.U)
+        report = lienard_residual(spec.c, spec.b, psi)
         assert report.max_abs <= 1e-8
         assert psi.pole_brackets == []
 

@@ -17,7 +17,8 @@ from vdplin.colehopf import TransformBundle, VdpParams, solve_chain
 from vdplin.expr import (Const, UnboundParameterError, lambdify, parse,
                          simplify, subst)
 from vdplin.odesolve import (DisjointSegmentsError, Grid, IntegratorConfig,
-                             SegmentTooShortError, StepUnderflowError,
+                             NonFiniteCoefficientError, SegmentTooShortError,
+                             StepUnderflowError,
                              Trajectory, _SCAN_BLOCK, _integrate_rk4,
                              _linear_rk4, _runs, _stalled, _step_matrices,
                              cole_hopf_map, compare, integrate_linear,
@@ -717,6 +718,82 @@ def test_residual_too_short_segment():
                       segments=[(0, 4)])
     with pytest.raises(SegmentTooShortError):
         residual(bundle, traj)
+
+
+def _vdp_reference(bundle, xs, psi, dpsi, ddpsi):
+    """R of the Van der Pol equation term by term, in plain numpy."""
+    p = bundle.params
+    v, h, g, f = (lambdify(simplify(e))(xs)
+                  for e in (bundle.v, bundle.h, bundle.g, bundle.f))
+    return (ddpsi - p.mu * (p.beta - psi ** 2) * dpsi + p.alpha * psi
+            - v * psi ** 2 - h * psi ** 3 - g * psi ** 4 - f)
+
+
+def test_residual_maps_every_vdp_term():
+    # mu, beta, alpha nonzero and v, h, g, f depending on x: a wrong sign
+    # or slot in the (c, b) mapping moves R far beyond rounding
+    bundle = _manual_bundle(1.3, 0.7, 0.4, v="0.5*sin(x)", h="0.3 + 0.1*x",
+                            g="-1.3 + 0.2*cos(x)", f="0.2*x^2 - 1")
+    grid = Grid(0.0, 3.0, 601)
+    xs = grid.xs
+    psi = xs / (2 + xs ** 2) + 0.1 * np.sin(xs)
+    dpsi = (2 - xs ** 2) / (2 + xs ** 2) ** 2 + 0.1 * np.cos(xs)
+    ddpsi = (2 * xs ** 3 - 12 * xs) / (2 + xs ** 2) ** 3 - 0.1 * np.sin(xs)
+
+    closed = Trajectory.from_expr(parse("x/(2+x^2) + 0.1*sin(x)"), grid)
+    want = _vdp_reference(bundle, xs, psi, dpsi, ddpsi)
+    (seg,) = residual(bundle, closed).segments
+    assert seg.n_points == len(xs)
+    assert seg.max_abs == pytest.approx(np.max(np.abs(want)), rel=1e-9)
+    assert seg.l2 == pytest.approx(
+        np.sqrt(np.trapezoid(want ** 2, xs)), rel=1e-9)
+    assert seg.max_abs > 0.1
+
+    # sampled, in two segments: five-point stencils, two points trimmed at
+    # each segment end
+    segments = [(0, 300), (300, len(xs))]
+    sampled = Trajectory(xs=xs, values=psi, derivatives=dpsi,
+                         segments=segments)
+    rep = residual(bundle, sampled)
+    assert len(rep.segments) == 2
+    step = grid.spacing
+    for (i0, i1), seg in zip(segments, rep.segments):
+        y = psi[i0:i1]
+        fd = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1]
+              - y[4:]) / (12 * step * step)
+        inner = slice(i0 + 2, i1 - 2)
+        want = _vdp_reference(bundle, xs[inner], psi[inner], dpsi[inner], fd)
+        assert (seg.x_start, seg.x_end) == (xs[i0 + 2], xs[i1 - 3])
+        assert seg.max_abs == pytest.approx(np.max(np.abs(want)), rel=1e-9)
+        assert seg.l2 == pytest.approx(
+            np.sqrt(np.trapezoid(want ** 2, xs[inner])), rel=1e-9)
+        assert seg.max_abs > 0.1
+
+
+def test_residual_names_a_forcing_finite_nowhere():
+    # f is the restoring coefficient b0; no point is left to measure on
+    bundle = _manual_bundle(1.0, 2.0, 0.0, f="sqrt(-1 - x^2)")
+    grid = Grid(1.0, 5.0, 401)
+    xs = grid.xs
+    for traj in (Trajectory.from_expr(parse("1/x"), grid),
+                 Trajectory(xs=xs, values=1 / xs, derivatives=-1 / xs ** 2,
+                            segments=[(0, len(xs))])):
+        with pytest.raises(NonFiniteCoefficientError,
+                           match="coefficient b0 is not finite anywhere"):
+            residual(bundle, traj)
+
+
+def test_grid_refuses_a_spacing_the_stencils_underflow():
+    # 12*h^2 underflows to 0 at this spacing: the stencils would divide by
+    # zero and leave no finite R to measure
+    with pytest.raises(ValueError, match=r"^grid spacing 2e-303 is too fine "
+                       r"for the residual stencils: 12\*h\^2 underflows$"):
+        Grid(0.0, 1e-300, 501)
+    grid = Grid(0.0, 1e-150, 501)
+    assert 12 * grid.spacing ** 2 > 0.0
+    bundle = solve_chain(parse("x"), VdpParams(1.0, 1.0, 0.0))
+    rep = residual(bundle, Trajectory.from_expr(parse("x"), grid))
+    assert rep.segments[0].n_points == 501
 
 
 def test_lienard_residual_trivial_families():
