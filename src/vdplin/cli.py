@@ -152,7 +152,8 @@ def _check_args(ns: argparse.Namespace) -> tuple[Grid, IntegratorConfig]:
         cfg = IntegratorConfig(rtol=ns.rtol, atol=ns.atol, method=ns.method)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    for name in ("mu", "beta", "alpha", "C1", "C2", "C3", "C4", "c", "a"):
+    for name in ("mu", "beta", "alpha", "C1", "C2", "C3", "C4", "c", "a",
+                 "phi0", "dphi0"):
         # verify takes no model options
         if not math.isfinite(getattr(ns, name, 0.0)):
             raise UsageError(f"{name} must be finite")
@@ -214,6 +215,8 @@ def _build(ns: argparse.Namespace, grid: Grid):
             raise ExprError(f"--{name}: {err}") from err
 
     if ns.subcommand == "lienard":
+        if ns.riccati and ns.U is not None:
+            raise UsageError("lienard takes --riccati or --U <expr>, not both")
         c = [flag_expr(f"c{i}") for i in range(3)]
         P = flag_expr("P")
         if ns.riccati:

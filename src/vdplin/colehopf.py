@@ -76,6 +76,18 @@ class VdpParams:
             raise ex.ExprError(f"mu*beta = {self.mu!r}*{self.beta!r} "
                                "overflows a float")
 
+    def lienard(self, v, h, g, f) -> tuple[tuple, tuple]:
+        """The Van der Pol equation with coefficient functions v, h, g, f
+        as the Lienard equation psi'' + (c0 + c1 psi + c2 psi^2) psi'
+        + sum_i b_i psi^i = 0:
+
+            c = (-mu beta, 0, mu),  b = (-f, alpha, -v, -h, -g).
+
+        v, h, g and f may be Exprs or their values on a grid (arrays);
+        the parameters enter as floats."""
+        return ((-self.mu * self.beta, 0.0, self.mu),
+                (-f, self.alpha, -v, -h, -g))
+
 
 @dataclass(frozen=True)
 class LedgerEntry:

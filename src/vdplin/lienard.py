@@ -10,9 +10,9 @@ reference forms are evaluated against them and the outcome recorded, since
 several of them are known to disagree.  The choice U = P^2 - P' (a Riccati
 relation: -P is then a logarithmic derivative of a linear solution) kills
 b_0 identically with the constant damping term left free.  The Van der
-Pol equation is the instance c = (-mu beta, 0, mu), b = (-f, alpha, -v,
--h, -g); ``odesolve.lienard_residual`` measures a trajectory against a
-spec.
+Pol equation is one instance, with the c and b of
+``colehopf.VdpParams.lienard``; ``odesolve.lienard_residual`` measures a
+trajectory against a spec.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ def lienard_coeffs(c: Sequence[Expr], P: Expr, U: Expr,
     of P times a binomial), zero for i > j, so back substitution from the
     top degree down is exact.  Reference forms are evaluated against the
     derived b and ledgered."""
-    if len(c) != 3:
-        raise ValueError(f"need 3 damping coefficients, got {len(c)}")
     c = tuple(simplify(as_expr(ci)) for ci in c)
     P = simplify(as_expr(P))
     U = simplify(as_expr(U))

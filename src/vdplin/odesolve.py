@@ -731,13 +731,10 @@ def residual(bundle: "TransformBundle", traj: Trajectory,
     """Residual of the full nonlinear equation on a trajectory:
     R = psi'' - mu (beta - psi^2) psi' + alpha psi - v psi^2 - h psi^3
         - g psi^4 - f,
-    the Lienard residual of ``lienard_residual`` with damping coefficients
-    c = (-mu beta, 0, mu) and restoring coefficients
-    b = (-f, alpha, -v, -h, -g)."""
-    p = bundle.params
-    v, h, g, f = _on_grid((bundle.v, bundle.h, bundle.g, bundle.f), traj.xs)
-    return _residual_core(traj, (-p.mu * p.beta, 0.0, p.mu),
-                          (-f, p.alpha, -v, -h, -g), guard_tol)
+    the Lienard residual of ``lienard_residual`` at the (c, b) that
+    ``VdpParams.lienard`` gives for the bundle's v, h, g and f."""
+    coeffs = _on_grid((bundle.v, bundle.h, bundle.g, bundle.f), traj.xs)
+    return _residual_core(traj, *bundle.params.lienard(*coeffs), guard_tol)
 
 
 def lienard_residual(c: Sequence[Expr], b: Sequence[Expr], traj: Trajectory,

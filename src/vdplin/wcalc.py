@@ -54,35 +54,19 @@ class WPoly:
             out.append(a + b)
         return wpoly(out)
 
-    def __sub__(self, other: "WPoly") -> "WPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else _ZERO
-            b = other.coeffs[i] if i < len(other.coeffs) else _ZERO
-            out.append(a - b)
-        return wpoly(out)
-
-    def __neg__(self) -> "WPoly":
-        return wpoly([-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "WPoly":
-        if isinstance(other, WPoly):
-            deg = self.degree + other.degree
-            if deg > MAX_DEGREE:
-                raise WDegreeError(f"degree {deg} exceeds cap {MAX_DEGREE}")
-            out: list[Expr] = [_ZERO] * (deg + 1)
-            for i, a in enumerate(self.coeffs):
-                if _is_zero(a):
+    def __mul__(self, other: "WPoly") -> "WPoly":
+        deg = self.degree + other.degree
+        if deg > MAX_DEGREE:
+            raise WDegreeError(f"degree {deg} exceeds cap {MAX_DEGREE}")
+        out: list[Expr] = [_ZERO] * (deg + 1)
+        for i, a in enumerate(self.coeffs):
+            if _is_zero(a):
+                continue
+            for j, b in enumerate(other.coeffs):
+                if _is_zero(b):
                     continue
-                for j, b in enumerate(other.coeffs):
-                    if _is_zero(b):
-                        continue
-                    out[i + j] = out[i + j] + a * b
-            return wpoly(out)
-        return self.scale(as_expr(other))
-
-    __rmul__ = __mul__
+                out[i + j] = out[i + j] + a * b
+        return wpoly(out)
 
     def scale(self, factor: Expr) -> "WPoly":
         return wpoly([factor * c for c in self.coeffs])
@@ -159,23 +143,9 @@ def reduce_vdp(P: Expr, U: Expr, params, v: Expr, h: Expr, g: Expr,
         psi'' - mu (beta - psi^2) psi' + alpha psi
               - v psi^2 - h psi^3 - g psi^4 - f
 
-    after substituting psi = P + w and rewriting phi'' = U phi."""
-    mu = Const(float(params.mu))
-    beta = Const(float(params.beta))
-    alpha = Const(float(params.alpha))
-
-    psi = psi_poly(P)
-    dpsi = w_derive(psi, U)
-    ddpsi = w_derive(dpsi, U)
-    psi2 = psi * psi
-    psi3 = psi2 * psi
-    psi4 = psi3 * psi
-
-    damping = (wpoly([beta]) - psi2) * dpsi
-    poly = (ddpsi - damping.scale(mu) + psi.scale(alpha)
-            - psi2.scale(as_expr(v)) - psi3.scale(as_expr(h))
-            - psi4.scale(as_expr(g)) - wpoly([f]))
-    return _coeff_set(poly)
+    after substituting psi = P + w and rewriting phi'' = U phi: the
+    Lienard reduction at the coefficients ``params.lienard(v, h, g, f)``."""
+    return reduce_lienard(P, U, *params.lienard(v, h, g, f))
 
 
 def reduce_lienard(P: Expr, U: Expr, c: Sequence[Expr],

@@ -101,6 +101,16 @@ def test_lienard_needs_potential(tmp_path):
     assert code == 1
 
 
+def test_lienard_riccati_refuses_a_potential(tmp_path, capsys):
+    # --riccati sets U itself; a --U beside it would be ignored
+    code = run(["lienard", "--P", "x", "--riccati", "--U", "100*x",
+                "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "usage error: lienard takes --riccati or --U <expr>, not both\n"
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 def test_verify_round_trip_and_tamper(tmp_path):
     out = tmp_path / "run"
     assert run(["custom", "--P", "0.25", "--mu", "2", "--beta", "1",
@@ -290,7 +300,8 @@ def test_runs_in_one_process_match_runs_made_alone(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--beta", "inf"),
                                          ("--alpha", "-inf"), ("--C1", "nan"),
                                          ("--a", "inf"), ("--x1", "inf"),
-                                         ("--x0", "nan"), ("--x1", "nan")])
+                                         ("--x0", "nan"), ("--x1", "nan"),
+                                         ("--phi0", "nan"), ("--dphi0", "inf")])
 def test_non_finite_parameter_is_a_usage_error(tmp_path, capsys, flag, value):
     code = run(["custom", "--P", "C1*x + a", f"{flag}={value}",
                 "--out", str(tmp_path)])
