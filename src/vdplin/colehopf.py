@@ -19,6 +19,7 @@ carried by the bundle.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -336,12 +337,23 @@ def bundle_to_json(bundle: TransformBundle) -> str:
     return json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
 
 
-def bundle_from_dict(d: dict) -> TransformBundle:
-    """Rebuild a bundle; a document of the wrong shape raises
-    ``BundleFormatError``, an expression that does not parse ``ParseError``."""
+@contextmanager
+def reading_document(d, kind: str):
+    """Read the fields of ``d`` in the body; a ``d`` that is not a dict or
+    a field missing or wrong raises "malformed <kind>: ...", one error."""
     try:
         if not isinstance(d, dict):
             raise TypeError("not a JSON object")
+        yield
+    except (KeyError, TypeError, ValueError) as err:
+        problem = f"missing field {err}" if isinstance(err, KeyError) else err
+        raise BundleFormatError(f"malformed {kind}: {problem}") from None
+
+
+def bundle_from_dict(d: dict) -> TransformBundle:
+    """Rebuild a bundle; a document of the wrong shape raises
+    ``BundleFormatError``, an expression that does not parse ``ParseError``."""
+    with reading_document(d, "bundle"):
         params = VdpParams(mu=float(d["params"]["mu"]),
                            beta=float(d["params"]["beta"]),
                            alpha=float(d["params"]["alpha"]))
@@ -350,9 +362,6 @@ def bundle_from_dict(d: dict) -> TransformBundle:
             v=parse(d["v"]), f=parse(d["f"]), params=params,
             ledger=tuple(map(LedgerEntry.from_dict, d.get("ledger", []))),
         )
-    except (KeyError, TypeError, ValueError) as err:
-        problem = f"missing field {err}" if isinstance(err, KeyError) else err
-        raise BundleFormatError(f"malformed bundle: {problem}") from None
 
 
 def bundle_from_json(text: str) -> TransformBundle:

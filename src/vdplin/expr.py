@@ -662,54 +662,50 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)"
     r"|(?P<op>[-+*/^()]))"
 )
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[at]!r}", at)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
+_PAREN_RE = re.compile(r"[()]")
 
 
 class _Parser:
+    """Recursive descent over tokens scanned as needed; a copy of a group
+    already parsed is looked up by its text and skipped (see ``parse``)."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.close = {}  # offset of each matched "(" -> offset of its ")"
+        opens = []
+        for m in _PAREN_RE.finditer(text):
+            if m.group() == "(":
+                opens.append(m.start())
+            elif opens:
+                self.close[opens.pop()] = m.start()
+        self.groups: dict[str, Expr] = {}  # group text -> node inside it
+        self.tok = self.scan(0)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+    def scan(self, pos: int) -> tuple[str, str, int, int]:
+        """(kind, text, offset, end) of the token after ``pos`` and spaces."""
+        op = self.text[pos:pos + 1]
+        if op and op in "+-*/^()":
+            return ("op", op, pos, pos + 1)
+        m = _TOKEN_RE.match(self.text, pos)
+        if m is None:
+            stripped = self.text[pos:].lstrip()
+            at = len(self.text) - len(stripped)
+            if not stripped:
+                return ("eof", "", at, at)
+            raise ParseError(f"unexpected character {self.text[at]!r}", at)
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        return (kind, self.text[start:end], start, end)
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
+    def advance(self) -> tuple[str, str, int, int]:
+        tok = self.tok
+        self.tok = self.scan(tok[3])
         return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        self.advance()
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, _, _ = self.tok
             if kind == "op" and val in "+-":
                 self.advance()
                 rhs = self.parse_term()
@@ -720,7 +716,7 @@ class _Parser:
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, _, _ = self.tok
             if kind == "op" and val in "*/":
                 self.advance()
                 rhs = self.parse_factor()
@@ -729,43 +725,53 @@ class _Parser:
                 return node
 
     def parse_factor(self) -> Expr:
-        kind, val, _ = self.peek()
+        kind, val, _, _ = self.tok
         if kind == "op" and val == "-":
             self.advance()
             return Neg(self.parse_factor())
         node = self.parse_atom()
-        kind, val, _ = self.peek()
+        kind, val, _, _ = self.tok
         if kind == "op" and val == "^":
             self.advance()
             return Pow(node, self.parse_factor())
         return node
 
     def parse_atom(self) -> Expr:
-        kind, val, pos = self.advance()
-        if kind == "num":
-            value = float(val)
-            if math.isinf(value):
-                raise ParseError(f"number {val} overflows a float", pos)
-            return Const(value)
+        kind, val, pos, _ = self.tok
+        fun = None
         if kind == "ident":
-            nkind, nval, _ = self.peek()
-            if nkind == "op" and nval == "(":
-                if val not in FUNCTIONS:
-                    raise ParseError(f"unknown function {val!r}", pos)
-                self.advance()
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return Fun(val, arg)
-            if val == "x":
-                return X
-            if val in FUNCTIONS:
-                raise ParseError(f"function {val!r} used without arguments", pos)
-            return Param(val)
-        if kind == "op" and val == "(":
+            self.advance()
+            if self.tok[1] != "(":
+                if val == "x":
+                    return X
+                if val in FUNCTIONS:
+                    raise ParseError(f"function {val!r} used without arguments", pos)
+                return Param(val)
+            if val not in FUNCTIONS:
+                raise ParseError(f"unknown function {val!r}", pos)
+            fun = val
+        elif val != "(":
+            self.advance()
+            if kind == "num":
+                value = float(val)
+                if math.isinf(value):
+                    raise ParseError(f"number {val} overflows a float", pos)
+                return Const(value)
+            raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+        # a "(" group, inline so that a level of nesting costs four frames
+        start = self.tok[2]
+        # an unmatched "(" keys the rest of the text, and its parse fails
+        end = self.close.get(start, len(self.text))
+        key = self.text[start:end + 1]
+        node = self.groups.get(key)
+        if node is None:
+            self.advance()
             node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+            if self.tok[1] != ")":  # else it stands at ``end``
+                raise ParseError("expected ')'", self.tok[2])
+            self.groups[key] = node
+        self.tok = self.scan(end + 1)
+        return node if fun is None else Fun(fun, node)
 
 
 def parse(text: str) -> Expr:
@@ -777,12 +783,21 @@ def parse(text: str) -> Expr:
         atom   := number | ident | ident "(" expr ")" | "(" expr ")"
 
     ``x`` is the independent variable; any other identifier is a named
-    parameter unless it is a function call."""
+    parameter unless it is a function call.  The cost is one pass over the
+    parentheses, one slice and hash per group met, and one scan and parse
+    per distinct group text.  A character that starts no token is the error
+    wherever it stands, before any error of grammar."""
     p = _Parser(text)
-    node = p.parse_expr()
-    kind, val, pos = p.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected trailing input {val!r}", pos)
+    try:
+        node = p.parse_expr()
+        kind, val, pos, _ = p.tok
+        if kind != "eof":
+            raise ParseError(f"unexpected trailing input {val!r}", pos)
+    except (ParseError, RecursionError):
+        tok = p.tok
+        while tok[0] != "eof":  # raises at the first bad character
+            tok = p.scan(tok[3])
+        raise
     return node
 
 

@@ -21,7 +21,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .colehopf import PRINTED_COEFF_TOL, LedgerEntry, compare_forms
+from .colehopf import (PRINTED_COEFF_TOL, LedgerEntry, compare_forms,
+                       reading_document)
 from .expr import Const, Expr, as_expr, diff, parse, simplify, to_str
 from .wcalc import psi_poly, psi_powers, reduce_lienard
 
@@ -119,10 +120,13 @@ def lienard_spec_to_json(spec: LienardSpec) -> str:
 
 
 def lienard_spec_from_json(text: str) -> LienardSpec:
+    """Rebuild a spec; a document of the wrong shape raises
+    ``BundleFormatError``, an expression that does not parse ``ParseError``."""
     d = json.loads(text)
-    return LienardSpec(
-        c=tuple(parse(s) for s in d["c"]),
-        b=tuple(parse(s) for s in d["b"]),
-        P=parse(d["P"]), U=parse(d["U"]),
-        ledger=tuple(LedgerEntry.from_dict(e) for e in d.get("ledger", [])),
-    )
+    with reading_document(d, "lienard spec"):
+        return LienardSpec(
+            c=tuple(parse(s) for s in d["c"]),
+            b=tuple(parse(s) for s in d["b"]),
+            P=parse(d["P"]), U=parse(d["U"]),
+            ledger=tuple(map(LedgerEntry.from_dict, d.get("ledger", []))),
+        )

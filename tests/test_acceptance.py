@@ -243,21 +243,23 @@ def test_criterion_7_numerics():
             f"{checked} points, worst rel err {worst:.1e}")
 
 
+CRITERION_8_INVOCATIONS = {
+    "case1": ["case1", "--mu", "2", "--beta", "1", "--alpha", "0.75"],
+    "case2": ["case2", "--mu", "2", "--beta", "2", "--alpha", "4"],
+    "case3": ["case3", "--mu", "1", "--beta", "1", "--alpha", "0",
+              "--c", "1"],
+    "custom": ["custom", "--P", "x/(2+x^2)", "--mu", "1", "--beta", "1.5",
+               "--alpha", "0.4", "--x1", "3"],
+    "seeded": ["seeded", "--s", "a*x", "--a", "0.4", "--mu", "1",
+               "--beta", "1", "--alpha", "0.5", "--x1", "3"],
+    "lienard": ["lienard", "--c0", "0.4", "--c1", "-0.2", "--c2", "0.3",
+                "--P", "0.3 - 0.2*x + 0.15*x^2", "--riccati",
+                "--x1", "2", "--n", "2001", "--dphi0", "0.3"],
+}
+
+
 def test_criterion_8_cli_determinism(tmp_path):
-    invocations = {
-        "case1": ["case1", "--mu", "2", "--beta", "1", "--alpha", "0.75"],
-        "case2": ["case2", "--mu", "2", "--beta", "2", "--alpha", "4"],
-        "case3": ["case3", "--mu", "1", "--beta", "1", "--alpha", "0",
-                  "--c", "1"],
-        "custom": ["custom", "--P", "x/(2+x^2)", "--mu", "1", "--beta", "1.5",
-                   "--alpha", "0.4", "--x1", "3"],
-        "seeded": ["seeded", "--s", "a*x", "--a", "0.4", "--mu", "1",
-                   "--beta", "1", "--alpha", "0.5", "--x1", "3"],
-        "lienard": ["lienard", "--c0", "0.4", "--c1", "-0.2", "--c2", "0.3",
-                    "--P", "0.3 - 0.2*x + 0.15*x^2", "--riccati",
-                    "--x1", "2", "--n", "2001", "--dphi0", "0.3"],
-    }
-    for name, argv in invocations.items():
+    for name, argv in CRITERION_8_INVOCATIONS.items():
         outs = []
         for tag in ("1", "2"):
             d = tmp_path / f"{name}-{tag}"

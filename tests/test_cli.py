@@ -489,6 +489,29 @@ def test_unusable_bundle_is_an_error_line(tmp_path, capsys, make, message):
         assert err == message
 
 
+def _write_nested_forcing(path):
+    doc = bundle_to_dict(solve_chain(parse("x/(2+x^2)"), VdpParams(1, 1, 0)))
+    doc["f"] = "(" * 400 + doc["f"] + ")" * 400
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv", [
+    # the recursion of the parser runs out of stack
+    ["custom", "--P", "(" * 400 + "x" + ")" * 400],
+    # the parser loops over a sum; binding the parameters recurses
+    ["custom", "--P", "0.001*x+" * 1499 + "x"],
+    ["verify", "--bundle", "nested.json"],
+], ids=["nested-P", "flat-sum-P", "nested-bundle-f"])
+def test_too_deep_an_expression_is_an_error_line(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "verify":
+        _write_nested_forcing(tmp_path / "nested.json")
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: expression nested too deeply\n"
+    assert not (tmp_path / "out").exists()
+
+
 _LIENARD = ["lienard", "--c0", "0.4", "--c1", "-0.2", "--c2", "0.3",
             "--P", "0.3 - 0.2*x + 0.15*x^2", "--x1", "2", "--n", "2001",
             "--dphi0", "0.3"]

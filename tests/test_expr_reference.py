@@ -1,12 +1,16 @@
-"""The vector tape of ``lambdify``, the memoized printer and the constant
-folds of ``simplify`` against the code they replaced: a generated-source
-vector compiler, a recursive printer and the recursive interpreter that
-once backed ``Expr.eval``, all kept here verbatim as references.  The tape
-must give the same bits, the printer the same text, and a fold the same
-constant where the interpreter gave a finite value and none elsewhere."""
+"""The vector tape of ``lambdify``, the memoized printer, the constant
+folds of ``simplify`` and the parser against the code they replaced: a
+generated-source vector compiler, a recursive printer, the recursive
+interpreter that once backed ``Expr.eval`` and a parser that tokenized the
+whole text first, all kept here verbatim as references.  The tape must give
+the same bits, the printer the same text, a fold the same constant where the
+interpreter gave a finite value and none elsewhere, and the parser the same
+node or the same error at the same offset."""
 
 import builtins
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,13 +21,15 @@ from hypothesis import strategies as st
 from vdplin import colehopf, expr
 from vdplin.colehopf import (bundle_from_json, bundle_to_json, solve_chain,
                              verify_printed_coeffs)
+from vdplin.cli import run as cli_run
 from vdplin.expr import (FUNCTIONS, Add, Const, Div, EvalDomainError, Expr,
-                         Fun, Mul, Neg, Param, Pow, Sub,
+                         Fun, Mul, Neg, Param, ParseError, Pow, Sub,
                          UnboundParameterError, Var, X, free_params,
                          lambdify, parse, simplify, subst, to_str)
 from vdplin.lienard import lienard_coeffs, riccati_u
 
 from conftest import general_instances
+from test_acceptance import CRITERION_8_INVOCATIONS
 
 # ---------------------------------------------------------------------------
 # references
@@ -247,6 +253,128 @@ def ref_print(node, ctx=0):
     if P._prec(node) < ctx:
         return "(" + s + ")"
     return s
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {text[at]!r}", at)
+        if m.group("num") is not None:
+            tokens.append(("num", m.group("num"), m.start("num")))
+        elif m.group("ident") is not None:
+            tokens.append(("ident", m.group("ident"), m.start("ident")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str) -> None:
+        kind, val, pos = self.peek()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}", pos)
+        self.advance()
+
+    def parse_expr(self) -> Expr:
+        node = self.parse_term()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.advance()
+                rhs = self.parse_term()
+                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+            else:
+                return node
+
+    def parse_term(self) -> Expr:
+        node = self.parse_factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "*/":
+                self.advance()
+                rhs = self.parse_factor()
+                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
+            else:
+                return node
+
+    def parse_factor(self) -> Expr:
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "-":
+            self.advance()
+            return Neg(self.parse_factor())
+        node = self.parse_atom()
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.advance()
+            return Pow(node, self.parse_factor())
+        return node
+
+    def parse_atom(self) -> Expr:
+        kind, val, pos = self.advance()
+        if kind == "num":
+            value = float(val)
+            if math.isinf(value):
+                raise ParseError(f"number {val} overflows a float", pos)
+            return Const(value)
+        if kind == "ident":
+            nkind, nval, _ = self.peek()
+            if nkind == "op" and nval == "(":
+                if val not in FUNCTIONS:
+                    raise ParseError(f"unknown function {val!r}", pos)
+                self.advance()
+                arg = self.parse_expr()
+                self.expect_op(")")
+                return Fun(val, arg)
+            if val == "x":
+                return X
+            if val in FUNCTIONS:
+                raise ParseError(f"function {val!r} used without arguments", pos)
+            return Param(val)
+        if kind == "op" and val == "(":
+            node = self.parse_expr()
+            self.expect_op(")")
+            return node
+        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+
+
+def ref_parse(text: str) -> Expr:
+    """The parser as it was: the whole text tokenized first, then every
+    token parsed, a repeated group as often as it is printed."""
+    p = _Parser(text)
+    node = p.parse_expr()
+    kind, val, pos = p.peek()
+    if kind != "eof":
+        raise ParseError(f"unexpected trailing input {val!r}", pos)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -497,3 +625,153 @@ def test_unbound_error_names_the_first_parameter(scalar):
     with pytest.raises(UnboundParameterError) as err:
         lambdify(subst(e, {"a1": 1.0, "a2": 2.0}), scalar=scalar)
     assert err.value.name == "b"
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+def _same_parse(text):
+    """parse gives the reference's node, or its error at its offset."""
+    try:
+        want = ref_parse(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            parse(text)
+        assert (str(got.value), got.value.offset) == (str(err), err.offset)
+    else:
+        assert parse(text) is want
+
+
+_SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\x0b", "\xa0", "\u3000"])
+
+
+@st.composite
+def _spaced(draw, text):
+    """text with whitespace put in at random places, inside tokens too."""
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:at] + draw(_SPACES) + text[at:]
+    return text
+
+
+@st.composite
+def _corrupted(draw, text):
+    """text with one fault: a parenthesis dropped or added, an operator
+    doubled, a function renamed, or a character no token starts with."""
+    parens = [i for i, c in enumerate(text) if c in "()"]
+    ops = [i for i, c in enumerate(text) if c in "+-*/^"]
+    funs = [m.start() for m in re.finditer("|".join(FUNCTIONS), text)]
+    kinds = ["extra", "stray"] + ["drop"] * bool(parens) \
+        + ["double"] * bool(ops) + ["rename"] * bool(funs)
+    kind = draw(st.sampled_from(kinds))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    if kind == "extra":
+        return text[:at] + draw(st.sampled_from("()")) + text[at:]
+    if kind == "stray":
+        return text[:at] + draw(st.sampled_from("$._,;e1")) + text[at:]
+    if kind == "drop":
+        i = draw(st.sampled_from(parens))
+        return text[:i] + text[i + 1:]
+    if kind == "double":
+        i = draw(st.sampled_from(ops))
+        return text[:i] + text[i] + text[i:]
+    i = draw(st.sampled_from(funs))
+    return text[:i] + "foo" + text[i + 3:]
+
+
+@st.composite
+def _parse_inputs(draw):
+    """Printed DAGs (whose shared subtrees print as repeated groups),
+    spaced out, repeated as groups of a larger text with one copy
+    corrupted or none, or corrupted outright."""
+    text = to_str(draw(_dags()))
+    kind = draw(st.sampled_from(["printed", "spaced", "repeated",
+                                 "corrupted"]))
+    if kind == "spaced":
+        return draw(_spaced(text))
+    if kind == "corrupted":
+        return draw(_corrupted(text))
+    if kind == "repeated":
+        copies = [text] * draw(st.integers(min_value=2, max_value=4))
+        bad = draw(st.integers(min_value=-1, max_value=len(copies) - 1))
+        if bad >= 0:  # the second or a later copy can hold the fault
+            copies[bad] = draw(_corrupted(text))
+        ops = draw(st.lists(st.sampled_from(["+", "-", "*", "/", "^", "*exp",
+                                             "-sin"]),
+                            min_size=len(copies) - 1,
+                            max_size=len(copies) - 1))
+        out = f"({copies[0]})"
+        for op, copy in zip(ops, copies[1:]):
+            out += f"{op}({copy})"
+        return out
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(_parse_inputs())
+def test_parse_matches_the_reference(text):
+    _same_parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(x+1)*(x+1", "(x+1)*(x+)", "(x+1)*(x+1)$", "exp(x+1)*(x+1)+foo(x+1)",
+    "(x+1)*((x+1)", "(x+1))*(x+1)", "((x+1)*(x+1))*((x+1)*(x+1 )",
+    "(1e999)*(1e999)", "(x+1)*(x+1)^", "((((x)))", "(x+1)*(x+1) + $ + (",
+    "(x)(x)", "sin(x)*sin", "", "   ", "x + 1 ", "(\t(x+1)\n)*( (x+1))",
+])
+def test_parse_matches_the_reference_on_repeated_groups(text):
+    _same_parse(text)
+
+
+@pytest.mark.parametrize("value", [3, None, b"x+1", ["x"]])
+def test_parse_refuses_what_is_not_text(value):
+    with pytest.raises(TypeError):
+        ref_parse(value)
+    with pytest.raises(TypeError):
+        parse(value)
+
+
+def test_parse_nests_as_deep_as_the_reference():
+    # a group costs the recursion as many frames as in the reference parser
+    text = "(" * 220 + "x" + ")" * 220
+    assert parse(text) is ref_parse(text) is X
+    text = "sin(" * 220 + "x" + ")" * 220
+    assert parse(text) is ref_parse(text)
+
+
+def test_a_group_printed_65536_times_parses_once(monkeypatch):
+    e = X + Const(1.0)
+    for _ in range(16):
+        e = e * e
+    text = to_str(e)
+    assert text.count("(x+1)") == 2 ** 16
+    calls = [0]
+    scan = expr._Parser.scan
+
+    def counting(self, pos):
+        calls[0] += 1
+        return scan(self, pos)
+    monkeypatch.setattr(expr._Parser, "scan", counting)
+    assert parse(text) is e
+    # each distinct group is scanned once, not each of its copies
+    assert calls[0] < 1000
+
+
+def test_criterion_8_documents_parse_as_the_reference(tmp_path):
+    count = 0
+    for name, argv in CRITERION_8_INVOCATIONS.items():
+        out = tmp_path / name
+        assert cli_run(argv + ["--out", str(out)]) == 0, name
+        spec = "lienard.json" if name == "lienard" else "bundle.json"
+        doc = json.loads((out / spec).read_text())
+        exprs = [doc[k] for k in ("P", "U", "g", "h", "v", "f") if k in doc]
+        exprs += doc.get("c", []) + doc.get("b", [])
+        for text in exprs:
+            assert parse(text) is ref_parse(text), (name, text)
+        # a reference is printed forms, two joined by " ; ", or prose
+        for entry in doc["ledger"]:
+            for text in entry["reference"].split(" ; "):
+                _same_parse(text)
+        count += len(exprs)
+    assert count == 5 * 6 + 3 + 5 + 2

@@ -2,12 +2,13 @@
 Riccati potential, the embedding of the unforced quartic family and the
 residual of integrated Riccati instances."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from vdplin.colehopf import VdpParams, solve_chain
+from vdplin.colehopf import BundleFormatError, VdpParams, solve_chain
 from vdplin.expr import Const, lambdify, parse, simplify, subst
 from vdplin.lienard import (lienard_coeffs, lienard_spec_from_json,
                             lienard_spec_to_json, riccati_u)
@@ -141,6 +142,24 @@ def test_riccati_instances_integrate_pole_free():
         report = lienard_residual(spec.c, spec.b, psi)
         assert report.max_abs <= 1e-8
         assert psi.pole_brackets == []
+
+
+_SPEC = {"c": ["0.2", "x/4", "0.1"], "b": ["1", "x", "0", "0", "0"],
+         "P": "x/5", "U": "cos(x)"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "not a JSON object"),
+    ({k: v for k, v in _SPEC.items() if k != "U"}, "missing field 'U'"),
+    ({**_SPEC, "P": 3}, ""),
+    ({**_SPEC, "c": ["0.2", None, "0.1"]}, ""),
+    ({**_SPEC, "ledger": [{"check": "b0"}]}, "missing field 'agrees'"),
+])
+def test_malformed_lienard_spec_raises_one_error_type(doc, message):
+    with pytest.raises(BundleFormatError,
+                       match="^malformed lienard spec: ") as info:
+        lienard_spec_from_json(json.dumps(doc))
+    assert message in str(info.value)
 
 
 def test_lienard_spec_json_round_trip():
