@@ -307,7 +307,7 @@ def run(argv: list[str]) -> int:
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_EXPR
-    except RecursionError:  # a parse or a tree walk deeper than the stack
+    except RecursionError:  # a parse deeper than the stack
         print("error: expression nested too deeply", file=sys.stderr)
         return EXIT_EXPR
     except (VerificationFailure, SegmentTooShortError,

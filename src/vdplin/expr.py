@@ -24,6 +24,12 @@ hashing are identity, and a tree printed and re-parsed shares its subtrees
 again.  The results of ``simplify`` and ``lambdify`` are cached on the node
 they were computed for.
 
+Every pass except ``parse`` is one loop over ``_postorder``, the distinct
+nodes of the DAG each after its children, filling a map from node to
+result, so no pass recurses and a tree of any depth can be differentiated,
+simplified, substituted into, printed and compiled.  ``parse`` recurses
+once per level of nesting in the text.
+
 Correctness downstream rests on evaluation at sample points, not on
 syntactic normal forms, so ``simplify`` never changes the value of an
 expression anywhere the original is defined.
@@ -182,12 +188,6 @@ class Expr(metaclass=_Interned):
             raise EvalDomainError(f"value {v!r} is not finite", self, x)
         return v
 
-    def diff(self) -> "Expr":
-        return diff(self)
-
-    def simplify(self) -> "Expr":
-        return simplify(self)
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Const(Expr):
@@ -316,56 +316,50 @@ def diff(e: Expr) -> Expr:
     tree matters).  Shared subtrees stay shared in the output, and since
     nodes are interned, a derivative equal to an existing tree is that
     tree.  Nothing is cached across calls."""
-    return _diff(e, {})
+    d: dict[Expr, Expr] = {}  # node -> its derivative
+    for node in _postorder(e):
+        t = type(node)
+        if t is Const or t is Param:
+            out = ZERO
+        elif t is Var:
+            out = ONE
+        elif t is Neg:
+            out = Neg(d[node.arg])
+        elif t is Add:
+            out = Add(d[node.left], d[node.right])
+        elif t is Sub:
+            out = Sub(d[node.left], d[node.right])
+        elif t is Mul:
+            out = Add(Mul(d[node.left], node.right),
+                      Mul(node.left, d[node.right]))
+        elif t is Div:
+            out = Div(Sub(Mul(d[node.left], node.right),
+                          Mul(node.left, d[node.right])),
+                      Pow(node.right, Const(2.0)))
+        elif t is Pow:
+            out = _diff_pow(node, d[node.base], d[node.exponent])
+        else:
+            out = _diff_fun(node, d[node.arg])
+        d[node] = out
+    return d[e]
 
 
-def _diff(node: Expr, memo: dict) -> Expr:
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    if isinstance(node, (Const, Param)):
-        d = ZERO
-    elif isinstance(node, Var):
-        d = ONE
-    elif isinstance(node, Neg):
-        d = Neg(_diff(node.arg, memo))
-    elif isinstance(node, Add):
-        d = Add(_diff(node.left, memo), _diff(node.right, memo))
-    elif isinstance(node, Sub):
-        d = Sub(_diff(node.left, memo), _diff(node.right, memo))
-    elif isinstance(node, Mul):
-        d = Add(Mul(_diff(node.left, memo), node.right),
-                Mul(node.left, _diff(node.right, memo)))
-    elif isinstance(node, Div):
-        d = Div(Sub(Mul(_diff(node.left, memo), node.right),
-                    Mul(node.left, _diff(node.right, memo))),
-                Pow(node.right, Const(2.0)))
-    elif isinstance(node, Pow):
-        d = _diff_pow(node, memo)
-    elif isinstance(node, Fun):
-        d = _diff_fun(node, memo)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node {node!r}")
-    memo[key] = d
-    return d
-
-
-def _diff_pow(node: Pow, memo: dict) -> Expr:
+def _diff_pow(node: Pow, db: Expr, de: Expr) -> Expr:
+    """The derivative of base^exponent from those of base (db) and
+    exponent (de)."""
     base, expo = node.base, node.exponent
-    db = _diff(base, memo)
     if isinstance(expo, Const) and float(expo.value).is_integer():
         n = expo.value
         if n == 0.0:
             return ZERO
         return Mul(Mul(Const(n), Pow(base, Const(n - 1.0))), db)
     # general case via b^e = exp(e log b); domain restricted to b > 0
-    de = _diff(expo, memo)
     return Mul(node, Add(Mul(de, Fun("log", base)), Div(Mul(expo, db), base)))
 
 
-def _diff_fun(node: Fun, memo: dict) -> Expr:
+def _diff_fun(node: Fun, da: Expr) -> Expr:
+    """The derivative of name(arg) from that of arg (da)."""
     a = node.arg
-    da = _diff(a, memo)
     if node.name == "exp":
         return Mul(node, da)
     if node.name == "log":
@@ -400,17 +394,19 @@ def simplify(e: Expr) -> Expr:
     in the input survives.  The result is cached on every node visited, so
     simplifying a tree again, or any tree sharing its subtrees, does not
     walk them again."""
-    return _simplify(e)
-
-
-def _simplify(node: Expr) -> Expr:
-    try:
-        out = node._simplified
-    except AttributeError:
-        out = _simplify_node(node)
-        object.__setattr__(node, "_simplified", _SAME if out is node else out)
-        return out
-    return node if out is _SAME else out
+    out = getattr(e, "_simplified", None)
+    if out is not None:
+        return e if out is _SAME else out
+    done: dict[Expr, Expr] = {}  # node -> its simplified form
+    # the walk stops at a node simplified before, whose result is cached
+    for node in _postorder(e, lambda n: hasattr(n, "_simplified")):
+        out = getattr(node, "_simplified", None)
+        if out is None:
+            out = _simplify_node(node, done)
+            object.__setattr__(node, "_simplified",
+                               _SAME if out is node else out)
+        done[node] = node if out is _SAME else out
+    return done[e]
 
 
 def _neg_of(e: Expr) -> Expr:
@@ -423,27 +419,26 @@ def _neg_of(e: Expr) -> Expr:
     return Neg(e)
 
 
-def _simplify_node(node: Expr) -> Expr:
-    if isinstance(node, (Const, Var, Param)):
-        return node
-
-    if isinstance(node, Neg):
-        a = _simplify(node.arg)
+def _simplify_node(node: Expr, done: Mapping[Expr, Expr]) -> Expr:
+    """The simplified form of node; its children's are read from ``done``."""
+    t = type(node)
+    if t is Neg:
+        a = done[node.arg]
         if isinstance(a, (Const, Neg)):
             return _neg_of(a)
         return node if a is node.arg else Neg(a)
 
-    if isinstance(node, Fun):
-        a = _simplify(node.arg)
+    if t is Fun:
+        a = done[node.arg]
         if isinstance(a, Const):
             folded = _fold(_SCALAR_NS["_" + node.name], a.value)
             if folded is not None:
                 return folded
         return node if a is node.arg else Fun(node.name, a)
 
-    if isinstance(node, Pow):
-        b = _simplify(node.base)
-        ex = _simplify(node.exponent)
+    if t is Pow:
+        b = done[node.base]
+        ex = done[node.exponent]
         if _is_const(ex, 0.0):
             return ONE
         if _is_const(ex, 1.0):
@@ -458,25 +453,25 @@ def _simplify_node(node: Expr) -> Expr:
             return node
         return Pow(b, ex)
 
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        a = _simplify(node.left)
-        b = _simplify(node.right)
+    if t in _BINARY_NODES:
+        a = done[node.left]
+        b = done[node.right]
         if isinstance(a, Const) and isinstance(b, Const) and not (
-                isinstance(node, Div) and b.value == 0.0):
-            v = _VECTOR_BINARY[type(node)](a.value, b.value)
+                t is Div and b.value == 0.0):
+            v = _VECTOR_BINARY[t](a.value, b.value)
             if math.isfinite(v):  # an overflow stays unfolded
                 return Const(v)
-        if isinstance(node, Add):
+        if t is Add:
             if _is_const(a, 0.0):
                 return b
             if _is_const(b, 0.0):
                 return a
-        elif isinstance(node, Sub):
+        elif t is Sub:
             if _is_const(b, 0.0):
                 return a
             if _is_const(a, 0.0):
                 return _neg_of(b)
-        elif isinstance(node, Mul):
+        elif t is Mul:
             if _is_const(a, 0.0) or _is_const(b, 0.0):
                 return ZERO
             if _is_const(a, 1.0):
@@ -496,9 +491,9 @@ def _simplify_node(node: Expr) -> Expr:
                 return _neg_of(a)
         if a is node.left and b is node.right:
             return node
-        return type(node)(a, b)
+        return t(a, b)
 
-    return node  # pragma: no cover
+    return node  # Const, Var, Param
 
 
 def _fold(fn: Callable, *args: float) -> Const | None:
@@ -518,43 +513,37 @@ def _fold(fn: Callable, *args: float) -> Const | None:
 
 def subst(e: Expr, values: Mapping[str, float]) -> Expr:
     """Replace named parameters with numeric constants.  Parameters not in
-    ``values`` are left alone; unchanged subtrees keep their identity."""
-    return _subst(e, values, {})
-
-
-def _subst(node: Expr, values: Mapping[str, float], memo: dict) -> Expr:
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    if isinstance(node, Param) and node.name in values:
-        out = Const(float(values[node.name]))
-    elif isinstance(node, (Const, Var, Param)):
-        out = node
-    elif isinstance(node, Neg):
-        a = _subst(node.arg, values, memo)
-        out = node if a is node.arg else Neg(a)
-    elif isinstance(node, Fun):
-        a = _subst(node.arg, values, memo)
-        out = node if a is node.arg else Fun(node.name, a)
-    elif isinstance(node, Pow):
-        b = _subst(node.base, values, memo)
-        ex = _subst(node.exponent, values, memo)
-        out = node if (b is node.base and ex is node.exponent) else Pow(b, ex)
-    else:
-        a = _subst(node.left, values, memo)
-        b = _subst(node.right, values, memo)
-        out = node if (a is node.left and b is node.right) else type(node)(a, b)
-    memo[key] = out
-    return out
+    ``values`` are left alone.  Every node is rebuilt from its children's
+    images, so, nodes being interned, an unchanged subtree is the same
+    node."""
+    out: dict[Expr, Expr] = {}  # node -> its image
+    for node in _postorder(e):
+        t = type(node)
+        if t is Param and node.name in values:
+            new = Const(float(values[node.name]))
+        elif t is Const or t is Var or t is Param:
+            new = node
+        elif t is Neg:
+            new = Neg(out[node.arg])
+        elif t is Fun:
+            new = Fun(node.name, out[node.arg])
+        elif t is Pow:
+            new = Pow(out[node.base], out[node.exponent])
+        else:
+            new = t(out[node.left], out[node.right])
+        out[node] = new
+    return out[e]
 
 
 def free_params(e: Expr) -> frozenset[str]:
     return frozenset(n.name for n in _postorder(e) if isinstance(n, Param))
 
 
-def _postorder(e: Expr) -> list[Expr]:
+def _postorder(e: Expr, skip: Callable[[Expr], bool] | None = None
+               ) -> list[Expr]:
     """The distinct nodes under e, each after its children (left before
-    right, base before exponent).  Iterative, so deep trees cannot hit the
+    right, base before exponent).  A node for which ``skip`` is true is
+    listed without its children.  Iterative, so deep trees cannot hit the
     recursion limit; a None on the stack marks that the node below it has
     had its children listed."""
     order: list[Expr] = []
@@ -568,6 +557,9 @@ def _postorder(e: Expr) -> list[Expr]:
         if node in seen:
             continue
         seen.add(node)
+        if skip is not None and skip(node):
+            order.append(node)
+            continue
         stack += (node, None)
         t = type(node)
         if t in _BINARY_NODES:
@@ -583,6 +575,7 @@ def _postorder(e: Expr) -> list[Expr]:
 # printing
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 10, 20, 30, 40, 50
+_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
 def _prec(node: Expr) -> int:
@@ -611,47 +604,35 @@ def to_str(e: Expr) -> str:
     """Print in the input grammar; the output re-parses to a tree that is
     pointwise equal (and, for parser-produced trees, the same node).  The
     DAG prints as a tree, but parsing it shares equal subtrees again.  Each
-    shared subtree is printed once per precedence context and its text
-    reused, so the work is the size of the DAG plus the output."""
-    return _print(e, 0, {})
+    distinct subtree is printed once and its text reused, in parentheses
+    where the context binds tighter, so the work is the size of the DAG
+    plus the output."""
+    # node -> its text, unparenthesized, and its precedence
+    text: dict[Expr, tuple[str, int]] = {}
 
+    def sub(node: Expr, ctx: int) -> str:
+        s, p = text[node]
+        return "(" + s + ")" if p < ctx else s
 
-def _print(node: Expr, ctx: int, memo: dict) -> str:
-    key = (node, ctx)  # interned nodes hash by identity
-    s = memo.get(key)
-    if s is not None:
-        return s
-    if isinstance(node, Const):
-        s = _fmt_number(node.value)
-    elif isinstance(node, Var):
-        s = "x"
-    elif isinstance(node, Param):
-        s = node.name
-    elif isinstance(node, Fun):
-        s = f"{node.name}({_print(node.arg, 0, memo)})"
-    elif isinstance(node, Neg):
-        s = "-" + _print(node.arg, _PREC_NEG, memo)
-    elif isinstance(node, Add):
-        s = (_print(node.left, _PREC_ADD, memo) + "+"
-             + _print(node.right, _PREC_ADD + 1, memo))
-    elif isinstance(node, Sub):
-        s = (_print(node.left, _PREC_ADD, memo) + "-"
-             + _print(node.right, _PREC_ADD + 1, memo))
-    elif isinstance(node, Mul):
-        s = (_print(node.left, _PREC_MUL, memo) + "*"
-             + _print(node.right, _PREC_MUL + 1, memo))
-    elif isinstance(node, Div):
-        s = (_print(node.left, _PREC_MUL, memo) + "/"
-             + _print(node.right, _PREC_MUL + 1, memo))
-    elif isinstance(node, Pow):
-        s = (_print(node.base, _PREC_POW + 1, memo) + "^"
-             + _print(node.exponent, _PREC_NEG, memo))
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node {node!r}")
-    if _prec(node) < ctx:
-        s = "(" + s + ")"
-    memo[key] = s
-    return s
+    for node in _postorder(e):
+        t, p = type(node), _prec(node)
+        if t is Const:
+            s = _fmt_number(node.value)
+        elif t is Var:
+            s = "x"
+        elif t is Param:
+            s = node.name
+        elif t is Fun:
+            s = f"{node.name}({text[node.arg][0]})"
+        elif t is Neg:
+            s = "-" + sub(node.arg, _PREC_NEG)
+        elif t is Pow:
+            s = (sub(node.base, _PREC_POW + 1) + "^"
+                 + sub(node.exponent, _PREC_NEG))
+        else:
+            s = sub(node.left, p) + _INFIX[t] + sub(node.right, p + 1)
+        text[node] = s, p
+    return text[e][0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ simplification, the printer round trip and node interning."""
 import dataclasses
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -110,6 +111,29 @@ def test_subst_and_free_params():
     e2 = subst(e, {"a": 2.0})
     assert free_params(e2) == {"b"}
     assert subst(e2, {"b": 1.0}).eval(3.0) == 7.0
+
+
+def test_every_pass_runs_on_a_20000_deep_chain():
+    # a left-leaning sum a*x + 0.5 + x*x + 0.5 + ..., built in a loop far
+    # deeper than the recursion limit allows a recursive walk to go
+    n = 20000
+    assert sys.getrecursionlimit() < n
+    e = Mul(Param("a"), X)
+    for k in range(n):
+        e = Add(e, Mul(X, X) if k % 2 else Const(0.5))
+    f = subst(e, {"a": 1.0})
+    assert free_params(f) == frozenset()
+    g = simplify(f)  # 1*x becomes x, so every Add above it is rebuilt
+    assert g is not f and simplify(f) is g
+    d = simplify(diff(f))
+    assert parse(to_str(f)) is f
+    xs = np.array([-1.5, 0.0, 0.5, 2.0])
+    want = xs + (n // 2) * (xs * xs + 0.5)
+    for h in (f, g):
+        np.testing.assert_allclose(lambdify(h)(xs), want, rtol=1e-12)
+    np.testing.assert_allclose([lambdify(g, scalar=True)(x) for x in xs],
+                               want, rtol=1e-12)
+    np.testing.assert_allclose(lambdify(d)(xs), 1.0 + n * xs, rtol=1e-12)
 
 
 def test_lambdify_matches_interpreter():

@@ -1,17 +1,20 @@
-"""The vector tape of ``lambdify``, the memoized printer, the constant
-folds of ``simplify`` and the parser against the code they replaced: a
-generated-source vector compiler, a recursive printer, the recursive
-interpreter that once backed ``Expr.eval`` and a parser that tokenized the
-whole text first, all kept here verbatim as references.  The tape must give
-the same bits, the printer the same text, a fold the same constant where the
-interpreter gave a finite value and none elsewhere, and the parser the same
-node or the same error at the same offset."""
+"""The vector tape of ``lambdify``, the printer, the constant folds of
+``simplify``, the loops of ``diff``, ``simplify`` and ``subst`` and the
+parser against the code they replaced: a generated-source vector compiler,
+a recursive printer, the recursive interpreter that once backed
+``Expr.eval``, the recursive walkers of the three passes and a parser that
+tokenized the whole text first, all kept here verbatim as references.  The
+tape must give the same bits, the printer the same text, a fold the same
+constant where the interpreter gave a finite value and none elsewhere, each
+pass the very node its walker gave, and the parser the same node or the
+same error at the same offset."""
 
 import builtins
 import json
 import math
 import re
 import tracemalloc
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -22,10 +25,12 @@ from vdplin import colehopf, expr
 from vdplin.colehopf import (bundle_from_json, bundle_to_json, solve_chain,
                              verify_printed_coeffs)
 from vdplin.cli import run as cli_run
-from vdplin.expr import (FUNCTIONS, Add, Const, Div, EvalDomainError, Expr,
-                         Fun, Mul, Neg, Param, ParseError, Pow, Sub,
-                         UnboundParameterError, Var, X, free_params,
-                         lambdify, parse, simplify, subst, to_str)
+from vdplin.expr import (FUNCTIONS, ONE, ZERO, _SCALAR_NS, _VECTOR_BINARY,
+                         Add, Const, Div, EvalDomainError, Expr, Fun, Mul,
+                         Neg, Param, ParseError, Pow, Sub,
+                         UnboundParameterError, Var, X, _fold, _is_const,
+                         _neg_of, _pow_scalar, diff, free_params, lambdify,
+                         parse, simplify, subst, to_str)
 from vdplin.lienard import lienard_coeffs, riccati_u
 
 from conftest import general_instances
@@ -255,6 +260,204 @@ def ref_print(node, ctx=0):
     return s
 
 
+def ref_diff(e):
+    """Differentiation as it was: a recursion over the tree, memoized by
+    node id."""
+    return _diff(e, {})
+
+
+def _diff(node: Expr, memo: dict) -> Expr:
+    key = id(node)
+    if key in memo:
+        return memo[key]
+    if isinstance(node, (Const, Param)):
+        d = ZERO
+    elif isinstance(node, Var):
+        d = ONE
+    elif isinstance(node, Neg):
+        d = Neg(_diff(node.arg, memo))
+    elif isinstance(node, Add):
+        d = Add(_diff(node.left, memo), _diff(node.right, memo))
+    elif isinstance(node, Sub):
+        d = Sub(_diff(node.left, memo), _diff(node.right, memo))
+    elif isinstance(node, Mul):
+        d = Add(Mul(_diff(node.left, memo), node.right),
+                Mul(node.left, _diff(node.right, memo)))
+    elif isinstance(node, Div):
+        d = Div(Sub(Mul(_diff(node.left, memo), node.right),
+                    Mul(node.left, _diff(node.right, memo))),
+                Pow(node.right, Const(2.0)))
+    elif isinstance(node, Pow):
+        d = _diff_pow(node, memo)
+    elif isinstance(node, Fun):
+        d = _diff_fun(node, memo)
+    else:  # pragma: no cover
+        raise TypeError(f"unknown node {node!r}")
+    memo[key] = d
+    return d
+
+
+def _diff_pow(node: Pow, memo: dict) -> Expr:
+    base, expo = node.base, node.exponent
+    db = _diff(base, memo)
+    if isinstance(expo, Const) and float(expo.value).is_integer():
+        n = expo.value
+        if n == 0.0:
+            return ZERO
+        return Mul(Mul(Const(n), Pow(base, Const(n - 1.0))), db)
+    # general case via b^e = exp(e log b); domain restricted to b > 0
+    de = _diff(expo, memo)
+    return Mul(node, Add(Mul(de, Fun("log", base)), Div(Mul(expo, db), base)))
+
+
+def _diff_fun(node: Fun, memo: dict) -> Expr:
+    a = node.arg
+    da = _diff(a, memo)
+    if node.name == "exp":
+        return Mul(node, da)
+    if node.name == "log":
+        return Div(da, a)
+    if node.name == "sin":
+        return Mul(Fun("cos", a), da)
+    if node.name == "cos":
+        return Neg(Mul(Fun("sin", a), da))
+    if node.name == "tan":
+        return Mul(Add(ONE, Pow(node, Const(2.0))), da)
+    if node.name == "sinh":
+        return Mul(Fun("cosh", a), da)
+    if node.name == "cosh":
+        return Mul(Fun("sinh", a), da)
+    if node.name == "sqrt":
+        return Div(da, Mul(Const(2.0), node))
+    raise TypeError(f"unknown function {node.name!r}")  # pragma: no cover
+
+
+def ref_simplify(e):
+    """Simplification as it was: a recursion over the tree.  It cached
+    each result on the node; a dict memo stands in for that slot here, so
+    the reference shares no cache with ``simplify``."""
+    return _simplify(e, {})
+
+
+def _simplify(node: Expr, memo: dict) -> Expr:
+    try:
+        out = memo[node]
+    except KeyError:
+        out = _simplify_node(node, memo)
+        memo[node] = out
+    return out
+
+
+def _simplify_node(node: Expr, memo: dict) -> Expr:
+    if isinstance(node, (Const, Var, Param)):
+        return node
+
+    if isinstance(node, Neg):
+        a = _simplify(node.arg, memo)
+        if isinstance(a, (Const, Neg)):
+            return _neg_of(a)
+        return node if a is node.arg else Neg(a)
+
+    if isinstance(node, Fun):
+        a = _simplify(node.arg, memo)
+        if isinstance(a, Const):
+            folded = _fold(_SCALAR_NS["_" + node.name], a.value)
+            if folded is not None:
+                return folded
+        return node if a is node.arg else Fun(node.name, a)
+
+    if isinstance(node, Pow):
+        b = _simplify(node.base, memo)
+        ex = _simplify(node.exponent, memo)
+        if _is_const(ex, 0.0):
+            return ONE
+        if _is_const(ex, 1.0):
+            return b
+        if _is_const(b, 1.0):
+            return ONE
+        if isinstance(b, Const) and isinstance(ex, Const):
+            folded = _fold(_pow_scalar, b.value, ex.value)
+            if folded is not None:
+                return folded
+        if b is node.base and ex is node.exponent:
+            return node
+        return Pow(b, ex)
+
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        a = _simplify(node.left, memo)
+        b = _simplify(node.right, memo)
+        if isinstance(a, Const) and isinstance(b, Const) and not (
+                isinstance(node, Div) and b.value == 0.0):
+            v = _VECTOR_BINARY[type(node)](a.value, b.value)
+            if math.isfinite(v):  # an overflow stays unfolded
+                return Const(v)
+        if isinstance(node, Add):
+            if _is_const(a, 0.0):
+                return b
+            if _is_const(b, 0.0):
+                return a
+        elif isinstance(node, Sub):
+            if _is_const(b, 0.0):
+                return a
+            if _is_const(a, 0.0):
+                return _neg_of(b)
+        elif isinstance(node, Mul):
+            if _is_const(a, 0.0) or _is_const(b, 0.0):
+                return ZERO
+            if _is_const(a, 1.0):
+                return b
+            if _is_const(b, 1.0):
+                return a
+            if _is_const(a, -1.0):
+                return _neg_of(b)
+            if _is_const(b, -1.0):
+                return _neg_of(a)
+        else:  # Div
+            if _is_const(a, 0.0):
+                return ZERO
+            if _is_const(b, 1.0):
+                return a
+            if _is_const(b, -1.0):
+                return _neg_of(a)
+        if a is node.left and b is node.right:
+            return node
+        return type(node)(a, b)
+
+    return node  # pragma: no cover
+
+
+def ref_subst(e, values):
+    """Substitution as it was: a recursion over the tree, memoized by
+    node id, that keeps a node whose children came back unchanged."""
+    return _subst(e, values, {})
+
+
+def _subst(node: Expr, values: Mapping[str, float], memo: dict) -> Expr:
+    key = id(node)
+    if key in memo:
+        return memo[key]
+    if isinstance(node, Param) and node.name in values:
+        out = Const(float(values[node.name]))
+    elif isinstance(node, (Const, Var, Param)):
+        out = node
+    elif isinstance(node, Neg):
+        a = _subst(node.arg, values, memo)
+        out = node if a is node.arg else Neg(a)
+    elif isinstance(node, Fun):
+        a = _subst(node.arg, values, memo)
+        out = node if a is node.arg else Fun(node.name, a)
+    elif isinstance(node, Pow):
+        b = _subst(node.base, values, memo)
+        ex = _subst(node.exponent, values, memo)
+        out = node if (b is node.base and ex is node.exponent) else Pow(b, ex)
+    else:
+        a = _subst(node.left, values, memo)
+        b = _subst(node.right, values, memo)
+        out = node if (a is node.left and b is node.right) else type(node)(a, b)
+    memo[key] = out
+    return out
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)"
@@ -391,12 +594,13 @@ _BINARY = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}
 
 
 @st.composite
-def _dags(draw, max_ops=14):
+def _dags(draw, max_ops=14, params=()):
     """Each new node takes its operands from the nodes built before it, so
     subtrees are shared, and constants meet constants often enough to give
-    constant-only subtrees (1/0, 0^-1, 1e300*1e300, ...)."""
-    pool = [X] + [Const(v) for v in draw(st.lists(_CONSTANTS, min_size=1,
-                                                  max_size=4))]
+    constant-only subtrees (1/0, 0^-1, 1e300*1e300, ...).  The leaves are x,
+    the constants and a parameter of each name in ``params``."""
+    pool = [X, *map(Param, params)] + [
+        Const(v) for v in draw(st.lists(_CONSTANTS, min_size=1, max_size=4))]
     for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
         kind = draw(st.sampled_from(_KINDS))
         a = draw(st.sampled_from(pool))
@@ -450,6 +654,20 @@ def test_tape_matches_the_generated_code_bit_for_bit(e, extra):
         return
     assert _same_bits(got, want)
     assert _same_bits(got_scalar, want_scalar)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dags(params=("a", "b")), st.sampled_from([0.0, -0.0, 1.0, -2.5]))
+def test_passes_return_the_node_of_the_recursive_walkers(e, a):
+    # a is bound and b left alone; simplify is run on trees that share
+    # subtrees simplified before, so its walk stops at cached nodes
+    d = diff(e)
+    assert d is ref_diff(e)
+    s = subst(e, {"a": a})
+    assert s is ref_subst(e, {"a": a})
+    for t in (e, d, s, diff(d)):
+        assert simplify(t) is ref_simplify(t)
+        assert to_str(t) == ref_print(t)
 
 
 @pytest.mark.parametrize("name", FUNCTIONS)
