@@ -16,6 +16,6 @@ from .odesolve import (DisjointSegmentsError, ErrorMetrics, Grid,
                        StepUnderflowError, Trajectory, cole_hopf_map, compare,
                        integrate_linear, integrate_vdp, lienard_residual,
                        residual, trajectory_csv, trajectory_json)
-from .wcalc import CoeffSet, WPoly, psi_poly, reduce_lienard, reduce_vdp, w_derive
+from .wcalc import CoeffSet, reduce_lienard, reduce_vdp
 
 __version__ = "0.1.0"

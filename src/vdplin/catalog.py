@@ -22,6 +22,7 @@ from .colehopf import (LedgerEntry, TransformBundle, VdpParams, compare_forms,
                        solve_chain)
 from .expr import (Const, Expr, Param, X, cos, diff, exp, lambdify, simplify,
                    sin, sqrt, to_str)
+from .wcalc import vdp_chain
 
 __all__ = [
     "CatalogConstants", "ClosedFormSolution", "CatalogError", "ComplexKError",
@@ -139,7 +140,7 @@ def _check_general_forcing(P: Expr, den: Expr, params: VdpParams,
     mask = np.isfinite(dvals) & (np.abs(dvals) >= 0.1 * scale)
     if not mask.any():
         return
-    f = solve_chain(P, params, grid=xs[mask]).f
+    f = vdp_chain(P, params)["f"]
     fvals = lambdify(f)(xs[mask])
     worst = float(np.max(np.abs(fvals[np.isfinite(fvals)])))
     if worst > 1e-9:

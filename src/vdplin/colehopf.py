@@ -7,13 +7,9 @@ For the perturbed Van der Pol equation
 
 and the substitution psi = P(x) + phi'/phi with phi'' = U(x) phi, requiring
 the reduced coefficients a_1..a_4 to vanish fixes g, h, v and U in terms of
-P, and a_0 = 0 then defines the forcing f.  Here g, h, v and U are that
-solution typed in as closed forms; they are not derived by the reduction
-engine in :mod:`vdplin.wcalc`, only checked against it by sampling
-(``verify_annihilation`` evaluates the engine's a_0..a_4 on a grid).  The
-forcing f is the engine's a_0, and hand-derived reference formulas are
-kept as cross-checks whose outcome is recorded in a discrepancy ledger
-carried by the bundle.
+P, and a_0 = 0 then defines the forcing f; :mod:`vdplin.wcalc` derives all
+five exactly.  Hand-derived reference formulas are kept as cross-checks
+whose outcome is recorded in a discrepancy ledger carried by the bundle.
 """
 
 from __future__ import annotations
@@ -27,12 +23,13 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Const, Expr, as_expr, diff, lambdify, parse, simplify, to_str
-from .wcalc import CoeffSet, reduce_vdp
+from .wcalc import CoeffSet, reduce_vdp, vdp_chain
 
 __all__ = [
     "VdpParams", "TransformBundle", "LedgerEntry", "AnnihilationReport",
     "SingularGridError", "BundleFormatError", "solve_chain", "seeded_construction",
     "verify_annihilation", "verify_printed_coeffs", "compare_forms",
+    "compare_coefficients",
     "reference_coefficient_forms", "reference_forcing_form",
     "bundle_to_json", "bundle_from_json", "DEFAULT_CHECK_POINTS",
 ]
@@ -229,33 +226,15 @@ def reference_forcing_form(P: Expr, params: VdpParams) -> Expr:
 # the chain
 
 def solve_chain(P: Expr, params: VdpParams, grid=None) -> TransformBundle:
-    """Build the unique TransformBundle for a given shift function P.
-
-    g, h, v and U are the closed forms that annihilate a_4..a_1, typed in
-    below rather than solved for; nothing here checks them, and
-    ``verify_annihilation`` tests them by sampling the engine's a_1..a_4.
-    f is the a_0 the engine produces with f = 0, so a_0 = 0 holds by
-    construction.  The reference closed form for f is evaluated against
-    the derived one on ``grid`` (1000 points on [0, 5] by default) and the
-    outcome recorded in the bundle ledger.  Total: never raises for
-    differentiable P."""
+    """The unique TransformBundle for the shift P: g, h, v, U and f are
+    ``wcalc.vdp_chain``'s, derived exactly.  The reference closed form for
+    f is evaluated against the derived one on ``grid`` (1000 points on
+    [0, 5] by default) and ledgered.  Never raises for differentiable P."""
     P = simplify(as_expr(P))
-    mu = Const(params.mu)
-    mb = Const(params.mu * params.beta)
-
-    g = Const(-params.mu)
-    h = simplify(2.0 * (mu * P + 1.0))
-    U = simplify(3.0 * P ** 2 - mb * P + Const(params.alpha / 2.0))
-    dP = simplify(diff(P))
-    v = simplify(mu * dP + mu * U - (mu * P + 6.0) * P + mb)
-
-    base = reduce_vdp(P, U, params, v, h, g, Const(0.0))
-    f = simplify(base.a0)
-
-    entry = compare_forms("forcing-from-a0-vs-reference-closed-form", f,
-                          reference_forcing_form(P, params), grid)
-    return TransformBundle(P=P, U=U, g=g, h=h, v=v, f=f, params=params,
-                           ledger=(entry,))
+    chain = vdp_chain(P, params)
+    entry = compare_forms("forcing-from-a0-vs-reference-closed-form",
+                          chain["f"], reference_forcing_form(P, params), grid)
+    return TransformBundle(P=P, params=params, ledger=(entry,), **chain)
 
 
 def seeded_construction(s: Expr, params: VdpParams, branch: str = "plus",
@@ -311,9 +290,17 @@ def verify_printed_coeffs(P: Expr, U: Expr, params: VdpParams, v: Expr,
     coefficient; the differences are data, whatever they turn out to be."""
     engine = reduce_vdp(P, U, params, v, h, g, f).as_tuple()
     reference = reference_coefficient_forms(P, U, params, v, h, g, f)
-    return [compare_forms(f"reduced-coefficient-a{i}", engine[i], reference[i],
-                          grid, tol=PRINTED_COEFF_TOL)
-            for i in range(5)]
+    return list(compare_coefficients("reduced-coefficient-a", engine,
+                                     reference, grid))
+
+
+def compare_coefficients(check: str, derived: Sequence[Expr],
+                         reference: Sequence[Expr],
+                         grid=None) -> tuple[LedgerEntry, ...]:
+    """One ``compare_forms`` entry per coefficient, named check + index."""
+    return tuple(compare_forms(f"{check}{i}", d, r, grid,
+                               tol=PRINTED_COEFF_TOL)
+                 for i, (d, r) in enumerate(zip(derived, reference)))
 
 
 # ---------------------------------------------------------------------------

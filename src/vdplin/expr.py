@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -100,14 +101,13 @@ class UnboundParameterError(ExprError):
 class _Interned(type):
     """Metaclass of Expr: a constructor call returns the live node with the
     same type, payload and children if there is one.  Children are already
-    interned, so the key holds them by identity.  Const keys carry the sign
-    bit so that 0.0 and -0.0 stay apart.  A node enters the table only
-    after its field checks have passed."""
+    interned, so the key holds them by identity.  A Const is keyed by its
+    value's bits, so 0.0 and -0.0 stay apart and a NaN finds its node.  A
+    node enters the table only after its field checks have passed."""
 
     def __call__(cls, *args):
         if cls is Const:
-            v = float(args[0])
-            key = (cls, v, math.copysign(1.0, v))
+            key = (cls, struct.pack("<d", float(args[0])))
         else:
             key = (cls, *args)
         node = _NODES.get(key)

@@ -4,12 +4,12 @@ same substitution psi = P + phi'/phi.
 
 Given damping coefficients c0..c2 and a pair (P, U), the reduced
 coefficients a_4..a_0 are linear in the restoring coefficients b_4..b_0
-with a triangular structure, so annihilating them is plain back
-substitution.  The b_i produced that way are authoritative; the transcribed
-reference forms are evaluated against them and the outcome recorded, since
-several of them are known to disagree.  The choice U = P^2 - P' (a Riccati
-relation: -P is then a logarithmic derivative of a linear solution) kills
-b_0 identically with the constant damping term left free.  The Van der
+with a triangular structure, so ``wcalc`` derives them exactly, once, by
+back substitution.  They are authoritative; the transcribed reference
+forms are evaluated against them and the outcome recorded, since several
+of them are known to disagree.  The choice U = P^2 - P' (a Riccati
+relation: -P is then a logarithmic derivative of a linear solution) makes
+the derived b_0 the zero polynomial, with the damping left free.  The Van der
 Pol equation is one instance, with the c and b of
 ``colehopf.VdpParams.lienard``; ``odesolve.lienard_residual`` measures a
 trajectory against a spec.
@@ -21,16 +21,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .colehopf import (PRINTED_COEFF_TOL, LedgerEntry, compare_forms,
-                       reading_document)
-from .expr import Const, Expr, as_expr, diff, parse, simplify, to_str
-from .wcalc import psi_poly, psi_powers, reduce_lienard
+from .colehopf import LedgerEntry, compare_coefficients, reading_document
+from .expr import Expr, as_expr, diff, parse, simplify, to_str
+from .wcalc import restoring_coeffs
 
 __all__ = ["LienardSpec", "lienard_coeffs", "riccati_u",
            "reference_restoring_forms", "lienard_spec_to_json",
            "lienard_spec_from_json"]
-
-_ZERO = Const(0.0)
 
 
 @dataclass(frozen=True)
@@ -62,42 +59,22 @@ def reference_restoring_forms(c: Sequence[Expr], P: Expr,
 
 def lienard_coeffs(c: Sequence[Expr], P: Expr, U: Expr,
                    grid=None) -> LienardSpec:
-    """Solve the engine-derived annihilation conditions for b_4..b_0.
-
-    The coefficient of b_j in a_i is the w^i coefficient of psi^j (a power
-    of P times a binomial), zero for i > j, so back substitution from the
-    top degree down is exact.  Reference forms are evaluated against the
-    derived b and ledgered."""
+    """The b_0..b_4 that annihilate a_0..a_4, derived exactly by the
+    reduction's back substitution; the reference forms are evaluated
+    against them and ledgered."""
     c = tuple(simplify(as_expr(ci)) for ci in c)
     P = simplify(as_expr(P))
     U = simplify(as_expr(U))
-
-    zeros = [_ZERO] * 5
-    base = reduce_lienard(P, U, c, zeros).as_tuple()
-    powers = psi_powers(psi_poly(P))
-
-    def psi_pow_coeff(j: int, i: int) -> Expr:
-        cs = powers[j].coeffs
-        return cs[i] if i < len(cs) else _ZERO
-
-    b: list[Expr] = [_ZERO] * 5
-    for i in range(4, -1, -1):
-        acc = base[i]
-        for j in range(i + 1, 5):
-            acc = acc + psi_pow_coeff(j, i) * b[j]
-        b[i] = simplify(-acc)
-
-    refs = reference_restoring_forms(c, P, U)
-    entries = [compare_forms(f"restoring-coefficient-b{i}", b[i], refs[i],
-                             grid, tol=PRINTED_COEFF_TOL)
-               for i in range(5)]
-    return LienardSpec(c=c, b=tuple(b), P=P, U=U, ledger=tuple(entries))
+    b = restoring_coeffs(c, P, U)
+    ledger = compare_coefficients("restoring-coefficient-b", b,
+                                  reference_restoring_forms(c, P, U), grid)
+    return LienardSpec(c=c, b=b, P=P, U=U, ledger=ledger)
 
 
 def riccati_u(P: Expr) -> Expr:
     """U = P^2 - P'.  Substituted into the bottom annihilation condition
-    this makes the derived b_0 vanish identically, leaving the constant
-    damping coefficient free."""
+    this makes the derived b_0 vanish identically, leaving the damping
+    coefficients free."""
     P = as_expr(P)
     return simplify(P ** 2 - diff(P))
 

@@ -1,117 +1,167 @@
-"""Reduction of polynomial second-order ODEs to polynomials in w = phi'/phi.
+"""Reduction of the Lienard equation to a polynomial in w = phi'/phi.
 
-Substituting psi = P + w into an equation polynomial in psi and psi', and
-rewriting phi'' as U*phi at every step (so that w' = U - w^2), turns the
-equation into an identity sum_i a_i(x) w^i = 0.  The coefficients a_i are
-produced here by plain polynomial arithmetic over Expr coefficients; no
-closed-form coefficient expression is ever transcribed.  This makes the
-module the machine source of truth against which transcribed reference
-formulas are checked elsewhere.
+Substituting psi = P + w into psi'' + (c0 + c1 psi + c2 psi^2) psi'
++ sum_i b_i psi^i = 0 and rewriting phi'' = U phi turns it into an identity
+sum_i a_i w^i = 0.  That is done once per process, exactly, over
+polynomials in w, P, P', P'', U, U', c0..c2 and b0..b4 with the derivation
+D(w) = U - w^2, D(P) = P', D(P') = P'', D(U) = U' (Ritt, *Differential
+Algebra*, 1950), and so are two back substitutions: the b that annihilate
+a_4..a_0, and the Van der Pol chain, where at c1 = 0 and a given b1,
+a_4..a_1 fix b4, b3, b2 and U and become the zero polynomial and a_0 fixes
+b0.  An instance only puts P's jet, U and the coefficients in.  No closed
+form is transcribed here: this is the source of truth for the reference
+formulas checked elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
+from itertools import accumulate, groupby
 from typing import Sequence
 
-from .expr import Const, Expr, as_expr, diff, simplify
+from .expr import ZERO, Const, Expr, as_expr, diff, simplify
 
-__all__ = ["WPoly", "CoeffSet", "WDegreeError", "wpoly", "psi_poly",
-           "psi_powers", "w_derive", "reduce_vdp", "reduce_lienard",
-           "MAX_DEGREE"]
+__all__ = ["CoeffSet", "reduce_vdp", "reduce_lienard", "restoring_coeffs",
+           "vdp_chain"]
 
-# psi'' contributes w^3 and (psi^2)psi' at most w^4; anything above 6 means
-# the equation assembly is malformed
-MAX_DEGREE = 6
+# the generators, numbered in the order a monomial lists them
+W, DDP, DP, P, DU, U, C0, C1, C2, B0, B1, B2, B3, B4 = range(14)
+C, B = (C0, C1, C2), (B0, B1, B2, B3, B4)
 
-_ZERO = Const(0.0)
-
-
-class WDegreeError(Exception):
-    """Internal degree cap exceeded; the assembled equation is malformed."""
+# A polynomial maps each monomial, the sorted tuple of its generators with
+# repeats, to its coefficient: an int, or half of one once U is divided by
+# its pivot -2, which float arithmetic keeps exact at these sizes.
+Poly = dict
 
 
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0.0
+def _add(*ps: Poly) -> Poly:
+    out: Poly = {}
+    for p in ps:
+        for m, k in p.items():
+            out[m] = out.get(m, 0) + k
+    return {m: k for m, k in out.items() if k}
 
 
-@dataclass(frozen=True)
-class WPoly:
-    """Polynomial in w with Expr coefficients, coeffs[i] multiplying w^i."""
-
-    coeffs: tuple[Expr, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "WPoly") -> "WPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else _ZERO
-            b = other.coeffs[i] if i < len(other.coeffs) else _ZERO
-            out.append(a + b)
-        return wpoly(out)
-
-    def __mul__(self, other: "WPoly") -> "WPoly":
-        deg = self.degree + other.degree
-        if deg > MAX_DEGREE:
-            raise WDegreeError(f"degree {deg} exceeds cap {MAX_DEGREE}")
-        out: list[Expr] = [_ZERO] * (deg + 1)
-        for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                if _is_zero(b):
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return wpoly(out)
-
-    def scale(self, factor: Expr) -> "WPoly":
-        return wpoly([factor * c for c in self.coeffs])
+def _mul(p: Poly, q: Poly) -> Poly:
+    return _add(*({tuple(sorted(m + n)): k * j}
+                  for m, k in p.items() for n, j in q.items()))
 
 
-def wpoly(coeffs: Sequence[Expr | float]) -> WPoly:
-    """Build a WPoly, simplifying coefficients and trimming a leading run of
-    literal zeros so the stored degree is canonical."""
-    cs = [simplify(as_expr(c)) for c in coeffs]
-    while len(cs) > 1 and _is_zero(cs[-1]):
-        cs.pop()
-    if not cs:
-        cs = [_ZERO]
-    return WPoly(tuple(cs))
+# D on the generators that are not its constants (the c_i and b_i); D(P'')
+# and D(U') are never needed, and asking for them is a KeyError
+_D = {W: {(U,): 1, (W, W): -1}, P: {(DP,): 1}, DP: {(DDP,): 1},
+      U: {(DU,): 1}}
 
 
-def psi_poly(P: Expr) -> WPoly:
-    """psi = P + w as a polynomial in w."""
-    return wpoly([P, 1.0])
+def _derive(p: Poly) -> Poly:
+    """D(p), by the Leibniz rule."""
+    return _add(*(_mul({m[:i] + m[i + 1:]: k}, _D[g])
+                  for m, k in p.items() for i, g in enumerate(m) if g < C0))
 
 
-def psi_powers(psi: WPoly) -> list[WPoly]:
-    """psi^0, ..., psi^4, each the previous times psi."""
-    powers = [wpoly([Const(1.0)])]
-    for _ in range(4):
-        powers.append(powers[-1] * psi)
-    return powers
+def _subst(p: Poly, env: dict[int, Poly]) -> Poly:
+    """p with each generator in env replaced by its polynomial."""
+    return _add(*(reduce(_mul, [env[g] for g in m if g in env],
+                         {tuple(g for g in m if g not in env): k})
+                  for m, k in p.items()))
 
 
-def w_derive(p: WPoly, U: Expr) -> WPoly:
-    """d/dx of p(x, w) along solutions of phi'' = U*phi.
+def _solve(eq: Poly, u: int) -> Poly:
+    """The u that makes eq = p*u + r vanish: -r/p, for a constant pivot
+    p of +-1 or +-2 and an r free of u."""
+    p = eq.get((u,), 0)
+    r = {m: k for m, k in eq.items() if m != (u,)}
+    assert p in (1, -1, 2, -2) and not any(u in m for m in r), (u, eq)
+    return {m: -k / p if p % 2 == 0 else -k * p for m, k in r.items()}
 
-    Uses w' = U - w^2, so d/dx (c_n w^n) = c_n' w^n + n c_n U w^(n-1)
-    - n c_n w^(n+1).  Degree grows by at most one.
-    """
-    if p.degree + 1 > MAX_DEGREE:
-        raise WDegreeError(f"degree {p.degree + 1} exceeds cap {MAX_DEGREE}")
-    out: list[Expr] = [_ZERO] * (len(p.coeffs) + 1)
-    for n, c in enumerate(p.coeffs):
-        out[n] = out[n] + diff(c)
-        if n > 0:
-            nc = Const(float(n)) * c
-            out[n - 1] = out[n - 1] + nc * U
-            out[n + 1] = out[n + 1] - nc
-    return wpoly(out)
+
+def _ordered(p: Poly) -> Poly:
+    # highest degree in P, U and their derivatives first
+    return dict(sorted(p.items(),
+                       key=lambda t: (-sum(g < C0 for g in t[0]), t[0])))
+
+
+@cache
+def _reduced() -> tuple[Poly, ...]:
+    """a_0..a_4 of the Lienard equation with free c, b, P and U."""
+    psi = {(P,): 1, (W,): 1}
+    dpsi = _derive(psi)
+    powers = list(accumulate([psi] * 4, _mul, initial={(): 1}))
+    damping = _add(*(_mul({(g,): 1}, pw) for g, pw in zip(C, powers)))
+    restoring = _add(*(_mul({(g,): 1}, pw) for g, pw in zip(B, powers)))
+    a: list[Poly] = [{} for _ in range(5)]
+    for m, k in _add(_derive(dpsi), _mul(damping, dpsi), restoring).items():
+        n = m.count(W)  # W sorts first
+        a[n][m[n:]] = k
+    return tuple(map(_ordered, a))
+
+
+@cache
+def _restoring() -> tuple[Poly, ...]:
+    """b_0..b_4 that annihilate a_4..a_0, top degree first: b_i enters a_i
+    with coefficient 1 and a_j, j > i, not at all."""
+    a, b = _reduced(), {}
+    for i in range(4, -1, -1):
+        b[B[i]] = _solve(_subst(a[i], b), B[i])
+    return tuple(_ordered(b[g]) for g in B)
+
+
+@cache
+def _chain() -> dict[str, Poly]:
+    """The Van der Pol chain: c1 = 0, b1 given, the rest solved for."""
+    a, env = _reduced(), {C1: {}}
+    for i, u in ((4, B4), (3, B3), (2, B2), (1, U)):
+        env[u] = _solve(_subst(a[i], env), u)
+    env[B2] = _subst(env[B2], {U: env[U]})
+    env[DU] = _derive(env[U])
+    assert not any(_subst(a[i], env) for i in range(1, 5))
+    env[B0] = _solve(_subst(a[0], env), B0)
+    # read off through b = (-f, alpha, -v, -h, -g), VdpParams.lienard's map
+    out = {"U": env[U]}
+    for name, g in (("g", B4), ("h", B3), ("v", B2), ("f", B0)):
+        out[name] = {m: -k for m, k in env[g].items()}
+    return {name: _ordered(p) for name, p in out.items()}
+
+
+def _values(P: Expr, U: Expr, c: Sequence, b: Sequence) -> list:
+    """The Expr of each generator: P's and U's jets, then c and b."""
+    if len(c) != 3:
+        raise ValueError(f"need 3 damping coefficients, got {len(c)}")
+    if len(b) != 5:
+        raise ValueError(f"need 5 restoring coefficients, got {len(b)}")
+    P, U = simplify(as_expr(P)), simplify(as_expr(U))
+    dP = simplify(diff(P))
+    jet = [None, simplify(diff(dP)), dP, P, simplify(diff(U)), U]
+    return jet + [simplify(as_expr(e)) for e in (*c, *b)]
+
+
+def _expr(p: Poly, values: list) -> Expr:
+    """p at the generators' values.  A monomial's coefficient and its
+    Const values multiply into one number, summed over the monomials that
+    share their other values, and simplify folds that number unless it
+    overflows; a negative one is subtracted."""
+    groups: dict[tuple, Expr] = {}
+    for m, k in p.items():
+        num, rest = Const(float(k)), []
+        for g in m:
+            v = values[g]
+            if type(v) is Const:
+                num = num * v
+            else:
+                rest.append(v)
+        key = tuple(rest)
+        groups[key] = groups[key] + num if key in groups else num
+    total = ZERO
+    for rest, num in groups.items():
+        num = simplify(num)
+        minus = type(num) is Const and num.value < 0
+        term = Const(-num.value) if minus else num
+        for v, run in groupby(rest):
+            n = len(tuple(run))
+            term = term * (v ** n if n > 1 else v)
+        total = total - term if minus else total + term
+    return simplify(total)
 
 
 @dataclass(frozen=True)
@@ -129,49 +179,33 @@ class CoeffSet:
         return (self.a0, self.a1, self.a2, self.a3, self.a4)
 
 
-def _coeff_set(poly: WPoly) -> CoeffSet:
-    if poly.degree > 4:
-        raise WDegreeError(f"reduced equation has degree {poly.degree} > 4")
-    cs = list(poly.coeffs) + [_ZERO] * (5 - len(poly.coeffs))
-    return CoeffSet(*cs)
-
-
 def reduce_vdp(P: Expr, U: Expr, params, v: Expr, h: Expr, g: Expr,
                f: Expr) -> CoeffSet:
-    """Coefficients in w of
-
-        psi'' - mu (beta - psi^2) psi' + alpha psi
-              - v psi^2 - h psi^3 - g psi^4 - f
-
-    after substituting psi = P + w and rewriting phi'' = U phi: the
-    Lienard reduction at the coefficients ``params.lienard(v, h, g, f)``."""
+    """a_0..a_4 of psi'' - mu (beta - psi^2) psi' + alpha psi - v psi^2
+    - h psi^3 - g psi^4 - f: the Lienard reduction at the coefficients
+    ``params.lienard(v, h, g, f)``."""
     return reduce_lienard(P, U, *params.lienard(v, h, g, f))
 
 
 def reduce_lienard(P: Expr, U: Expr, c: Sequence[Expr],
                    b: Sequence[Expr]) -> CoeffSet:
-    """Coefficients in w of
+    """a_0..a_4 of psi'' + (c0 + c1 psi + c2 psi^2) psi' + sum_i b_i psi^i
+    for damping c (3 entries) and restoring b (5 entries)."""
+    values = _values(P, U, c, b)
+    return CoeffSet(*(_expr(a, values) for a in _reduced()))
 
-        psi'' + (c0 + c1 psi + c2 psi^2) psi' + sum_i b_i psi^i
 
-    after the same substitution.  c has exactly 3 entries (damping
-    polynomial), b exactly 5 (restoring polynomial)."""
-    if len(c) != 3:
-        raise ValueError(f"need 3 damping coefficients, got {len(c)}")
-    if len(b) != 5:
-        raise ValueError(f"need 5 restoring coefficients, got {len(b)}")
+def restoring_coeffs(c: Sequence[Expr], P: Expr, U: Expr) -> tuple[Expr, ...]:
+    """The b_0..b_4 that make a_0..a_4 vanish for damping c and the pair
+    (P, U), derived exactly."""
+    values = _values(P, U, c, (0.0,) * 5)
+    return tuple(_expr(b, values) for b in _restoring())
 
-    psi = psi_poly(P)
-    dpsi = w_derive(psi, U)
-    ddpsi = w_derive(dpsi, U)
-    powers = psi_powers(psi)
 
-    damping = wpoly([0.0])
-    for i, ci in enumerate(c):
-        damping = damping + powers[i].scale(as_expr(ci))
-    restoring = wpoly([0.0])
-    for i, bi in enumerate(b):
-        restoring = restoring + powers[i].scale(as_expr(bi))
-
-    poly = ddpsi + damping * dpsi + restoring
-    return _coeff_set(poly)
+def vdp_chain(P: Expr, params) -> dict[str, Expr]:
+    """U, g, h, v and f for the shift P, derived exactly at the c and b_1
+    of ``params.lienard``, which do not depend on v, h, g and f."""
+    c, b = params.lienard(0.0, 0.0, 0.0, 0.0)
+    assert c[1] == 0.0, "the chain is solved at c1 = 0"
+    values = _values(P, 0.0, c, b)
+    return {name: _expr(p, values) for name, p in _chain().items()}

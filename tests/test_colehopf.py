@@ -214,8 +214,9 @@ def test_chain_with_free_parameters_is_total():
 def test_finite_constant_bundles_keep_their_bytes():
     # sha256 of the symbolic fields (everything but the sampled ledger).
     # Finite folds print the same bytes as before non-finite folds were
-    # left unfolded; f, the a0 of reduce_lienard at the Van der Pol
-    # coefficients with f = 0, is pinned in that reduction's order of terms
+    # left unfolded; U, h, v and f, the Van der Pol chain's polynomials in
+    # P, P' and P'', and the Lienard b are pinned in the ring's order of
+    # terms
     P = parse("0.3 - 0.2*x + 0.15*x^2")
     docs = {
         "custom": bundle_to_dict(solve_chain(parse("x/(2+x^2)"),
@@ -231,12 +232,12 @@ def test_finite_constant_bundles_keep_their_bytes():
             [parse("0.4"), parse("-0.2"), parse("0.3")], P, riccati_u(P))),
     }
     expected = {
-        "custom": "69bc4cbb0408c22453d9dfda18201acd16e22b4a20225d7227be54c9653f8fb6",
-        "consts": "a361c1b2d9dbd811d092c8127499d49c53cafa43be1676c7d3662165b1084fa3",
-        "seeded": "78acabef7aaab5704fe305ce794cf8ebbf21c55dd7424cdf940680c975bd5ad1",
+        "custom": "82d50268f0a7c659037db4a51f03f4aae40825c7d861cffd22c8115ada628c89",
+        "consts": "3611b142c76a02e6b7869739511f04e311de89b6d12754db74e177ea950efdc5",
+        "seeded": "0ae6631cfb5a3ecf3eaddab010e37ae111c80d90913436483ef48667c77a8219",
         "case1": "ff06cf37215c860d071bbf9d1c7a00efb2c8599d984ab7088987595e8d6ebc1f",
-        "case3": "49ee513045c4bf42cca9f804f897970aa70b0a9de0e2d4e79238c40ee2ea7ead",
-        "lienard": "c08b648a0fd99ded35ebb7614472156fed736479d77339fb670cc09933b729e3",
+        "case3": "aa78e25f3642d383ed9eb23b16dfcc05ed48209617d1bff9ae2b1b3ea40082e9",
+        "lienard": "79b616a747bb3d1e7cd8e43abb94a5f9957f6507c68277c06329a78958988c5d",
     }
     for name, doc in docs.items():
         symbolic = {k: v for k, v in doc.items() if k != "ledger"}

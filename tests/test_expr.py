@@ -326,6 +326,18 @@ def test_signed_zero_constants_stay_apart():
     assert lambdify(X / Const(0.0))(1.0) == np.inf
 
 
+def test_nan_constants_are_interned():
+    nan = float("nan")
+    held = [Const(nan)]
+    before = len(expr._NODES)
+    for _ in range(100):
+        assert Const(float("nan")) is held[0]
+    assert len(expr._NODES) == before
+    q = parse("a*x")
+    assert subst(q, {"a": nan}) is subst(q, {"a": nan})
+    assert Const(-nan) is not held[0]  # another bit pattern
+
+
 def test_constant_subtrees_give_inf_or_nan():
     # a constant-only subtree follows numpy semantics like any other
     # point: no ZeroDivisionError or OverflowError

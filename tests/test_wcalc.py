@@ -1,121 +1,201 @@
-"""Reduction engine: polynomial arithmetic in w, derivation under the
-rewrite, and the two equation reductions checked against pointwise-
-evaluation oracles that never use the engine's own algebra."""
+"""Reduction engine: the ring of P's and U's derivatives, its
+derivation, the reduction and the two back substitutions it derives once,
+checked exactly in the ring, against sympy, and against pointwise-
+evaluation oracles that never use the ring's own algebra."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from vdplin import wcalc
 from vdplin.colehopf import VdpParams
-from vdplin.expr import Const, X, lambdify, parse, simplify, subst
-from vdplin.wcalc import (MAX_DEGREE, WDegreeError, psi_poly, reduce_lienard,
-                          reduce_vdp, w_derive, wpoly)
+from vdplin.expr import Const, X, diff, lambdify, parse, simplify
+from vdplin.wcalc import (B0, B1, B2, B3, B4, C0, C1, C2, DDP, DP, DU, P, U,
+                          W, reduce_lienard, reduce_vdp, restoring_coeffs)
 
 RNG = np.random.default_rng(7)
 
 
-def _poly_eval(p, x, w):
-    """p at (x, w) by Horner's rule, each coefficient evaluated at x."""
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * w + c.eval(x)
-    return acc
+def _ring_eval(p, values):
+    """p at numeric generator values (a dict generator -> float)."""
+    return sum(k * math.prod(values[g] for g in m) for m, k in p.items())
 
 
-def test_psi_poly_shape():
-    p = psi_poly(Const(0.0))
-    assert [c.eval(0.0) for c in p.coeffs] == [0.0, 1.0]
-    p = psi_poly(Const(3.5))
-    assert [c.eval(0.0) for c in p.coeffs] == [3.5, 1.0]
-    shift = parse("(mu*beta - k)/4")
-    p = psi_poly(shift)
-    env = {"mu": 2.0, "beta": 1.0, "k": 1.0}
-    assert subst(p.coeffs[0], env).eval(0.0) == 0.25
-    assert p.coeffs[1].eval(0.0) == 1.0
+def _hand_psi(P, U, x, w):
+    """psi, psi' and psi'' at (x, w) by hand: psi = P + w, w' = U - w^2."""
+    dP, dU = diff(P), diff(U)
+    Pv, dPv, ddPv = P.eval(x), dP.eval(x), diff(dP).eval(x)
+    Uv, dUv = U.eval(x), dU.eval(x)
+    return (Pv + w, dPv + Uv - w * w,
+            ddPv + dUv - 2 * Uv * w + 2 * w ** 3)
 
 
-def test_w_derive_of_w():
+def test_derivation_of_w():
     # w' = U - w^2
-    U = parse("x^2+1")
-    d = w_derive(wpoly([0.0, 1.0]), U)
-    for x, w in [(0.3, 1.2), (1.5, -0.4)]:
-        assert _poly_eval(d, x, w) == pytest.approx((x * x + 1) - w * w, rel=1e-14)
+    assert wcalc._derive({(W,): 1}) == {(U,): 1, (W, W): -1}
 
 
-def test_w_derive_twice_is_hand_form():
+def test_derivation_twice_is_hand_form():
     # hand derivation: psi'' = P'' + U' - 2 U w + 2 w^3
-    P = parse("sin(x)")
-    U = parse("x^2+1")
-    got = w_derive(w_derive(psi_poly(P), U), U)
-    assert got.degree == 3
-    for x, w in [(0.4, 0.9), (2.1, -1.3), (0.0, 0.0)]:
-        want = -math.sin(x) + 2 * x - 2 * (x * x + 1) * w + 2 * w ** 3
-        assert _poly_eval(got, x, w) == pytest.approx(want, rel=1e-13, abs=1e-13)
+    psi = {(P,): 1, (W,): 1}
+    assert wcalc._derive(wcalc._derive(psi)) == {
+        (DDP,): 1, (DU,): 1, (W, U): -2, (W, W, W): 2}
 
 
-def test_w_derive_twice_against_integrated_phi():
-    # oracle: with U = 1 and phi = cosh, w = tanh; differentiate the
-    # evaluated polynomial by central differences in x
-    U = Const(1.0)
-    p = w_derive(psi_poly(Const(0.0)), U)  # represents psi' for P = 0
+def test_derivation_of_a_w_free_polynomial():
+    # free of w, D is the x-derivative along P's and U's jet: D(P^2) = 2 P P'
+    # (d/dx x^4 = 108 at x = 3 for P = x^2) and the product rule on P U c2
+    d = wcalc._derive({(P, P): 1})
+    assert d == {(DP, P): 2}
+    assert _ring_eval(d, {P: 9.0, DP: 6.0}) == pytest.approx(108.0)
+    assert wcalc._derive({(P, U, C2): 3}) == {(DP, U, C2): 3, (P, DU, C2): 3}
+    # the coefficients are constants of D; P'' and U' have no derivative here
+    assert wcalc._derive({(C0, B3): 5}) == {}
+    for g in (DDP, DU):
+        with pytest.raises(KeyError):
+            wcalc._derive({(g,): 1})
 
-    def eval_on_traj(poly, x):
-        return _poly_eval(poly, x, math.tanh(x))
 
-    d = w_derive(p, U)
+def test_derivation_against_integrated_phi():
+    # U = 1 and phi = cosh make w = tanh: D(psi') at P = 0 is the central
+    # difference of psi' along that trajectory
+    dpsi = wcalc._derive({(P,): 1, (W,): 1})
+    ddpsi = wcalc._derive(dpsi)
+
+    def on_traj(p, x):
+        return _ring_eval(p, {W: math.tanh(x), P: 0.0, DP: 0.0, DDP: 0.0,
+                              U: 1.0, DU: 0.0})
+
     h = 1e-6
     for x in (0.3, 1.0, 2.2):
-        fd = (eval_on_traj(p, x + h) - eval_on_traj(p, x - h)) / (2 * h)
-        assert eval_on_traj(d, x) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+        fd = (on_traj(dpsi, x + h) - on_traj(dpsi, x - h)) / (2 * h)
+        assert on_traj(ddpsi, x) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
-def test_w_derive_constant_poly():
-    d = w_derive(wpoly([parse("x^2")]), Const(1.0))
-    assert d.degree == 0
-    assert d.coeffs[0].eval(3.0) == pytest.approx(6.0)
-
-
-def test_w_derive_consistency_on_integrated_solution():
+def test_derivation_on_integrated_solution():
     # U nonconstant: integrate the linear equation, trace w = phi'/phi and
-    # compare d/dx of the evaluated polynomial with the derived polynomial
+    # compare d/dx of p = P + 2w + U w^2 along it with D(p)
     from vdplin.odesolve import Grid, IntegratorConfig, integrate_linear
 
-    U = parse("x^2/4 + 1")
-    p = wpoly([parse("sin(x)"), Const(2.0), parse("x/3")])
-    d = w_derive(p, U)
-    traj = integrate_linear(U, Grid(0.0, 2.0, 2001), 1.0, 0.2,
+    Pe, Ue = parse("sin(x)"), parse("x^2/4 + 1")
+    p = {(P,): 1, (W,): 2, (W, W, U): 1}
+    d = wcalc._derive(p)
+    traj = integrate_linear(Ue, Grid(0.0, 2.0, 2001), 1.0, 0.2,
                             IntegratorConfig(rtol=1e-12, atol=1e-14))
+    jet = [(Pe, P), (diff(Pe), DP), (Ue, U), (diff(Ue), DU)]
+
+    def at(poly, x, w):
+        values = {g: e.eval(x) for e, g in jet}
+        return _ring_eval(poly, {**values, W: w})
+
     w = traj.derivatives / traj.values
-    vals = np.array([_poly_eval(p, float(x), float(wi))
-                     for x, wi in zip(traj.xs, w)])
-    dvals = np.array([_poly_eval(d, float(x), float(wi))
+    vals = np.array([at(p, float(x), float(wi)) for x, wi in zip(traj.xs, w)])
+    dvals = np.array([at(d, float(x), float(wi))
                       for x, wi in zip(traj.xs, w)])
     h = float(traj.xs[1] - traj.xs[0])
     fd = (vals[2:] - vals[:-2]) / (2 * h)
     assert np.max(np.abs(fd - dvals[1:-1])) <= 1e-6
 
 
-def test_wpoly_arithmetic_homomorphism():
-    # eval(p+q) = eval(p)+eval(q), eval(p*q) = eval(p)*eval(q)
-    exprs = [parse(s) for s in ("x", "sin(x)", "x^2-1", "exp(x/4)", "2")]
-    for _ in range(20):
-        ca = [exprs[i] for i in RNG.integers(0, len(exprs), 3)]
-        cb = [exprs[i] for i in RNG.integers(0, len(exprs), 2)]
-        p, q = wpoly(ca), wpoly(cb)
-        for _ in range(5):
-            x = float(RNG.uniform(0.1, 2.0))
-            w = float(RNG.uniform(-2.0, 2.0))
-            pv, qv = _poly_eval(p, x, w), _poly_eval(q, x, w)
-            assert _poly_eval(p + q, x, w) == pytest.approx(pv + qv, rel=1e-12, abs=1e-12)
-            assert _poly_eval(p * q, x, w) == pytest.approx(pv * qv, rel=1e-12, abs=1e-12)
+def test_vdp_chain_annihilates_a1_to_a4_in_the_ring():
+    # c0 = -mu beta, c2 = mu and b1 = alpha stay generators, so this holds
+    # for symbolic P, mu, beta and alpha
+    chain = wcalc._chain()
+    env = {C1: {}, U: chain["U"], DU: wcalc._derive(chain["U"])}
+    for name, g in (("g", B4), ("h", B3), ("v", B2), ("f", B0)):
+        env[g] = {m: -k for m, k in chain[name].items()}
+    a = wcalc._reduced()
+    for i in range(5):
+        assert wcalc._subst(a[i], env) == {}, i
+    # f is the 8-term a_0: P'' + 6PP' + 2c0 P' + 4P^3 + 4c0 P^2
+    # + (b1 + c0^2) P + c0 b1 / 2
+    assert chain["f"] == {(DDP,): 1, (DP, P): 6, (DP, C0): 2, (P, P, P): 4,
+                          (P, P, C0): 4, (P, B1): 1, (P, C0, C0): 1,
+                          (C0, B1): 0.5}
+    assert chain["U"] == {(P, P): 3, (P, C0): 1, (B1,): 0.5}
+    assert chain["g"] == {(C2,): -1}
+    assert chain["h"] == {(P, C2): 2, (): 2}
+    assert all(g not in (U, DU, C1) for p in chain.values() for m in p
+               for g in m)
+    # derived once per process
+    assert wcalc._chain() is chain and wcalc._reduced() is a
 
 
-def test_wpoly_degree_cap():
-    p = wpoly([Const(1.0)] * 5)  # degree 4
-    with pytest.raises(WDegreeError):
-        _ = p * p
-    assert p.degree <= MAX_DEGREE
+def test_riccati_potential_makes_b0_the_zero_polynomial():
+    # U = P^2 - P' for every c, b0 being free of c1 and c2 included
+    riccati = {(P, P): 1, (DP,): -1}
+    b0 = wcalc._restoring()[0]
+    assert b0 and any(g in (C0, C1, C2) for m in b0 for g in m)
+    assert wcalc._subst(b0, {U: riccati, DU: wcalc._derive(riccati)}) == {}
+
+
+def test_ring_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    x, Ws = sp.Symbol("x"), sp.Symbol("W")
+    Pf, Uf, wf = (sp.Function(n)(x) for n in ("P", "U", "w"))
+    c, b = sp.symbols("c0:3"), sp.symbols("b0:5")
+
+    def D(e):  # d/dx along phi'' = U phi
+        return sp.diff(e, x).subs(sp.Derivative(wf, x), Uf - wf ** 2)
+
+    psi = Pf + wf
+    dpsi = D(psi)
+    eq = (D(dpsi) + sum(ci * psi ** i for i, ci in enumerate(c)) * dpsi
+          + sum(bi * psi ** i for i, bi in enumerate(b)))
+    a = sp.Poly(sp.expand(eq.subs(wf, Ws)), Ws)
+    a = [a.coeff_monomial(Ws ** i) for i in range(5)]
+    gens = {DDP: Pf.diff(x, 2), DP: Pf.diff(x), P: Pf, DU: Uf.diff(x), U: Uf,
+            C0: c[0], C1: c[1], C2: c[2], B0: b[0], B1: b[1], B2: b[2],
+            B3: b[3], B4: b[4]}
+
+    def to_sympy(p):
+        return sum(sp.Rational(Fraction(k)) * sp.Mul(*(gens[g] for g in m))
+                   for m, k in p.items())
+
+    for i in range(5):
+        assert sp.expand(a[i] - to_sympy(wcalc._reduced()[i])) == 0, i
+    solved = sp.solve(a, b, dict=True)
+    assert len(solved) == 1
+    for i in range(5):
+        want = solved[0][b[i]]
+        assert sp.expand(want - to_sympy(wcalc._restoring()[i])) == 0, i
+
+
+def test_reduce_vdp_pointwise_oracle():
+    # direct evaluation of the substituted equation from the hand forms of
+    # psi, psi' and psi'' must match the assembled coefficients at random
+    # (x, w)
+    params = VdpParams(0.8, 1.1, -0.4)
+    P, U = parse("x/(1+x^2)"), parse("cos(x)")
+    v, h, g, f = parse("x^2"), parse("exp(x/3)"), parse("1-x"), parse("sin(x)")
+    cs = reduce_vdp(P, U, params, v, h, g, f)
+    for _ in range(30):
+        x = float(RNG.uniform(0.0, 3.0))
+        w = float(RNG.uniform(-2.0, 2.0))
+        sv, sd, sdd = _hand_psi(P, U, x, w)
+        want = (sdd - params.mu * (params.beta - sv ** 2) * sd
+                + params.alpha * sv - v.eval(x) * sv ** 2
+                - h.eval(x) * sv ** 3 - g.eval(x) * sv ** 4 - f.eval(x))
+        got = sum(a.eval(x) * w ** i for i, a in enumerate(cs.as_tuple()))
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
+def test_reduce_lienard_pointwise_oracle():
+    P, U = parse("0.3*x"), parse("sin(x)")
+    c = [parse("0.2"), parse("x/5"), parse("0.1*x^2")]
+    b = [parse(s) for s in ("1", "x", "0.5", "cos(x)", "0.3")]
+    cs = reduce_lienard(P, U, c, b)
+    for _ in range(30):
+        x = float(RNG.uniform(0.0, 3.0))
+        w = float(RNG.uniform(-2.0, 2.0))
+        sv, sd, sdd = _hand_psi(P, U, x, w)
+        damping = sum(ci.eval(x) * sv ** i for i, ci in enumerate(c))
+        restoring = sum(bi.eval(x) * sv ** i for i, bi in enumerate(b))
+        want = sdd + damping * sd + restoring
+        got = sum(a.eval(x) * w ** i for i, a in enumerate(cs.as_tuple()))
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
 def test_reduce_vdp_a4_vanishes_when_g_is_minus_mu():
@@ -133,34 +213,6 @@ def test_reduce_vdp_hand_instance_all_zero():
                     Const(-1.0), Const(0.0))
     for a in cs.as_tuple():
         assert simplify(a).eval(0.7) == pytest.approx(0.0, abs=1e-14)
-
-
-def _psi_forms(P, U):
-    """The three substitution polynomials: psi, psi', psi''."""
-    psi = psi_poly(P)
-    dpsi = w_derive(psi, U)
-    return psi, dpsi, w_derive(dpsi, U)
-
-
-def test_reduce_vdp_pointwise_oracle():
-    # direct evaluation of the substituted equation from the psi forms
-    # must match the assembled coefficient set at random (x, w)
-    params = VdpParams(0.8, 1.1, -0.4)
-    P, U = parse("x/(1+x^2)"), parse("cos(x)")
-    v, h, g, f = parse("x^2"), parse("exp(x/3)"), parse("1-x"), parse("sin(x)")
-    cs = reduce_vdp(P, U, params, v, h, g, f)
-    psi, dpsi, ddpsi = _psi_forms(P, U)
-    for _ in range(30):
-        x = float(RNG.uniform(0.0, 3.0))
-        w = float(RNG.uniform(-2.0, 2.0))
-        sv = _poly_eval(psi, x, w)
-        sd = _poly_eval(dpsi, x, w)
-        sdd = _poly_eval(ddpsi, x, w)
-        want = (sdd - params.mu * (params.beta - sv ** 2) * sd
-                + params.alpha * sv - v.eval(x) * sv ** 2
-                - h.eval(x) * sv ** 3 - g.eval(x) * sv ** 4 - f.eval(x))
-        got = sum(a.eval(x) * w ** i for i, a in enumerate(cs.as_tuple()))
-        assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
 def test_reduce_lienard_empty_equation():
@@ -185,27 +237,10 @@ def test_reduce_lienard_b4_equals_c2_kills_a4():
     assert np.max(np.abs(lambdify(cs.a4)(xs))) <= 1e-13
 
 
-def test_reduce_lienard_pointwise_oracle():
-    P, U = parse("0.3*x"), parse("sin(x)")
-    c = [parse("0.2"), parse("x/5"), parse("0.1*x^2")]
-    b = [parse(s) for s in ("1", "x", "0.5", "cos(x)", "0.3")]
-    cs = reduce_lienard(P, U, c, b)
-    psi, dpsi, ddpsi = _psi_forms(P, U)
-    for _ in range(30):
-        x = float(RNG.uniform(0.0, 3.0))
-        w = float(RNG.uniform(-2.0, 2.0))
-        sv = _poly_eval(psi, x, w)
-        sd = _poly_eval(dpsi, x, w)
-        sdd = _poly_eval(ddpsi, x, w)
-        damping = sum(ci.eval(x) * sv ** i for i, ci in enumerate(c))
-        restoring = sum(bi.eval(x) * sv ** i for i, bi in enumerate(b))
-        want = sdd + damping * sd + restoring
-        got = sum(a.eval(x) * w ** i for i, a in enumerate(cs.as_tuple()))
-        assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
-
-
 def test_reduce_lienard_validates_lengths():
     with pytest.raises(ValueError):
         reduce_lienard(X, X, [Const(0.0)] * 2, [Const(0.0)] * 5)
     with pytest.raises(ValueError):
         reduce_lienard(X, X, [Const(0.0)] * 3, [Const(0.0)] * 4)
+    with pytest.raises(ValueError):
+        restoring_coeffs([Const(0.0)] * 4, X, X)
