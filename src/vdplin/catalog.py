@@ -4,11 +4,13 @@ The general shift P annihilating the forcing is a ratio of three
 exponentials with two free constants C1, C2 and decay rate k, where
 k^2 = mu^2 beta^2 - 4 alpha.  Three classical specializations are built
 here compositionally: the constant-P family (C1 = C2 = 0), the degenerate
-k = 0 family, and the alpha = 0 logistic family.  Every printed reference
-specialization is re-derived from the general P plus the solve chain and
-the comparison recorded in the bundle ledger; at least two of the
-transcribed reference forms are known to disagree with the derivation, so
-the ledger is part of the deliverable, not a log line.
+k = 0 family, and the alpha = 0 logistic family.  Each states only its
+shift, the constants of p_general it specializes, its transcribed
+reference rows and its basis; one builder runs the solve chain, checks the
+shift against the general P and the rows against the chain on a grid,
+checks the basis, and records every comparison in the bundle ledger.  At
+least two of the transcribed reference forms are known to disagree with
+the derivation, so the ledger is part of the deliverable, not a log line.
 """
 
 from __future__ import annotations
@@ -70,14 +72,20 @@ class CatalogConstants:
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """A bundle plus the closed-form linear solution phi (with free
-    constants C3, C4) when one is available and verified; phi_basis holds
-    the two independent solutions separately."""
+    """A bundle plus the two independent solutions phi_basis of the linear
+    equation when they are available and verified."""
 
     bundle: TransformBundle
-    phi: Expr | None
     phi_basis: tuple[Expr, Expr] | None
     constants: CatalogConstants
+
+    @property
+    def phi(self) -> Expr | None:
+        """The closed-form linear solution C3 phi_1 + C4 phi_2, with free
+        constants C3 and C4, when there is a basis."""
+        if self.phi_basis is None:
+            return None
+        return simplify(C3 * self.phi_basis[0] + C4 * self.phi_basis[1])
 
 
 def _power(name: str, value: float, exponent: int) -> float:
@@ -160,22 +168,10 @@ def linear_basis(u0: float) -> tuple[Expr, Expr]:
     return Const(1.0), X
 
 
-def _phi_from_basis(basis: tuple[Expr, Expr]) -> Expr:
-    return simplify(C3 * basis[0] + C4 * basis[1])
-
-
-def _constant_value(e: Expr, what: str) -> float:
-    e = simplify(e)
-    if not isinstance(e, Const):
-        raise CatalogError(f"{what} did not fold to a constant: {to_str(e)}")
-    return e.value
-
-
 def _basis_residual_entry(name: str, basis: tuple[Expr, Expr],
-                          U: Expr) -> tuple[LedgerEntry, bool]:
+                          U: Expr) -> LedgerEntry:
     """Check |phi'' - U phi| <= tol * max(1, |phi|) for both basis
-    functions on 501 points of [0, 5], tol = 1e-9; returns the ledger
-    entry and whether the check passed."""
+    functions on 501 points of [0, 5], tol = 1e-9."""
     xs = np.linspace(0.0, 5.0, 501)
     tol = 1e-9
     worst = 0.0
@@ -187,12 +183,52 @@ def _basis_residual_entry(name: str, basis: tuple[Expr, Expr],
         if ok.any():
             worst = max(worst, float(np.max(np.abs(resid[ok]) / scale[ok])))
             points += int(ok.sum())
-    passed = points > 0 and worst <= tol
-    note = "" if points else "not evaluated: no regular grid points"
     ref = " ; ".join(to_str(simplify(b)) for b in basis)
-    return (LedgerEntry(name, passed if points else None,
-                        worst if points else None, tol, points, ref, note),
-            passed)
+    if not points:
+        return LedgerEntry(name, None, None, tol, 0, ref,
+                           "not evaluated: no regular grid points")
+    return LedgerEntry(name, worst <= tol, worst, tol, points, ref)
+
+
+def _family(name: str, params: VdpParams, P: Expr, C1: float, k_sign: int,
+            k: float, basis, rows) -> ClosedFormSolution:
+    """The solution of a family with shift P = p_general(params, C1, 0,
+    k_sign).  After solve_chain's entry its ledger checks that P, the
+    family's transcribed ``rows(bundle, u0)``, each (check, derived,
+    reference, tol) or an entry decided already, and the basis.  With
+    ``basis`` None the potential must be a constant u0, whose real basis
+    is taken; a transcribed basis is kept only if it solves the linear
+    equation, else phi is left to integration."""
+    bundle = solve_chain(P, params)
+    entries = [compare_forms(f"{name}-P-from-general-P",
+                             p_general(params, C1, 0.0, k_sign, check=False),
+                             P)]
+    U = simplify(bundle.U)
+    if basis is None and not isinstance(U, Const):
+        raise CatalogError(f"{name} potential did not fold to a constant: "
+                           f"{to_str(U)}")
+    u0 = U.value if basis is None else None
+    entries += [row if isinstance(row, LedgerEntry)
+                else compare_forms(*row[:3], tol=row[3])
+                for row in rows(bundle, u0)]
+    if basis is None:
+        basis = linear_basis(u0)
+        entries.append(_basis_residual_entry(
+            f"{name}-basis-solves-linear-eq", basis, bundle.U))
+        # c = C1 + C2 with C2 = 0
+        constants = CatalogConstants(C1, 0.0, k, k_sign, C1, omega_sq=-u0,
+                                     nu=math.sqrt(u0) if u0 > 0 else 0.0)
+    else:
+        entries.append(_basis_residual_entry(
+            f"{name}-reference-phi-solves-linear-eq", basis, bundle.U))
+        if entries[-1].agrees is not True:
+            basis = None
+            entries.append(LedgerEntry(
+                f"{name}-phi-fallback", False, None, 1e-9, 0, "",
+                "reference phi inconsistent with derived potential; "
+                "integrate the linear equation numerically"))
+        constants = CatalogConstants(C1, 0.0, k, k_sign, C1)
+    return ClosedFormSolution(bundle.with_entries(entries), basis, constants)
 
 
 def case1(params: VdpParams, k_sign: int = 1) -> ClosedFormSolution:
@@ -203,42 +239,20 @@ def case1(params: VdpParams, k_sign: int = 1) -> ClosedFormSolution:
     {1, x} at k = mu*beta).  The reference trigonometric form's frequency
     satisfies omega^2 = -U and is recorded as such in the ledger."""
     k_abs, k = _k_value(params, k_sign)
-    mb = params.mu * params.beta
-    P = Const((mb - k) / 4.0)
-    bundle = solve_chain(P, params)
-
-    entries = [
-        compare_forms("case1-P-from-general-P",
-                      p_general(params, 0.0, 0.0, k_sign, check=False), P),
-        compare_forms("case1-reference-U", bundle.U,
-                      Const(params.alpha / 2.0 + (3 * k + mb) * (k - mb) / 16.0)),
-        compare_forms("case1-reference-v", bundle.v,
-                      Const(-_power("mu", params.mu, 3)
-                            * _power("beta", params.beta, 2) / 8.0
-                            + params.mu / 2.0 * (params.alpha - params.beta
-                                                 + k * k / 4.0)
-                            + 3.0 * k / 2.0)),
-        compare_forms("case1-reference-h", bundle.h,
-                      Const(params.mu / 2.0 * (mb - k) + 2.0)),
-    ]
-    u0 = _constant_value(bundle.U, "case1 potential")
-    omega_sq_ref = (mb * mb + 2.0 * mb * k - 3.0 * k * k
-                    - 8.0 * params.alpha) / 16.0
-    entries.append(compare_forms(
-        "case1-reference-omega-squared-vs-minus-U",
-        Const(omega_sq_ref), Const(-u0), tol=1e-12))
-
-    basis = linear_basis(u0)
-    basis_entry, _ = _basis_residual_entry("case1-basis-solves-linear-eq",
-                                           basis, bundle.U)
-    entries.append(basis_entry)
-
-    constants = CatalogConstants(C1=0.0, C2=0.0, k=k_abs, k_sign=k_sign,
-                                 c=0.0, omega_sq=-u0,
-                                 nu=math.sqrt(u0) if u0 > 0 else 0.0)
-    return ClosedFormSolution(bundle=bundle.with_entries(entries),
-                              phi=_phi_from_basis(basis), phi_basis=basis,
-                              constants=constants)
+    mu, beta, alpha = params.mu, params.beta, params.alpha
+    mb = mu * beta
+    return _family("case1", params, Const((mb - k) / 4.0), 0.0, k_sign, k_abs,
+                   None, lambda b, u0: [
+        ("case1-reference-U", b.U,
+         Const(alpha / 2.0 + (3 * k + mb) * (k - mb) / 16.0), 1e-9),
+        ("case1-reference-v", b.v,
+         Const(-_power("mu", mu, 3) * _power("beta", beta, 2) / 8.0
+               + mu / 2.0 * (alpha - beta + k * k / 4.0) + 3.0 * k / 2.0),
+         1e-9),
+        ("case1-reference-h", b.h, Const(mu / 2.0 * (mb - k) + 2.0), 1e-9),
+        ("case1-reference-omega-squared-vs-minus-U",
+         Const((mb * mb + 2.0 * mb * k - 3.0 * k * k - 8.0 * alpha) / 16.0),
+         Const(-u0), 1e-12)])
 
 
 def case2(params: VdpParams) -> ClosedFormSolution:
@@ -249,49 +263,27 @@ def case2(params: VdpParams) -> ClosedFormSolution:
     omega = sqrt(mu^2 beta^2 - 8 alpha)/4, but omega^2 = -mu^2 beta^2/16
     is nonpositive for every real parameter set, so the real basis is
     hyperbolic; the discrepancy is recorded in the ledger."""
-    mb = params.mu * params.beta
-    if abs(params.alpha - mb * mb / 4.0) > 1e-12:
+    mu, beta, alpha = params.mu, params.beta, params.alpha
+    mb = mu * beta
+    if abs(alpha - mb * mb / 4.0) > 1e-12:
         raise KZeroInconsistentError(
             f"k = 0 needs alpha = mu^2 beta^2/4 = {mb * mb / 4.0:g}, "
-            f"got {params.alpha:g}")
-    P = Const(mb / 4.0)
-    bundle = solve_chain(P, params)
-
-    entries = [
-        compare_forms("case2-P-from-general-P",
-                      p_general(params, 0.0, 0.0, 1, check=False), P),
-        compare_forms("case2-reference-U", bundle.U,
-                      Const(params.alpha / 2.0 - mb * mb / 16.0)),
-        compare_forms("case2-reference-h", bundle.h,
-                      Const(_power("mu", params.mu, 2) * params.beta / 2.0
-                            + 2.0)),
-        compare_forms("case2-reference-v", bundle.v,
-                      Const(params.mu / 2.0 * (params.alpha - params.beta
-                                               - mb * mb / 4.0))),
-    ]
-    u0 = _constant_value(bundle.U, "case2 potential")
-    omega_sq_ref = (mb * mb - 8.0 * params.alpha) / 16.0
-    entries.append(compare_forms(
-        "case2-reference-omega-squared-vs-minus-U",
-        Const(omega_sq_ref), Const(-u0), tol=1e-12))
-    if u0 > 0:
-        entries.append(LedgerEntry(
-            "case2-reference-trig-basis", False, None, 0.0, 0,
-            "cos/sin with omega^2 = (mu^2 beta^2 - 8 alpha)/16",
-            "omega^2 = -U <= 0 for real parameters; the real basis is "
-            "exponential with rate |mu*beta|/4"))
-
-    basis = linear_basis(u0)
-    basis_entry, _ = _basis_residual_entry("case2-basis-solves-linear-eq",
-                                           basis, bundle.U)
-    entries.append(basis_entry)
-
-    constants = CatalogConstants(C1=0.0, C2=0.0, k=0.0, k_sign=1, c=0.0,
-                                 omega_sq=-u0,
-                                 nu=math.sqrt(u0) if u0 > 0 else 0.0)
-    return ClosedFormSolution(bundle=bundle.with_entries(entries),
-                              phi=_phi_from_basis(basis), phi_basis=basis,
-                              constants=constants)
+            f"got {alpha:g}")
+    trig = LedgerEntry(
+        "case2-reference-trig-basis", False, None, 0.0, 0,
+        "cos/sin with omega^2 = (mu^2 beta^2 - 8 alpha)/16",
+        "omega^2 = -U <= 0 for real parameters; the real basis is "
+        "exponential with rate |mu*beta|/4")
+    return _family("case2", params, Const(mb / 4.0), 0.0, 1, 0.0, None,
+                   lambda b, u0: [
+        ("case2-reference-U", b.U, Const(alpha / 2.0 - mb * mb / 16.0), 1e-9),
+        ("case2-reference-h", b.h,
+         Const(_power("mu", mu, 2) * beta / 2.0 + 2.0), 1e-9),
+        ("case2-reference-v", b.v,
+         Const(mu / 2.0 * (alpha - beta - mb * mb / 4.0)), 1e-9),
+        ("case2-reference-omega-squared-vs-minus-U",
+         Const((mb * mb - 8.0 * alpha) / 16.0), Const(-u0), 1e-12),
+        *([trig] if u0 > 0 else [])])
 
 
 def case3(params: VdpParams, c: float) -> ClosedFormSolution:
@@ -310,47 +302,19 @@ def case3(params: VdpParams, c: float) -> ClosedFormSolution:
     if params.alpha != 0.0:
         raise AlphaNonzeroError(f"this family needs alpha = 0, got {params.alpha:g}")
     mb = params.mu * params.beta
-    k_sign = 1 if mb >= 0 else -1
-
-    e_neg = exp(Const(-mb) * X)
-    P = simplify(Const(c * mb) / (2.0 * (Const(c) + e_neg)))
-    bundle = solve_chain(P, params)
-
-    e_pos = exp(Const(mb) * X)
-    ref_P = Const(c * mb) * exp(Const(mb / 2.0) * X) / (Const(c) + e_neg)
-    ref_U = -(Const(c * mb * mb) * (e_neg - Const(c))) / (e_neg + Const(c)) ** 2
-    ref_v = Const(mb) * (e_neg - Const(2.0 * c)) / (e_neg + Const(c))
-    ref_h = 2.0 + (Const(_power("mu", params.mu, 2) * params.beta * c)
-                   / (e_neg + Const(c)))
-
-    entries = [
-        compare_forms("case3-P-from-general-P",
-                      p_general(params, c, 0.0, k_sign, check=False), P),
-        compare_forms("case3-reference-P", P, ref_P),
-        compare_forms("case3-reference-U", bundle.U, ref_U),
-        compare_forms("case3-reference-v", bundle.v, ref_v),
-        compare_forms("case3-reference-h", bundle.h, ref_h),
-    ]
-
-    root = sqrt(Const(1.0) + Const(c) * e_pos)
+    e_neg, e_pos, cc = exp(Const(-mb) * X), exp(Const(mb) * X), Const(c)
+    P = simplify(Const(c * mb) / (2.0 * (cc + e_neg)))
+    root = sqrt(Const(1.0) + cc * e_pos)
     basis = (simplify(Const(1.0) / root),
-             simplify((Const(c) * e_pos + Const(mb) * X) / root))
-    basis_entry, basis_ok = _basis_residual_entry(
-        "case3-reference-phi-solves-linear-eq", basis, bundle.U)
-    entries.append(basis_entry)
-
-    if basis_ok:
-        phi: Expr | None = _phi_from_basis(basis)
-        phi_basis: tuple[Expr, Expr] | None = basis
-    else:
-        phi = None
-        phi_basis = None
-        entries.append(LedgerEntry(
-            "case3-phi-fallback", False, None, 1e-9, 0, "",
-            "reference phi inconsistent with derived potential; "
-            "integrate the linear equation numerically"))
-
-    constants = CatalogConstants(C1=c, C2=0.0, k=abs(mb), k_sign=k_sign, c=c)
-    return ClosedFormSolution(bundle=bundle.with_entries(entries),
-                              phi=phi, phi_basis=phi_basis,
-                              constants=constants)
+             simplify((cc * e_pos + Const(mb) * X) / root))
+    return _family("case3", params, P, c, 1 if mb >= 0 else -1, abs(mb),
+                   basis, lambda b, u0: [
+        ("case3-reference-P", P,
+         Const(c * mb) * exp(Const(mb / 2.0) * X) / (cc + e_neg), 1e-9),
+        ("case3-reference-U", b.U,
+         -(Const(c * mb * mb) * (e_neg - cc)) / (e_neg + cc) ** 2, 1e-9),
+        ("case3-reference-v", b.v,
+         Const(mb) * (e_neg - Const(2.0 * c)) / (e_neg + cc), 1e-9),
+        ("case3-reference-h", b.h,
+         2.0 + (Const(_power("mu", params.mu, 2) * params.beta * c)
+                / (e_neg + cc)), 1e-9)])

@@ -9,7 +9,9 @@ and the substitution psi = P(x) + phi'/phi with phi'' = U(x) phi, requiring
 the reduced coefficients a_1..a_4 to vanish fixes g, h, v and U in terms of
 P, and a_0 = 0 then defines the forcing f; :mod:`vdplin.wcalc` derives all
 five exactly.  Hand-derived reference formulas are kept as cross-checks
-whose outcome is recorded in a discrepancy ledger carried by the bundle.
+whose outcome is recorded in a discrepancy ledger carried by the bundle:
+those of a_0..a_4 and f are polynomials in P's jet, and ``wcalc`` decides
+them exactly, by their gap to the derivation; the others are sampled.
 """
 
 from __future__ import annotations
@@ -22,16 +24,15 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .expr import Const, Expr, as_expr, diff, lambdify, parse, simplify, to_str
-from .wcalc import CoeffSet, reduce_vdp, vdp_chain
+from .expr import (ZERO, Const, Expr, as_expr, lambdify, parse, simplify,
+                   to_str)
+from .wcalc import CoeffSet, reduce_vdp, reference_gaps, vdp_chain
 
 __all__ = [
     "VdpParams", "TransformBundle", "LedgerEntry", "AnnihilationReport",
     "SingularGridError", "BundleFormatError", "solve_chain", "seeded_construction",
     "verify_annihilation", "verify_printed_coeffs", "compare_forms",
-    "compare_coefficients",
-    "reference_coefficient_forms", "reference_forcing_form",
-    "bundle_to_json", "bundle_from_json", "DEFAULT_CHECK_POINTS",
+    "gap_entries", "bundle_to_json", "bundle_from_json", "DEFAULT_CHECK_POINTS",
 ]
 
 DEFAULT_CHECK_POINTS = np.linspace(0.0, 5.0, 1000)
@@ -92,7 +93,8 @@ class LedgerEntry:
     """Outcome of one reference-form cross-check.
 
     ``agrees`` is None when the comparison could not be evaluated (free
-    parameters or no regular grid points)."""
+    parameters or no regular grid points).  A check decided exactly, with
+    nothing sampled, has ``points`` 0 and ``note`` "exact"."""
 
     check: str
     agrees: bool | None
@@ -184,42 +186,23 @@ def compare_forms(check: str, derived: Expr, reference: Expr,
     return LedgerEntry(check, gap <= tol, gap, tol, int(mask.sum()), ref_str)
 
 
-# ---------------------------------------------------------------------------
-# reference forms (transcribed closed-form expressions, used only as checks)
-
-def reference_coefficient_forms(P: Expr, U: Expr, params: VdpParams, v: Expr,
-                                h: Expr, g: Expr, f: Expr) -> tuple[Expr, ...]:
-    """The commonly quoted closed forms for a_0..a_4 of the reduced
-    identity, transcribed verbatim.  The engine never uses these; they are
-    assertions checked against reduce_vdp."""
-    mu = Const(params.mu)
-    beta = Const(params.beta)
-    alpha = Const(params.alpha)
-    mb = Const(params.mu * params.beta)
-    dP = diff(P)
-    ddP = diff(dP)
-    dU = diff(U)
-    a4 = -mu - g
-    a3 = -(2.0 * mu + 4.0 * g) * P - h + 2.0
-    a2 = mu * dP - (6.0 * g + mu) * P ** 2 - 3.0 * h * P - v + mu * U + mb
-    a1 = (-4.0 * g * P ** 3 - 3.0 * h * P ** 2
-          + (2.0 * mu * dP - 2.0 * v + 2.0 * mu * U) * P - 2.0 * U + alpha)
-    a0 = (ddP + mu * (P ** 2 - beta) * dP + dU - g * P ** 4 - h * P ** 3
-          + (mu * U - v) * P ** 2 + alpha * P - mb * U - f)
-    return (a0, a1, a2, a3, a4)
-
-
-def reference_forcing_form(P: Expr, params: VdpParams) -> Expr:
-    """Closed form of the forcing induced by a_0 = 0 once g, h, v, U have
-    been substituted; kept as a cross-check of the engine-derived f."""
-    mu = Const(params.mu)
-    beta = Const(params.beta)
-    alpha = Const(params.alpha)
-    mb = Const(params.mu * params.beta)
-    dP = diff(P)
-    ddP = diff(dP)
-    return (ddP - 2.0 * mb * dP + (6.0 * dP + alpha + mu ** 2 * beta ** 2) * P
-            + 4.0 * (P - mb) * P ** 2 - mb * alpha / 2.0)
+def gap_entries(checks: Sequence[str], gaps, grid,
+                tol: float) -> list[LedgerEntry]:
+    """One entry per check and its (reference, gap) of
+    ``wcalc.reference_gaps``.  A gap that folds to a number decides the
+    check exactly, with ``max_abs_diff`` its size; one still a function of x
+    is sampled on the grid, as ``compare_forms`` samples a form against 0.
+    """
+    entries = []
+    for check, (reference, gap) in zip(checks, gaps):
+        if type(gap) is Const:
+            size = abs(gap.value)
+            entries.append(LedgerEntry(check, size <= tol, size, tol, 0,
+                                       to_str(reference), "exact"))
+        else:
+            entries.append(replace(compare_forms(check, gap, ZERO, grid, tol),
+                                   reference=to_str(reference)))
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +211,15 @@ def reference_forcing_form(P: Expr, params: VdpParams) -> Expr:
 def solve_chain(P: Expr, params: VdpParams, grid=None) -> TransformBundle:
     """The unique TransformBundle for the shift P: g, h, v, U and f are
     ``wcalc.vdp_chain``'s, derived exactly.  The reference closed form for
-    f is evaluated against the derived one on ``grid`` (1000 points on
-    [0, 5] by default) and ledgered.  Never raises for differentiable P."""
+    f is checked against the derived one by their gap, zero in the ring,
+    and ledgered.  Never raises for differentiable P."""
     P = simplify(as_expr(P))
     chain = vdp_chain(P, params)
-    entry = compare_forms("forcing-from-a0-vs-reference-closed-form",
-                          chain["f"], reference_forcing_form(P, params), grid)
-    return TransformBundle(P=P, params=params, ledger=(entry,), **chain)
+    gaps = reference_gaps("forcing", P, ZERO,
+                          *params.lienard(0.0, 0.0, 0.0, 0.0))
+    ledger = gap_entries(["forcing-from-a0-vs-reference-closed-form"], gaps,
+                         grid, ANNIHILATION_TOL)
+    return TransformBundle(P=P, params=params, ledger=tuple(ledger), **chain)
 
 
 def seeded_construction(s: Expr, params: VdpParams, branch: str = "plus",
@@ -285,22 +270,12 @@ def verify_annihilation(bundle: TransformBundle, grid) -> AnnihilationReport:
 def verify_printed_coeffs(P: Expr, U: Expr, params: VdpParams, v: Expr,
                           h: Expr, g: Expr, f: Expr,
                           grid=None) -> list[LedgerEntry]:
-    """Compare the engine's a_0..a_4 against the transcribed reference
-    forms, pointwise on the grid.  Returns one ledger entry per
+    """Check the engine's a_0..a_4 against the transcribed reference
+    forms by their gaps (``gap_entries``).  Returns one ledger entry per
     coefficient; the differences are data, whatever they turn out to be."""
-    engine = reduce_vdp(P, U, params, v, h, g, f).as_tuple()
-    reference = reference_coefficient_forms(P, U, params, v, h, g, f)
-    return list(compare_coefficients("reduced-coefficient-a", engine,
-                                     reference, grid))
-
-
-def compare_coefficients(check: str, derived: Sequence[Expr],
-                         reference: Sequence[Expr],
-                         grid=None) -> tuple[LedgerEntry, ...]:
-    """One ``compare_forms`` entry per coefficient, named check + index."""
-    return tuple(compare_forms(f"{check}{i}", d, r, grid,
-                               tol=PRINTED_COEFF_TOL)
-                 for i, (d, r) in enumerate(zip(derived, reference)))
+    gaps = reference_gaps("vdp", P, U, *params.lienard(v, h, g, f))
+    return gap_entries([f"reduced-coefficient-a{i}" for i in range(5)], gaps,
+                       grid, PRINTED_COEFF_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ Given damping coefficients c0..c2 and a pair (P, U), the reduced
 coefficients a_4..a_0 are linear in the restoring coefficients b_4..b_0
 with a triangular structure, so ``wcalc`` derives them exactly, once, by
 back substitution.  They are authoritative; the transcribed reference
-forms are evaluated against them and the outcome recorded, since several
-of them are known to disagree.  The choice U = P^2 - P' (a Riccati
+forms are checked against them by their gaps in the same ring, and the
+outcome recorded: b_4 agrees and b_3 is off by -4, exactly, and the gaps
+of b_2..b_0, polynomials in P's and U's jets, are sampled wherever they
+depend on x.  The choice U = P^2 - P' (a Riccati
 relation: -P is then a logarithmic derivative of a linear solution) makes
 the derived b_0 the zero polynomial, with the damping left free.  The Van der
 Pol equation is one instance, with the c and b of
@@ -21,13 +23,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .colehopf import LedgerEntry, compare_coefficients, reading_document
+from .colehopf import (PRINTED_COEFF_TOL, LedgerEntry, gap_entries,
+                       reading_document)
 from .expr import Expr, as_expr, diff, parse, simplify, to_str
-from .wcalc import restoring_coeffs
+from .wcalc import reference_gaps, restoring_coeffs
 
 __all__ = ["LienardSpec", "lienard_coeffs", "riccati_u",
-           "reference_restoring_forms", "lienard_spec_to_json",
-           "lienard_spec_from_json"]
+           "lienard_spec_to_json", "lienard_spec_from_json"]
 
 
 @dataclass(frozen=True)
@@ -42,33 +44,19 @@ class LienardSpec:
     ledger: tuple[LedgerEntry, ...] = field(default_factory=tuple)
 
 
-def reference_restoring_forms(c: Sequence[Expr], P: Expr,
-                              U: Expr) -> tuple[Expr, ...]:
-    """Transcribed reference closed forms for b_0..b_4; checks only."""
-    c0, c1, c2 = (as_expr(ci) for ci in c)
-    dP = diff(P)
-    ddP = diff(dP)
-    dU = diff(U)
-    b4 = c2
-    b3 = c1 - 2.0 * c2 * P + 2.0
-    b2 = c2 * P ** 2 - 2.0 * (3.0 - c1) * P - c2 * (dP - U) + c0
-    b1 = (6.0 + c1) * P ** 2 - 2.0 * c0 * P - c1 * dP - (c1 + 2.0) * U
-    b0 = ddP - c0 * dP + dU - 2.0 * P ** 3 + 2.0 * P * U + c0 * (P ** 2 - U)
-    return (b0, b1, b2, b3, b4)
-
-
 def lienard_coeffs(c: Sequence[Expr], P: Expr, U: Expr,
                    grid=None) -> LienardSpec:
     """The b_0..b_4 that annihilate a_0..a_4, derived exactly by the
-    reduction's back substitution; the reference forms are evaluated
-    against them and ledgered."""
+    reduction's back substitution; the reference forms are checked against
+    them by their gaps (``colehopf.gap_entries``) and ledgered."""
     c = tuple(simplify(as_expr(ci)) for ci in c)
     P = simplify(as_expr(P))
     U = simplify(as_expr(U))
     b = restoring_coeffs(c, P, U)
-    ledger = compare_coefficients("restoring-coefficient-b", b,
-                                  reference_restoring_forms(c, P, U), grid)
-    return LienardSpec(c=c, b=b, P=P, U=U, ledger=ledger)
+    gaps = reference_gaps("lienard", P, U, c, (0.0,) * 5)
+    ledger = gap_entries([f"restoring-coefficient-b{i}" for i in range(5)],
+                         gaps, grid, PRINTED_COEFF_TOL)
+    return LienardSpec(c=c, b=b, P=P, U=U, ledger=tuple(ledger))
 
 
 def riccati_u(P: Expr) -> Expr:

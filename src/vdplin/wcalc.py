@@ -8,9 +8,11 @@ D(w) = U - w^2, D(P) = P', D(P') = P'', D(U) = U' (Ritt, *Differential
 Algebra*, 1950), and so are two back substitutions: the b that annihilate
 a_4..a_0, and the Van der Pol chain, where at c1 = 0 and a given b1,
 a_4..a_1 fix b4, b3, b2 and U and become the zero polynomial and a_0 fixes
-b0.  An instance only puts P's jet, U and the coefficients in.  No closed
-form is transcribed here: this is the source of truth for the reference
-formulas checked elsewhere.
+b0.  An instance only puts P's jet, U and the coefficients in.  This is
+the source of truth for the reference formulas checked against it: the
+eleven that are polynomials (a_0..a_4 and f of the chain, the Lienard
+b_0..b_4) are kept here as printed text, read into the ring once, and each
+kept beside its gap, derived minus reference, which an instance evaluates.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from functools import cache, reduce
 from itertools import accumulate, groupby
 from typing import Sequence
 
-from .expr import ZERO, Const, Expr, as_expr, diff, simplify
+from .expr import (ZERO, Const, Div, Expr, Mul, Neg, Param, Pow, Sub,
+                   as_expr, diff, parse, simplify)
 
 __all__ = ["CoeffSet", "reduce_vdp", "reduce_lienard", "restoring_coeffs",
-           "vdp_chain"]
+           "vdp_chain", "reference_gaps"]
 
 # the generators, numbered in the order a monomial lists them
 W, DDP, DP, P, DU, U, C0, C1, C2, B0, B1, B2, B3, B4 = range(14)
@@ -124,6 +127,65 @@ def _chain() -> dict[str, Poly]:
     return {name: _ordered(p) for name, p in out.items()}
 
 
+# The transcribed reference forms the derivation is checked against, as
+# printed: over the generators' names and the aliases VdpParams.lienard
+# fixes (_NAMED)
+_REFERENCE_FORMS = {
+    # a_0..a_4 of the Van der Pol equation, c1 = 0
+    "vdp": ("ddP + (mu*P^2 - mb)*dP + dU - g*P^4 - h*P^3 + (mu*U - v)*P^2"
+            " + alpha*P - mb*U - f",
+            "-4*g*P^3 - 3*h*P^2 + (2*mu*dP - 2*v + 2*mu*U)*P - 2*U + alpha",
+            "mu*dP - (6*g + mu)*P^2 - 3*h*P - v + mu*U + mb",
+            "-(2*mu + 4*g)*P - h + 2",
+            "-mu - g"),
+    # the forcing f of the Van der Pol chain
+    "forcing": ("ddP - 2*mb*dP + (6*dP + alpha + mb^2)*P + 4*(P - mb)*P^2"
+                " - mb*alpha/2",),
+    # the Lienard b_0..b_4 that annihilate a_0..a_4
+    "lienard": ("ddP - c0*dP + dU - 2*P^3 + 2*P*U + c0*(P^2 - U)",
+                "(6 + c1)*P^2 - 2*c0*P - c1*dP - (c1 + 2)*U",
+                "c2*P^2 - 2*(3 - c1)*P - c2*(dP - U) + c0",
+                "c1 - 2*c2*P + 2",
+                "c2"),
+}
+_NAMED = {**{name: {(g,): 1} for g, name in enumerate(
+              "w ddP dP P dU U c0 c1 c2 b0 b1 b2 b3 b4".split())},
+          "mu": {(C2,): 1}, "mb": {(C0,): -1}, "alpha": {(B1,): 1},
+          "v": {(B2,): -1}, "h": {(B3,): -1}, "g": {(B4,): -1},
+          "f": {(B0,): -1}}
+
+
+def _read(e: Expr) -> Poly:
+    """The polynomial a parsed reference form is: sums, products, whole
+    powers and quotients by numbers of the names in _NAMED."""
+    t = type(e)
+    if t is Const:
+        return {(): e.value} if e.value else {}
+    if t is Param:
+        return _NAMED[e.name]
+    if t is Neg:
+        return _mul({(): -1}, _read(e.arg))
+    if t is Pow:
+        return reduce(_mul, [_read(e.base)] * int(e.exponent.value), {(): 1})
+    p, q = _read(e.left), _read(e.right)
+    if t is Div:
+        q = {(): 1 / q[()]}
+    elif t is Sub:
+        q = _mul({(): -1}, q)
+    return _mul(p, q) if t is Mul or t is Div else _add(p, q)
+
+
+@cache
+def _gaps(kind: str) -> tuple[tuple[Poly, Poly], ...]:
+    """(reference, derived - reference) of each form of a kind."""
+    derived = {"vdp": lambda: [_subst(a, {C1: {}}) for a in _reduced()],
+               "forcing": lambda: [_chain()["f"]],
+               "lienard": _restoring}[kind]()
+    refs = [_read(parse(text)) for text in _REFERENCE_FORMS[kind]]
+    return tuple((_ordered(r), _add(d, _mul({(): -1}, r)))
+                 for d, r in zip(derived, refs))
+
+
 def _values(P: Expr, U: Expr, c: Sequence, b: Sequence) -> list:
     """The Expr of each generator: P's and U's jets, then c and b."""
     if len(c) != 3:
@@ -209,3 +271,13 @@ def vdp_chain(P: Expr, params) -> dict[str, Expr]:
     assert c[1] == 0.0, "the chain is solved at c1 = 0"
     values = _values(P, 0.0, c, b)
     return {name: _expr(p, values) for name, p in _chain().items()}
+
+
+def reference_gaps(kind: str, P: Expr, U: Expr, c: Sequence,
+                   b: Sequence) -> list[tuple[Expr, Expr]]:
+    """Each transcribed form of ``kind`` ("vdp", "forcing" or "lienard")
+    and its gap, derived minus reference, at the pair (P, U) and the
+    coefficients c and b.  The gap is exact: one that folds to a number
+    decides its check."""
+    values = _values(P, U, c, b)
+    return [(_expr(r, values), _expr(g, values)) for r, g in _gaps(kind)]

@@ -1,6 +1,9 @@
 """Catalog families: the general shift, the three specializations, their
 ledger findings and the linear-basis checks."""
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -10,7 +13,7 @@ from vdplin.catalog import (AlphaNonzeroError, ComplexKError,
                             KZeroInconsistentError, case1, case2, case3,
                             linear_basis, p_general)
 from vdplin.colehopf import VdpParams, solve_chain, verify_annihilation
-from vdplin.expr import Const, lambdify, simplify, subst
+from vdplin.expr import Const, lambdify, simplify, subst, to_str
 from vdplin.odesolve import Grid
 
 RNG = np.random.default_rng(11)
@@ -228,3 +231,36 @@ def test_catalog_composes_with_chain():
         a = lambdify(getattr(sol.bundle, name))(xs)
         b = lambdify(getattr(again, name))(xs)
         assert np.max(np.abs(a - b)) == 0.0
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: case1(VdpParams(2.0, 1.0, 0.75)),
+     "f3b797d861e85576a1439c9eb5f4e27af95cc0e8c98085ed334534fcaf0c99e1"),
+    (lambda: case2(VdpParams(2.0, 2.0, 4.0)),
+     "b64790700f9ec457746d73c5392929d0cbe9077ed28c4472e2fd81051a035059"),
+    (lambda: case3(VdpParams(1.0, 1.0, 0.0), 1.0),
+     "2b0d5928ce62ea403f8dc1b6e7a9f515c5247fb45b89796e55130810a909dd26"),
+    (lambda: case1(VdpParams(1.0, 2.0, 0.0), -1),
+     "c1b5af99ecf0b17459d6efa12a287bafd9b21b7fd513acce4b273860e72f5e08"),
+    (lambda: case3(VdpParams(-1.0, 1.0, 0.0), 2.0),
+     "b0ca463accad88852d511b992b9d1151dfc5e0820eae57662f50d30157cbcb75"),
+    # no trigonometric-basis entry at u0 = 0
+    (lambda: case2(VdpParams(0.0, 1.5, 0.0)),
+     "89d4bdef23c7e46c5ab8ccfef90ac2ba9a1d8a691a6a24b732b53461233bb517"),
+    # sqrt(1 - 2 e^x) is nowhere real on [0, 5]: the phi fallback
+    (lambda: case3(VdpParams(1.0, 1.0, 0.0), -2.0),
+     "3e793c3c637ce7655f3ccb4a0808e3a5c0c4eb741b5fff6d335cf32cba34b5c0"),
+], ids=["case1", "case2", "case3", "case1-k-minus", "case3-c2",
+        "case2-mu-zero", "case3-fallback"])
+def test_family_ledgers_keep_their_bytes(build, digest):
+    # sha256 of every caseN-* ledger entry (all fields, in order), phi, the
+    # basis and the constants, as three separate constructions made them
+    # before the families shared one builder
+    sol = build()
+    doc = {"ledger": [e.to_dict() for e in sol.bundle.ledger
+                      if e.check.startswith("case")],
+           "phi": None if sol.phi is None else to_str(sol.phi),
+           "phi_basis": None if sol.phi_basis is None
+           else [to_str(b) for b in sol.phi_basis],
+           "constants": dataclasses.asdict(sol.constants)}
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest

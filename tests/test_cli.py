@@ -60,6 +60,16 @@ def test_custom_base_instance(tmp_path):
     assert parse(bundle["f"]).eval(0.0) == 0.0
 
 
+def test_tan_shift_ledger_agrees(tmp_path):
+    # forcing, a0 and a1 sampled near tan's poles once read false for
+    # identities; their gaps are zero in the ring
+    assert run(["custom", "--P", "tan(x)", "--x0", "-1", "--x1", "1",
+                "--out", str(tmp_path)]) == 0
+    ledger = json.loads((tmp_path / "bundle.json").read_text())["ledger"]
+    assert len(ledger) == 6
+    assert all(e["agrees"] is True for e in ledger)
+
+
 def test_case3_writes_discrepancy_findings(tmp_path):
     out = tmp_path / "run"
     code = run(["case3", "--mu", "1", "--beta", "1", "--alpha", "0",

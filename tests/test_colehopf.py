@@ -17,6 +17,8 @@ from vdplin.expr import Const, lambdify, parse, simplify, subst, to_str
 from vdplin.lienard import lienard_coeffs, lienard_spec_to_dict, riccati_u
 from vdplin.odesolve import Grid
 
+from conftest import general_instances
+
 XS = np.linspace(0.0, 5.0, 501)
 
 
@@ -204,11 +206,28 @@ def test_bundle_json_round_trip():
 
 
 def test_chain_with_free_parameters_is_total():
-    # unbound parameter: chain still succeeds, ledger marks the check
-    # as not evaluated
+    # unbound parameter: chain still succeeds, and the forcing check, a zero
+    # gap in the ring, is decided exactly; a gap that is still a function of
+    # x and a, here Lienard b1 = 4U - 12P^2, is marked not evaluated
     b = solve_chain(parse("a*x"), VdpParams(1.0, 1.0, 0.0))
-    assert b.ledger[0].agrees is None
+    assert (b.ledger[0].agrees, b.ledger[0].max_abs_diff) == (True, 0.0)
     assert "a" in to_str(b.P)
+    b1 = lienard_coeffs([Const(0.0)] * 3, parse("a*x"), parse("x")).ledger[1]
+    assert (b1.check, b1.agrees, b1.points) == (
+        "restoring-coefficient-b1", None, 0)
+    assert b1.note == "not evaluated: parameter 'a' is not bound"
+
+
+def test_polynomial_checks_are_exact_on_general_instances():
+    # sampled on [0, 5], rounding near the poles of P made 21 of these 200
+    # reduced-coefficient entries disagree; their gaps are the zero
+    # polynomial
+    for params, P in general_instances(40, seed=3):
+        b = solve_chain(P, params)
+        for e in b.ledger + tuple(verify_printed_coeffs(
+                b.P, b.U, params, b.v, b.h, b.g, b.f)):
+            assert (e.agrees, e.max_abs_diff, e.points, e.note) == (
+                True, 0.0, 0, "exact"), e.check
 
 
 def test_finite_constant_bundles_keep_their_bytes():
@@ -244,6 +263,9 @@ def test_finite_constant_bundles_keep_their_bytes():
         digest = hashlib.sha256(
             json.dumps(symbolic, sort_keys=True).encode()).hexdigest()
         assert digest == expected[name], name
+    # f is about 4e9 there: sampled, the identity read 1.4e-6 apart
+    forcing = docs["consts"]["ledger"][0]
+    assert (forcing["agrees"], forcing["max_abs_diff"]) == (True, 0.0)
 
 
 @pytest.mark.parametrize("doc, message", [

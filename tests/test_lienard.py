@@ -68,6 +68,8 @@ def test_reference_forms_ledger_findings():
     by_check = {e.check: e for e in spec.ledger}
     assert by_check["restoring-coefficient-b4"].agrees is True
     assert by_check["restoring-coefficient-b3"].agrees is False
+    # decided in the ring: the gap of b3 is the number -4
+    assert by_check["restoring-coefficient-b3"].max_abs_diff == 4.0
     assert by_check["restoring-coefficient-b1"].agrees is False
     assert by_check["restoring-coefficient-b0"].agrees is False
 
