@@ -208,7 +208,7 @@ def gap_entries(checks: Sequence[str], gaps, grid,
 # ---------------------------------------------------------------------------
 # the chain
 
-def solve_chain(P: Expr, params: VdpParams, grid=None) -> TransformBundle:
+def solve_chain(P: Expr, params: VdpParams) -> TransformBundle:
     """The unique TransformBundle for the shift P: g, h, v, U and f are
     ``wcalc.vdp_chain``'s, derived exactly.  The reference closed form for
     f is checked against the derived one by their gap, zero in the ring,
@@ -218,7 +218,7 @@ def solve_chain(P: Expr, params: VdpParams, grid=None) -> TransformBundle:
     gaps = reference_gaps("forcing", P, ZERO,
                           *params.lienard(0.0, 0.0, 0.0, 0.0))
     ledger = gap_entries(["forcing-from-a0-vs-reference-closed-form"], gaps,
-                         grid, ANNIHILATION_TOL)
+                         None, ANNIHILATION_TOL)
     return TransformBundle(P=P, params=params, ledger=tuple(ledger), **chain)
 
 
@@ -238,7 +238,7 @@ def seeded_construction(s: Expr, params: VdpParams, branch: str = "plus",
         P = simplify(-s + Const(params.mu * params.beta / 3.0))
     else:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    bundle = solve_chain(P, params, grid=grid)
+    bundle = solve_chain(P, params)
     seed_potential = simplify(3.0 * s ** 2 - Const(params.mu * params.beta) * s
                               + Const(params.alpha / 2.0))
     entry = compare_forms(f"seed-potential-match-{branch}-branch", bundle.U,
@@ -268,14 +268,13 @@ def verify_annihilation(bundle: TransformBundle, grid) -> AnnihilationReport:
 
 
 def verify_printed_coeffs(P: Expr, U: Expr, params: VdpParams, v: Expr,
-                          h: Expr, g: Expr, f: Expr,
-                          grid=None) -> list[LedgerEntry]:
+                          h: Expr, g: Expr, f: Expr) -> list[LedgerEntry]:
     """Check the engine's a_0..a_4 against the transcribed reference
     forms by their gaps (``gap_entries``).  Returns one ledger entry per
     coefficient; the differences are data, whatever they turn out to be."""
     gaps = reference_gaps("vdp", P, U, *params.lienard(v, h, g, f))
     return gap_entries([f"reduced-coefficient-a{i}" for i in range(5)], gaps,
-                       grid, PRINTED_COEFF_TOL)
+                       None, PRINTED_COEFF_TOL)
 
 
 # ---------------------------------------------------------------------------

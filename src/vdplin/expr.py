@@ -5,18 +5,18 @@ variable ``x``, named parameters, arithmetic, powers and the elementary
 functions exp/log/sin/cos/tan/sinh/cosh/sqrt.  It supports exact
 differentiation, conservative simplification (constant folding and identity
 removal, no canonical forms), a printer whose output re-parses to an
-equivalent tree, and compilation to callables: compiled Python code for
-scalars, a tape of numpy steps for arrays.  There is no tree interpreter:
-the compiled scalar code defines what evaluation at a point means,
-``Expr.eval`` runs it, and ``simplify`` folds a function or a power of
-constants with the functions that code calls.  A named parameter gets a
-value only from ``subst``: ``lambdify`` and ``Expr.eval`` refuse a tree
-that still holds one.  ``lambdify_ode`` makes the right-hand side of a
-second-order equation one compiled function of (x, u, u'), the two
-parameters that name the state its arguments.  The tape writes each
-result into a slot whose value has had its last read, so a call on a grid
-holds only as many arrays as values are live at once, and the buffers
-numpy frees are reused rather than new pages faulted in.
+equivalent tree, and compilation to callables: one lowering to a tape of
+steps, run by numpy for arrays and printed as Python code for scalars.
+There is no tree interpreter: the compiled scalar code defines what
+evaluation at a point means, ``Expr.eval`` runs it, and ``simplify`` folds
+a function or a power of constants with the functions that code calls.  A
+named parameter gets a value only from ``subst``: ``lambdify`` and
+``Expr.eval`` refuse a tree that still holds one.  ``lambdify_ode`` makes
+the right-hand side of a second-order equation one compiled function of
+(x, u, u'), the two parameters that name the state its arguments.  The
+tape writes each result into a slot whose value has had its last read, so
+a call on a grid holds only as many arrays as values are live at once, and
+the buffers numpy frees are reused rather than new pages faulted in.
 
 Nodes are hash-consed: every constructor call goes through a weak intern
 table, so structurally equal trees are the same object, equality and
@@ -801,39 +801,44 @@ _SCALAR_NS = {
     "_sqrt": math.sqrt, "_pow": _pow_scalar,
 }
 
-# vector steps: each binary node maps to its operator, each function to
-# the numpy ufunc of that name
+# steps: each binary node maps to its operator, each function to the numpy
+# ufunc of that name; the scalar code prints each step function as its
+# source over floats
 _VECTOR_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
                   Div: operator.truediv}
 _VECTOR_FUNS = {name: getattr(np, name) for name in FUNCTIONS}
+_SCALAR_SOURCE = {
+    operator.add: "{} + {}", operator.sub: "{} - {}",
+    operator.mul: "{} * {}", operator.truediv: "{} / {}",
+    operator.neg: "-{}", operator.pow: "{} ** {}", np.power: "_pow({}, {})",
+    **{fn: f"_{name}({{}})" for name, fn in _VECTOR_FUNS.items()},
+}
 
 
 def lambdify(e: Expr, *, scalar: bool = False) -> Callable:
     """Compile to a callable f(x).
 
-    One post-order walk of the expression DAG lists each distinct subtree
-    once, so common subexpressions are evaluated once, and finds the
-    parameters: a tree that still holds one raises UnboundParameterError
-    (the first by name), since only ``subst`` gives parameters values.
-    With ``scalar=True`` the walk is turned into Python source and the
-    result works on floats via ``math`` (domain violations raise).
-    Otherwise it becomes a tape of numpy and ``operator`` steps run by a
-    small interpreter, with no ``compile``; the callable accepts floats or
-    numpy arrays and returns arrays, mapping domain violations to nan/inf
-    silently (constant subtrees included) so callers can mask them.  The
-    scalar code and the tape are cached on the node they were built for
-    and hold no node, so compiling an equal tree again returns them.
+    ``_lower`` walks the expression DAG once into a tape of steps, one per
+    distinct subtree, so common subexpressions are evaluated once; a tree
+    that still holds a parameter raises UnboundParameterError (the first
+    by name), since only ``subst`` gives parameters values.  With
+    ``scalar=True`` the steps are printed as Python source and the result
+    works on floats via ``math`` (domain violations raise).  Otherwise a
+    small interpreter runs them as numpy and ``operator`` calls, with no
+    ``compile``; the callable accepts floats or numpy arrays and returns
+    arrays, mapping domain violations to nan/inf silently (constant
+    subtrees included) so callers can mask them.  The scalar code and the
+    tape are cached on the node they were built for and hold no node, so
+    compiling an equal tree again returns them.
     """
     slot = "_scalar_fn" if scalar else "_vector_fn"
     try:
         return getattr(e, slot)
     except AttributeError:
         pass
-    order = _postorder(e)
-    missing = [n.name for n in order if isinstance(n, Param)]
-    if missing:
-        raise UnboundParameterError(min(missing))
-    fn = _scalar_code(order) if scalar else _vector_tape(order)
+    init, steps, (result,) = _lower(_postorder(e), (), (e,))
+    fn = (_scalar_code(init, steps, 0, result) if scalar
+          else _vectorized(init, steps, result))
     object.__setattr__(e, slot, fn)
     return fn
 
@@ -848,110 +853,51 @@ def lambdify_ode(rate: Expr, y: str, dy: str) -> Callable:
     that builds rate from expressions of its own must first make sure
     that they hold no parameter, or one would be taken for the state.
     Not cached: rate is typically built for the call."""
-    order = _postorder(rate)
-    missing = [n.name for n in order
-               if isinstance(n, Param) and n.name not in (y, dy)]
-    if missing:
-        raise UnboundParameterError(min(missing))
-    return _scalar_code(order, (y, dy), (Param(dy), rate))
+    init, steps, results = _lower(_postorder(rate), (y, dy),
+                                  (Param(dy), rate))
+    return _scalar_code(init, steps, 2, results)
 
 
-def _scalar_code(order: list[Expr], args: tuple[str, ...] = (),
-                 results: tuple[Expr, ...] = ()) -> Callable:
-    """Compile the post-ordered nodes (root last) to a Python function,
-    one assignment per operation, constants bound as names (the repr of
-    inf or nan is not a Python literal).  It is f(x), or f(x, args) when
-    parameters are named in ``args``: the sequence args then holds their
-    values in that order, and the code reads them, never a name a
-    parameter was given.  It returns the root, or the tuple of
-    ``results`` (each in ``order`` or a parameter in ``args``)."""
-    lines: list[str] = []
-    tokens: dict[int, str] = {}
-    ns = dict(_SCALAR_NS)
-    params = [Param(name) for name in args]  # alive while ids are keys
-    for i, node in enumerate(params):
-        tokens[id(node)] = f"a{i}"
-    if params:
-        lines.append("    " + "".join(f"a{i}, " for i in range(len(params)))
-                     + "= args")
-
-    def tok(node: Expr) -> str:
-        return tokens[id(node)]
-
-    for node in order:
-        if id(node) in tokens:
-            continue
-        if isinstance(node, Const):
-            tokens[id(node)] = name = f"c{len(ns)}"
-            ns[name] = node.value
-            continue
-        if isinstance(node, Var):
-            tokens[id(node)] = "x"
-            continue
-        if isinstance(node, Neg):
-            rhs = f"-({tok(node.arg)})"
-        elif isinstance(node, Add):
-            rhs = f"({tok(node.left)}) + ({tok(node.right)})"
-        elif isinstance(node, Sub):
-            rhs = f"({tok(node.left)}) - ({tok(node.right)})"
-        elif isinstance(node, Mul):
-            rhs = f"({tok(node.left)}) * ({tok(node.right)})"
-        elif isinstance(node, Div):
-            rhs = f"({tok(node.left)}) / ({tok(node.right)})"
-        elif isinstance(node, Pow):
-            ex = node.exponent
-            if isinstance(ex, Const) and float(ex.value).is_integer():
-                rhs = f"({tok(node.base)}) ** ({int(ex.value)})"
-            else:
-                rhs = f"_pow({tok(node.base)}, {tok(ex)})"
-        elif isinstance(node, Fun):
-            rhs = f"_{node.name}({tok(node.arg)})"
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
-        name = f"v{len(lines) + 1}"
-        lines.append(f"    {name} = {rhs}")
-        tokens[id(node)] = name
-
-    out = (f"({', '.join(map(tok, results))},)" if results
-           else tok(order[-1]))
-    code = (f"def _compiled(x{', args' if params else ''}):\n"
-            + "\n".join(lines) + f"\n    return {out}\n")
-    exec(compile(code, "<lambdify>", "exec"), ns)
-    return ns.pop("_compiled")  # so fn and its globals form no cycle
-
-
-def _vector_tape(order: list[Expr]) -> Callable:
-    """Turn the post-ordered nodes (root last) into a tape and return the
-    callable that runs it.  Slot 0 holds x and every constant holds an
-    ``np.float64``, so constant subtrees follow numpy semantics as well.
-    Each step ``(fn, out, a, b)`` stores ``fn`` of slots a and b (b None
-    for unary steps) in slot ``out``.  An integer power is ``a ** k`` with
-    k a Python int, any other power ``np.power``.  The tape holds values
-    and functions only, never a node.
+def _lower(order: list[Expr], args: tuple[str, ...],
+           roots: tuple[Expr, ...]) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """Lower the post-ordered nodes (root last) to a tape: the slots'
+    initial values, the steps and the slot of each root (a node in
+    ``order`` or a parameter named in ``args``).  Slot 0 is x and slots
+    1..k the parameters named in ``args``, in that order, all filled by
+    the caller; any other parameter raises UnboundParameterError (the
+    first by name).  A constant's slot starts with its value, as a float,
+    and the slot of a computed value with None.  Each step
+    ``(fn, out, a, b)`` stores ``fn`` of slots a and b (b None for unary
+    steps) in slot ``out``: an ``operator`` function or a numpy ufunc.  An
+    integer power is ``operator.pow`` with b a slot holding the exponent
+    as an int, any other power ``np.power``.  The tape holds values and
+    functions only, never a node.
 
     Slots of computed values are reused, as registers are in linear-scan
     allocation (Poletto & Sarkar, ACM TOPLAS 21(5), 1999).  One walk from
-    the root back gives each value its slot at its last read and frees
+    the roots back gives each value its slot at its last read and frees
     that slot at the step that makes the value, so an operand read for
     the last time takes the result's slot and the step writes over it.  A
     call thus needs no more slots than values are live at once (a chain
     of any length runs in two arrays besides x), and numpy gets back the
     buffers it has just freed instead of faulting in new pages.  The
-    steps make the same calls on the same operands in the same order, so
-    reuse changes no bit of any result."""
-    init: list = [None]
-    home: dict[Expr, int] = {}
+    steps make the same calls on the same operands in the same order as
+    the nodes come in ``order``, so reuse changes no bit of any result."""
+    missing = [n.name for n in order
+               if isinstance(n, Param) and n.name not in args]
+    if missing:
+        raise UnboundParameterError(min(missing))
+    init: list = [None] * (len(args) + 1)
+    home: dict[Expr, int] = {X: 0}
+    home.update((Param(name), i) for i, name in enumerate(args, 1))
     free: list[int] = []
 
     def slot(node: Expr) -> int:
         s = home.get(node)
         if s is None:  # the last read of node: take a slot for it
-            t = type(node)
-            if t is Const:
+            if type(node) is Const:
                 s = len(init)
-                init.append(np.float64(node.value))
-            elif t is Var:
-                s = 0
+                init.append(node.value)
             elif free:
                 s = free.pop()
             else:
@@ -960,11 +906,11 @@ def _vector_tape(order: list[Expr]) -> Callable:
             home[node] = s
         return s
 
-    result = slot(order[-1])  # the caller reads the root
-    tape: list[tuple] = []
+    results = tuple(map(slot, roots))  # the caller reads the roots
+    steps: list[tuple] = []
     for node in reversed(order):
         t = type(node)
-        if t is Const or t is Var:
+        if t is Const or t is Var or t is Param:
             continue
         out = home[node]
         free.append(out)  # no earlier step reads what this one writes
@@ -982,12 +928,46 @@ def _vector_tape(order: list[Expr]) -> Callable:
                 init.append(int(ex.value))
             else:
                 fn, b = np.power, slot(ex)
-        tape.append((fn, out, a, b))
-    tape.reverse()
-    return _vectorized(tuple(init), tuple(tape), result)
+        steps.append((fn, out, a, b))
+    steps.reverse()
+    return tuple(init), tuple(steps), results
+
+
+def _scalar_code(init: tuple, steps: tuple, nargs: int,
+                 out: int | tuple[int, ...]) -> Callable:
+    """Print the tape of ``_lower`` as a Python function over floats, one
+    assignment per step, constants bound as names (the repr of inf or nan
+    is not a Python literal) and integer exponents as literals.  It is
+    f(x), or f(x, args) when the tape has ``nargs`` parameter slots: the
+    sequence args then holds their values in order.  It returns slot
+    ``out``, or the tuple of the slots when ``out`` is a tuple."""
+    ns = dict(_SCALAR_NS)
+    names = ["x"]
+    for s, v in enumerate(init[1:], 1):
+        if type(v) is float:
+            ns[f"c{s}"] = v
+        names.append(f"c{s}" if type(v) is float
+                     else repr(v) if type(v) is int else f"v{s}")
+    lines = [f"    {', '.join(names[1:nargs + 1])}, = args"] if nargs else []
+    for fn, o, a, b in steps:
+        operands = (names[a],) if b is None else (names[a], names[b])
+        lines.append(f"    {names[o]} = "
+                     + _SCALAR_SOURCE[fn].format(*operands))
+    ret = (names[out] if type(out) is int
+           else f"({', '.join(names[s] for s in out)},)")
+    code = (f"def _compiled(x{', args' if nargs else ''}):\n"
+            + "\n".join(lines) + f"\n    return {ret}\n")
+    exec(compile(code, "<lambdify>", "exec"), ns)
+    return ns.pop("_compiled")  # so fn and its globals form no cycle
 
 
 def _vectorized(init: tuple, steps: tuple, result: int) -> Callable:
+    """Run the tape of ``_lower`` on numpy arrays.  Slot 0 holds x and
+    every constant an ``np.float64``, so constant subtrees follow numpy
+    semantics as well; an integer power is ``a ** k`` with k a Python
+    int."""
+    init = tuple(np.float64(v) if type(v) is float else v for v in init)
+
     def vector_fn(xs):
         arr = np.asarray(xs, dtype=float)
         vals = list(init)

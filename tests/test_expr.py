@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import count_compiles, general_instances
 from test_expr_reference import ref_eval
-from vdplin import expr
+from vdplin import expr, odesolve
 from vdplin.colehopf import solve_chain, verify_printed_coeffs
 from vdplin.expr import (Add, Const, EvalDomainError, Fun, Mul, Neg, Param,
                          ParseError, Pow, Sub, UnboundParameterError, X,
                          diff, free_params, lambdify, parse, simplify, subst,
                          to_str)
+from vdplin.odesolve import Grid, integrate_linear, integrate_vdp
 
 
 def test_parse_variable_identity():
@@ -366,20 +367,29 @@ def test_invalid_names_enter_no_table_entry():
 
 def test_intern_table_drains_without_collection():
     # with the cyclic collector off, the table can only drain if no node
-    # is kept alive by a reference cycle
+    # is kept alive by a reference cycle; the right-hand sides compiled
+    # for the adaptive integrators outlive the bundle, so they must hold
+    # no node either
     gc.collect()
     gc.disable()
     try:
-        before = len(expr._NODES)
+        before, rhs_before = len(expr._NODES), len(odesolve._RHS)
         (params, P), = general_instances(1, seed=3)
         b = solve_chain(P, params)
         b = b.with_entries(verify_printed_coeffs(b.P, b.U, params, b.v, b.h,
                                                  b.g, b.f))
         lambdify(b.f)(np.linspace(0.0, 1.0, 5))
         lambdify(b.U, scalar=True)(0.5)
+        grid = Grid(0.0, 0.01, 3)
+        integrate_vdp(b, grid, 1.0, 0.0)
+        integrate_linear(b.U, grid, 1.0, 0.0)
+        rhs = [odesolve._RHS[b][1], odesolve._RHS[b.U][1]]
         assert len(expr._NODES) > before + 100
         del b, P
         assert len(expr._NODES) == before
+        assert len(odesolve._RHS) == rhs_before
+        for fn in rhs:
+            assert len(fn(0.0, (1.0, 0.0))) == 2
     finally:
         gc.enable()
 

@@ -1,13 +1,14 @@
-"""The vector tape of ``lambdify``, the printer, the constant folds of
-``simplify``, the loops of ``diff``, ``simplify`` and ``subst`` and the
-parser against the code they replaced: a generated-source vector compiler,
-a recursive printer, the recursive interpreter that once backed
-``Expr.eval``, the recursive walkers of the three passes and a parser that
-tokenized the whole text first, all kept here verbatim as references.  The
-tape must give the same bits, the printer the same text, a fold the same
-constant where the interpreter gave a finite value and none elsewhere, each
-pass the very node its walker gave, and the parser the same node or the
-same error at the same offset."""
+"""The vector tape and the scalar code of ``lambdify``, the printer, the
+constant folds of ``simplify``, the loops of ``diff``, ``simplify`` and
+``subst`` and the parser against the code they replaced: a generated-source
+vector compiler, the scalar compiler's own forward walk, a recursive
+printer, the recursive interpreter that once backed ``Expr.eval``, the
+recursive walkers of the three passes and a parser that tokenized the
+whole text first, all kept here verbatim as references.  The tape and the
+scalar code must give the same bits, the printer the same text, a fold
+the same constant where the interpreter gave a finite value and none
+elsewhere, each pass the very node its walker gave, and the parser the
+same node or the same error at the same offset."""
 
 import builtins
 import json
@@ -29,8 +30,9 @@ from vdplin.expr import (FUNCTIONS, ONE, ZERO, _SCALAR_NS, _VECTOR_BINARY,
                          Add, Const, Div, EvalDomainError, Expr, Fun, Mul,
                          Neg, Param, ParseError, Pow, Sub,
                          UnboundParameterError, Var, X, _fold, _is_const,
-                         _neg_of, _pow_scalar, diff, free_params, lambdify,
-                         parse, simplify, subst, to_str)
+                         _neg_of, _postorder, _pow_scalar, diff, free_params,
+                         lambdify, lambdify_ode, parse, simplify, subst,
+                         to_str)
 from vdplin.lienard import lienard_coeffs, riccati_u
 
 from conftest import general_instances
@@ -141,6 +143,65 @@ def ref_lambdify(e, env=None):
     ns = dict(_REF_VECTOR_NS)
     exec(compile(code, "<lambdify>", "exec"), ns)
     return _ref_vectorized(ns.pop("_compiled"))
+
+
+def ref_scalar_code(order, args=(), results=()):
+    """The scalar compiler as it was: a forward walk that gives each node a
+    token in a table keyed by ``id(node)``, with its own dispatch over the
+    node types."""
+    lines: list[str] = []
+    tokens: dict[int, str] = {}
+    ns = dict(_SCALAR_NS)
+    params = [Param(name) for name in args]  # alive while ids are keys
+    for i, node in enumerate(params):
+        tokens[id(node)] = f"a{i}"
+    if params:
+        lines.append("    " + "".join(f"a{i}, " for i in range(len(params)))
+                     + "= args")
+
+    def tok(node: Expr) -> str:
+        return tokens[id(node)]
+
+    for node in order:
+        if id(node) in tokens:
+            continue
+        if isinstance(node, Const):
+            tokens[id(node)] = name = f"c{len(ns)}"
+            ns[name] = node.value
+            continue
+        if isinstance(node, Var):
+            tokens[id(node)] = "x"
+            continue
+        if isinstance(node, Neg):
+            rhs = f"-({tok(node.arg)})"
+        elif isinstance(node, Add):
+            rhs = f"({tok(node.left)}) + ({tok(node.right)})"
+        elif isinstance(node, Sub):
+            rhs = f"({tok(node.left)}) - ({tok(node.right)})"
+        elif isinstance(node, Mul):
+            rhs = f"({tok(node.left)}) * ({tok(node.right)})"
+        elif isinstance(node, Div):
+            rhs = f"({tok(node.left)}) / ({tok(node.right)})"
+        elif isinstance(node, Pow):
+            ex = node.exponent
+            if isinstance(ex, Const) and float(ex.value).is_integer():
+                rhs = f"({tok(node.base)}) ** ({int(ex.value)})"
+            else:
+                rhs = f"_pow({tok(node.base)}, {tok(ex)})"
+        elif isinstance(node, Fun):
+            rhs = f"_{node.name}({tok(node.arg)})"
+        else:  # pragma: no cover
+            raise TypeError(f"unknown node {node!r}")
+        name = f"v{len(lines) + 1}"
+        lines.append(f"    {name} = {rhs}")
+        tokens[id(node)] = name
+
+    out = (f"({', '.join(map(tok, results))},)" if results
+           else tok(order[-1]))
+    code = (f"def _compiled(x{', args' if params else ''}):\n"
+            + "\n".join(lines) + f"\n    return {out}\n")
+    exec(compile(code, "<lambdify>", "exec"), ns)
+    return ns.pop("_compiled")  # so fn and its globals form no cycle
 
 
 def ref_eval(e, x, env=None):
@@ -594,15 +655,16 @@ _BINARY = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}
 
 
 @st.composite
-def _dags(draw, max_ops=14, params=()):
+def _dags(draw, max_ops=14, params=(), kinds=_KINDS):
     """Each new node takes its operands from the nodes built before it, so
     subtrees are shared, and constants meet constants often enough to give
     constant-only subtrees (1/0, 0^-1, 1e300*1e300, ...).  The leaves are x,
-    the constants and a parameter of each name in ``params``."""
+    the constants and a parameter of each name in ``params``; the nodes
+    are of the ``kinds`` given."""
     pool = [X, *map(Param, params)] + [
         Const(v) for v in draw(st.lists(_CONSTANTS, min_size=1, max_size=4))]
     for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
-        kind = draw(st.sampled_from(_KINDS))
+        kind = draw(st.sampled_from(kinds))
         a = draw(st.sampled_from(pool))
         if kind == "neg":
             node = Neg(a)
@@ -675,6 +737,52 @@ def test_every_function_matches_the_reference(name):
     xs = np.linspace(-3.0, 3.0, 61)
     e = Fun(name, X * Const(0.75) - Const(0.25))
     assert _same_bits(lambdify(e)(xs), ref_lambdify(e)(xs))
+
+
+def _same_outcome(fn, ref, *args):
+    """fn returns ref's value bit for bit, or raises ref's exception with
+    its message."""
+    try:
+        want = ref(*args)
+    except Exception as err:
+        with pytest.raises(Exception) as got:
+            fn(*args)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+    else:
+        assert _same_bits(fn(*args), want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dags(params=("p", "q")),
+       st.lists(st.floats(width=64), min_size=2, max_size=6))
+def test_scalar_code_matches_the_token_walk_bit_for_bit(e, draws):
+    # p and q are bound by subst for lambdify, and are the state for
+    # lambdify_ode
+    p, q, *extra = draws
+    bound = subst(e, {"p": p, "q": q})
+    ref = ref_scalar_code(_postorder(bound))
+    ref_ode = ref_scalar_code(_postorder(e), ("p", "q"), (Param("q"), e))
+    fn = lambdify(bound, scalar=True)
+    ode = lambdify_ode(e, "p", "q")
+    for x in [*_XS.tolist(), *extra]:
+        _same_outcome(fn, ref, x)
+        _same_outcome(ode, ref_ode, x, (p, q))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dags(kinds=("neg", "add", "sub", "mul", "div")),
+       st.lists(st.floats(width=64), max_size=4))
+def test_scalar_and_vector_forms_agree_on_arithmetic(e, extra):
+    # integer powers are left out: libm's pow and numpy's power may differ
+    # by an ulp (x^4 at 0.3 is 0.0081 scalar, 0.008099999999999998 vector)
+    xs = np.concatenate([_XS, np.array(extra, dtype=float)])
+    scalar = lambdify(e, scalar=True)
+    for x, want in zip(xs.tolist(), lambdify(e)(xs)):
+        try:
+            got = scalar(x)
+        except ZeroDivisionError:
+            continue  # numpy gives inf or nan where Python floats raise
+        assert _same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
