@@ -12,6 +12,9 @@ five exactly.  Hand-derived reference formulas are kept as cross-checks
 whose outcome is recorded in a discrepancy ledger carried by the bundle:
 those of a_0..a_4 and f are polynomials in P's jet, and ``wcalc`` decides
 them exactly, by their gap to the derivation; the others are sampled.
+``verify_annihilation`` decides a bundle exactly too when its fields are
+the chain's own for its P, as every bundle ``solve_chain`` writes is, and
+samples a_0..a_4 for any other.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .expr import (ZERO, Const, Expr, as_expr, lambdify, parse, simplify,
+from .expr import (ZERO, Const, Expr, as_expr, lambdify, parser, simplify,
                    to_str)
-from .wcalc import CoeffSet, reduce_vdp, reference_gaps, vdp_chain
+from .wcalc import CoeffSet, jet, reduce_vdp, reference_gaps, vdp_chain
 
 __all__ = [
     "VdpParams", "TransformBundle", "LedgerEntry", "AnnihilationReport",
@@ -147,14 +150,20 @@ class TransformBundle:
 
 @dataclass(frozen=True)
 class AnnihilationReport:
+    """The largest |a_i| of the reduced identity on a grid of ``n_points``.
+    A bundle decided exactly, with nothing sampled, has every ``max_abs``
+    0.0, ``n_points`` 0 and ``note`` "exact", as a ledger entry has."""
+
     max_abs: tuple[float, float, float, float, float]
     tol: float
     n_points: int
     passed: bool
+    note: str = ""
 
     def to_dict(self) -> dict:
         return {"max_abs": list(self.max_abs), "tol": self.tol,
-                "n_points": self.n_points, "passed": self.passed}
+                "n_points": self.n_points, "passed": self.passed,
+                "note": self.note}
 
 
 def _grid_xs(grid) -> np.ndarray:
@@ -250,9 +259,16 @@ def seeded_construction(s: Expr, params: VdpParams, branch: str = "plus",
 # verification
 
 def verify_annihilation(bundle: TransformBundle, grid) -> AnnihilationReport:
-    """Recompute a_0..a_4 from the bundle through the engine and report the
-    max of |a_i| on the grid.  Grid points hitting a singularity raise."""
+    """The max of |a_i| on the grid.  A bundle whose U, g, h, v and f
+    simplify to the very nodes ``wcalc.vdp_chain`` derives for its P has
+    a_0..a_4 the zero polynomial in P, P' and P'', so where those are
+    finite on the grid it is decided exactly, with nothing built or
+    sampled.  Any other bundle has a_0..a_4 recomputed through the engine
+    and sampled; grid points hitting a singularity raise."""
     xs = _grid_xs(grid)
+    if _is_chain_bundle(bundle, xs):
+        return AnnihilationReport(max_abs=(0.0,) * 5, tol=ANNIHILATION_TOL,
+                                  n_points=0, passed=True, note="exact")
     coeffs = bundle.coefficients()
     maxes = []
     for i, a in enumerate(coeffs.as_tuple()):
@@ -265,6 +281,20 @@ def verify_annihilation(bundle: TransformBundle, grid) -> AnnihilationReport:
     return AnnihilationReport(max_abs=t, tol=ANNIHILATION_TOL,
                               n_points=len(xs),
                               passed=all(m <= ANNIHILATION_TOL for m in t))
+
+
+def _is_chain_bundle(bundle: TransformBundle, xs: np.ndarray) -> bool:
+    """Whether the fields are the chain's for P, and P's jet is finite on
+    xs; an unbound parameter answers no, so the sampled path raises."""
+    P = simplify(bundle.P)
+    chain = vdp_chain(P, bundle.params)
+    if any(simplify(getattr(bundle, name)) is not node
+           for name, node in chain.items()):
+        return False
+    try:
+        return all(np.isfinite(lambdify(e)(xs)).all() for e in jet(P))
+    except ex.UnboundParameterError:
+        return False
 
 
 def verify_printed_coeffs(P: Expr, U: Expr, params: VdpParams, v: Expr,
@@ -314,6 +344,7 @@ def reading_document(d, kind: str):
 def bundle_from_dict(d: dict) -> TransformBundle:
     """Rebuild a bundle; a document of the wrong shape raises
     ``BundleFormatError``, an expression that does not parse ``ParseError``."""
+    parse = parser()
     with reading_document(d, "bundle"):
         params = VdpParams(mu=float(d["params"]["mu"]),
                            beta=float(d["params"]["beta"]),

@@ -30,9 +30,11 @@ result, so no pass recurses and a tree of any depth can be differentiated,
 simplified, substituted into, printed and compiled.  ``parse`` recurses
 once per level of nesting in the text.
 
-Correctness downstream rests on evaluation at sample points, not on
-syntactic normal forms, so ``simplify`` never changes the value of an
-expression anywhere the original is defined.
+There are no syntactic normal forms: ``simplify`` never changes the value
+of an expression anywhere the original is defined, and equal interned
+nodes are the one exact test of equality.  Downstream, a bundle the chain
+derived is verified by that identity, since ``wcalc`` derives its fields
+exactly, and any other expression by evaluation at sample points.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Param", "Neg", "Add", "Sub", "Mul", "Div",
-    "Pow", "Fun", "X", "as_expr", "parse", "diff", "simplify", "subst",
-    "free_params", "lambdify", "lambdify_ode", "to_str",
+    "Pow", "Fun", "X", "as_expr", "parse", "parser", "diff", "simplify",
+    "subst", "free_params", "lambdify", "lambdify_ode", "to_str",
     "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "sqrt",
     "ExprError", "ParseError", "EvalDomainError", "UnboundParameterError",
     "FUNCTIONS",
@@ -650,7 +652,7 @@ class _Parser:
     """Recursive descent over tokens scanned as needed; a copy of a group
     already parsed is looked up by its text and skipped (see ``parse``)."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, groups: dict[str, Expr]):
         self.text = text
         self.close = {}  # offset of each matched "(" -> offset of its ")"
         opens = []
@@ -659,7 +661,7 @@ class _Parser:
                 opens.append(m.start())
             elif opens:
                 self.close[opens.pop()] = m.start()
-        self.groups: dict[str, Expr] = {}  # group text -> node inside it
+        self.groups = groups  # group text -> node inside it
         self.tok = self.scan(0)
 
     def scan(self, pos: int) -> tuple[str, str, int, int]:
@@ -768,18 +770,31 @@ def parse(text: str) -> Expr:
     parentheses, one slice and hash per group met, and one scan and parse
     per distinct group text.  A character that starts no token is the error
     wherever it stands, before any error of grammar."""
-    p = _Parser(text)
-    try:
-        node = p.parse_expr()
-        kind, val, pos, _ = p.tok
-        if kind != "eof":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
-    except (ParseError, RecursionError):
-        tok = p.tok
-        while tok[0] != "eof":  # raises at the first bad character
-            tok = p.scan(tok[3])
-        raise
-    return node
+    return parser()(text)
+
+
+def parser() -> Callable[[str], Expr]:
+    """A ``parse`` whose calls share one memo of groups, for the fields of
+    one document: a group printed again in a later field (P's, inside U,
+    h, v and f) is parsed once.  A group's text fixes its node, so every
+    result and every error is the one ``parse`` gives."""
+    groups: dict[str, Expr] = {}
+
+    def parse_text(text: str) -> Expr:
+        p = _Parser(text, groups)
+        try:
+            node = p.parse_expr()
+            kind, val, pos, _ = p.tok
+            if kind != "eof":
+                raise ParseError(f"unexpected trailing input {val!r}", pos)
+        except (ParseError, RecursionError):
+            tok = p.tok
+            while tok[0] != "eof":  # raises at the first bad character
+                tok = p.scan(tok[3])
+            raise
+        return node
+
+    return parse_text
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .colehopf import (PRINTED_COEFF_TOL, LedgerEntry, gap_entries,
                        reading_document)
-from .expr import Expr, as_expr, diff, parse, simplify, to_str
+from .expr import Expr, as_expr, diff, parser, simplify, to_str
 from .wcalc import reference_gaps, restoring_coeffs
 
 __all__ = ["LienardSpec", "lienard_coeffs", "riccati_u",
@@ -87,7 +87,7 @@ def lienard_spec_to_json(spec: LienardSpec) -> str:
 def lienard_spec_from_json(text: str) -> LienardSpec:
     """Rebuild a spec; a document of the wrong shape raises
     ``BundleFormatError``, an expression that does not parse ``ParseError``."""
-    d = json.loads(text)
+    d, parse = json.loads(text), parser()
     with reading_document(d, "lienard spec"):
         return LienardSpec(
             c=tuple(parse(s) for s in d["c"]),

@@ -13,10 +13,14 @@ the source of truth for the reference formulas checked against it: the
 eleven that are polynomials (a_0..a_4 and f of the chain, the Lienard
 b_0..b_4) are kept here as printed text, read into the ring once, and each
 kept beside its gap, derived minus reference, which an instance evaluates.
+An instance asks for P's jet several times, so derivatives come from a
+memo that holds no node alive: a hit lasts while something else, such as
+the f of a bundle, holds the derivative.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, groupby
@@ -26,7 +30,7 @@ from .expr import (ZERO, Const, Div, Expr, Mul, Neg, Param, Pow, Sub,
                    as_expr, diff, parse, simplify)
 
 __all__ = ["CoeffSet", "reduce_vdp", "reduce_lienard", "restoring_coeffs",
-           "vdp_chain", "reference_gaps"]
+           "vdp_chain", "reference_gaps", "jet"]
 
 # the generators, numbered in the order a monomial lists them
 W, DDP, DP, P, DU, U, C0, C1, C2, B0, B1, B2, B3, B4 = range(14)
@@ -186,16 +190,39 @@ def _gaps(kind: str) -> tuple[tuple[Poly, Poly], ...]:
                  for d, r in zip(derived, refs))
 
 
+# node -> weak reference to simplify(diff(node)); a strong one would keep
+# the node alive, since a derivative can hold its own node (that of
+# exp(2*x)*2 is (exp(2*x)*2)*2)
+_DERIVATIVES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _derivative(e: Expr) -> Expr:
+    """simplify(diff(e)), from the memo while the derivative is alive."""
+    ref = _DERIVATIVES.get(e)
+    d = None if ref is None else ref()
+    if d is None:
+        d = simplify(diff(e))
+        _DERIVATIVES[e] = weakref.ref(d)
+    return d
+
+
+def jet(P: Expr) -> tuple[Expr, Expr, Expr]:
+    """P, P' and P'', simplified."""
+    P = simplify(as_expr(P))
+    dP = _derivative(P)
+    return P, dP, _derivative(dP)
+
+
 def _values(P: Expr, U: Expr, c: Sequence, b: Sequence) -> list:
     """The Expr of each generator: P's and U's jets, then c and b."""
     if len(c) != 3:
         raise ValueError(f"need 3 damping coefficients, got {len(c)}")
     if len(b) != 5:
         raise ValueError(f"need 5 restoring coefficients, got {len(b)}")
-    P, U = simplify(as_expr(P)), simplify(as_expr(U))
-    dP = simplify(diff(P))
-    jet = [None, simplify(diff(dP)), dP, P, simplify(diff(U)), U]
-    return jet + [simplify(as_expr(e)) for e in (*c, *b)]
+    P, dP, ddP = jet(P)
+    U = simplify(as_expr(U))
+    return ([None, ddP, dP, P, _derivative(U), U]
+            + [simplify(as_expr(e)) for e in (*c, *b)])
 
 
 def _expr(p: Poly, values: list) -> Expr:

@@ -45,15 +45,28 @@ def general_instances(count, seed):
     return out
 
 
+def pole_free_window(params, P):
+    """A window of [0, 5] on which the general-P shift P stays finite and
+    bounded."""
+    k = np.sqrt((params.mu * params.beta) ** 2 - 4 * params.alpha)
+    cap = 4.0 + abs(params.mu * params.beta) + k
+    return regular_window([P], 0.0, 5.0, cap=cap)
+
+
 def build_instance(rng):
     """Random general-P bundle plus a pole-free window of [0, 5]."""
     params, C1, C2, k_sign = draw_vdp_instance(rng)
     P = p_general(params, C1, C2, k_sign)
     bundle = solve_chain(P, params)
-    k = np.sqrt((params.mu * params.beta) ** 2 - 4 * params.alpha)
-    cap = 4.0 + abs(params.mu * params.beta) + k
-    a, b = regular_window([P], 0.0, 5.0, cap=cap)
+    a, b = pole_free_window(params, P)
     return bundle, a, b
+
+
+def sampled_annihilation(bundle, xs):
+    """The largest |a_i| on xs of the bundle's a_0..a_4, built by the
+    engine and sampled, whatever ``verify_annihilation`` decides."""
+    return max(float(np.max(np.abs(lambdify(a)(xs))))
+               for a in bundle.coefficients().as_tuple())
 
 
 def growth_budget_cut(bundle, psi_traj, budget=11.0):

@@ -3,6 +3,7 @@ annihilation guarantee, the seeded construction and the ledger machinery."""
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from vdplin.colehopf import (BundleFormatError, SingularGridError,
                              bundle_from_json, bundle_to_dict, bundle_to_json,
                              seeded_construction, solve_chain,
                              verify_annihilation, verify_printed_coeffs)
-from vdplin.expr import Const, lambdify, parse, simplify, subst, to_str
+from vdplin.expr import Const, Neg, lambdify, parse, simplify, subst, to_str
 from vdplin.lienard import lienard_coeffs, lienard_spec_to_dict, riccati_u
 from vdplin.odesolve import Grid
 
-from conftest import general_instances
+from conftest import (general_instances, pole_free_window,
+                      sampled_annihilation)
 
 XS = np.linspace(0.0, 5.0, 501)
 
@@ -96,9 +98,49 @@ def test_annihilation_detects_broken_quartic_coefficient():
 
 
 def test_annihilation_reports_singular_grid():
+    # P's jet is not finite at x = 0, so even a chain bundle is sampled,
+    # and the sampled a_0 names the point
     b = solve_chain(parse("1/x"), VdpParams(1.0, 1.0, 0.0))
-    with pytest.raises(SingularGridError):
+    with pytest.raises(SingularGridError, match=re.escape(
+            "coefficient a0 is singular at grid points [0...]")):
         verify_annihilation(b, Grid(-1.0, 1.0, 11))  # grid crosses x = 0
+
+
+def test_chain_bundles_are_decided_exactly():
+    # the chain's own fields, before and after a JSON round trip, are
+    # decided with nothing sampled; sampling their a_0..a_4 still reads
+    # at most 1e-9
+    for params, P in general_instances(40, seed=11):
+        b = solve_chain(P, params)
+        xs = Grid(*pole_free_window(params, P), 501).xs
+        for bundle in (b, bundle_from_json(bundle_to_json(b))):
+            rep = verify_annihilation(bundle, xs)
+            assert (rep.max_abs, rep.n_points, rep.passed, rep.note) == (
+                (0.0,) * 5, 0, True, "exact")
+            assert sampled_annihilation(bundle, xs) <= 1e-9
+
+
+def test_moved_constant_of_f_is_sampled_and_fails():
+    b = solve_chain(parse("x/(2+x^2)"), VdpParams(1.0, 1.5, 0.4))
+    doc = bundle_to_dict(b)
+    assert doc["f"].count("2.65*") == 1
+    doc["f"] = doc["f"].replace("2.65*", f"{2.65 + 1e-6!r}*")
+    rep = verify_annihilation(bundle_from_dict(doc), XS)
+    assert (rep.n_points, rep.passed, rep.note) == (501, False, "")
+    # a_0 moves by 1e-6 P, whose largest value on [0, 5] is 1/(2 sqrt 2)
+    assert rep.max_abs[0] == pytest.approx(1e-6 / 8 ** 0.5, rel=1e-3)
+    assert max(rep.max_abs[1:]) <= 1e-9
+
+
+def test_stored_negative_constant_is_decided_exactly():
+    # "-0.7" parses to Neg(Const(0.7)), which simplifies to the chain's
+    # Const(-0.7)
+    doc = bundle_to_dict(solve_chain(parse("sin(x)/3"),
+                                     VdpParams(0.7, 1.5, 0.4)))
+    assert doc["g"] == "-0.7"
+    back = bundle_from_dict(doc)
+    assert type(back.g) is Neg
+    assert verify_annihilation(back, XS).note == "exact"
 
 
 def test_printed_coefficients_match_engine():

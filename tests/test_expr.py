@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import count_compiles, general_instances
 from test_expr_reference import ref_eval
 from vdplin import expr, odesolve
-from vdplin.colehopf import solve_chain, verify_printed_coeffs
+from vdplin.colehopf import (bundle_from_json, bundle_to_json, solve_chain,
+                             verify_annihilation, verify_printed_coeffs)
 from vdplin.expr import (Add, Const, EvalDomainError, Fun, Mul, Neg, Param,
                          ParseError, Pow, Sub, UnboundParameterError, X,
                          diff, free_params, lambdify, parse, simplify, subst,
@@ -369,7 +370,8 @@ def test_intern_table_drains_without_collection():
     # with the cyclic collector off, the table can only drain if no node
     # is kept alive by a reference cycle; the right-hand sides compiled
     # for the adaptive integrators outlive the bundle, so they must hold
-    # no node either
+    # no node either, and neither may the jet memo nor the exact path of
+    # verify_annihilation
     gc.collect()
     gc.disable()
     try:
@@ -384,8 +386,15 @@ def test_intern_table_drains_without_collection():
         integrate_vdp(b, grid, 1.0, 0.0)
         integrate_linear(b.U, grid, 1.0, 0.0)
         rhs = [odesolve._RHS[b][1], odesolve._RHS[b.U][1]]
+        back = bundle_from_json(bundle_to_json(b))
+        assert verify_annihilation(b, grid).note == "exact"
+        assert verify_annihilation(back, grid).note == "exact"
+        # a derivative can hold its own node, as that of exp(2*x)*2 is
+        # (exp(2*x)*2)*2
+        grows = solve_chain(parse("exp(2*x)*2"), params)
+        assert verify_annihilation(grows, grid).note == "exact"
         assert len(expr._NODES) > before + 100
-        del b, P
+        del b, P, back, grows
         assert len(expr._NODES) == before
         assert len(odesolve._RHS) == rhs_before
         for fn in rhs:

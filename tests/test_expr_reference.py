@@ -31,8 +31,8 @@ from vdplin.expr import (FUNCTIONS, ONE, ZERO, _SCALAR_NS, _VECTOR_BINARY,
                          Neg, Param, ParseError, Pow, Sub,
                          UnboundParameterError, Var, X, _fold, _is_const,
                          _neg_of, _postorder, _pow_scalar, diff, free_params,
-                         lambdify, lambdify_ode, parse, simplify, subst,
-                         to_str)
+                         lambdify, lambdify_ode, parse, parser, simplify,
+                         subst, to_str)
 from vdplin.lienard import lienard_coeffs, riccati_u
 
 from conftest import general_instances
@@ -957,7 +957,7 @@ def test_unbound_error_names_the_first_parameter(scalar):
 # the parser
 
 
-def _same_parse(text):
+def _same_parse(text, parse=parse):
     """parse gives the reference's node, or its error at its offset."""
     try:
         want = ref_parse(text)
@@ -1038,6 +1038,30 @@ def _parse_inputs(draw):
 @given(_parse_inputs())
 def test_parse_matches_the_reference(text):
     _same_parse(text)
+
+
+@st.composite
+def _document_fields(draw):
+    """The texts of one document: a printed DAG, then texts that print it
+    again as a group, as it is, spaced out or with one fault."""
+    text = to_str(draw(_dags()))
+    fields = [text]
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        copy = draw(st.one_of(st.just(text), _spaced(text),
+                              _corrupted(text)))
+        fields.append(draw(st.sampled_from(["({})", "x*({})", "sin({})^2",
+                                            "({})-({})"])).format(copy, text))
+    return fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(_document_fields())
+def test_a_shared_parser_parses_each_field_as_the_reference(fields):
+    # a group met in an earlier field is looked up, not parsed again, and
+    # changes no node and no error
+    shared = parser()
+    for text in fields:
+        _same_parse(text, shared)
 
 
 @pytest.mark.parametrize("text", [
