@@ -14,8 +14,10 @@ from vdplin.colehopf import (BundleFormatError, SingularGridError,
                              bundle_from_json, bundle_to_dict, bundle_to_json,
                              seeded_construction, solve_chain,
                              verify_annihilation, verify_printed_coeffs)
-from vdplin.expr import Const, Neg, lambdify, parse, simplify, subst, to_str
-from vdplin.lienard import lienard_coeffs, lienard_spec_to_dict, riccati_u
+from vdplin.expr import (X, Const, Neg, lambdify, parse, simplify, subst,
+                         to_str)
+from vdplin.lienard import (lienard_coeffs, lienard_spec_to_dict,
+                            lienard_spec_to_json, riccati_u)
 from vdplin.odesolve import Grid
 
 from conftest import (general_instances, pole_free_window,
@@ -306,6 +308,28 @@ def test_finite_constant_bundles_keep_their_bytes():
     # f is about 4e9 there: sampled, the identity read 1.4e-6 apart
     forcing = docs["consts"]["ledger"][0]
     assert (forcing["agrees"], forcing["max_abs_diff"]) == (True, 0.0)
+
+
+def test_general_bundles_and_riccati_specs_keep_their_bytes():
+    # sha256 of the whole JSON text, ledger included: general-P bundles,
+    # whose every entry is decided exactly, and Riccati specs over
+    # quadratic shifts, whose sampled entries are arithmetic only, so
+    # neither depends on a libm
+    bundles = hashlib.sha256()
+    for params, P in general_instances(40, seed=17):
+        b = solve_chain(P, params)
+        b = b.with_entries(verify_printed_coeffs(b.P, b.U, params, b.v, b.h,
+                                                 b.g, b.f))
+        bundles.update(bundle_to_json(b).encode())
+    specs = hashlib.sha256()
+    for p0, p1, p2, *c in np.random.default_rng(17).uniform(-1, 1, (40, 6)):
+        P = float(p0) + float(p1) * X + float(p2) * X ** 2
+        spec = lienard_coeffs([Const(float(ci)) for ci in c], P, riccati_u(P))
+        specs.update(lienard_spec_to_json(spec).encode())
+    assert bundles.hexdigest() == (
+        "beba3ce04a7c0573fa34ec577fa317c6694b7dc02accb815fb6d39af5d4f1a03")
+    assert specs.hexdigest() == (
+        "183f19cfe0bf43ec95c77338af3266c02285159dbad9075077f408e74e36b879")
 
 
 @pytest.mark.parametrize("doc, message", [
