@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .expr import (ZERO, Const, Expr, as_expr, lambdify, parser, simplify,
-                   to_str)
+from .expr import (ZERO, Const, Expr, as_expr, lambdify, parser, printer,
+                   simplify, to_str)
 from .wcalc import CoeffSet, jet, reduce_vdp, reference_gaps, vdp_chain
 
 __all__ = [
@@ -201,16 +201,17 @@ def gap_entries(checks: Sequence[str], gaps, grid,
     ``wcalc.reference_gaps``.  A gap that folds to a number decides the
     check exactly, with ``max_abs_diff`` its size; one still a function of x
     is sampled on the grid, as ``compare_forms`` samples a form against 0.
+    The references print through one ``expr.printer``.
     """
-    entries = []
+    entries, print_expr = [], printer()
     for check, (reference, gap) in zip(checks, gaps):
         if type(gap) is Const:
             size = abs(gap.value)
             entries.append(LedgerEntry(check, size <= tol, size, tol, 0,
-                                       to_str(reference), "exact"))
+                                       print_expr(reference), "exact"))
         else:
             entries.append(replace(compare_forms(check, gap, ZERO, grid, tol),
-                                   reference=to_str(reference)))
+                                   reference=print_expr(reference)))
     return entries
 
 
@@ -311,15 +312,14 @@ def verify_printed_coeffs(P: Expr, U: Expr, params: VdpParams, v: Expr,
 # serialization
 
 def bundle_to_dict(bundle: TransformBundle) -> dict:
+    """The bundle as a document; its fields print through one
+    ``expr.printer``, so P's text is made once for all of them."""
+    print_expr = printer()
     return {
         "params": {"mu": bundle.params.mu, "beta": bundle.params.beta,
                    "alpha": bundle.params.alpha},
-        "P": to_str(bundle.P),
-        "U": to_str(bundle.U),
-        "g": to_str(bundle.g),
-        "h": to_str(bundle.h),
-        "v": to_str(bundle.v),
-        "f": to_str(bundle.f),
+        **{name: print_expr(getattr(bundle, name))
+           for name in ("P", "U", "g", "h", "v", "f")},
         "ledger": [e.to_dict() for e in bundle.ledger],
     }
 

@@ -21,8 +21,9 @@ the buffers numpy frees are reused rather than new pages faulted in.
 Nodes are hash-consed: every constructor call goes through a weak intern
 table, so structurally equal trees are the same object, equality and
 hashing are identity, and a tree printed and re-parsed shares its subtrees
-again.  The results of ``simplify`` and ``lambdify`` are cached on the node
-they were computed for.
+again.  ``printer`` and ``parser`` share their memos across the fields of
+one document.  The results of ``simplify`` and ``lambdify`` are cached on
+the node they were computed for.
 
 Every pass except ``parse`` is one loop over ``_postorder``, the distinct
 nodes of the DAG each after its children, filling a map from node to
@@ -45,6 +46,7 @@ import re
 import struct
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -52,7 +54,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Param", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Fun", "X", "as_expr", "parse", "parser", "diff", "simplify",
-    "subst", "free_params", "lambdify", "lambdify_ode", "to_str",
+    "subst", "free_params", "lambdify", "lambdify_ode", "to_str", "printer",
     "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "sqrt",
     "ExprError", "ParseError", "EvalDomainError", "UnboundParameterError",
     "FUNCTIONS",
@@ -105,22 +107,31 @@ class _Interned(type):
     same type, payload and children if there is one.  Children are already
     interned, so the key holds them by identity.  A Const is keyed by its
     value's bits, so 0.0 and -0.0 stay apart and a NaN finds its node.  A
-    node enters the table only after its field checks have passed."""
+    node enters the table only after its field checks have passed.  The
+    table is a plain dict of weak references to the nodes; the callback of
+    each drops its entry when the node dies, so the table holds no node
+    alive."""
 
     def __call__(cls, *args):
         if cls is Const:
             key = (cls, struct.pack("<d", float(args[0])))
         else:
             key = (cls, *args)
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
         if node is None:
             node = type.__call__(cls, *args)
-            _NODES[key] = node
+            _NODES[key] = weakref.ref(node, partial(_drop, key))
         return node
 
 
-# weak values: a node leaves the table when its last reference is dropped
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+def _drop(key: tuple, ref: weakref.ref) -> None:
+    """Drop the entry of a dead node, unless a new node has the key."""
+    if _NODES.get(key) is ref:
+        del _NODES[key]
+
+
+_NODES: dict[tuple, weakref.ref] = {}  # key -> weak reference to the node
 
 # cached simplify result of a node that simplifies to itself (storing the
 # node in its own slot would make a reference cycle)
@@ -128,14 +139,15 @@ _SAME = object()
 
 
 class Expr(metaclass=_Interned):
-    """Base node.  Instances are immutable and interned: building a tree
-    equal to a live one returns that very object, so ``==`` and ``hash``
-    are identity.  Arithmetic operators build new trees (numbers are
-    coerced to constants).  The slots hold the cached ``simplify`` result
-    and the ``lambdify`` callables: ``_vector_fn`` runs a tape of numpy
-    steps, ``_scalar_fn`` is compiled Python code over floats.  None of
-    them references a node, so caching makes no reference cycle.  They are
-    unset until first computed."""
+    """Base node.  Instances are immutable and interned, through a dict of
+    weak references whose callbacks drop the entries of dead nodes:
+    building a tree equal to a live one returns that very object, so
+    ``==`` and ``hash`` are identity.  Arithmetic operators build new
+    trees (numbers are coerced to constants).  The slots hold the cached
+    ``simplify`` result and the ``lambdify`` callables: ``_vector_fn``
+    runs a tape of numpy steps, ``_scalar_fn`` is compiled Python code
+    over floats.  None of them references a node, so caching makes no
+    reference cycle.  They are unset until first computed."""
 
     __slots__ = ("__weakref__", "_simplified", "_vector_fn", "_scalar_fn")
 
@@ -608,7 +620,15 @@ def to_str(e: Expr) -> str:
     DAG prints as a tree, but parsing it shares equal subtrees again.  Each
     distinct subtree is printed once and its text reused, in parentheses
     where the context binds tighter, so the work is the size of the DAG
-    plus the output."""
+    plus the output.  ``printer`` reuses the text across calls."""
+    return printer()(e)
+
+
+def printer() -> Callable[[Expr], str]:
+    """A ``to_str`` whose calls share one memo of text, for the fields of
+    one document: a subtree printed in an earlier field (P's, inside U, h,
+    v and f) is not walked again.  A node's text depends on the node
+    alone, so every result is the one ``to_str`` gives."""
     # node -> its text, unparenthesized, and its precedence
     text: dict[Expr, tuple[str, int]] = {}
 
@@ -616,25 +636,30 @@ def to_str(e: Expr) -> str:
         s, p = text[node]
         return "(" + s + ")" if p < ctx else s
 
-    for node in _postorder(e):
-        t, p = type(node), _prec(node)
-        if t is Const:
-            s = _fmt_number(node.value)
-        elif t is Var:
-            s = "x"
-        elif t is Param:
-            s = node.name
-        elif t is Fun:
-            s = f"{node.name}({text[node.arg][0]})"
-        elif t is Neg:
-            s = "-" + sub(node.arg, _PREC_NEG)
-        elif t is Pow:
-            s = (sub(node.base, _PREC_POW + 1) + "^"
-                 + sub(node.exponent, _PREC_NEG))
-        else:
-            s = sub(node.left, p) + _INFIX[t] + sub(node.right, p + 1)
-        text[node] = s, p
-    return text[e][0]
+    def print_expr(e: Expr) -> str:
+        for node in _postorder(e, text.__contains__):
+            if node in text:
+                continue
+            t, p = type(node), _prec(node)
+            if t is Const:
+                s = _fmt_number(node.value)
+            elif t is Var:
+                s = "x"
+            elif t is Param:
+                s = node.name
+            elif t is Fun:
+                s = f"{node.name}({text[node.arg][0]})"
+            elif t is Neg:
+                s = "-" + sub(node.arg, _PREC_NEG)
+            elif t is Pow:
+                s = (sub(node.base, _PREC_POW + 1) + "^"
+                     + sub(node.exponent, _PREC_NEG))
+            else:
+                s = sub(node.left, p) + _INFIX[t] + sub(node.right, p + 1)
+            text[node] = s, p
+        return text[e][0]
+
+    return print_expr
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,13 @@ _WINDOW_MARGIN = 0.05
 
 class StepUnderflowError(Exception):
     """The integrator could not continue (blow-up or singular coefficient).
-    Carries the x-bracket of the failure and the partial trajectory."""
+    Carries the x-bracket of the failure and the partial trajectory; the
+    message ends with the cause where the integrator knows one."""
 
-    def __init__(self, bracket: tuple[float, float], partial: "Trajectory | None"):
-        super().__init__(f"integration stalled in [{bracket[0]:g}, {bracket[1]:g}]")
+    def __init__(self, bracket: tuple[float, float],
+                 partial: "Trajectory | None", cause: str = ""):
+        message = f"integration stalled in [{bracket[0]:g}, {bracket[1]:g}]"
+        super().__init__(f"{message}: {cause}" if cause else message)
         self.bracket = bracket
         self.partial = partial
 
@@ -365,7 +368,7 @@ def _integrate_rk4(rhs, xs: np.ndarray, y0: Sequence[float]) -> Trajectory:
 
 
 def _stalled(xs: np.ndarray, values: np.ndarray, derivatives: np.ndarray,
-             i: int) -> StepUnderflowError:
+             i: int, cause: str = "") -> StepUnderflowError:
     """The error for a step i whose end state is non-finite; its partial
     trajectory is the finite prefix xs[:i + 1] when that has two points."""
     partial = None
@@ -373,7 +376,7 @@ def _stalled(xs: np.ndarray, values: np.ndarray, derivatives: np.ndarray,
         partial = Trajectory(xs=xs[:i + 1], values=values[:i + 1],
                              derivatives=derivatives[:i + 1],
                              segments=[(0, i + 1)])
-    return StepUnderflowError((float(xs[i]), float(xs[-1])), partial)
+    return StepUnderflowError((float(xs[i]), float(xs[-1])), partial, cause)
 
 
 _SCAN_BLOCK = 64  # steps per block of the RK4 scan
@@ -457,8 +460,17 @@ def _linear_rk4(ufn, xs: np.ndarray, phi0: float, dphi0: float) -> Trajectory:
     derivatives = np.concatenate(([dphi0], ys[:, 1].T.ravel()[:n_steps]))
     bad = np.flatnonzero(~(np.isfinite(values) & np.isfinite(derivatives)))
     if bad.size:
-        # a non-finite initial state fails the first step
-        raise _stalled(xs, values, derivatives, max(int(bad[0]), 1) - 1)
+        # a non-finite initial state fails the first step; a first step
+        # from a finite one fails on a U too large for the step, named
+        # where it is finite
+        cause = ""
+        if bad[0] == 1:
+            with np.errstate(all="ignore"):
+                top = float(np.max(np.abs(ufn(xs))))
+            if math.isfinite(top):
+                cause = f"|U| reaches {top:.3g} on the grid"
+        raise _stalled(xs, values, derivatives, max(int(bad[0]), 1) - 1,
+                       cause)
     return Trajectory(xs=xs, values=values, derivatives=derivatives,
                       segments=[(0, len(xs))])
 

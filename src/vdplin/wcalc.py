@@ -13,18 +13,20 @@ the source of truth for the reference formulas checked against it: the
 eleven that are polynomials (a_0..a_4 and f of the chain, the Lienard
 b_0..b_4) are kept here as printed text, read into the ring once, and each
 kept beside its gap, derived minus reference, which an instance evaluates.
-An instance asks for P's jet several times, so derivatives come from a
-memo that holds no node alive: a hit lasts while something else, such as
-the f of a bundle, holds the derivative.
+An instance asks for P's jet and for its chain several times, so both
+come from one weak memo that holds no node alive: a hit lasts while
+something else, such as a bundle, holds what the memo found.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, groupby
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .expr import (ZERO, Const, Div, Expr, Mul, Neg, Param, Pow, Sub,
                    as_expr, diff, parse, simplify)
@@ -190,20 +192,33 @@ def _gaps(kind: str) -> tuple[tuple[Poly, Poly], ...]:
                  for d, r in zip(derived, refs))
 
 
-# node -> weak reference to simplify(diff(node)); a strong one would keep
-# the node alive, since a derivative can hold its own node (that of
-# exp(2*x)*2 is (exp(2*x)*2)*2)
+def _memo(table: weakref.WeakKeyDictionary, node: Expr, key,
+          compute: Callable[[], tuple[Expr, ...]]) -> tuple[Expr, ...]:
+    """compute(), the nodes derived from node at key, or the ones table
+    kept while all of them live.  It holds node weakly, with one key, and
+    the derived nodes by weak references, since one of them can hold node
+    (the derivative of exp(2*x)*2 is (exp(2*x)*2)*2), so it keeps no node
+    alive."""
+    hit = table.get(node)
+    if hit is not None and hit[0] == key:
+        out = tuple(ref() for ref in hit[1])
+        if None not in out:
+            return out
+    out = compute()
+    table[node] = key, tuple(map(weakref.ref, out))
+    return out
+
+
+# node -> simplify(diff(node)); P -> the chain of vdp_chain, keyed by
+# the parameters' bits (float.hex tells 0.0 from -0.0)
 _DERIVATIVES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_CHAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _derivative(e: Expr) -> Expr:
-    """simplify(diff(e)), from the memo while the derivative is alive."""
-    ref = _DERIVATIVES.get(e)
-    d = None if ref is None else ref()
-    if d is None:
-        d = simplify(diff(e))
-        _DERIVATIVES[e] = weakref.ref(d)
-    return d
+    """simplify(diff(e)), from the memo while the derivative is alive; the
+    same ``_memo`` keeps the chains of ``vdp_chain``."""
+    return _memo(_DERIVATIVES, e, None, lambda: (simplify(diff(e)),))[0]
 
 
 def jet(P: Expr) -> tuple[Expr, Expr, Expr]:
@@ -228,22 +243,26 @@ def _values(P: Expr, U: Expr, c: Sequence, b: Sequence) -> list:
 def _expr(p: Poly, values: list) -> Expr:
     """p at the generators' values.  A monomial's coefficient and its
     Const values multiply into one number, summed over the monomials that
-    share their other values, and simplify folds that number unless it
-    overflows; a negative one is subtracted."""
-    groups: dict[tuple, Expr] = {}
+    share their other values; a negative one is subtracted.  The number
+    is folded as floats, as simplify folds Consts, while it stays finite.
+    From the first step that is not, the rest is built over the number so
+    far and simplify finishes it: folding each node from its children's
+    results, it returns what it would for the tree of every Const."""
+    groups: dict[tuple, float | Expr] = {}
     for m, k in p.items():
-        num, rest = Const(float(k)), []
+        num, rest = float(k), []
         for g in m:
             v = values[g]
             if type(v) is Const:
-                num = num * v
+                num = _combine(operator.mul, num, v.value)
             else:
                 rest.append(v)
         key = tuple(rest)
-        groups[key] = groups[key] + num if key in groups else num
+        groups[key] = (_combine(operator.add, groups[key], num)
+                       if key in groups else num)
     total = ZERO
     for rest, num in groups.items():
-        num = simplify(num)
+        num = Const(num) if type(num) is float else simplify(num)
         minus = type(num) is Const and num.value < 0
         term = Const(-num.value) if minus else num
         for v, run in groupby(rest):
@@ -251,6 +270,17 @@ def _expr(p: Poly, values: list) -> Expr:
             term = term * (v ** n if n > 1 else v)
         total = total - term if minus else total + term
     return simplify(total)
+
+
+def _combine(op: Callable, a: float | Expr, b: float | Expr) -> float | Expr:
+    """op(a, b) as a float if a and b are floats and it is finite, else the
+    node op builds over them."""
+    if type(a) is float and type(b) is float:
+        v = op(a, b)
+        if math.isfinite(v):
+            return v
+        a = Const(a)
+    return op(a, b)
 
 
 @dataclass(frozen=True)
@@ -293,11 +323,18 @@ def restoring_coeffs(c: Sequence[Expr], P: Expr, U: Expr) -> tuple[Expr, ...]:
 
 def vdp_chain(P: Expr, params) -> dict[str, Expr]:
     """U, g, h, v and f for the shift P, derived exactly at the c and b_1
-    of ``params.lienard``, which do not depend on v, h, g and f."""
-    c, b = params.lienard(0.0, 0.0, 0.0, 0.0)
-    assert c[1] == 0.0, "the chain is solved at c1 = 0"
-    values = _values(P, 0.0, c, b)
-    return {name: _expr(p, values) for name, p in _chain().items()}
+    of ``params.lienard``, which do not depend on v, h, g and f.  The
+    chain of a P and parameters is derived once while its nodes live."""
+    P = simplify(as_expr(P))
+
+    def derive() -> tuple[Expr, ...]:
+        c, b = params.lienard(0.0, 0.0, 0.0, 0.0)
+        assert c[1] == 0.0, "the chain is solved at c1 = 0"
+        values = _values(P, 0.0, c, b)
+        return tuple(_expr(p, values) for p in _chain().values())
+
+    key = (params.mu.hex(), params.beta.hex(), params.alpha.hex())
+    return dict(zip(_chain(), _memo(_CHAINS, P, key, derive)))
 
 
 def reference_gaps(kind: str, P: Expr, U: Expr, c: Sequence,

@@ -351,6 +351,19 @@ def test_grid_too_short_for_the_stencils_is_a_verification_failure(
                                        "stencils\n")
 
 
+def test_stall_of_a_huge_shift_names_its_potential(tmp_path, capsys):
+    # P = 1e80 + x and its U, about 3e160, are finite on the grid, so the
+    # chain's bundle is verified exactly, but the first RK4 step overflows
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(bundle_to_json(solve_chain(parse("1e80 + x"),
+                                                 VdpParams(1, 1, 0.5))))
+    code = run(["verify", "--bundle", str(bundle), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: integration stalled in [0, 5]: |U| reaches 3e+160 on the "
+        "grid\n")
+
+
 @pytest.mark.parametrize("P", ["x + 1/0", "x + 0^(-1)"])
 def test_constant_singularity_is_an_eval_failure(tmp_path, capsys, P):
     # U is infinite everywhere: the vector callables give inf, not a

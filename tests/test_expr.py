@@ -22,6 +22,7 @@ from vdplin.expr import (Add, Const, EvalDomainError, Fun, Mul, Neg, Param,
                          diff, free_params, lambdify, parse, simplify, subst,
                          to_str)
 from vdplin.odesolve import Grid, integrate_linear, integrate_vdp
+from vdplin.wcalc import vdp_chain
 
 
 def test_parse_variable_identity():
@@ -370,8 +371,8 @@ def test_intern_table_drains_without_collection():
     # with the cyclic collector off, the table can only drain if no node
     # is kept alive by a reference cycle; the right-hand sides compiled
     # for the adaptive integrators outlive the bundle, so they must hold
-    # no node either, and neither may the jet memo nor the exact path of
-    # verify_annihilation
+    # no node either, and neither may the jet and chain memos, the printer
+    # nor the exact path of verify_annihilation
     gc.collect()
     gc.disable()
     try:
@@ -386,6 +387,11 @@ def test_intern_table_drains_without_collection():
         integrate_vdp(b, grid, 1.0, 0.0)
         integrate_linear(b.U, grid, 1.0, 0.0)
         rhs = [odesolve._RHS[b][1], odesolve._RHS[b.U][1]]
+        # the chain memo hands back the bundle's own nodes, and the
+        # printer's memo of text dies with the document
+        chain = vdp_chain(P, params)
+        assert all(chain[name] is getattr(b, name) for name in chain)
+        assert vdp_chain(P, params) == chain
         back = bundle_from_json(bundle_to_json(b))
         assert verify_annihilation(b, grid).note == "exact"
         assert verify_annihilation(back, grid).note == "exact"
@@ -394,7 +400,7 @@ def test_intern_table_drains_without_collection():
         grows = solve_chain(parse("exp(2*x)*2"), params)
         assert verify_annihilation(grows, grid).note == "exact"
         assert len(expr._NODES) > before + 100
-        del b, P, back, grows
+        del b, P, back, grows, chain
         assert len(expr._NODES) == before
         assert len(odesolve._RHS) == rhs_before
         for fn in rhs:

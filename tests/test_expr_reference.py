@@ -1,20 +1,23 @@
 """The vector tape and the scalar code of ``lambdify``, the printer, the
 constant folds of ``simplify``, the loops of ``diff``, ``simplify`` and
-``subst`` and the parser against the code they replaced: a generated-source
-vector compiler, the scalar compiler's own forward walk, a recursive
-printer, the recursive interpreter that once backed ``Expr.eval``, the
-recursive walkers of the three passes and a parser that tokenized the
-whole text first, all kept here verbatim as references.  The tape and the
-scalar code must give the same bits, the printer the same text, a fold
-the same constant where the interpreter gave a finite value and none
-elsewhere, each pass the very node its walker gave, and the parser the
-same node or the same error at the same offset."""
+``subst``, the parser and ``wcalc``'s ring builder against the code they
+replaced: a generated-source vector compiler, the scalar compiler's own
+forward walk, a recursive printer, the recursive interpreter that once
+backed ``Expr.eval``, the recursive walkers of the three passes, a parser
+that tokenized the whole text first and a builder that made a Const node
+of every number for simplify to fold, all kept here verbatim as
+references.  The tape and the scalar code must give the same bits, the
+printer the same text, a fold the same constant where the interpreter
+gave a finite value and none elsewhere, each pass and the builder the
+very node the reference gave, and the parser the same node or the same
+error at the same offset."""
 
 import builtins
 import json
 import math
 import re
 import tracemalloc
+from itertools import groupby
 from typing import Mapping
 
 import numpy as np
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdplin import colehopf, expr
+from vdplin import colehopf, expr, wcalc
 from vdplin.colehopf import (bundle_from_json, bundle_to_json, solve_chain,
                              verify_printed_coeffs)
 from vdplin.cli import run as cli_run
@@ -31,8 +34,8 @@ from vdplin.expr import (FUNCTIONS, ONE, ZERO, _SCALAR_NS, _VECTOR_BINARY,
                          Neg, Param, ParseError, Pow, Sub,
                          UnboundParameterError, Var, X, _fold, _is_const,
                          _neg_of, _postorder, _pow_scalar, diff, free_params,
-                         lambdify, lambdify_ode, parse, parser, simplify,
-                         subst, to_str)
+                         lambdify, lambdify_ode, parse, parser, printer,
+                         simplify, subst, to_str)
 from vdplin.lienard import lienard_coeffs, riccati_u
 
 from conftest import general_instances
@@ -641,6 +644,34 @@ def ref_parse(text: str) -> Expr:
     return node
 
 
+def ref_expr(p, values):
+    """p at the generators' values.  A monomial's coefficient and its
+    Const values multiply into one number, summed over the monomials that
+    share their other values, and simplify folds that number unless it
+    overflows; a negative one is subtracted."""
+    groups: dict[tuple, Expr] = {}
+    for m, k in p.items():
+        num, rest = Const(float(k)), []
+        for g in m:
+            v = values[g]
+            if type(v) is Const:
+                num = num * v
+            else:
+                rest.append(v)
+        key = tuple(rest)
+        groups[key] = groups[key] + num if key in groups else num
+    total = ZERO
+    for rest, num in groups.items():
+        num = simplify(num)
+        minus = type(num) is Const and num.value < 0
+        term = Const(-num.value) if minus else num
+        for v, run in groupby(rest):
+            n = len(tuple(run))
+            term = term * (v ** n if n > 1 else v)
+        total = total - term if minus else total + term
+    return simplify(total)
+
+
 # ---------------------------------------------------------------------------
 # random DAGs
 
@@ -730,6 +761,26 @@ def test_passes_return_the_node_of_the_recursive_walkers(e, a):
     for t in (e, d, s, diff(d)):
         assert simplify(t) is ref_simplify(t)
         assert to_str(t) == ref_print(t)
+
+
+# contexts a shared subtree prints in: bare, as an operand of each
+# precedence, left and right
+_CONTEXTS = (lambda e: e, Neg, lambda e: Pow(e, Const(2.0)),
+             lambda e: Pow(X, e), lambda e: Sub(X, e), lambda e: Add(e, X),
+             lambda e: Div(e, X), lambda e: Mul(Const(-2.0), e),
+             lambda e: Fun("sin", e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dags(), st.lists(_dags(max_ops=6), max_size=3),
+       st.lists(st.sampled_from(_CONTEXTS), min_size=2, max_size=6))
+def test_a_shared_printer_prints_each_root_as_to_str(shared, others, wraps):
+    # the roots share one subtree, printed first in whatever context the
+    # draw puts first, and the other DAGs may share nodes with it
+    roots = [wrap(shared) for wrap in wraps] + [Mul(o, shared) for o in others]
+    print_expr = printer()
+    for e in roots:
+        assert print_expr(e) == to_str(e) == ref_print(e)
 
 
 @pytest.mark.parametrize("name", FUNCTIONS)
@@ -863,6 +914,7 @@ def test_general_bundles_print_and_serialize_as_the_reference(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(colehopf, "to_str", ref_print)
+            m.setattr(colehopf, "printer", lambda: ref_print)
             m.setattr(colehopf, "lambdify", ref_lambdify)
             ref = solve_chain(P, params)
             ref = ref.with_entries(verify_printed_coeffs(
@@ -870,6 +922,44 @@ def test_general_bundles_print_and_serialize_as_the_reference(monkeypatch):
             assert bundle_to_json(ref) == text
         for got, a in zip(values, ref.coefficients().as_tuple()):
             assert _same_bits(got, ref_lambdify(a)(xs))
+
+
+# ---------------------------------------------------------------------------
+# the ring builder
+
+# every polynomial wcalc builds Exprs from
+_RING = [*wcalc._reduced(), *wcalc._chain().values(), *wcalc._restoring(),
+         *(p for kind in ("vdp", "forcing", "lienard")
+           for pair in wcalc._gaps(kind) for p in pair)]
+# values whose sums and products round, overflow, cancel to inf - inf or
+# meet 0 * inf, of either sign of zero
+_GENERATOR_CONSTANTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1 / 3, -2.5, 1e200,
+                     -1e200, 1e-200, 1e155, 1.7e308, math.inf, -math.inf,
+                     math.nan]),
+    st.floats(min_value=-4.0, max_value=4.0),
+)
+
+
+@st.composite
+def _generator_values(draw):
+    """A value for each generator but w: a Const, or one of a few DAGs, so
+    that generators share values."""
+    dags = draw(st.lists(_dags(max_ops=4), min_size=1, max_size=3))
+    values = [None]
+    for _ in range(wcalc.B4):
+        if draw(st.booleans()):
+            values.append(Const(draw(_GENERATOR_CONSTANTS)))
+        else:
+            values.append(draw(st.sampled_from(dags)))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_values())
+def test_ring_builder_returns_the_node_of_the_reference(values):
+    for p in _RING:
+        assert wcalc._expr(p, values) is ref_expr(p, values)
 
 
 # ---------------------------------------------------------------------------

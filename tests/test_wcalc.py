@@ -244,3 +244,18 @@ def test_reduce_lienard_validates_lengths():
         reduce_lienard(X, X, [Const(0.0)] * 3, [Const(0.0)] * 4)
     with pytest.raises(ValueError):
         restoring_coeffs([Const(0.0)] * 4, X, X)
+
+
+def test_chain_memo_returns_the_derivation_of_each_parameter_set():
+    # each chain, asked for while the others live, is the one derived
+    # without the memo, at either sign of a zero mu too
+    P = parse("x/(2+x^2)")
+    kept = []
+    for mu in (-0.0, 0.0, 1.0, -0.0, 2.0, 0.0):
+        params = VdpParams(mu, 1, 0)
+        chain = wcalc.vdp_chain(P, params)
+        values = wcalc._values(P, 0.0, *params.lienard(0.0, 0.0, 0.0, 0.0))
+        assert chain == {name: wcalc._expr(p, values)
+                         for name, p in wcalc._chain().items()}, mu
+        kept.append(chain)
+    assert kept[0]["g"] is not kept[2]["g"]
