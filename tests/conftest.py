@@ -6,7 +6,7 @@ compiled scalar code."""
 import numpy as np
 
 from vdplin import expr
-from vdplin.catalog import CatalogError, p_general
+from vdplin.catalog import p_general
 from vdplin.colehopf import VdpParams, solve_chain
 from vdplin.expr import lambdify, simplify
 from vdplin.odesolve import (Grid, IntegratorConfig, StepUnderflowError,
@@ -33,15 +33,12 @@ def draw_vdp_instance(rng):
 
 def general_instances(count, seed):
     """``count`` (params, P) pairs of general-P instances drawn from
-    ``seed``, skipping draws that ``p_general`` refuses."""
+    ``seed``; a draw that ``p_general`` refuses fails the caller."""
     rng = np.random.default_rng(seed)
     out = []
-    while len(out) < count:
+    for _ in range(count):
         params, C1, C2, k_sign = draw_vdp_instance(rng)
-        try:
-            out.append((params, p_general(params, C1, C2, k_sign)))
-        except CatalogError:
-            continue
+        out.append((params, p_general(params, C1, C2, k_sign)))
     return out
 
 

@@ -5,16 +5,22 @@ import dataclasses
 import hashlib
 import json
 import math
+from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from vdplin.catalog import (AlphaNonzeroError, ComplexKError,
+from vdplin import wcalc
+from vdplin.catalog import (AlphaNonzeroError, CatalogError, ComplexKError,
                             KZeroInconsistentError, case1, case2, case3,
                             linear_basis, p_general)
 from vdplin.colehopf import VdpParams, solve_chain, verify_annihilation
 from vdplin.expr import Const, lambdify, simplify, subst, to_str
 from vdplin.odesolve import Grid
+
+from conftest import draw_vdp_instance
 
 RNG = np.random.default_rng(11)
 
@@ -55,14 +61,143 @@ def test_p_general_rejects_complex_rate():
         p_general(VdpParams(1.0, 1.0, 10.0), 0.1, 0.1, 1)
 
 
-def test_p_general_forcing_check_runs():
-    # the constructor itself verifies the induced forcing vanishes
+def test_p_general_is_the_cole_hopf_form_of_its_denominator():
+    # P = mb/4 + D'/(2D), D = C1 e^{mb x/2} + C2 e^{kx/2} + e^{-kx/2}: the
+    # form the ring proof below takes
+    xs = np.linspace(0.0, 5.0, 201)
     for _ in range(5):
         mu = float(RNG.uniform(0.3, 2.0)) * (1 if RNG.random() < 0.5 else -1)
         beta = float(RNG.uniform(0.3, 2.0))
         alpha = float(RNG.uniform(-1.0, (mu * beta) ** 2 / 4))
-        p_general(VdpParams(mu, beta, alpha), float(RNG.uniform(-1, 1)),
-                  float(RNG.uniform(-1, 1)), 1, check=True)
+        C1, C2 = float(RNG.uniform(-1, 1)), float(RNG.uniform(-1, 1))
+        mb, k = mu * beta, math.sqrt((mu * beta) ** 2 - 4 * alpha)
+        terms = [(C1, mb / 2), (C2, k / 2), (1.0, -k / 2)]
+        D = sum(c * np.exp(r * xs) for c, r in terms)
+        dD = sum(c * r * np.exp(r * xs) for c, r in terms)
+        got = lambdify(p_general(VdpParams(mu, beta, alpha), C1, C2, 1))(xs)
+        assert np.allclose(got, mb / 4 + dD / (2 * D), rtol=1e-12, atol=1e-12)
+
+
+# p_general's proof in the ring: generators numbered after wcalc's, for the
+# denominator D, its first two derivatives and the parameters
+D, D1, D2, MU, BETA, K = range(wcalc.B4 + 1, wcalc.B4 + 7)
+MB = {(MU, BETA): 1}
+ROOTS = ({(MU, BETA): 0.5}, {(K,): 0.5}, {(K,): -0.5})
+MISTYPED = ROOTS[:2] + ({(K,): 0.5},)
+
+
+def _scale(k, p):
+    return wcalc._mul({(): k}, p)
+
+
+def _forcing_times_d_cubed(roots):
+    """D^3 f for the chain's f at P = mb/4 + D1/(2D), c0 = -mu beta,
+    c2 = mu and b1 = (mb^2 - k^2)/4, with D's third derivative
+    s1 D2 - s2 D1 + s3 D for the elementary symmetric functions s1, s2, s3
+    of ``roots``: the linear equation D solves."""
+    s1, s2, s3 = (wcalc._add(*(reduce(wcalc._mul, c)
+                               for c in combinations(roots, n)))
+                  for n in (1, 2, 3))
+    rules = {D: {(D1,): 1}, D1: {(D2,): 1},
+             D2: wcalc._add(wcalc._mul(s1, {(D2,): 1}),
+                            _scale(-1, wcalc._mul(s2, {(D1,): 1})),
+                            wcalc._mul(s3, {(D,): 1}))}
+
+    def derive(p):  # wcalc._derive's Leibniz rule, over D, D1 and D2
+        return wcalc._add(*(wcalc._mul({m[:i] + m[i + 1:]: k}, rules[g])
+                            for m, k in p.items()
+                            for i, g in enumerate(m) if g in rules))
+
+    # the j-th derivative of P is N_j / D^(j+1), with N_0 = P D and
+    # N_(j+1) = N_j' D - (j+1) N_j D1
+    n = [wcalc._add(_scale(0.25, wcalc._mul(MB, {(D,): 1})), {(D1,): 0.5})]
+    for j in range(2):
+        n.append(wcalc._add(wcalc._mul(derive(n[j]), {(D,): 1}),
+                            _scale(-(j + 1), wcalc._mul(n[j], {(D1,): 1}))))
+    # so a monomial of f of weight w (P counts 1, P' 2, P'' 3) times D^3
+    # is its N's times D^(3 - w)
+    weight = {wcalc.P: 1, wcalc.DP: 2, wcalc.DDP: 3}
+    f = wcalc._chain()["f"]
+    ws = {m: sum(weight.get(g, 0) for g in m) for m in f}
+    assert max(ws.values()) == 3
+    lifted = {tuple(sorted(m + (D,) * (3 - ws[m]))): k for m, k in f.items()}
+    return wcalc._subst(lifted, {
+        wcalc.P: n[0], wcalc.DP: n[1], wcalc.DDP: n[2],
+        wcalc.C0: _scale(-1, MB), wcalc.C2: {(MU,): 1},
+        wcalc.B1: _scale(0.25, wcalc._add(wcalc._mul(MB, MB),
+                                          {(K, K): -1}))})
+
+
+def test_general_shift_annihilates_the_forcing():
+    # for free C1, C2, mu, beta and k: p_general's P makes f = 0
+    assert _forcing_times_d_cubed(ROOTS) == {}
+
+
+def test_general_shift_proof_fails_for_a_mistyped_root():
+    # +k/2 typed for -k/2: a nonzero remainder, so the proof is not vacuous
+    rest = _forcing_times_d_cubed(MISTYPED)
+    assert rest and any(K in m for m in rest)
+
+
+def test_general_shift_remainder_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    x, mu, beta, k, c1, c2 = sp.symbols("x mu beta k C1 C2")
+    d, d1, d2 = sp.symbols("D D1 D2")
+    mb = mu * beta
+    gens = {D: d, D1: d1, D2: d2, MU: mu, BETA: beta, K: k}
+
+    def to_sympy(p):
+        return sum(sp.Rational(Fraction(c)) * sp.Mul(*(gens[g] for g in m))
+                   for m, c in p.items())
+
+    def third(roots, y, y1, y2):
+        # the third derivative y solves for when its characteristic
+        # polynomial has these roots, from sympy's expansion of it
+        t = sp.Symbol("t")
+        _, a2, a1, a0 = sp.Poly(sp.prod([t - to_sympy(p) for p in roots]),
+                                t).all_coeffs()
+        return -(a2 * y2 + a1 * y1 + a0 * y)
+
+    Df = sp.Function("D")(x)
+    P = mb / 4 + Df.diff(x) / (2 * Df)
+    f = (P.diff(x, 2) + 6 * P * P.diff(x) - 2 * mb * P.diff(x) + 4 * P ** 3
+         - 4 * mb * P ** 2 + ((mb ** 2 - k ** 2) / 4 + mb ** 2) * P
+         - mb * (mb ** 2 - k ** 2) / 8)
+    for roots in (ROOTS, MISTYPED):
+        got = sp.expand(sp.cancel(f * Df ** 3)).subs(
+            Df.diff(x, 3), third(roots, d, d1, d2)).subs(
+            {Df.diff(x, 2): d2, Df.diff(x): d1}).subs(Df, d)
+        assert sp.expand(got - to_sympy(_forcing_times_d_cubed(roots))) == 0
+    # and p_general's denominator solves the true roots' equation
+    dx = c1 * sp.exp(mb * x / 2) + c2 * sp.exp(k * x / 2) + sp.exp(-k * x / 2)
+    assert sp.simplify(dx.diff(x, 3) - third(
+        ROOTS, dx, dx.diff(x), dx.diff(x, 2))) == 0
+
+
+@pytest.mark.parametrize("C1, C2, name", [
+    (1e308, 0.5, "C1"), (0.5, 1e308, "C2"), (math.nan, 0.5, "C1"),
+    (0.5, math.nan, "C2"), (math.inf, 0.5, "C1"), (0.5, -math.inf, "C2")])
+def test_p_general_refuses_non_finite_constants_by_name(C1, C2, name):
+    # 2 C1 mb and C2 (mb + k) are about 2.3e308 and 4.3e308 here
+    with pytest.raises(CatalogError, match=rf"^{name} = "):
+        p_general(VdpParams(1.5, 1.5, 0.2), C1, C2, 1)
+
+
+def test_p_general_then_solve_chain_derives_the_chain_once(monkeypatch):
+    # one derivation of the chain's f per instance: p_general derives none
+    chain_f = wcalc._chain()["f"]
+    calls = [0]
+    expr_of = wcalc._expr
+
+    def counting(p, values):
+        calls[0] += p is chain_f
+        return expr_of(p, values)
+    monkeypatch.setattr(wcalc, "_expr", counting)
+    rng = np.random.default_rng(23)
+    for i in range(1, 6):
+        params, C1, C2, k_sign = draw_vdp_instance(rng)
+        solve_chain(p_general(params, C1, C2, k_sign), params)
+        assert calls[0] == i
 
 
 def test_linear_basis_selection():
