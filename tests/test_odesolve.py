@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import build_instance, count_compiles, round_trip_metrics
 from vdplin import odesolve
 from vdplin._floatfmt import repr_fields
+from vdplin.catalog import case3
 from vdplin.colehopf import TransformBundle, VdpParams, solve_chain
 from vdplin.expr import (Const, UnboundParameterError, lambdify, parse,
                          simplify, subst)
@@ -618,6 +619,29 @@ def test_map_splits_at_every_pole():
     for (_, end), (start, _) in zip(psi.segments, psi.segments[1:]):
         assert start == end
 
+
+_CASE3 = case3(VdpParams(1.0, 1.0, 0.0), 0.5)
+
+
+@pytest.mark.parametrize("P, phi, U, grid, want", [
+    (Const(0.0), parse("x"), Const(0.0), Grid(-1.0, 1.0, 81),
+     [("0x0.0p+0", "0x0.0p+0")]),
+    (Const(0.0), parse("sin(x)"), Const(-1.0), Grid(0.5, 20.0, 3901),
+     [("0x1.921fb54428f5cp+1", "0x1.921fb54451eb8p+1"),
+      ("0x1.921fb5443d70ap+2", "0x1.921fb54451eb8p+2"),
+      ("0x1.2d97c7f328f5dp+3", "0x1.2d97c7f333334p+3"),
+      ("0x1.921fb5443d70ap+3", "0x1.921fb54447ae1p+3"),
+      ("0x1.f6a7a29551eb7p+3", "0x1.f6a7a2955c28ep+3"),
+      ("0x1.2d97c7f32e148p+4", "0x1.2d97c7f333334p+4")]),
+    (_CASE3.bundle.P, subst(_CASE3.phi, {"C3": -2.0, "C4": 1.0}),
+     _CASE3.bundle.U, Grid(-4.0, 9.0, 501),
+     [("0x1.ae82c6c71a9f9p-1", "0x1.ae82c6c7ef9d8p-1")]),
+], ids=["x", "sin", "case3"])
+def test_closed_form_pole_brackets_keep_their_bits(P, phi, U, grid, want):
+    # a closed-form phi is bisected at each sign change; every bracket
+    # end is pinned to the bit
+    psi = cole_hopf_map(P, Trajectory.from_expr(phi, grid), U=U)
+    assert [(a.hex(), b.hex()) for a, b in psi.pole_brackets] == want
 
 def test_runs_matches_scan():
     def scan(mask):
