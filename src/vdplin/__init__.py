@@ -8,8 +8,8 @@ from .colehopf import (AnnihilationReport, LedgerEntry, TransformBundle,
                        VdpParams, bundle_from_json, bundle_to_json,
                        seeded_construction, solve_chain, verify_annihilation,
                        verify_printed_coeffs)
-from .expr import (Expr, EvalDomainError, ParseError, UnboundParameterError,
-                   diff, lambdify, parse, simplify, subst, to_str)
+from .expr import (Expr, ParseError, UnboundParameterError, diff, lambdify,
+                   parse, simplify, subst, to_str)
 from .lienard import LienardSpec, lienard_coeffs, riccati_u
 from .odesolve import (DisjointSegmentsError, ErrorMetrics, Grid,
                        IntegratorConfig, ResidualReport, SegmentTooShortError,

@@ -6,14 +6,13 @@ functions exp/log/sin/cos/tan/sinh/cosh/sqrt.  It supports exact
 differentiation, conservative simplification (constant folding and identity
 removal, no canonical forms), a printer whose output re-parses to an
 equivalent tree, and compilation to callables: one lowering to a tape of
-steps, run by numpy for arrays and printed as Python code for scalars.
-There is no tree interpreter: the compiled scalar code defines what
-evaluation at a point means, ``Expr.eval`` runs it, and ``simplify`` folds
-a function or a power of constants with the functions that code calls.  A
-named parameter gets a value only from ``subst``: ``lambdify`` and
-``Expr.eval`` refuse a tree that still holds one.  ``lambdify_ode`` makes
-the right-hand side of a second-order equation one compiled function of
-(x, u, u'), the two parameters that name the state its arguments.  The
+steps.  There is no tree interpreter: ``lambdify`` runs the tape as numpy
+calls, on a grid or at a point, and ``lambdify_ode`` prints the tape of
+the right-hand side of a second-order equation as one Python function
+over floats of (x, u, u'), the two parameters that name the state its
+arguments; ``simplify`` folds a function or a power of constants with
+the ``math`` functions that code calls.  A named parameter gets a value
+only from ``subst``: ``lambdify`` refuses a tree that still holds one.  The
 tape writes each result into a slot whose value has had its last read, so
 a call on a grid holds only as many arrays as values are live at once, and
 the buffers numpy frees are reused rather than new pages faulted in.
@@ -56,7 +55,7 @@ __all__ = [
     "Pow", "Fun", "X", "as_expr", "parse", "parser", "diff", "simplify",
     "subst", "free_params", "lambdify", "lambdify_ode", "to_str", "printer",
     "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "sqrt",
-    "ExprError", "ParseError", "EvalDomainError", "UnboundParameterError",
+    "ExprError", "ParseError", "UnboundParameterError",
     "FUNCTIONS",
 ]
 
@@ -73,27 +72,6 @@ class ParseError(ExprError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
         self.offset = offset
-
-
-class EvalDomainError(ExprError):
-    """Evaluation left the real domain (division by zero, log of a
-    nonpositive value, an overflowing math call, ...) or gave a value that
-    is not finite.  Carries the expression that was evaluated and the x at
-    which it happened."""
-
-    def __init__(self, message: str, node: "Expr", x):
-        super().__init__(message)
-        self.node = node
-        self.x = x
-
-    def __str__(self) -> str:
-        # printed when asked for; a tree holding an inf or nan constant has
-        # no literal form, so its text is left out
-        try:
-            where = f" in '{self.node}'"
-        except ExprError:
-            where = ""
-        return f"{self.args[0]}{where} at x={self.x!r}"
 
 
 class UnboundParameterError(ExprError):
@@ -144,12 +122,11 @@ class Expr(metaclass=_Interned):
     building a tree equal to a live one returns that very object, so
     ``==`` and ``hash`` are identity.  Arithmetic operators build new
     trees (numbers are coerced to constants).  The slots hold the cached
-    ``simplify`` result and the ``lambdify`` callables: ``_vector_fn``
-    runs a tape of numpy steps, ``_scalar_fn`` is compiled Python code
-    over floats.  None of them references a node, so caching makes no
-    reference cycle.  They are unset until first computed."""
+    ``simplify`` result and the ``lambdify`` callable, which runs a tape
+    of numpy steps and references no node, so caching makes no reference
+    cycle.  They are unset until first computed."""
 
-    __slots__ = ("__weakref__", "_simplified", "_vector_fn", "_scalar_fn")
+    __slots__ = ("__weakref__", "_simplified", "_vector_fn")
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -183,24 +160,6 @@ class Expr(metaclass=_Interned):
 
     def __str__(self) -> str:
         return to_str(self)
-
-    def eval(self, x: float) -> float:
-        """Evaluate at a single x by the scalar code of ``lambdify``.  The
-        result is a finite float: a domain violation (division by zero, log
-        or sqrt out of range, a fractional power of a nonpositive base, an
-        overflowing math call) or a value that is not finite raises
-        EvalDomainError for this expression.  Intermediates are plain
-        floats, so an intermediate that overflows to inf is no error if the
-        value is finite."""
-        fn = lambdify(self, scalar=True)
-        x = float(x)
-        try:
-            v = fn(x)
-        except (ArithmeticError, ValueError) as err:
-            raise EvalDomainError(str(err), self, x) from None
-        if not math.isfinite(v):
-            raise EvalDomainError(f"value {v!r} is not finite", self, x)
-        return v
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -855,44 +814,38 @@ _SCALAR_SOURCE = {
 }
 
 
-def lambdify(e: Expr, *, scalar: bool = False) -> Callable:
+def lambdify(e: Expr) -> Callable:
     """Compile to a callable f(x).
 
     ``_lower`` walks the expression DAG once into a tape of steps, one per
     distinct subtree, so common subexpressions are evaluated once; a tree
     that still holds a parameter raises UnboundParameterError (the first
-    by name), since only ``subst`` gives parameters values.  With
-    ``scalar=True`` the steps are printed as Python source and the result
-    works on floats via ``math`` (domain violations raise).  Otherwise a
-    small interpreter runs them as numpy and ``operator`` calls, with no
+    by name), since only ``subst`` gives parameters values.  A small
+    interpreter runs the steps as numpy and ``operator`` calls, with no
     ``compile``; the callable accepts floats or numpy arrays and returns
     arrays, mapping domain violations to nan/inf silently (constant
-    subtrees included) so callers can mask them.  The scalar code and the
-    tape are cached on the node they were built for and hold no node, so
-    compiling an equal tree again returns them.
+    subtrees included) so callers can mask them.  The tape is cached on
+    the node it was built for and holds no node, so compiling an equal
+    tree again returns it.
     """
-    slot = "_scalar_fn" if scalar else "_vector_fn"
-    try:
-        return getattr(e, slot)
-    except AttributeError:
-        pass
-    init, steps, (result,) = _lower(_postorder(e), (), (e,))
-    fn = (_scalar_code(init, steps, 0, result) if scalar
-          else _vectorized(init, steps, result))
-    object.__setattr__(e, slot, fn)
+    fn = getattr(e, "_vector_fn", None)
+    if fn is None:
+        init, steps, (result,) = _lower(_postorder(e), (), (e,))
+        fn = _vectorized(init, steps, result)
+        object.__setattr__(e, "_vector_fn", fn)
     return fn
 
 
 def lambdify_ode(rate: Expr, y: str, dy: str) -> Callable:
     """Compile the second-order equation u'' = rate(x, u, u') to the
     right-hand side f(x, (u, u')) = (u', rate) of its first-order system:
-    one Python function over floats, as ``lambdify(..., scalar=True)``
-    compiles, in which the parameters named y and dy are the arguments u
-    and u'.  The state may be any pair that unpacks, a tuple or a numpy
-    array.  Any other parameter raises UnboundParameterError, so a caller
-    that builds rate from expressions of its own must first make sure
-    that they hold no parameter, or one would be taken for the state.
-    Not cached: rate is typically built for the call."""
+    the tape of ``_lower`` printed as one Python function over floats, in
+    which the parameters named y and dy are the arguments u and u'.  The
+    state may be any pair that unpacks, a tuple or a numpy array.  Any
+    other parameter raises UnboundParameterError, so a caller that builds
+    rate from expressions of its own must first make sure that they hold
+    no parameter, or one would be taken for the state.  Not cached: rate
+    is typically built for the call."""
     init, steps, results = _lower(_postorder(rate), (y, dy),
                                   (Param(dy), rate))
     return _scalar_code(init, steps, 2, results)
@@ -974,13 +927,13 @@ def _lower(order: list[Expr], args: tuple[str, ...],
 
 
 def _scalar_code(init: tuple, steps: tuple, nargs: int,
-                 out: int | tuple[int, ...]) -> Callable:
+                 out: tuple[int, ...]) -> Callable:
     """Print the tape of ``_lower`` as a Python function over floats, one
     assignment per step, constants bound as names (the repr of inf or nan
     is not a Python literal) and integer exponents as literals.  It is
-    f(x), or f(x, args) when the tape has ``nargs`` parameter slots: the
-    sequence args then holds their values in order.  It returns slot
-    ``out``, or the tuple of the slots when ``out`` is a tuple."""
+    f(x, args), where the sequence args holds the values of the tape's
+    ``nargs`` parameter slots in order, and it returns the tuple of the
+    slots in ``out``.  Domain violations raise, as ``math`` does."""
     ns = dict(_SCALAR_NS)
     names = ["x"]
     for s, v in enumerate(init[1:], 1):
@@ -988,15 +941,13 @@ def _scalar_code(init: tuple, steps: tuple, nargs: int,
             ns[f"c{s}"] = v
         names.append(f"c{s}" if type(v) is float
                      else repr(v) if type(v) is int else f"v{s}")
-    lines = [f"    {', '.join(names[1:nargs + 1])}, = args"] if nargs else []
+    lines = [f"    {', '.join(names[1:nargs + 1])}, = args"]
     for fn, o, a, b in steps:
         operands = (names[a],) if b is None else (names[a], names[b])
         lines.append(f"    {names[o]} = "
                      + _SCALAR_SOURCE[fn].format(*operands))
-    ret = (names[out] if type(out) is int
-           else f"({', '.join(names[s] for s in out)},)")
-    code = (f"def _compiled(x{', args' if nargs else ''}):\n"
-            + "\n".join(lines) + f"\n    return {ret}\n")
+    code = ("def _compiled(x, args):\n" + "\n".join(lines)
+            + f"\n    return ({', '.join(names[s] for s in out)},)\n")
     exec(compile(code, "<lambdify>", "exec"), ns)
     return ns.pop("_compiled")  # so fn and its globals form no cycle
 

@@ -600,21 +600,24 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
 
 
 def _refine_zero(phi: Trajectory, i: int) -> tuple[float, float]:
+    """Bracket phi's sign change on [xs[i], xs[i + 1]]: bisect its dense
+    output, else its closed form's ``lambdify`` tape, cached on it; an RK4
+    phi has neither, and its bracket is the grid interval, one step wide."""
     a, b = float(phi.xs[i]), float(phi.xs[i + 1])
     if phi.dense is not None:
-        f = lambda x: float(phi.dense(x)[0])
+        f = lambda x: phi.dense(x)[0]
     elif phi.expr is not None:
-        f = lambdify(phi.expr, scalar=True)
+        f = lambdify(phi.expr)
     else:
         return (a, b)
-    fa = f(a)
+    fa = float(f(a))
     if fa == 0.0:
         return (a, a)
     for _ in range(200):
         if b - a <= _POLE_BRACKET_WIDTH:
             break
         m = 0.5 * (a + b)
-        fm = f(m)
+        fm = float(f(m))
         if fm == 0.0:
             return (m, m)
         if fa * fm < 0.0:

@@ -1,14 +1,14 @@
 """Shared helpers: random instance generation for the annihilation and
 round-trip suites, the growth-budget window used to keep the direct
-nonlinear integration inside its conditioning limits, and a counter of
-compiled scalar code."""
+nonlinear integration inside its conditioning limits, an expression as
+scalar code over floats and a counter of compiled code."""
 
 import numpy as np
 
 from vdplin import expr
 from vdplin.catalog import p_general
 from vdplin.colehopf import VdpParams, solve_chain
-from vdplin.expr import lambdify, simplify
+from vdplin.expr import lambdify, lambdify_ode, simplify
 from vdplin.odesolve import (Grid, IntegratorConfig, StepUnderflowError,
                              cole_hopf_map, compare, integrate_linear,
                              integrate_vdp, regular_window)
@@ -118,13 +118,23 @@ def round_trip_metrics(bundle, a, b, w0=0.3, n=301, budget=11.0):
     return compare(psi2, direct)
 
 
-def count_compiles(monkeypatch):
-    """A one-item list that counts the scalar code compiled from now on."""
+def float_fn(e):
+    """e as Python code over floats: the rate of the right-hand side that
+    lambdify_ode prints from the tape lambdify runs, read at a state it
+    does not use."""
+    ode = lambdify_ode(e, "u", "du")
+    return lambda x: ode(x, (0.0, 0.0))[1]
+
+
+def count_compiles(monkeypatch, name="_scalar_code"):
+    """A one-item list that counts the calls of expr's compiler ``name``
+    from now on: ``_scalar_code`` prints lambdify_ode's Python code and
+    ``_vectorized`` makes lambdify's callable."""
     calls = [0]
-    scalar_code = expr._scalar_code
+    compiler = getattr(expr, name)
 
     def counting(*args):
         calls[0] += 1
-        return scalar_code(*args)
-    monkeypatch.setattr(expr, "_scalar_code", counting)
+        return compiler(*args)
+    monkeypatch.setattr(expr, name, counting)
     return calls

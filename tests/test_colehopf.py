@@ -49,7 +49,7 @@ def test_constant_shift_forcing_vanishes():
     # P = (mu*beta - k)/4 with k^2 = mu^2 beta^2 - 4 alpha kills the forcing
     params = VdpParams(2.0, 1.0, 0.75)
     b = solve_chain(Const(0.25), params)
-    assert abs(simplify(b.f).eval(0.0)) <= 1e-12
+    assert abs(float(lambdify(simplify(b.f))(0.0))) <= 1e-12
 
 
 def test_constant_shift_forcing_closed_form():
@@ -61,7 +61,8 @@ def test_constant_shift_forcing_closed_form():
         mb = params.mu * params.beta
         want = ((params.alpha + mb * mb) * p0 + 4 * p0 ** 3 - 4 * mb * p0 ** 2
                 - mb * params.alpha / 2.0)
-        assert simplify(b.f).eval(0.0) == pytest.approx(want, rel=1e-12)
+        assert float(lambdify(simplify(b.f))(0.0)) == pytest.approx(
+            want, rel=1e-12)
 
 
 def test_linear_seed_potential():

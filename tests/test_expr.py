@@ -12,14 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_compiles, general_instances
-from test_expr_reference import ref_eval
+from conftest import count_compiles, float_fn, general_instances
+from test_expr_reference import ref_eval, ref_lambdify
 from vdplin import expr, odesolve
 from vdplin.colehopf import (bundle_from_json, bundle_to_json, solve_chain,
                              verify_annihilation, verify_printed_coeffs)
-from vdplin.expr import (Add, Const, EvalDomainError, Fun, Mul, Neg, Param,
-                         ParseError, Pow, Sub, UnboundParameterError, X,
-                         diff, free_params, lambdify, parse, simplify, subst,
+from vdplin.expr import (Add, Const, Fun, Mul, Neg, Param, ParseError, Pow,
+                         Sub, UnboundParameterError, X, diff, free_params,
+                         lambdify, lambdify_ode, parse, simplify, subst,
                          to_str)
 from vdplin.odesolve import Grid, integrate_linear, integrate_vdp
 from vdplin.wcalc import vdp_chain
@@ -40,35 +40,25 @@ def test_parse_exp_factor_matches_closed_form():
     assert isinstance(e, Fun) and e.name == "exp"
     for x in (0.0, 0.7, 2.3, -1.1):
         want = math.exp(2.0 * 1.0 * x / 2.0)
-        got = subst(e, {"mu": 2.0, "beta": 1.0}).eval(x)
+        got = float(lambdify(subst(e, {"mu": 2.0, "beta": 1.0}))(x))
         assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_eval_power():
-    assert parse("x^2").eval(3.0) == 9.0
+    assert float(lambdify(parse("x^2"))(3.0)) == 9.0
 
 
 def test_eval_params():
-    assert subst(parse("mu*beta"), {"mu": 2.0, "beta": 1.0}).eval(0.0) == 2.0
+    e = subst(parse("mu*beta"), {"mu": 2.0, "beta": 1.0})
+    assert float(lambdify(e)(0.0)) == 2.0
 
 
 def test_eval_constant_shift_value():
     # (mu*beta - k)/4 at mu=2, beta=1, alpha=0.75 has k = 1 and value 0.25
     k = math.sqrt((2.0 * 1.0) ** 2 - 4 * 0.75)
     env = {"mu": 2, "beta": 1, "k": k}
-    got = subst(parse("(mu*beta - k)/4"), env).eval(1.234)
+    got = float(lambdify(subst(parse("(mu*beta - k)/4"), env))(1.234))
     assert got == pytest.approx(0.25, abs=1e-15)
-
-
-def test_eval_errors():
-    with pytest.raises(EvalDomainError):
-        parse("1/x").eval(0.0)
-    with pytest.raises(EvalDomainError):
-        parse("log(x)").eval(-1.0)
-    with pytest.raises(EvalDomainError):
-        parse("sqrt(x)").eval(-4.0)
-    with pytest.raises(UnboundParameterError):
-        parse("mu*x").eval(1.0)
 
 
 def test_parse_errors_carry_offset():
@@ -93,8 +83,9 @@ def test_diff_tan_matches_finite_difference():
     e = parse("tan(x)")
     x = 0.7
     h = (2.0 ** -52) ** (1 / 3) * max(1.0, abs(x))
-    fd = (e.eval(x + h) - e.eval(x - h)) / (2 * h)
-    sym = diff(e).eval(x)
+    f = lambdify(e)
+    fd = float(f(x + h) - f(x - h)) / (2 * h)
+    sym = float(lambdify(diff(e))(x))
     assert abs(sym - fd) / max(1.0, abs(fd)) <= 1e-6
 
 
@@ -113,7 +104,7 @@ def test_subst_and_free_params():
     assert free_params(e) == {"a", "b"}
     e2 = subst(e, {"a": 2.0})
     assert free_params(e2) == {"b"}
-    assert subst(e2, {"b": 1.0}).eval(3.0) == 7.0
+    assert float(lambdify(subst(e2, {"b": 1.0}))(3.0)) == 7.0
 
 
 def test_every_pass_runs_on_a_20000_deep_chain():
@@ -134,8 +125,8 @@ def test_every_pass_runs_on_a_20000_deep_chain():
     want = xs + (n // 2) * (xs * xs + 0.5)
     for h in (f, g):
         np.testing.assert_allclose(lambdify(h)(xs), want, rtol=1e-12)
-    np.testing.assert_allclose([lambdify(g, scalar=True)(x) for x in xs],
-                               want, rtol=1e-12)
+    np.testing.assert_allclose([float_fn(g)(x) for x in xs], want,
+                               rtol=1e-12)
     np.testing.assert_allclose(lambdify(d)(xs), 1.0 + n * xs, rtol=1e-12)
 
 
@@ -146,22 +137,23 @@ def test_lambdify_matches_interpreter():
     slow = np.array([ref_eval(e, float(x)) for x in xs])
     # numpy and libm elementary functions may differ in the last ulp
     assert np.max(np.abs(fast - slow)) <= 4 * np.max(np.spacing(np.abs(slow)))
-    fscalar = lambdify(e, scalar=True)
+    fscalar = float_fn(e)
     assert fscalar(0.7) == ref_eval(e, 0.7)
-    assert all(e.eval(float(x)) == ref_eval(e, float(x)) for x in xs)
+    assert all(fscalar(float(x)) == ref_eval(e, float(x)) for x in xs)
 
 
 def test_parameters_are_bound_only_by_subst():
     e = parse("a*x")
-    assert lambdify(subst(e, {"a": 2.0}), scalar=True)(3.0) == 6.0
-    for scalar in (False, True):
-        with pytest.raises(UnboundParameterError):
-            lambdify(e, scalar=scalar)
-    # neither compiling nor evaluating takes values for the parameters
+    assert float(lambdify(subst(e, {"a": 2.0}))(3.0)) == 6.0
+    with pytest.raises(UnboundParameterError):
+        lambdify(e)
+    with pytest.raises(UnboundParameterError):
+        lambdify_ode(e, "u", "du")
+    # compiling takes no values for the parameters and has no scalar switch
     with pytest.raises(TypeError):
         lambdify(e, {"a": 1.0})
     with pytest.raises(TypeError):
-        parse("a").eval(0.0, {"a": 1.0})
+        lambdify(subst(e, {"a": 2.0}), scalar=True)
 
 
 def test_lambdify_constant_broadcasts():
@@ -197,10 +189,7 @@ def _exprs(max_leaves=10):
 
 
 def _try_eval(e, x):
-    try:
-        v = e.eval(x)
-    except (EvalDomainError, ZeroDivisionError, OverflowError):
-        return None
+    v = float(lambdify(e)(x))
     return v if math.isfinite(v) else None
 
 
@@ -382,7 +371,6 @@ def test_intern_table_drains_without_collection():
         b = b.with_entries(verify_printed_coeffs(b.P, b.U, params, b.v, b.h,
                                                  b.g, b.f))
         lambdify(b.f)(np.linspace(0.0, 1.0, 5))
-        lambdify(b.U, scalar=True)(0.5)
         grid = Grid(0.0, 0.01, 3)
         integrate_vdp(b, grid, 1.0, 0.0)
         integrate_linear(b.U, grid, 1.0, 0.0)
@@ -415,11 +403,10 @@ def test_cached_results_match_a_fresh_compile():
 
     xs = np.linspace(-2.0, 2.0, 41)
     e = build()
-    vector, scalar, simple = lambdify(e), lambdify(e, scalar=True), simplify(e)
+    vector, simple = lambdify(e), simplify(e)
     assert simple is not e
     # a tree built in another call is the same node, with the same results
     assert lambdify(build()) is vector
-    assert lambdify(build(), scalar=True) is scalar
     assert simplify(build()) is simple
 
     alive = weakref.ref(e)
@@ -429,20 +416,17 @@ def test_cached_results_match_a_fresh_compile():
     fresh = lambdify(e2)
     assert fresh is not vector
     assert np.array_equal(fresh(xs), vector(xs))
-    fresh_scalar = lambdify(e2, scalar=True)
-    assert fresh_scalar is not scalar
-    assert all(fresh_scalar(float(x)) == scalar(float(x)) for x in xs)
     assert simplify(e2) is simple
 
 
 def test_lambdify_cache_follows_the_bound_values():
     e = parse("a*x + sin(x)")
-    two = lambdify(subst(e, {"a": 2.0}), scalar=True)
-    three = lambdify(subst(e, {"a": 3.0}), scalar=True)
-    assert two(1.0) == 2.0 + math.sin(1.0)
-    assert three(1.0) == 3.0 + math.sin(1.0)
+    two = lambdify(subst(e, {"a": 2.0}))
+    three = lambdify(subst(e, {"a": 3.0}))
+    assert float(two(1.0)) == 2.0 + np.sin(1.0)
+    assert float(three(1.0)) == 3.0 + np.sin(1.0)
     with pytest.raises(UnboundParameterError):
-        lambdify(e, scalar=True)
+        lambdify(e)
 
 
 def test_round_trip_keeps_sharing():
@@ -485,8 +469,8 @@ def test_subst_tells_signed_zeros_apart():
     # the scalar code raises on the division and keeps the sign elsewhere
     for a in (0.0, -0.0):
         with pytest.raises(ZeroDivisionError):
-            lambdify(subst(q, {"a": a}), scalar=True)(1.0)
-        got = lambdify(subst(parse("a*x"), {"a": a}), scalar=True)(1.0)
+            float_fn(subst(q, {"a": a}))(1.0)
+        got = float_fn(subst(parse("a*x"), {"a": a}))(1.0)
         assert got.hex() == a.hex()
 
 
@@ -503,7 +487,7 @@ def test_integer_valued_parameter_exponent_matches_substitution():
     # integer-valued exponent as a ** int(b), signed zero included
     e = parse("(x - 2)^n")
     for n in (-1.0, 0.0, 2.0, 3.0, -0.0, 0.5, 1e20):
-        f = lambdify(subst(e, {"n": n}), scalar=True)
+        f = float_fn(subst(e, {"n": n}))
         for x in (0.5, 3.0, 4.0):
             if n.is_integer():
                 want = _bits(lambda x: (x - 2) ** int(n), x)
@@ -512,9 +496,9 @@ def test_integer_valued_parameter_exponent_matches_substitution():
             else:
                 want = ValueError
             assert _bits(f, x) == want
-    assert lambdify(subst(e, {"n": 2.0}), scalar=True)(0.5) == 2.25
+    assert float_fn(subst(e, {"n": 2.0}))(0.5) == 2.25
     with pytest.raises(ZeroDivisionError):
-        lambdify(subst(e, {"n": -1.0}), scalar=True)(2.0)
+        float_fn(subst(e, {"n": -1.0}))(2.0)
 
 
 def test_alternating_bindings_compile_once(monkeypatch):
@@ -523,13 +507,13 @@ def test_alternating_bindings_compile_once(monkeypatch):
     e = parse("a*x^2 + sin(b*x)/(1+x^2) + exp(-a*x)")
     one, two = {"a": 0.5, "b": 1.0}, {"a": 0.5, "b": 2.0}
     bound = [subst(e, one), subst(e, two)]
-    calls = count_compiles(monkeypatch)
+    calls = count_compiles(monkeypatch, "_vectorized")
     for _ in range(100):
         for values in (one, two):
-            subst(e, values).eval(0.3)
+            lambdify(subst(e, values))(0.3)
     assert calls[0] <= 2  # none if an earlier test compiled both
     assert subst(e, one) is bound[0] and subst(e, two) is bound[1]
-    assert subst(e, two).eval(0.3) == ref_eval(bound[1], 0.3)
+    assert float(lambdify(subst(e, two))(0.3)) == ref_lambdify(bound[1])(0.3)
 
 
 def test_overflowing_literal_is_a_parse_error():
@@ -550,32 +534,6 @@ def test_non_finite_folds_are_left_unfolded():
 
 
 def test_scalar_code_binds_non_finite_constants():
-    assert lambdify(Const(math.inf) * X, scalar=True)(1.0) == math.inf
-    assert math.isnan(lambdify(Const(math.nan) + X, scalar=True)(1.0))
-    assert math.copysign(1.0, lambdify(Const(-0.0) - X, scalar=True)(0.0)) \
-        == -1.0
-
-
-def test_eval_errors_name_the_expression_and_the_point():
-    e = Const(math.inf) * X  # no literal prints inf
-    with pytest.raises(EvalDomainError) as err:
-        e.eval(1.0)
-    assert err.value.node is e and err.value.x == 1.0
-    assert str(err.value) == "value inf is not finite at x=1.0"
-    nan = Const(math.nan) + X
-    with pytest.raises(EvalDomainError, match="value nan is not finite"):
-        nan.eval(0.5)
-    q = parse("1/x")
-    with pytest.raises(EvalDomainError) as err:
-        q.eval(0.0)
-    assert err.value.node is q
-    assert str(err.value) == "float division by zero in '1/x' at x=0.0"
-
-
-def test_eval_follows_float_arithmetic_in_between():
-    # an intermediate may overflow to inf; only the value must be finite
-    assert parse("1/(1e200*1e200*x)").eval(1.0) == 0.0
-    with pytest.raises(EvalDomainError, match="value inf is not finite"):
-        parse("1e200*1e200*x").eval(1.0)
-    with pytest.raises(EvalDomainError):
-        parse("exp(x)").eval(710.0)  # math.exp raises on overflow
+    assert float_fn(Const(math.inf) * X)(1.0) == math.inf
+    assert math.isnan(float_fn(Const(math.nan) + X)(1.0))
+    assert math.copysign(1.0, float_fn(Const(-0.0) - X)(0.0)) == -1.0

@@ -1,16 +1,16 @@
-"""The vector tape and the scalar code of ``lambdify``, the printer, the
-constant folds of ``simplify``, the loops of ``diff``, ``simplify`` and
-``subst``, the parser and ``wcalc``'s ring builder against the code they
-replaced: a generated-source vector compiler, the scalar compiler's own
-forward walk, a recursive printer, the recursive interpreter that once
-backed ``Expr.eval``, the recursive walkers of the three passes, a parser
-that tokenized the whole text first and a builder that made a Const node
-of every number for simplify to fold, all kept here verbatim as
-references.  The tape and the scalar code must give the same bits, the
-printer the same text, a fold the same constant where the interpreter
-gave a finite value and none elsewhere, each pass and the builder the
-very node the reference gave, and the parser the same node or the same
-error at the same offset."""
+"""The vector tape of ``lambdify``, the scalar code of ``lambdify_ode``,
+the printer, the constant folds of ``simplify``, the loops of ``diff``,
+``simplify`` and ``subst``, the parser and ``wcalc``'s ring builder
+against the code they replaced: a generated-source vector compiler, the
+scalar compiler's own forward walk, a recursive printer, the recursive
+interpreter that once evaluated a tree at a point, the recursive walkers
+of the three passes, a parser that tokenized the whole text first and a
+builder that made a Const node of every number for simplify to fold, all
+kept here verbatim as references.  The tape and the scalar code must
+give the same bits, the printer the same text, a fold the same constant
+where the interpreter gave a finite value and none elsewhere, each pass
+and the builder the very node the reference gave, and the parser the
+same node or the same error at the same offset."""
 
 import builtins
 import json
@@ -30,8 +30,8 @@ from vdplin.colehopf import (bundle_from_json, bundle_to_json, solve_chain,
                              verify_printed_coeffs)
 from vdplin.cli import run as cli_run
 from vdplin.expr import (FUNCTIONS, ONE, ZERO, _SCALAR_NS, _VECTOR_BINARY,
-                         Add, Const, Div, EvalDomainError, Expr, Fun, Mul,
-                         Neg, Param, ParseError, Pow, Sub,
+                         Add, Const, Div, Expr, Fun, Mul, Neg, Param,
+                         ParseError, Pow, Sub,
                          UnboundParameterError, Var, X, _fold, _is_const,
                          _neg_of, _postorder, _pow_scalar, diff, free_params,
                          lambdify, lambdify_ode, parse, parser, printer,
@@ -207,9 +207,14 @@ def ref_scalar_code(order, args=(), results=()):
     return ns.pop("_compiled")  # so fn and its globals form no cycle
 
 
+class RefDomainError(ArithmeticError):
+    """What ``ref_eval`` raises where evaluation leaves the real domain or
+    overflows; its args are the message, the node and the x."""
+
+
 def ref_eval(e, x, env=None):
     """The interpreter as it was: a recursion over the tree that raises
-    EvalDomainError at the first node giving inf or leaving the domain."""
+    RefDomainError at the first node giving inf or leaving the domain."""
     return _ref_eval(e, float(x), env or {}, {})
 
 
@@ -236,7 +241,7 @@ def _ref_eval(node, x, env, memo):
     elif isinstance(node, Div):
         den = _ref_eval(node.right, x, env, memo)
         if den == 0.0:
-            raise EvalDomainError("division by zero", node, x)
+            raise RefDomainError("division by zero", node, x)
         val = _ref_eval(node.left, x, env, memo) / den
     elif isinstance(node, Pow):
         val = _ref_eval_pow(node, x, env, memo)
@@ -245,7 +250,7 @@ def _ref_eval(node, x, env, memo):
     else:  # pragma: no cover
         raise TypeError(f"unknown node {node!r}")
     if isinstance(val, float) and math.isinf(val):
-        raise EvalDomainError("overflow", node, x)
+        raise RefDomainError("overflow", node, x)
     memo[key] = val
     return val
 
@@ -256,19 +261,19 @@ def _ref_eval_pow(node, x, env, memo):
     if float(expo).is_integer():
         n = int(expo)
         if base == 0.0 and n < 0:
-            raise EvalDomainError("zero raised to a negative power", node, x)
+            raise RefDomainError("zero raised to a negative power", node, x)
         try:
             return float(base ** n)
         except OverflowError:
-            raise EvalDomainError("overflow", node, x) from None
+            raise RefDomainError("overflow", node, x) from None
     if base > 0.0:
         try:
             return math.exp(expo * math.log(base))
         except OverflowError:
-            raise EvalDomainError("overflow", node, x) from None
+            raise RefDomainError("overflow", node, x) from None
     if base == 0.0 and expo > 0.0:
         return 0.0
-    raise EvalDomainError("fractional power of a nonpositive base", node, x)
+    raise RefDomainError("fractional power of a nonpositive base", node, x)
 
 
 def _ref_eval_fun(node, x, env, memo):
@@ -278,15 +283,15 @@ def _ref_eval_fun(node, x, env, memo):
             return math.exp(a)
         if node.name == "log":
             if a <= 0.0:
-                raise EvalDomainError("log of a nonpositive value", node, x)
+                raise RefDomainError("log of a nonpositive value", node, x)
             return math.log(a)
         if node.name == "sqrt":
             if a < 0.0:
-                raise EvalDomainError("sqrt of a negative value", node, x)
+                raise RefDomainError("sqrt of a negative value", node, x)
             return math.sqrt(a)
         return getattr(math, node.name)(a)
     except OverflowError:
-        raise EvalDomainError("overflow", node, x) from None
+        raise RefDomainError("overflow", node, x) from None
 
 
 def ref_print(node, ctx=0):
@@ -807,16 +812,11 @@ def _same_outcome(fn, ref, *args):
 @given(_dags(params=("p", "q")),
        st.lists(st.floats(width=64), min_size=2, max_size=6))
 def test_scalar_code_matches_the_token_walk_bit_for_bit(e, draws):
-    # p and q are bound by subst for lambdify, and are the state for
-    # lambdify_ode
+    # p and q are the state of lambdify_ode
     p, q, *extra = draws
-    bound = subst(e, {"p": p, "q": q})
-    ref = ref_scalar_code(_postorder(bound))
     ref_ode = ref_scalar_code(_postorder(e), ("p", "q"), (Param("q"), e))
-    fn = lambdify(bound, scalar=True)
     ode = lambdify_ode(e, "p", "q")
     for x in [*_XS.tolist(), *extra]:
-        _same_outcome(fn, ref, x)
         _same_outcome(ode, ref_ode, x, (p, q))
 
 
@@ -827,10 +827,10 @@ def test_scalar_and_vector_forms_agree_on_arithmetic(e, extra):
     # integer powers are left out: libm's pow and numpy's power may differ
     # by an ulp (x^4 at 0.3 is 0.0081 scalar, 0.008099999999999998 vector)
     xs = np.concatenate([_XS, np.array(extra, dtype=float)])
-    scalar = lambdify(e, scalar=True)
+    ode = lambdify_ode(e, "u", "du")
     for x, want in zip(xs.tolist(), lambdify(e)(xs)):
         try:
-            got = scalar(x)
+            _, got = ode(x, (0.0, 0.0))
         except ZeroDivisionError:
             continue  # numpy gives inf or nan where Python floats raise
         assert _same_bits(got, want)
@@ -845,7 +845,7 @@ def _ref_fold(e):
     constant if the value was finite, else e itself."""
     try:
         v = ref_eval(e, 0.0)
-    except EvalDomainError:
+    except RefDomainError:
         return e
     return Const(v) if math.isfinite(v) else e
 
@@ -1027,19 +1027,21 @@ def test_vector_lambdify_never_compiles(monkeypatch):
     assert calls == []
     lambdify(subst(e, {"unused": 1.0}))
     assert calls == []
-    # the scalar path still compiles, so the patch is seen
-    lambdify(e, scalar=True)
+    # the scalar code of lambdify_ode still compiles, so the patch is seen
+    lambdify_ode(e, "u", "du")
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("scalar", [False, True])
-def test_unbound_error_names_the_first_parameter(scalar):
+@pytest.mark.parametrize("compiler", [
+    lambdify, lambda e: lambdify_ode(e, "u", "du")],
+    ids=["lambdify", "lambdify_ode"])
+def test_unbound_error_names_the_first_parameter(compiler):
     e = parse("zeta*x + mu*b + sin(a2*x) + a1")
     with pytest.raises(UnboundParameterError) as err:
-        lambdify(e, scalar=scalar)
+        compiler(e)
     assert err.value.name == "a1"
     with pytest.raises(UnboundParameterError) as err:
-        lambdify(subst(e, {"a1": 1.0, "a2": 2.0}), scalar=scalar)
+        compiler(subst(e, {"a1": 1.0, "a2": 2.0}))
     assert err.value.name == "b"
 
 

@@ -138,7 +138,8 @@ def test_riccati_instances_integrate_pole_free():
         c = [parse(s) for s in ctext]
         psi0 = 0.6  # nonnegative start keeps phi positive for Riccati U
         spec = lienard_coeffs(c, P, U, grid=grid.xs)
-        phi = integrate_linear(spec.U, grid, 1.0, psi0 - P.eval(0.0),
+        phi = integrate_linear(spec.U, grid, 1.0,
+                               psi0 - float(lambdify(P)(0.0)),
                                IntegratorConfig(method="rk4"))
         psi = cole_hopf_map(spec.P, phi, U=spec.U)
         report = lienard_residual(spec.c, spec.b, psi)

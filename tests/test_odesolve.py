@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_instance, count_compiles, round_trip_metrics
+from conftest import (build_instance, count_compiles, float_fn,
+                      round_trip_metrics)
 from vdplin import odesolve
 from vdplin._floatfmt import repr_fields
 from vdplin.catalog import case3
@@ -82,7 +83,7 @@ def test_rk4_propagators_match_generic_loop():
     for U, grid, phi0, dphi0 in cases:
         got = integrate_linear(U, grid, phi0, dphi0,
                                IntegratorConfig(method="rk4"))
-        ufn = lambdify(simplify(U), scalar=True)
+        ufn = float_fn(simplify(U))
         want = _integrate_rk4(lambda x, y: (y[1], ufn(x) * y[0]), grid.xs,
                               (phi0, dphi0))
         assert got.segments == want.segments == [(0, grid.n)]
@@ -396,7 +397,7 @@ def _reference_vdp_rhs(bundle):
     """The direct integration's rhs as four separately compiled coefficient
     functions and a closure: the reference for the fused compiled rhs."""
     p = bundle.params
-    vfn, hfn, gfn, ffn = (lambdify(simplify(c), scalar=True)
+    vfn, hfn, gfn, ffn = (float_fn(simplify(c))
                           for c in (bundle.v, bundle.h, bundle.g, bundle.f))
     mu, beta, alpha = p.mu, p.beta, p.alpha
 
@@ -410,7 +411,7 @@ def _reference_vdp_rhs(bundle):
 
 
 def _reference_linear_rhs(U):
-    ufn = lambdify(simplify(U), scalar=True)
+    ufn = float_fn(simplify(U))
     return lambda x, y: (y[1], ufn(x) * y[0])
 
 

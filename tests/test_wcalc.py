@@ -23,11 +23,16 @@ def _ring_eval(p, values):
     return sum(k * math.prod(values[g] for g in m) for m, k in p.items())
 
 
+def _at(e, x):
+    """e's value at the point x, from its tape."""
+    return float(lambdify(e)(x))
+
+
 def _hand_psi(P, U, x, w):
     """psi, psi' and psi'' at (x, w) by hand: psi = P + w, w' = U - w^2."""
     dP, dU = diff(P), diff(U)
-    Pv, dPv, ddPv = P.eval(x), dP.eval(x), diff(dP).eval(x)
-    Uv, dUv = U.eval(x), dU.eval(x)
+    Pv, dPv, ddPv = _at(P, x), _at(dP, x), _at(diff(dP), x)
+    Uv, dUv = _at(U, x), _at(dU, x)
     return (Pv + w, dPv + Uv - w * w,
             ddPv + dUv - 2 * Uv * w + 2 * w ** 3)
 
@@ -87,7 +92,7 @@ def test_derivation_on_integrated_solution():
     jet = [(Pe, P), (diff(Pe), DP), (Ue, U), (diff(Ue), DU)]
 
     def at(poly, x, w):
-        values = {g: e.eval(x) for e, g in jet}
+        values = {g: _at(e, x) for e, g in jet}
         return _ring_eval(poly, {**values, W: w})
 
     w = traj.derivatives / traj.values
@@ -176,9 +181,9 @@ def test_reduce_vdp_pointwise_oracle():
         w = float(RNG.uniform(-2.0, 2.0))
         sv, sd, sdd = _hand_psi(P, U, x, w)
         want = (sdd - params.mu * (params.beta - sv ** 2) * sd
-                + params.alpha * sv - v.eval(x) * sv ** 2
-                - h.eval(x) * sv ** 3 - g.eval(x) * sv ** 4 - f.eval(x))
-        got = sum(a.eval(x) * w ** i for i, a in enumerate(cs.as_tuple()))
+                + params.alpha * sv - _at(v, x) * sv ** 2
+                - _at(h, x) * sv ** 3 - _at(g, x) * sv ** 4 - _at(f, x))
+        got = sum(_at(a, x) * w ** i for i, a in enumerate(cs.as_tuple()))
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
@@ -191,10 +196,10 @@ def test_reduce_lienard_pointwise_oracle():
         x = float(RNG.uniform(0.0, 3.0))
         w = float(RNG.uniform(-2.0, 2.0))
         sv, sd, sdd = _hand_psi(P, U, x, w)
-        damping = sum(ci.eval(x) * sv ** i for i, ci in enumerate(c))
-        restoring = sum(bi.eval(x) * sv ** i for i, bi in enumerate(b))
+        damping = sum(_at(ci, x) * sv ** i for i, ci in enumerate(c))
+        restoring = sum(_at(bi, x) * sv ** i for i, bi in enumerate(b))
         want = sdd + damping * sd + restoring
-        got = sum(a.eval(x) * w ** i for i, a in enumerate(cs.as_tuple()))
+        got = sum(_at(a, x) * w ** i for i, a in enumerate(cs.as_tuple()))
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
@@ -212,7 +217,7 @@ def test_reduce_vdp_hand_instance_all_zero():
     cs = reduce_vdp(Const(0.0), Const(0.0), params, Const(2.0), Const(2.0),
                     Const(-1.0), Const(0.0))
     for a in cs.as_tuple():
-        assert simplify(a).eval(0.7) == pytest.approx(0.0, abs=1e-14)
+        assert _at(simplify(a), 0.7) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_reduce_lienard_empty_equation():
