@@ -1,7 +1,7 @@
 """Linearization of perturbed Van der Pol and polynomial Lienard equations
 through the generalized Cole-Hopf substitution psi = P + phi'/phi."""
 
-from .catalog import (CatalogConstants, ClosedFormSolution, ComplexKError,
+from .catalog import (ClosedFormSolution, ComplexKError,
                       KZeroInconsistentError, AlphaNonzeroError, case1, case2,
                       case3, p_general)
 from .colehopf import (AnnihilationReport, LedgerEntry, TransformBundle,
@@ -16,6 +16,6 @@ from .odesolve import (DisjointSegmentsError, ErrorMetrics, Grid,
                        StepUnderflowError, Trajectory, cole_hopf_map, compare,
                        integrate_linear, integrate_vdp, lienard_residual,
                        residual, trajectory_csv, trajectory_json)
-from .wcalc import CoeffSet, reduce_lienard, reduce_vdp
+from .wcalc import reduce_lienard, reduce_vdp
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .expr import (Const, Expr, Param, X, cos, diff, exp, lambdify, simplify,
                    sin, sqrt, to_str)
 
 __all__ = [
-    "CatalogConstants", "ClosedFormSolution", "CatalogError", "ComplexKError",
+    "ClosedFormSolution", "CatalogError", "ComplexKError",
     "KZeroInconsistentError", "AlphaNonzeroError", "p_general", "case1",
     "case2", "case3", "linear_basis", "CONSTANT_U_TOL",
 ]
@@ -56,28 +56,12 @@ class AlphaNonzeroError(CatalogError):
 
 
 @dataclass(frozen=True)
-class CatalogConstants:
-    """Free constants of a catalog solution.  k is stored nonnegative with
-    the sign choice exposed separately; omega_sq = -U and nu = sqrt(U) are
-    only set in the constant-U families."""
-
-    C1: float
-    C2: float
-    k: float
-    k_sign: int
-    c: float
-    omega_sq: float | None = None
-    nu: float | None = None
-
-
-@dataclass(frozen=True)
 class ClosedFormSolution:
     """A bundle plus the two independent solutions phi_basis of the linear
     equation when they are available and verified."""
 
     bundle: TransformBundle
     phi_basis: tuple[Expr, Expr] | None
-    constants: CatalogConstants
 
     @property
     def phi(self) -> Expr | None:
@@ -98,7 +82,7 @@ def _power(name: str, value: float, exponent: int) -> float:
                            "overflows a float") from None
 
 
-def _k_value(params: VdpParams, k_sign: int) -> tuple[float, float]:
+def _k_value(params: VdpParams, k_sign: int) -> float:
     mb = params.mu * params.beta
     radicand = mb * mb - 4.0 * params.alpha
     if radicand == math.inf:
@@ -108,8 +92,7 @@ def _k_value(params: VdpParams, k_sign: int) -> tuple[float, float]:
             f"mu^2 beta^2 - 4 alpha = {radicand:g} < 0; no real decay rate")
     if k_sign not in (1, -1):
         raise ValueError(f"k_sign must be +1 or -1, got {k_sign!r}")
-    k = math.sqrt(radicand)
-    return k, k_sign * k
+    return k_sign * math.sqrt(radicand)
 
 
 def p_general(params: VdpParams, C1: float, C2: float, k_sign: int = 1) -> Expr:
@@ -127,7 +110,7 @@ def p_general(params: VdpParams, C1: float, C2: float, k_sign: int = 1) -> Expr:
     test_general_shift_annihilates_the_forcing`` proves in the ring.  A
     constant that is not finite, or overflows a float in the numerator, is
     refused by name."""
-    _, k = _k_value(params, k_sign)
+    k = _k_value(params, k_sign)
     mb = params.mu * params.beta
     e_mb = exp(Const(mb / 2.0) * X)
     e_k = exp(Const(k / 2.0) * X)
@@ -185,7 +168,7 @@ def _basis_residual_entry(name: str, basis: tuple[Expr, Expr],
 
 
 def _family(name: str, params: VdpParams, P: Expr, C1: float, k_sign: int,
-            k: float, basis, rows) -> ClosedFormSolution:
+            basis, rows) -> ClosedFormSolution:
     """The solution of a family with shift P = p_general(params, C1, 0,
     k_sign).  After solve_chain's entry its ledger checks that P, the
     family's transcribed ``rows(bundle, u0)``, each (check, derived,
@@ -208,9 +191,6 @@ def _family(name: str, params: VdpParams, P: Expr, C1: float, k_sign: int,
         basis = linear_basis(u0)
         entries.append(_basis_residual_entry(
             f"{name}-basis-solves-linear-eq", basis, bundle.U))
-        # c = C1 + C2 with C2 = 0
-        constants = CatalogConstants(C1, 0.0, k, k_sign, C1, omega_sq=-u0,
-                                     nu=math.sqrt(u0) if u0 > 0 else 0.0)
     else:
         entries.append(_basis_residual_entry(
             f"{name}-reference-phi-solves-linear-eq", basis, bundle.U))
@@ -220,8 +200,7 @@ def _family(name: str, params: VdpParams, P: Expr, C1: float, k_sign: int,
                 f"{name}-phi-fallback", False, None, 1e-9, 0, "",
                 "reference phi inconsistent with derived potential; "
                 "integrate the linear equation numerically"))
-        constants = CatalogConstants(C1, 0.0, k, k_sign, C1)
-    return ClosedFormSolution(bundle.with_entries(entries), basis, constants)
+    return ClosedFormSolution(bundle.with_entries(entries), basis)
 
 
 def case1(params: VdpParams, k_sign: int = 1) -> ClosedFormSolution:
@@ -231,11 +210,11 @@ def case1(params: VdpParams, k_sign: int = 1) -> ClosedFormSolution:
     nonnegative, so the real linear basis is exponential (degenerating to
     {1, x} at k = mu*beta).  The reference trigonometric form's frequency
     satisfies omega^2 = -U and is recorded as such in the ledger."""
-    k_abs, k = _k_value(params, k_sign)
+    k = _k_value(params, k_sign)
     mu, beta, alpha = params.mu, params.beta, params.alpha
     mb = mu * beta
-    return _family("case1", params, Const((mb - k) / 4.0), 0.0, k_sign, k_abs,
-                   None, lambda b, u0: [
+    return _family("case1", params, Const((mb - k) / 4.0), 0.0, k_sign, None,
+                   lambda b, u0: [
         ("case1-reference-U", b.U,
          Const(alpha / 2.0 + (3 * k + mb) * (k - mb) / 16.0), 1e-9),
         ("case1-reference-v", b.v,
@@ -267,7 +246,7 @@ def case2(params: VdpParams) -> ClosedFormSolution:
         "cos/sin with omega^2 = (mu^2 beta^2 - 8 alpha)/16",
         "omega^2 = -U <= 0 for real parameters; the real basis is "
         "exponential with rate |mu*beta|/4")
-    return _family("case2", params, Const(mb / 4.0), 0.0, 1, 0.0, None,
+    return _family("case2", params, Const(mb / 4.0), 0.0, 1, None,
                    lambda b, u0: [
         ("case2-reference-U", b.U, Const(alpha / 2.0 - mb * mb / 16.0), 1e-9),
         ("case2-reference-h", b.h,
@@ -300,8 +279,8 @@ def case3(params: VdpParams, c: float) -> ClosedFormSolution:
     root = sqrt(Const(1.0) + cc * e_pos)
     basis = (simplify(Const(1.0) / root),
              simplify((cc * e_pos + Const(mb) * X) / root))
-    return _family("case3", params, P, c, 1 if mb >= 0 else -1, abs(mb),
-                   basis, lambda b, u0: [
+    return _family("case3", params, P, c, 1 if mb >= 0 else -1, basis,
+                   lambda b, u0: [
         ("case3-reference-P", P,
          Const(c * mb) * exp(Const(mb / 2.0) * X) / (cc + e_neg), 1e-9),
         ("case3-reference-U", b.U,

@@ -29,7 +29,7 @@ import numpy as np
 from . import expr as ex
 from .expr import (ZERO, Const, Expr, as_expr, lambdify, parser, printer,
                    simplify, to_str)
-from .wcalc import CoeffSet, jet, reduce_vdp, reference_gaps, vdp_chain
+from .wcalc import jet, reduce_vdp, reference_gaps, vdp_chain
 
 __all__ = [
     "VdpParams", "TransformBundle", "LedgerEntry", "AnnihilationReport",
@@ -142,10 +142,6 @@ class TransformBundle:
 
     def with_entries(self, entries: Sequence[LedgerEntry]) -> "TransformBundle":
         return replace(self, ledger=self.ledger + tuple(entries))
-
-    def coefficients(self) -> CoeffSet:
-        return reduce_vdp(self.P, self.U, self.params, self.v, self.h,
-                          self.g, self.f)
 
 
 @dataclass(frozen=True)
@@ -270,9 +266,10 @@ def verify_annihilation(bundle: TransformBundle, grid) -> AnnihilationReport:
     if _is_chain_bundle(bundle, xs):
         return AnnihilationReport(max_abs=(0.0,) * 5, tol=ANNIHILATION_TOL,
                                   n_points=0, passed=True, note="exact")
-    coeffs = bundle.coefficients()
+    coeffs = reduce_vdp(bundle.P, bundle.U, bundle.params, bundle.v,
+                        bundle.h, bundle.g, bundle.f)
     maxes = []
-    for i, a in enumerate(coeffs.as_tuple()):
+    for i, a in enumerate(coeffs):
         vals = lambdify(a)(xs)
         bad = ~np.isfinite(vals)
         if bad.any():

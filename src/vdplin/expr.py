@@ -355,8 +355,8 @@ def _diff_fun(node: Fun, da: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # simplification
 
-def _is_const(e: Expr, v: float | None = None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
+def _is_const(e: Expr, v: float) -> bool:
+    return isinstance(e, Const) and e.value == v
 
 
 def simplify(e: Expr) -> Expr:

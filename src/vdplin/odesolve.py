@@ -106,7 +106,8 @@ class Grid:
 @dataclass(frozen=True)
 class IntegratorConfig:
     """rtol/atol drive the embedded adaptive pair; "rk4" selects classical
-    RK4 with one step per grid interval (rtol/atol unused)."""
+    RK4 with one step per grid interval (rtol/atol unused), for
+    integrate_linear only: integrate_vdp is adaptive only."""
 
     rtol: float = 1e-9
     atol: float = 1e-12
@@ -173,8 +174,6 @@ def _integrate(rhs, grid: Grid, y0: Sequence[float],
             raise StepUnderflowError((float(x), grid.x1), None) from None
 
     xs = grid.xs
-    if cfg.method == "rk4":
-        return _integrate_rk4(guarded, xs, y0)
     ts, starts, stages, finished = _dopri45(guarded, grid.x0, grid.x1, y0,
                                             cfg.rtol, cfg.atol)
     # the grid points up to the last accepted step
@@ -346,39 +345,6 @@ def _dense_output(ts: array, starts: array, stages: array) -> Callable:
     return dense
 
 
-def _integrate_rk4(rhs, xs: np.ndarray, y0: Sequence[float]) -> Trajectory:
-    """Classical RK4 for a general system y' = rhs(x, y), one step per grid
-    interval; stops at the first non-finite state."""
-    h = float(xs[1] - xs[0])
-    y = np.asarray(y0, dtype=float)
-    out = np.empty((len(xs), len(y)))
-    out[0] = y
-    for i in range(len(xs) - 1):
-        x = float(xs[i])
-        k1 = np.asarray(rhs(x, y))
-        k2 = np.asarray(rhs(x + h / 2, y + h / 2 * k1))
-        k3 = np.asarray(rhs(x + h / 2, y + h / 2 * k2))
-        k4 = np.asarray(rhs(x + h, y + h * k3))
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise _stalled(xs, out[:, 0], out[:, 1], i)
-        out[i + 1] = y
-    return Trajectory(xs=xs, values=out[:, 0], derivatives=out[:, 1],
-                      segments=[(0, len(xs))])
-
-
-def _stalled(xs: np.ndarray, values: np.ndarray, derivatives: np.ndarray,
-             i: int, cause: str = "") -> StepUnderflowError:
-    """The error for a step i whose end state is non-finite; its partial
-    trajectory is the finite prefix xs[:i + 1] when that has two points."""
-    partial = None
-    if i >= 1:
-        partial = Trajectory(xs=xs[:i + 1], values=values[:i + 1],
-                             derivatives=derivatives[:i + 1],
-                             segments=[(0, i + 1)])
-    return StepUnderflowError((float(xs[i]), float(xs[-1])), partial, cause)
-
-
 _SCAN_BLOCK = 64  # steps per block of the RK4 scan
 
 
@@ -469,8 +435,15 @@ def _linear_rk4(ufn, xs: np.ndarray, phi0: float, dphi0: float) -> Trajectory:
                 top = float(np.max(np.abs(ufn(xs))))
             if math.isfinite(top):
                 cause = f"|U| reaches {top:.3g} on the grid"
-        raise _stalled(xs, values, derivatives, max(int(bad[0]), 1) - 1,
-                       cause)
+        # the finite prefix is the partial trajectory when it has two points
+        i = max(int(bad[0]), 1) - 1
+        partial = None
+        if i >= 1:
+            partial = Trajectory(xs=xs[:i + 1], values=values[:i + 1],
+                                 derivatives=derivatives[:i + 1],
+                                 segments=[(0, i + 1)])
+        raise StepUnderflowError((float(xs[i]), float(xs[-1])), partial,
+                                 cause)
     return Trajectory(xs=xs, values=values, derivatives=derivatives,
                       segments=[(0, len(xs))])
 
@@ -526,7 +499,11 @@ def integrate_vdp(bundle: "TransformBundle", grid: Grid, psi0: float,
     substitution algebra.  The right-hand side is one compiled function
     of (x, psi, psi'), so the subexpressions v, h, g and f share are
     evaluated once per call; it is compiled on the first run of a bundle
-    and reused by the next."""
+    and reused by the next.  The integration is adaptive only: "rk4" is
+    refused."""
+    if cfg.method != "adaptive":
+        raise ValueError(f"integrate_vdp is adaptive only, got method "
+                         f"{cfg.method!r}")
     p = bundle.params
 
     def rate(psi: Expr, dpsi: Expr) -> Expr:
@@ -602,7 +579,9 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
 def _refine_zero(phi: Trajectory, i: int) -> tuple[float, float]:
     """Bracket phi's sign change on [xs[i], xs[i + 1]]: bisect its dense
     output, else its closed form's ``lambdify`` tape, cached on it; an RK4
-    phi has neither, and its bracket is the grid interval, one step wide."""
+    phi has neither, and its bracket is the grid interval, one step wide.
+    A midpoint where phi is not finite ends the bisection, with the last
+    bracket that holds the sign change."""
     a, b = float(phi.xs[i]), float(phi.xs[i + 1])
     if phi.dense is not None:
         f = lambda x: phi.dense(x)[0]
@@ -618,6 +597,8 @@ def _refine_zero(phi: Trajectory, i: int) -> tuple[float, float]:
             break
         m = 0.5 * (a + b)
         fm = float(f(m))
+        if not math.isfinite(fm):
+            break
         if fm == 0.0:
             return (m, m)
         if fa * fm < 0.0:
@@ -877,7 +858,7 @@ def trajectory_json(*trajs: Trajectory) -> list[bytes]:
 
 
 def regular_window(exprs: Sequence[Expr], x0: float, x1: float,
-                   cap: float = 1e6) -> tuple[float, float]:
+                   cap: float) -> tuple[float, float]:
     """Largest subinterval of [x0, x1] on which every expression stays
     finite and below cap in magnitude, shrunk by a relative margin at both
     ends.  Raises if nothing usable remains."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, groupby
 from typing import Callable, Sequence
@@ -31,8 +30,8 @@ from typing import Callable, Sequence
 from .expr import (ZERO, Const, Div, Expr, Mul, Neg, Param, Pow, Sub,
                    as_expr, diff, parse, simplify)
 
-__all__ = ["CoeffSet", "reduce_vdp", "reduce_lienard", "restoring_coeffs",
-           "vdp_chain", "reference_gaps", "jet"]
+__all__ = ["reduce_vdp", "reduce_lienard", "restoring_coeffs", "vdp_chain",
+           "reference_gaps", "jet"]
 
 # the generators, numbered in the order a monomial lists them
 W, DDP, DP, P, DU, U, C0, C1, C2, B0, B1, B2, B3, B4 = range(14)
@@ -283,23 +282,8 @@ def _combine(op: Callable, a: float | Expr, b: float | Expr) -> float | Expr:
     return op(a, b)
 
 
-@dataclass(frozen=True)
-class CoeffSet:
-    """The five coefficient functions of the reduced identity
-    a4 w^4 + a3 w^3 + a2 w^2 + a1 w + a0 = 0."""
-
-    a0: Expr
-    a1: Expr
-    a2: Expr
-    a3: Expr
-    a4: Expr
-
-    def as_tuple(self) -> tuple[Expr, Expr, Expr, Expr, Expr]:
-        return (self.a0, self.a1, self.a2, self.a3, self.a4)
-
-
 def reduce_vdp(P: Expr, U: Expr, params, v: Expr, h: Expr, g: Expr,
-               f: Expr) -> CoeffSet:
+               f: Expr) -> tuple[Expr, ...]:
     """a_0..a_4 of psi'' - mu (beta - psi^2) psi' + alpha psi - v psi^2
     - h psi^3 - g psi^4 - f: the Lienard reduction at the coefficients
     ``params.lienard(v, h, g, f)``."""
@@ -307,11 +291,12 @@ def reduce_vdp(P: Expr, U: Expr, params, v: Expr, h: Expr, g: Expr,
 
 
 def reduce_lienard(P: Expr, U: Expr, c: Sequence[Expr],
-                   b: Sequence[Expr]) -> CoeffSet:
+                   b: Sequence[Expr]) -> tuple[Expr, ...]:
     """a_0..a_4 of psi'' + (c0 + c1 psi + c2 psi^2) psi' + sum_i b_i psi^i
-    for damping c (3 entries) and restoring b (5 entries)."""
+    for damping c (3 entries) and restoring b (5 entries): the identity
+    a4 w^4 + a3 w^3 + a2 w^2 + a1 w + a0 = 0 in w = phi'/phi."""
     values = _values(P, U, c, b)
-    return CoeffSet(*(_expr(a, values) for a in _reduced()))
+    return tuple(_expr(a, values) for a in _reduced())
 
 
 def restoring_coeffs(c: Sequence[Expr], P: Expr, U: Expr) -> tuple[Expr, ...]:

@@ -1,7 +1,10 @@
 """Shared helpers: random instance generation for the annihilation and
 round-trip suites, the growth-budget window used to keep the direct
 nonlinear integration inside its conditioning limits, an expression as
-scalar code over floats and a counter of compiled code."""
+scalar code over floats, a counter of compiled code and the generic RK4
+loop that the linear integrator's step propagators are checked against."""
+
+from typing import Sequence
 
 import numpy as np
 
@@ -10,8 +13,9 @@ from vdplin.catalog import p_general
 from vdplin.colehopf import VdpParams, solve_chain
 from vdplin.expr import lambdify, lambdify_ode, simplify
 from vdplin.odesolve import (Grid, IntegratorConfig, StepUnderflowError,
-                             cole_hopf_map, compare, integrate_linear,
-                             integrate_vdp, regular_window)
+                             Trajectory, cole_hopf_map, compare,
+                             integrate_linear, integrate_vdp, regular_window)
+from vdplin.wcalc import reduce_vdp
 
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
 
@@ -63,7 +67,13 @@ def sampled_annihilation(bundle, xs):
     """The largest |a_i| on xs of the bundle's a_0..a_4, built by the
     engine and sampled, whatever ``verify_annihilation`` decides."""
     return max(float(np.max(np.abs(lambdify(a)(xs))))
-               for a in bundle.coefficients().as_tuple())
+               for a in vdp_coefficients(bundle))
+
+
+def vdp_coefficients(bundle):
+    """a_0..a_4 of the bundle's reduced identity, built by the engine."""
+    return reduce_vdp(bundle.P, bundle.U, bundle.params, bundle.v, bundle.h,
+                      bundle.g, bundle.f)
 
 
 def growth_budget_cut(bundle, psi_traj, budget=11.0):
@@ -138,3 +148,36 @@ def count_compiles(monkeypatch, name="_scalar_code"):
         return compiler(*args)
     monkeypatch.setattr(expr, name, counting)
     return calls
+
+
+def _integrate_rk4(rhs, xs: np.ndarray, y0: Sequence[float]) -> Trajectory:
+    """Classical RK4 for a general system y' = rhs(x, y), one step per grid
+    interval; stops at the first non-finite state."""
+    h = float(xs[1] - xs[0])
+    y = np.asarray(y0, dtype=float)
+    out = np.empty((len(xs), len(y)))
+    out[0] = y
+    for i in range(len(xs) - 1):
+        x = float(xs[i])
+        k1 = np.asarray(rhs(x, y))
+        k2 = np.asarray(rhs(x + h / 2, y + h / 2 * k1))
+        k3 = np.asarray(rhs(x + h / 2, y + h / 2 * k2))
+        k4 = np.asarray(rhs(x + h, y + h * k3))
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise _stalled(xs, out[:, 0], out[:, 1], i)
+        out[i + 1] = y
+    return Trajectory(xs=xs, values=out[:, 0], derivatives=out[:, 1],
+                      segments=[(0, len(xs))])
+
+
+def _stalled(xs: np.ndarray, values: np.ndarray, derivatives: np.ndarray,
+             i: int) -> StepUnderflowError:
+    """The error for a step i whose end state is non-finite; its partial
+    trajectory is the finite prefix xs[:i + 1] when that has two points."""
+    partial = None
+    if i >= 1:
+        partial = Trajectory(xs=xs[:i + 1], values=values[:i + 1],
+                             derivatives=derivatives[:i + 1],
+                             segments=[(0, i + 1)])
+    return StepUnderflowError((float(xs[i]), float(xs[-1])), partial)

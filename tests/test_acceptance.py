@@ -18,7 +18,7 @@ from vdplin.catalog import case1
 from vdplin.cli import run as cli_run
 from vdplin.colehopf import VdpParams, solve_chain, verify_annihilation
 from vdplin.expr import (Add, Const, Div, Fun, Mul, Neg, Pow, Sub, X, diff,
-                         lambdify, parse, subst)
+                         lambdify, parse, simplify, subst)
 from vdplin.lienard import lienard_coeffs, riccati_u
 from vdplin.odesolve import (Grid, IntegratorConfig, Trajectory,
                              cole_hopf_map, compare, integrate_linear,
@@ -95,14 +95,14 @@ def test_criterion_4_case1_structure():
         sign = 1 if rng.random() < 0.5 else -1
         sol = case1(VdpParams(mu, beta, alpha), sign)
 
-        k = sign * sol.constants.k
-        u0 = -sol.constants.omega_sq
+        mb = mu * beta
+        k = sign * math.sqrt(mb * mb - 4.0 * alpha)
+        u0 = simplify(sol.bundle.U).value
         uv = lambdify(sol.bundle.U)(xs.xs)
         assert np.max(np.abs(uv - u0)) <= 1e-12          # U is constant
         worst_u = max(worst_u, abs(u0 - ((mu * beta - k) / 4.0) ** 2))
         assert worst_u <= 1e-12
 
-        mb = mu * beta
         omega_sq_ref = (mb * mb + 2 * mb * k - 3 * k * k - 8 * alpha) / 16.0
         worst_om = max(worst_om, abs(omega_sq_ref - (-u0)))
         assert worst_om <= 1e-12

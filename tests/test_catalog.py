@@ -1,7 +1,6 @@
 """Catalog families: the general shift, the three specializations, their
 ledger findings and the linear-basis checks."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -216,8 +215,8 @@ def test_case1_reference_values():
     sol = case1(VdpParams(2.0, 1.0, 0.75))
     assert simplify(sol.bundle.P) == Const(0.25)
     assert simplify(sol.bundle.U) == Const(0.0625)
-    assert sol.constants.nu == pytest.approx(0.25)
-    assert sol.constants.k == pytest.approx(1.0)
+    # the basis grows at the rate sqrt(U) = 1/4
+    assert float(lambdify(sol.phi_basis[0])(4.0)) == pytest.approx(math.e)
     for check in ("case1-P-from-general-P", "case1-reference-U",
                   "case1-reference-v", "case1-reference-h"):
         e = _entry(sol, check)
@@ -244,13 +243,9 @@ def test_case1_omega_squared_is_minus_u():
         e = _entry(sol, "case1-reference-omega-squared-vs-minus-U")
         assert e.agrees is True
         # and U is the square of the constant shift
-        u0 = -sol.constants.omega_sq
-        k = sign * sol.constants.k
+        u0 = simplify(sol.bundle.U).value
+        k = sign * math.sqrt((mu * beta) ** 2 - 4 * alpha)
         assert u0 == pytest.approx(((mu * beta - k) / 4.0) ** 2, abs=1e-12)
-        # stored-constants invariant: k >= 0 and k^2 + 4 alpha = mu^2 beta^2
-        assert sol.constants.k >= 0.0
-        assert sol.constants.k ** 2 + 4 * alpha == pytest.approx(
-            (mu * beta) ** 2, abs=1e-12)
 
 
 def test_case1_basis_solves_linear_equation():
@@ -370,32 +365,31 @@ def test_catalog_composes_with_chain():
 
 @pytest.mark.parametrize("build, digest", [
     (lambda: case1(VdpParams(2.0, 1.0, 0.75)),
-     "f3b797d861e85576a1439c9eb5f4e27af95cc0e8c98085ed334534fcaf0c99e1"),
+     "c73ca920223b40ae53fcc13ad6bb39b7b169b87710d7b6f810720e28697b4234"),
     (lambda: case2(VdpParams(2.0, 2.0, 4.0)),
-     "b64790700f9ec457746d73c5392929d0cbe9077ed28c4472e2fd81051a035059"),
+     "ff771e61e829272a9535cea5aedf4398d1e66b7b2f223373e3f05da1424d1c9a"),
     (lambda: case3(VdpParams(1.0, 1.0, 0.0), 1.0),
-     "2b0d5928ce62ea403f8dc1b6e7a9f515c5247fb45b89796e55130810a909dd26"),
+     "6ee407972cb2de86302305a7bd009cb5417d387d3a9f2ccf5cb205c484058c75"),
     (lambda: case1(VdpParams(1.0, 2.0, 0.0), -1),
-     "c1b5af99ecf0b17459d6efa12a287bafd9b21b7fd513acce4b273860e72f5e08"),
+     "755d3793bff4945c96f68053c77e63490dab96dd81ced7983702dd055b2e0915"),
     (lambda: case3(VdpParams(-1.0, 1.0, 0.0), 2.0),
-     "b0ca463accad88852d511b992b9d1151dfc5e0820eae57662f50d30157cbcb75"),
+     "b7ec2246df6ae7f0c2d7290ceb76ca407fb8b4b560eed33e5e973f9d0857a90a"),
     # no trigonometric-basis entry at u0 = 0
     (lambda: case2(VdpParams(0.0, 1.5, 0.0)),
-     "89d4bdef23c7e46c5ab8ccfef90ac2ba9a1d8a691a6a24b732b53461233bb517"),
+     "30c58705fae76209fc613e155171afdf877332d01718cb8ed90c61fb2eee330c"),
     # sqrt(1 - 2 e^x) is nowhere real on [0, 5]: the phi fallback
     (lambda: case3(VdpParams(1.0, 1.0, 0.0), -2.0),
-     "3e793c3c637ce7655f3ccb4a0808e3a5c0c4eb741b5fff6d335cf32cba34b5c0"),
+     "40987f56230c4eeb64af09f05bdccff08003dc271e17d3f19351e323d3189d93"),
 ], ids=["case1", "case2", "case3", "case1-k-minus", "case3-c2",
         "case2-mu-zero", "case3-fallback"])
 def test_family_ledgers_keep_their_bytes(build, digest):
-    # sha256 of every caseN-* ledger entry (all fields, in order), phi, the
-    # basis and the constants, as three separate constructions made them
-    # before the families shared one builder
+    # sha256 of every caseN-* ledger entry (all fields, in order), phi and
+    # the basis, as three separate constructions made them before the
+    # families shared one builder
     sol = build()
     doc = {"ledger": [e.to_dict() for e in sol.bundle.ledger
                       if e.check.startswith("case")],
            "phi": None if sol.phi is None else to_str(sol.phi),
            "phi_basis": None if sol.phi_basis is None
-           else [to_str(b) for b in sol.phi_basis],
-           "constants": dataclasses.asdict(sol.constants)}
+           else [to_str(b) for b in sol.phi_basis]}
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest

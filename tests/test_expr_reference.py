@@ -38,7 +38,7 @@ from vdplin.expr import (FUNCTIONS, ONE, ZERO, _SCALAR_NS, _VECTOR_BINARY,
                          simplify, subst, to_str)
 from vdplin.lienard import lienard_coeffs, riccati_u
 
-from conftest import general_instances
+from conftest import general_instances, vdp_coefficients
 from test_acceptance import CRITERION_8_INVOCATIONS
 
 # ---------------------------------------------------------------------------
@@ -910,7 +910,7 @@ def test_general_bundles_print_and_serialize_as_the_reference(monkeypatch):
             assert to_str(e) == ref_print(e), name
         text = bundle_to_json(b)
         xs = np.linspace(0.0, 5.0, 201)
-        values = [lambdify(a)(xs) for a in b.coefficients().as_tuple()]
+        values = [lambdify(a)(xs) for a in vdp_coefficients(b)]
 
         with monkeypatch.context() as m:
             m.setattr(colehopf, "to_str", ref_print)
@@ -920,7 +920,7 @@ def test_general_bundles_print_and_serialize_as_the_reference(monkeypatch):
             ref = ref.with_entries(verify_printed_coeffs(
                 ref.P, ref.U, params, ref.v, ref.h, ref.g, ref.f))
             assert bundle_to_json(ref) == text
-        for got, a in zip(values, ref.coefficients().as_tuple()):
+        for got, a in zip(values, vdp_coefficients(ref)):
             assert _same_bits(got, ref_lambdify(a)(xs))
 
 

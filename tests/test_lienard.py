@@ -90,7 +90,7 @@ def test_derived_b_annihilates():
         U = parse("cos(x)/2")
         spec = lienard_coeffs(c, P, U)
         cs = reduce_lienard(spec.P, spec.U, spec.c, spec.b)
-        for a in cs.as_tuple():
+        for a in cs:
             assert _max_abs(a) <= 1e-9
 
 
@@ -121,7 +121,7 @@ def test_vdp_embedding():
         assert _max_abs(simplify(got - want)) <= 1e-10
     # and the embedded instance satisfies its own annihilation conditions
     cs = reduce_lienard(spec.P, spec.U, spec.c, spec.b)
-    for a in cs.as_tuple():
+    for a in cs:
         assert _max_abs(a) <= 1e-9
 
 

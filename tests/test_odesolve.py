@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_instance, count_compiles, float_fn,
-                      round_trip_metrics)
+from conftest import (_integrate_rk4, _stalled, build_instance,
+                      count_compiles, float_fn, round_trip_metrics)
 from vdplin import odesolve
 from vdplin._floatfmt import repr_fields
 from vdplin.catalog import case3
@@ -20,9 +20,8 @@ from vdplin.expr import (Const, UnboundParameterError, lambdify, parse,
                          simplify, subst)
 from vdplin.odesolve import (DisjointSegmentsError, Grid, IntegratorConfig,
                              NonFiniteCoefficientError, SegmentTooShortError,
-                             StepUnderflowError,
-                             Trajectory, _SCAN_BLOCK, _integrate_rk4,
-                             _linear_rk4, _runs, _stalled, _step_matrices,
+                             StepUnderflowError, Trajectory, _SCAN_BLOCK,
+                             _linear_rk4, _runs, _step_matrices,
                              cole_hopf_map, compare, integrate_linear,
                              integrate_vdp, lienard_residual, regular_window,
                              residual, trajectory_csv, trajectory_json)
@@ -236,6 +235,14 @@ def test_vdp_round_trip_from_construction():
                            float(psi.derivatives[0]), TIGHT)
     m = compare(psi, direct)
     assert m.rel_linf <= 1e-8
+
+
+def test_vdp_refuses_rk4():
+    # the direct integration is adaptive only; rk4 is refused, not ignored
+    bundle = _manual_bundle(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="'rk4'"):
+        integrate_vdp(bundle, Grid(0.0, 1.0, 11), 1.0, 0.0,
+                      IntegratorConfig(method="rk4"))
 
 
 def test_vdp_blow_up_reports_bracket():
@@ -457,16 +464,12 @@ _VDP_PROBLEMS = {
 }
 
 
-@pytest.mark.parametrize("method", ["adaptive", "rk4"])
 @pytest.mark.parametrize("name", list(_VDP_PROBLEMS))
-def test_vdp_compiled_rhs_is_bit_identical_to_four_coefficients(name,
-                                                                method):
+def test_vdp_compiled_rhs_is_bit_identical_to_four_coefficients(name):
     bundle, grid, psi0, dpsi0 = _VDP_PROBLEMS[name]()
-    cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, method=method)
-    with np.errstate(over="ignore", invalid="ignore"):  # rk4's blow-up
-        got = _outcome(lambda: integrate_vdp(bundle, grid, psi0, dpsi0, cfg))
-        want = _outcome(lambda: odesolve._integrate(
-            _reference_vdp_rhs(bundle), grid, (psi0, dpsi0), cfg))
+    got = _outcome(lambda: integrate_vdp(bundle, grid, psi0, dpsi0, TIGHT))
+    want = _outcome(lambda: odesolve._integrate(
+        _reference_vdp_rhs(bundle), grid, (psi0, dpsi0), TIGHT))
     _assert_bit_identical(got, want)
     if name == "blow-up":
         assert want[0] is not None and want[1] is not None
@@ -512,15 +515,17 @@ def test_a_state_argument_never_takes_a_free_parameter(method):
     # a coefficient's parameter named like the state is still unbound
     cfg = IntegratorConfig(method=method)
     grid = Grid(0.0, 1.0, 21)
+    with pytest.raises(UnboundParameterError) as err:
+        integrate_linear(parse("phi + dphi*x"), grid, 1.0, 0.0, cfg)
+    assert err.value.name == "dphi"
+    if method == "rk4":
+        return  # the direct integration is adaptive only
     for coeff in ("v", "h", "g", "f"):
         for name in ("psi", "dpsi"):
             bundle = _manual_bundle(0.5, 1.0, 0.2, **{coeff: f"{name}*x"})
             with pytest.raises(UnboundParameterError) as err:
                 integrate_vdp(bundle, grid, 0.5, 0.1, cfg)
             assert err.value.name == name
-    with pytest.raises(UnboundParameterError) as err:
-        integrate_linear(parse("phi + dphi*x"), grid, 1.0, 0.0, cfg)
-    assert err.value.name == "dphi"
     # substituted first, such a parameter is a number like any other
     bundle = _manual_bundle(0.5, 1.0, 0.2, h="psi*x")
     substituted = TransformBundle(
@@ -643,6 +648,19 @@ def test_closed_form_pole_brackets_keep_their_bits(P, phi, U, grid, want):
     # end is pinned to the bit
     psi = cole_hopf_map(P, Trajectory.from_expr(phi, grid), U=U)
     assert [(a.hex(), b.hex()) for a, b in psi.pole_brackets] == want
+
+
+def test_closed_form_bisection_stops_where_phi_is_not_finite():
+    # phi = x except on |x| < 0.01, where it is nan; the first midpoint, 0,
+    # is nan, so the bracket stays the grid interval, which holds the zero
+    grid = Grid(-1.0, 1.0, 80)
+    phi = parse("x*sqrt(x^2 - 1e-4)/sqrt(x^2 - 1e-4)")
+    psi = cole_hopf_map(Const(0.0), Trajectory.from_expr(phi, grid),
+                        U=Const(0.0))
+    assert psi.pole_brackets == [(float(grid.xs[39]), float(grid.xs[40]))]
+    a, b = psi.pole_brackets[0]
+    assert a < 0.0 < b
+
 
 def test_runs_matches_scan():
     def scan(mask):

@@ -183,7 +183,7 @@ def test_reduce_vdp_pointwise_oracle():
         want = (sdd - params.mu * (params.beta - sv ** 2) * sd
                 + params.alpha * sv - _at(v, x) * sv ** 2
                 - _at(h, x) * sv ** 3 - _at(g, x) * sv ** 4 - _at(f, x))
-        got = sum(_at(a, x) * w ** i for i, a in enumerate(cs.as_tuple()))
+        got = sum(_at(a, x) * w ** i for i, a in enumerate(cs))
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
@@ -199,7 +199,7 @@ def test_reduce_lienard_pointwise_oracle():
         damping = sum(_at(ci, x) * sv ** i for i, ci in enumerate(c))
         restoring = sum(_at(bi, x) * sv ** i for i, bi in enumerate(b))
         want = sdd + damping * sd + restoring
-        got = sum(_at(a, x) * w ** i for i, a in enumerate(cs.as_tuple()))
+        got = sum(_at(a, x) * w ** i for i, a in enumerate(cs))
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
@@ -208,7 +208,7 @@ def test_reduce_vdp_a4_vanishes_when_g_is_minus_mu():
     cs = reduce_vdp(parse("sin(x)"), parse("x^2"), params, parse("x"),
                     parse("1+x"), Const(-params.mu), Const(0.0))
     xs = np.linspace(0.0, 4.0, 101)
-    assert np.max(np.abs(lambdify(cs.a4)(xs))) <= 1e-12
+    assert np.max(np.abs(lambdify(cs[4])(xs))) <= 1e-12
 
 
 def test_reduce_vdp_hand_instance_all_zero():
@@ -216,7 +216,7 @@ def test_reduce_vdp_hand_instance_all_zero():
     params = VdpParams(1.0, 2.0, 0.0)
     cs = reduce_vdp(Const(0.0), Const(0.0), params, Const(2.0), Const(2.0),
                     Const(-1.0), Const(0.0))
-    for a in cs.as_tuple():
+    for a in cs:
         assert _at(simplify(a), 0.7) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -229,7 +229,7 @@ def test_reduce_lienard_empty_equation():
     xs = np.linspace(0.2, 2.0, 7)
     hand = [parse("-sin(x) + 2*x"), parse("-2*x^2"), Const(0.0), Const(2.0),
             Const(0.0)]
-    for a, want in zip(cs.as_tuple(), hand):
+    for a, want in zip(cs, hand):
         assert np.allclose(lambdify(a)(xs), lambdify(want)(xs),
                            rtol=1e-13, atol=1e-13)
 
@@ -239,7 +239,7 @@ def test_reduce_lienard_b4_equals_c2_kills_a4():
     cs = reduce_lienard(parse("x"), parse("1"), [Const(0.0), Const(0.0), c2],
                         [Const(0.0)] * 4 + [c2])
     xs = np.linspace(0.0, 3.0, 31)
-    assert np.max(np.abs(lambdify(cs.a4)(xs))) <= 1e-13
+    assert np.max(np.abs(lambdify(cs[4])(xs))) <= 1e-13
 
 
 def test_reduce_lienard_validates_lengths():
