@@ -150,6 +150,25 @@ def _assert_same_rk4(ufn, xs, phi0, dphi0):
     return want
 
 
+@pytest.mark.parametrize("u, bracket, points", [
+    (1e150, (0.1, 1.0), 2), (1e156, (0.0, 1.0), None),
+], ids=["second-step", "first-step"])
+def test_rk4_stall_keeps_a_prefix_of_two_points(u, bracket, points):
+    # the state overflows at step 2, leaving the two finite points, or at
+    # step 1, leaving no partial trajectory and naming the potential
+    with pytest.raises(StepUnderflowError) as err:
+        integrate_linear(Const(u), Grid(0.0, 1.0, 11), 1.0, 0.0,
+                         IntegratorConfig(method="rk4"))
+    assert err.value.bracket == bracket
+    part = err.value.partial
+    assert (None if part is None else len(part.xs)) == points
+    if part is not None:
+        assert part.segments == [(0, points)]
+        assert np.all(np.isfinite(part.values))
+    else:
+        assert "|U| reaches" in str(err.value)
+
+
 @pytest.mark.parametrize("n", [2, 3, 3 * _SCAN_BLOCK + 6, 20001])
 def test_rk4_scan_matches_the_recurrence(n):
     ufn = lambdify(parse("1 + x^2/4"))
@@ -243,6 +262,17 @@ def test_vdp_refuses_rk4():
     with pytest.raises(ValueError, match="'rk4'"):
         integrate_vdp(bundle, Grid(0.0, 1.0, 11), 1.0, 0.0,
                       IntegratorConfig(method="rk4"))
+
+
+def test_vdp_refuses_rk4_before_compiling(monkeypatch):
+    # the refusal comes before any work: the blow-up problem raises
+    # ValueError, not StepUnderflowError, and nothing is compiled
+    calls = count_compiles(monkeypatch)
+    bundle, grid, psi0, dpsi0 = _VDP_PROBLEMS["blow-up"]()
+    with pytest.raises(ValueError, match="adaptive only"):
+        integrate_vdp(bundle, grid, psi0, dpsi0,
+                      IntegratorConfig(method="rk4"))
+    assert calls[0] == 0
 
 
 def test_vdp_blow_up_reports_bracket():
@@ -662,6 +692,21 @@ def test_closed_form_bisection_stops_where_phi_is_not_finite():
     assert a < 0.0 < b
 
 
+def test_closed_form_bisection_keeps_the_last_finite_bracket():
+    # phi = x - 0.005 except on |x - 0.005| < 0.001, where it is nan; with
+    # c = xs[40] the midpoints 0, c/2 and c/4 are finite and the fourth,
+    # 3c/8, is nan, so the bracket is (c/4, c/2), which holds the zero
+    grid = Grid(-1.0, 1.0, 80)
+    phi = parse("(x - 0.005)*sqrt((x - 0.005)^2 - 1e-6)"
+                "/sqrt((x - 0.005)^2 - 1e-6)")
+    psi = cole_hopf_map(Const(0.0), Trajectory.from_expr(phi, grid),
+                        U=Const(0.0))
+    c = float(grid.xs[40])
+    assert psi.pole_brackets == [(c / 4, c / 2)]
+    a, b = psi.pole_brackets[0]
+    assert a < 0.005 < b
+
+
 def test_runs_matches_scan():
     def scan(mask):
         runs, start = [], None
@@ -941,6 +986,15 @@ def test_regular_window_avoids_singularity():
     a, b = regular_window([parse("1/(x-2)")], 0.0, 5.0, cap=50.0)
     assert (2.0 < a or b < 2.0)
     assert b - a >= 1.0
+
+
+def test_regular_window_honours_its_cap():
+    # 1/(x - 2) passes 10 in magnitude within 0.1 of x = 2 and 1000 within
+    # 0.001: the larger cap lets the window start nearer the pole
+    a10, b10 = regular_window([parse("1/(x-2)")], 0.0, 5.0, cap=10.0)
+    a1k, b1k = regular_window([parse("1/(x-2)")], 0.0, 5.0, cap=1e3)
+    assert 2.1 < a10 < b10 < 5.0
+    assert 2.0 < a1k < a10 - 0.05 and b1k < 5.0
 
 
 # ---------------------------------------------------------------------------
