@@ -22,6 +22,10 @@ argument in the spirit of Ryu (Adams, PLDI 2018):
    keyed by (decimal point position, digit count), filled lazily, and each
    value becomes a NUL-padded field of ``WIDTH`` bytes.
 
+Files are printed in blocks of ``_BLOCK`` rows, one ``repr_fields`` call and
+one ``join_rows`` call per block, and the arithmetic runs in place where it
+can: a call's temporaries stay a few hundred kB however long the file.
+
 Values the argument does not decide are printed by ``repr`` one at a time:
 zeros, non-finite values, powers of two (asymmetric interval), |v| outside
 [1e-6, 1e38), and candidates within ``_TOL`` of a rounding tie or of the
@@ -37,7 +41,9 @@ import numpy as np
 
 __all__ = ["repr_fields", "join_rows"]
 
-_BLOCK = 4096  # rows per pass in join_rows; bounds the temporary arrays
+# rows per block of a printed file: a block of phi and psi is 5 x 2,048
+# values, whose temporaries reuse heap pages instead of faulting in new ones
+_BLOCK = 2048
 
 _LO, _HI = 1e-6, 1e38
 _TOL = 1e-9  # in units of the 17th digit; arithmetic errors are below 1e-14
@@ -76,10 +82,10 @@ def _scale(a: np.ndarray, e10: np.ndarray, e2: np.ndarray):
     """s = a * 10^(16 - e10) as hi + lo, and ulp(a)/2 in the same units,
     where a = m * 2^e2 with m in [1/2, 1).  Requires |16 - e10| <= 22."""
     j = 16 - e10
-    p = _POW10[np.abs(j)]
+    down = np.flatnonzero(j < 0)
+    p = _POW10[np.abs(j, out=j)]
     hi, lo = _two_prod(a, p)
     half = np.ldexp(p, e2 - 54)
-    down = np.flatnonzero(j < 0)
     if down.size:
         ad, pd = a[down], p[down]
         q = ad / pd
@@ -117,7 +123,7 @@ def _digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = np.ones(n.size, dtype=np.intp)
     for i in range(4):
         k = np.where(last[i] > 0, 4 * i + 1 + last[i], k)
-    return np.take(quads, limbs).T.copy().view(np.uint8)[:, 3:], k
+    return np.take(quads, limbs.T).view(np.uint8)[:, 3:], k
 
 
 def _put(row: np.ndarray, col: int, text: str) -> None:
@@ -156,13 +162,15 @@ def _layout(digits: np.ndarray, decpt: np.ndarray, k: np.ndarray) -> np.ndarray:
         _fill(key)
     plane = np.zeros((digits.shape[0], WIDTH), dtype=np.uint8)
     plane[:, _BODY:_BODY + 17] = digits
-    flat = plane.ravel()
-    shifted = np.empty_like(flat)  # the last byte of every row is NUL
-    shifted[0] = 0
-    shifted[1:] = flat[:-1]
     fields = np.take(_literal, keys, axis=0)
-    fields |= plane & np.take(_in_place, keys, axis=0)
-    fields |= shifted.reshape(plane.shape) & np.take(_shifted, keys, axis=0)
+    mask = np.take(_in_place, keys, axis=0)
+    mask &= plane
+    fields |= mask
+    # the digits shifted right by one byte, NUL shifted into the first
+    np.take(_shifted, keys, axis=0, out=mask)
+    mask.ravel()[1:] &= plane.ravel()[:-1]
+    mask.ravel()[:1] = 0
+    fields |= mask
     return fields
 
 
@@ -172,11 +180,12 @@ def repr_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(values, dtype=np.float64).ravel()
     a = np.abs(v)
     fast = (a >= _LO) & (a < _HI)
-    a = np.where(fast, a, 1.5)  # keep the arithmetic quiet off the fast path
+    a[~fast] = 1.5  # keep the arithmetic quiet off the fast path
     m, e2 = np.frexp(a)
     fast &= m != 0.5
-
-    e10 = np.clip(np.floor(np.log10(a)).astype(np.int64), -6, 37)
+    e10 = np.floor(np.log10(a, out=m), out=m).astype(np.int64)
+    del m
+    np.clip(e10, -6, 37, out=e10)
     hi, lo, half = _scale(a, e10, e2)
     # log10 can miss the decade by one next to a power of ten
     below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
@@ -195,23 +204,27 @@ def repr_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # are n17 rounded to tens and hundreds, at distance d16 and d15
     r = np.rint(lo)
     n17 = hi.astype(np.int64) + r.astype(np.int64)
-    f17 = lo - r
+    del hi
+    f17 = np.subtract(lo, r, out=lo)
+    del r
     n16 = n17 // 10 * 10
     n15 = n17 // 100 * 100
-    t16 = (n17 - n16) + f17
-    t15 = (n17 - n15) + f17
-    up16 = t16 > 5
-    up15 = t15 > 50
-    d16 = np.abs(t16 - 10 * up16)
-    d15 = np.abs(t15 - 100 * up15)
-    d17 = np.abs(f17)
+    d16 = (n17 - n16) + f17  # t16 until up16 is known
+    d15 = (n17 - n15) + f17
+    up16 = d16 > 5
+    up15 = d15 > 50
+    np.abs(np.subtract(d16, 10 * up16, out=d16), out=d16)
+    np.abs(np.subtract(d15, 100 * up15, out=d15), out=d15)
+    d17 = np.abs(f17, out=f17)
     for dist, tie in ((d17, 0.5), (d16, 5.0), (d15, 50.0)):
         # a tie decides nothing when both neighbours lie outside
         fast &= (np.abs(dist - tie) > _TOL) | (tie > half + _TOL)
         fast &= np.abs(dist - half) > _TOL
     # half >= 2^-54 * 1e16 > 0.55, so the 17-digit rounding is inside
-    n = np.where(d15 < half, n15 + 100 * up15,
-                 np.where(d16 < half, n16 + 10 * up16, n17))
+    n = n17
+    np.copyto(n, n16 + 10 * up16, where=d16 < half)
+    np.copyto(n, n15 + 100 * up15, where=d15 < half)
+    del n16, n15, d16, d15, d17
     carry = n == 10 ** 17
     n[carry] = 10 ** 16
     decpt = e10 + 1 + carry
@@ -232,25 +245,18 @@ def join_rows(columns: Sequence[np.ndarray], tails: Sequence[bytes],
               tail_of_row: np.ndarray) -> bytes:
     """One line per row of the field arrays ``columns`` (each of shape
     (n, WIDTH), as ``repr_fields`` returns them): the row's fields joined by
-    commas, then ``tails[tail_of_row[row]]``, which ends the line."""
-    n_cols = len(columns)
-    tail_width = max(len(t) for t in tails)
-    tail_bytes = np.zeros((len(tails), tail_width), dtype=np.uint8)
-    for i, t in enumerate(tails):
-        tail_bytes[i, :len(t)] = np.frombuffer(t, dtype=np.uint8)
-
+    commas, then ``tails[tail_of_row[row]]``, which ends the line.  Every
+    byte of the rows is written before the NUL bytes are dropped."""
+    # the tails as NUL-padded rows, one per tail
+    tails = np.array(tails, dtype=bytes).view(np.uint8).reshape(len(tails), -1)
     field = WIDTH + 1
-    chunks = []
-    for start in range(0, len(tail_of_row), _BLOCK):
-        stop = min(start + _BLOCK, len(tail_of_row))
-        rows = np.empty((stop - start, n_cols * field - 1 + tail_width),
-                        dtype=np.uint8)
-        for j, col in enumerate(columns):
-            rows[:, j * field:j * field + WIDTH] = col[start:stop]
-            if j:
-                rows[:, j * field - 1] = ord(",")
-        rows[:, n_cols * field - 1:] = np.take(
-            tail_bytes, tail_of_row[start:stop], axis=0)
-        flat = rows.ravel()
-        chunks.append(flat[flat != 0].tobytes())
-    return b"".join(chunks)
+    width = len(columns) * field - 1
+    rows = np.empty((len(tail_of_row), width + tails.shape[1]),
+                    dtype=np.uint8)
+    for j, col in enumerate(columns):
+        rows[:, j * field:j * field + WIDTH] = col
+        if j:
+            rows[:, j * field - 1] = ord(",")
+    rows[:, width:] = np.take(tails, tail_of_row, axis=0)
+    flat = rows.ravel()
+    return flat[flat != 0].tobytes()

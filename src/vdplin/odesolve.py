@@ -20,7 +20,7 @@ from typing import Callable, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from ._floatfmt import join_rows, repr_fields
+from ._floatfmt import _BLOCK, join_rows, repr_fields
 from .expr import (Expr, Param, UnboundParameterError, diff, free_params,
                    lambdify, lambdify_ode, simplify)
 
@@ -797,43 +797,54 @@ def trajectory_csv(*trajs: Trajectory) -> list[bytes]:
     """The CSV file of each trajectory, all on one grid: header
     x,value,derivative,segment, pole brackets as comment lines, then one row
     per grid point inside a pole-free segment, floats as shortest round-trip
-    decimals (the bytes of ``repr``).  The grid column is formatted once."""
-    x_fields = repr_fields(_shared_grid(trajs))[0]
-    files = []
+    decimals (the bytes of ``repr``).  The files are printed together in
+    blocks of ``_BLOCK`` grid points: one ``repr_fields`` call formats a
+    block's grid points and every file's samples kept in it."""
+    xs = _shared_grid(trajs)
+    files, seg_of_row, tails = [], [], []
     for traj in trajs:
-        head = "x,value,derivative,segment\n" + "".join(
+        files.append([("x,value,derivative,segment\n" + "".join(
             f"# pole [{float(a)!r},{float(b)!r}]\n"
-            for a, b in traj.pole_brackets)
-        body = b""
-        if traj.segments:
-            rows = np.concatenate([np.arange(i0, i1)
-                                   for i0, i1 in traj.segments])
-            seg_of_row = np.repeat(np.arange(len(traj.segments)),
-                                   [i1 - i0 for i0, i1 in traj.segments])
-            body = join_rows(
-                [np.take(x_fields, rows, axis=0),
-                 repr_fields(traj.values[rows])[0],
-                 repr_fields(traj.derivatives[rows])[0]],
-                [f",{i}\n".encode() for i in range(len(traj.segments))],
-                seg_of_row)
-        files.append(head.encode() + body)
-    return files
+            for a, b in traj.pole_brackets)).encode()])
+        seg = np.full(len(xs), -1, dtype=np.intp)  # -1 outside segments
+        for i, (i0, i1) in enumerate(traj.segments):
+            seg[i0:i1] = i
+        seg_of_row.append(seg)
+        tails.append([f",{i}\n".encode() for i in range(len(traj.segments))])
+    for start in range(0, len(xs), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        kept = [np.flatnonzero(seg[block] >= 0) for seg in seg_of_row]
+        fields = repr_fields(np.concatenate([xs[block]] + [
+            col[block][rows] for traj, rows in zip(trajs, kept)
+            for col in (traj.values, traj.derivatives)]))[0]
+        at = len(xs[block])
+        for file, seg, tail, rows in zip(files, seg_of_row, tails, kept):
+            if rows.size:
+                file.append(join_rows(
+                    [fields[rows], fields[at:at + rows.size],
+                     fields[at + rows.size:at + 2 * rows.size]],
+                    tail, seg[block][rows]))
+            at += 2 * rows.size
+    # each file's blocks are freed once joined
+    return [b"".join(files.pop(0)) for _ in trajs]
 
 
 def _json_array(values: np.ndarray,
                 nonfinite: Callable[[float], str]) -> bytes:
     """A float array as ``json.dumps(list, indent=2)`` prints it one level
     deep, each non-finite value v as ``nonfinite(v)``."""
-    if not len(values):
-        return b"[]"
-    fields = repr_fields(values)[0]
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        text = nonfinite(float(values[i])).encode()
-        fields[i] = 0
-        fields[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-    last = np.zeros(len(values), dtype=np.intp)
-    last[-1] = 1
-    return b"[\n    " + join_rows([fields], [b",\n    ", b"\n  ]"], last)
+    chunks = [b"[\n    " if len(values) else b"[]"]
+    for start in range(0, len(values), _BLOCK):
+        block = values[start:start + _BLOCK]
+        fields = repr_fields(block)[0]
+        for i in np.flatnonzero(~np.isfinite(block)).tolist():
+            text = nonfinite(float(block[i])).encode()
+            fields[i] = 0
+            fields[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        last = np.zeros(len(block), dtype=np.intp)
+        last[-1] = start + _BLOCK >= len(values)
+        chunks.append(join_rows([fields], [b",\n    ", b"\n  ]"], last))
+    return b"".join(chunks)
 
 
 def trajectory_json(*trajs: Trajectory) -> list[bytes]:

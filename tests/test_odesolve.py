@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import (_integrate_rk4, _stalled, build_instance,
                       count_compiles, float_fn, round_trip_metrics)
 from vdplin import odesolve
-from vdplin._floatfmt import repr_fields
+from vdplin._floatfmt import _BLOCK, repr_fields
 from vdplin.catalog import case3
 from vdplin.colehopf import TransformBundle, VdpParams, solve_chain
 from vdplin.expr import (Const, UnboundParameterError, lambdify, parse,
@@ -1072,13 +1072,19 @@ def test_kernel_fast_path_carries_a_normal_sample():
         is None
 
 
-def test_trajectory_csv_equals_repr_on_fourteen_poles():
-    params = VdpParams(2.0, 2.0, 0.0)
-    bundle = solve_chain(parse("0.5+0.1*sin(x)"), params)
-    phi = integrate_linear(bundle.U, Grid(0.0, 40.0, 20001), 1.0, 0.0,
+def _fourteen_poles(n):
+    """phi and its psi on [0, 40] with n points, psi with 14 poles."""
+    bundle = solve_chain(parse("0.5+0.1*sin(x)"), VdpParams(2.0, 2.0, 0.0))
+    phi = integrate_linear(bundle.U, Grid(0.0, 40.0, n), 1.0, 0.0,
                            IntegratorConfig(method="rk4"))
     psi = cole_hopf_map(bundle.P, phi, U=bundle.U)
-    assert len(psi.pole_brackets) == 14 and len(psi.segments) == 15
+    assert len(psi.pole_brackets) == 14
+    return phi, psi
+
+
+def test_trajectory_csv_equals_repr_on_fourteen_poles():
+    phi, psi = _fourteen_poles(20001)
+    assert len(psi.segments) == 15
     for data, traj in zip(trajectory_csv(phi, psi), (phi, psi)):
         assert _first_mismatch(data.decode().splitlines(),
                                _csv_reference(traj).splitlines()) is None
@@ -1100,11 +1106,7 @@ def _json_reference(traj):
 
 
 def test_trajectory_json_equals_json_dumps():
-    bundle = solve_chain(parse("0.5+0.1*sin(x)"), VdpParams(2.0, 2.0, 0.0))
-    phi = integrate_linear(bundle.U, Grid(0.0, 40.0, 4001), 1.0, 0.0,
-                           IntegratorConfig(method="rk4"))
-    psi = cole_hopf_map(bundle.P, phi, U=bundle.U)
-    assert len(psi.pole_brackets) == 14
+    phi, psi = _fourteen_poles(4001)
     assert trajectory_json(phi, psi) == [_json_reference(phi),
                                          _json_reference(psi)]
     # non-finite samples print as null, a non-finite x as json.dumps does
@@ -1114,6 +1116,77 @@ def test_trajectory_json_equals_json_dumps():
     assert trajectory_json(odd) == [_json_reference(odd)]
     with pytest.raises(ValueError):
         trajectory_json(phi, odd)
+
+
+def test_trajectory_csv_memory_stays_within_a_few_blocks():
+    # the files are printed in row blocks: the kernel's temporaries are a
+    # block's, not a column's (9.2 MB when whole columns were formatted)
+    phi, psi = _fourteen_poles(20001)
+    trajectory_csv(phi, psi)  # fills the kernel's lazily built tables
+    tracemalloc.start()
+    try:
+        trajectory_csv(phi, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5e6  # about 4.6 MB, 2 MB of it the two files
+
+
+def _assert_prints_like_the_references(*trajs):
+    assert trajectory_csv(*trajs) == [_csv_reference(t).encode()
+                                      for t in trajs]
+    assert trajectory_json(*trajs) == [_json_reference(t) for t in trajs]
+
+
+def _with_segments(traj, segments):
+    """traj kept on segments only, NaN elsewhere as cole_hopf_map leaves
+    the rows it drops."""
+    keep = np.zeros(len(traj.xs), dtype=bool)
+    for i0, i1 in segments:
+        keep[i0:i1] = True
+    return Trajectory(xs=traj.xs, values=np.where(keep, traj.values, np.nan),
+                      derivatives=np.where(keep, traj.derivatives, np.nan),
+                      segments=segments, pole_brackets=[(0.25, 0.5)])
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               2 * _BLOCK + 1])
+def test_trajectory_files_across_block_edges(n):
+    # psi = 3 cot(3x) has poles inside the grid, so psi keeps fewer rows of
+    # a block than phi does
+    phi = Trajectory.from_expr(parse("sin(3*x)"), Grid(-2.0, 2.0, n))
+    psi = cole_hopf_map(Const(0.0), phi, U=Const(-9.0))
+    assert psi.pole_brackets and len(psi.segments) > 1
+    _assert_prints_like_the_references(phi, psi)
+
+
+def test_trajectory_files_with_gaps_at_and_over_block_edges():
+    phi = Trajectory.from_expr(parse("exp(x/7)"), Grid(0.0, 1.0, 3 * _BLOCK))
+    # a gap over the edge between blocks 0 and 1, and a block (the second)
+    # without one row kept
+    across = _with_segments(phi, [(0, _BLOCK - 3), (_BLOCK + 2, 3 * _BLOCK)])
+    skipped = _with_segments(phi, [(0, 10), (2 * _BLOCK + 5, 3 * _BLOCK)])
+    _assert_prints_like_the_references(phi, across, skipped)
+    _assert_prints_like_the_references(skipped)
+
+
+def test_trajectory_files_long_fields_then_short_ones():
+    # a block of the longest fields (negative, exponent form, up to 17
+    # digits) before blocks of the shortest: no byte of a long field may
+    # show up in a short one
+    n = 3 * _BLOCK // 2
+    long = -np.abs(np.random.default_rng(26).standard_normal(n)) * 1e-5
+    long[0] = -1.0000000000000002e-300  # repr's own path
+    traj = Trajectory(xs=np.arange(n) / 2.0,
+                      values=np.where(np.arange(n) < _BLOCK, long, 0.5),
+                      derivatives=np.where(np.arange(n) < _BLOCK,
+                                           long * 1e25, 2.0),
+                      segments=[(0, n)])
+    texts = [repr(v) for v in traj.values[:_BLOCK].tolist()]
+    assert all(t.startswith("-") and "e-" in t for t in texts)
+    assert sum(len(t) == len("-1.2345678901234567e-05") for t in texts) \
+        > _BLOCK // 4
+    _assert_prints_like_the_references(traj)
 
 
 def test_grid_refuses_non_finite_bounds():
