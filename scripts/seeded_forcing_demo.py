@@ -26,7 +26,7 @@ CFG = IntegratorConfig(method="rk4")
 
 def run(tag, seed_text, params, branch, grid, consts=None):
     seed = subst(parse(seed_text), consts or {})
-    bundle = seeded_construction(seed, params, branch, grid=grid.xs)
+    bundle = seeded_construction(seed, params, branch)
     phi = integrate_linear(bundle.U, grid, 1.0, 0.0, CFG)
     psi = cole_hopf_map(bundle.P, phi, U=bundle.U)
     rep = residual(bundle, psi)

@@ -277,6 +277,9 @@ def _pipeline(ns: argparse.Namespace, grid: Grid,
     P, U, phi_expr, measure, spec, finish = _build(ns, grid)
     if phi_expr is not None:
         phi = Trajectory.from_expr(phi_expr, grid)
+    elif ns.phi0 == 0.0 and ns.dphi0 == 0.0:
+        raise UsageError("phi0 and dphi0 are both 0: phi would vanish "
+                         "everywhere, and psi = P + phi'/phi with it")
     else:
         phi = integrate_linear(U, grid, ns.phi0, ns.dphi0, cfg)
     psi = cole_hopf_map(P, phi, U=U, pole_tol=ns.pole_tol)

@@ -10,8 +10,9 @@ the reduced coefficients a_1..a_4 to vanish fixes g, h, v and U in terms of
 P, and a_0 = 0 then defines the forcing f; :mod:`vdplin.wcalc` derives all
 five exactly.  Hand-derived reference formulas are kept as cross-checks
 whose outcome is recorded in a discrepancy ledger carried by the bundle:
-those of a_0..a_4 and f are polynomials in P's jet, and ``wcalc`` decides
-them exactly, by their gap to the derivation; the others are sampled.
+those of a_0..a_4, f and the seeded U are polynomials in P's jet, and
+``wcalc`` decides them exactly, by their gap to the derivation; the others
+are sampled.
 ``verify_annihilation`` decides a bundle exactly too when its fields are
 the chain's own for its P, as every bundle ``solve_chain`` writes is, and
 samples a_0..a_4 for any other.
@@ -85,8 +86,8 @@ class VdpParams:
 
             c = (-mu beta, 0, mu),  b = (-f, alpha, -v, -h, -g).
 
-        v, h, g and f may be Exprs or their values on a grid (arrays);
-        the parameters enter as floats."""
+        v, h, g and f may be Exprs or floats; the parameters enter as
+        floats."""
         return ((-self.mu * self.beta, 0.0, self.mu),
                 (-f, self.alpha, -v, -h, -g))
 
@@ -228,15 +229,16 @@ def solve_chain(P: Expr, params: VdpParams) -> TransformBundle:
     return TransformBundle(P=P, params=params, ledger=tuple(ledger), **chain)
 
 
-def seeded_construction(s: Expr, params: VdpParams, branch: str = "plus",
-                        grid=None) -> TransformBundle:
+def seeded_construction(s: Expr, params: VdpParams,
+                        branch: str = "plus") -> TransformBundle:
     """Reverse-direction construction: pick the potential first.
 
     For an arbitrary smooth seed s, U = 3 s^2 - mu*beta*s + alpha/2 is
     realized by either shift P = s ("plus") or P = -s + mu*beta/3
     ("minus").  Both branches delegate to solve_chain; the claim that the
-    minus branch reproduces the same potential is re-checked numerically
-    and recorded in the ledger."""
+    shift reproduces that potential is decided exactly, by the ring gap of
+    the chain's U to 3 P^2 - mu*beta*P + alpha/2, a form the minus shift
+    leaves unchanged, and recorded in the ledger."""
     s = simplify(as_expr(s))
     if branch == "plus":
         P = s
@@ -244,12 +246,10 @@ def seeded_construction(s: Expr, params: VdpParams, branch: str = "plus",
         P = simplify(-s + Const(params.mu * params.beta / 3.0))
     else:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    bundle = solve_chain(P, params)
-    seed_potential = simplify(3.0 * s ** 2 - Const(params.mu * params.beta) * s
-                              + Const(params.alpha / 2.0))
-    entry = compare_forms(f"seed-potential-match-{branch}-branch", bundle.U,
-                          seed_potential, grid, tol=1e-12)
-    return bundle.with_entries([entry])
+    gaps = reference_gaps("seed", P, ZERO,
+                          *params.lienard(0.0, 0.0, 0.0, 0.0))
+    return solve_chain(P, params).with_entries(gap_entries(
+        [f"seed-potential-match-{branch}-branch"], gaps, None, 1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from typing import Callable, Sequence, TYPE_CHECKING
 import numpy as np
 
 from ._floatfmt import _BLOCK, join_rows, repr_fields
-from .expr import (Expr, Param, UnboundParameterError, diff, free_params,
-                   lambdify, lambdify_ode, simplify)
+from .expr import (Expr, Param, UnboundParameterError, as_expr, diff,
+                   free_params, lambdify, lambdify_ode, simplify)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .colehopf import TransformBundle
@@ -130,9 +130,9 @@ class Trajectory:
     poles.  The grid is the one asked for, or its prefix up to the last
     point reached when integration stalled, so trajectories of one grid
     compare index by index.  ``expr`` is set when the samples come from a
-    closed form, which lets residuals differentiate exactly; ``dense`` is
-    an in-memory interpolant from the adaptive integrator (never
-    serialized)."""
+    closed form, which lets residuals take psi'' exactly; ``dense`` maps x
+    to (value, derivative), in memory only (never serialized): the
+    adaptive integrator's interpolant, or a closed form's two tapes."""
 
     xs: np.ndarray
     values: np.ndarray
@@ -146,12 +146,13 @@ class Trajectory:
     def from_expr(cls, e: Expr, grid: Grid) -> "Trajectory":
         e = simplify(e)
         xs = grid.xs
-        vals = lambdify(e)(xs)
-        derivs = lambdify(simplify(diff(e)))(xs)
+        fn, dfn = lambdify(e), lambdify(simplify(diff(e)))
+        vals, derivs = fn(xs), dfn(xs)
         good = np.isfinite(vals) & np.isfinite(derivs)
         return cls(xs=xs, values=np.where(good, vals, np.nan),
                    derivatives=np.where(good, derivs, np.nan),
-                   segments=_runs(good), expr=e)
+                   segments=_runs(good), expr=e,
+                   dense=lambda x: (fn(x), dfn(x)))
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -527,8 +528,8 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
 
     Zeros of phi are movable poles of psi: points where |phi| drops below
     pole_tol times the running maximum are excluded, sign changes of phi
-    are bracketed (bisecting the dense output or the closed form when
-    available) and segments are split there.  Poles are data, not errors.
+    are bracketed (bisecting phi's dense output when it has one) and
+    segments are split there.  Poles are data, not errors.
     psi' is computed through phi'' = U phi.
     """
     xs = phi.xs
@@ -566,10 +567,8 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
             start = i + 1
         segments.append((start, i1))
 
-    psi_expr = None
-    if phi.expr is not None:
-        psi_expr = simplify(P + diff(phi.expr) / phi.expr)
-
+    psi_expr = (None if phi.expr is None
+                else simplify(P + diff(phi.expr) / phi.expr))
     return Trajectory(xs=xs, values=np.where(keep, psi, np.nan),
                       derivatives=np.where(keep, dpsi, np.nan),
                       segments=segments, pole_brackets=brackets,
@@ -578,17 +577,13 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
 
 def _refine_zero(phi: Trajectory, i: int) -> tuple[float, float]:
     """Bracket phi's sign change on [xs[i], xs[i + 1]]: bisect its dense
-    output, else its closed form's ``lambdify`` tape, cached on it; an RK4
-    phi has neither, and its bracket is the grid interval, one step wide.
-    A midpoint where phi is not finite ends the bisection, with the last
-    bracket that holds the sign change."""
+    output; an RK4 phi has none, and its bracket is the grid interval, one
+    step wide.  A midpoint where phi is not finite ends the bisection, with
+    the last bracket that holds the sign change."""
     a, b = float(phi.xs[i]), float(phi.xs[i + 1])
-    if phi.dense is not None:
-        f = lambda x: phi.dense(x)[0]
-    elif phi.expr is not None:
-        f = lambdify(phi.expr)
-    else:
+    if phi.dense is None:
         return (a, b)
+    f = lambda x: phi.dense(x)[0]
     fa = float(f(a))
     if fa == 0.0:
         return (a, a)
@@ -646,70 +641,54 @@ class ResidualReport:
                 "skipped_segments": self.skipped_segments}
 
 
-def _on_grid(coeffs: Sequence[Expr], xs: np.ndarray) -> list[np.ndarray]:
-    """The values of each coefficient on the grid xs."""
-    return [lambdify(simplify(e))(xs) for e in coeffs]
+def _on_grid(coeffs: Sequence, xs: np.ndarray) -> list[np.ndarray]:
+    """The values of each coefficient, an Expr or a float, on the grid xs."""
+    return [lambdify(simplify(as_expr(e)))(xs) for e in coeffs]
 
 
-def _residual_core(traj: Trajectory, c: Sequence, b: Sequence,
-                   guard_tol: float) -> ResidualReport:
+def _residual(traj: Trajectory, c: Sequence, b: Sequence,
+              guard_tol: float) -> ResidualReport:
     """Residual R = psi'' + (c0 + c1 psi + c2 psi^2) psi' + sum b_i psi^i of
-    the Lienard equation whose coefficients c0..c2, b0..b4 take the given
-    values (floats, or arrays on the whole grid) at traj.xs.
+    the Lienard equation with coefficients c0..c2, b0..b4 (Exprs or
+    floats), on traj's samples.
 
-    Both polynomials are evaluated in Horner form.  Closed-form
-    trajectories are differentiated exactly; sampled ones use five-point
-    stencils (two points trimmed at each segment end).  A guard band of
-    width guard_tol in x is excluded around every pole bracket; segments
-    too short for the stencil are skipped and counted.  If none is left,
-    the error names the first coefficient finite nowhere."""
-    xs = traj.xs
-    if traj.expr is not None:
-        d1e = simplify(diff(traj.expr))
-        psi = lambdify(traj.expr)(xs)
-        dpsi = lambdify(d1e)(xs)
-        ddpsi = lambdify(simplify(diff(d1e)))(xs)
-        trim = 0
-    else:
-        psi = traj.values
-        dpsi = traj.derivatives
-        ddpsi = np.full_like(psi, np.nan)
-        trim = 2
+    Both polynomials are evaluated in Horner form.  psi and psi' are the
+    trajectory's own samples on every route; psi'' is exact for a closed
+    form and a five-point stencil of psi otherwise, whose ends are nan.  A
+    guard band of width guard_tol in x is excluded around every pole
+    bracket; segments shorter than the stencil's five points, or with no
+    point left, are skipped and counted.  If none is left, the error names
+    the first coefficient finite nowhere."""
+    xs, psi, dpsi = traj.xs, traj.values, traj.derivatives
+    c, b = _on_grid(c, xs), _on_grid(b, xs)
     c0, c1, c2 = c
     b0, b1, b2, b3, b4 = b
     with np.errstate(all="ignore"):
-        if trim:
+        if traj.expr is not None:
+            ddpsi = lambdify(simplify(diff(simplify(diff(traj.expr)))))(xs)
+        else:
+            ddpsi = np.full_like(psi, np.nan)
             h = float(xs[1] - xs[0])
             for i0, i1 in traj.segments:
                 ddpsi[i0:i1] = _fd_second(psi[i0:i1], h)
         R = (ddpsi + ((c2 * psi + c1) * psi + c0) * dpsi
              + (((b4 * psi + b3) * psi + b2) * psi + b1) * psi + b0)
 
-    stats = []
-    skipped = 0
-    overall = 0.0
+    stats, skipped = [], 0
     for i0, i1 in traj.segments:
-        if i1 - i0 < max(5, 2 * trim + 1):
-            skipped += 1
-            continue
         x = xs[i0:i1]
-        r = R[i0:i1]
-        ok = np.isfinite(r)
-        if trim:
-            ok[:trim] = False
-            ok[-trim:] = False
+        ok = np.isfinite(R[i0:i1])
         for (lo, hi) in traj.pole_brackets:
             ok &= (x < lo - guard_tol) | (x > hi + guard_tol)
-        if not ok.any():
+        if i1 - i0 < 5 or not ok.any():
             skipped += 1
             continue
-        Rok = np.abs(r[ok])
-        seg_max = float(np.max(Rok))
-        seg_l2 = float(np.sqrt(np.trapezoid(r[ok] ** 2, x[ok]))) if ok.sum() > 1 \
+        x, r = x[ok], R[i0:i1][ok]
+        seg_max = float(np.max(np.abs(r)))
+        seg_l2 = float(np.sqrt(np.trapezoid(r ** 2, x))) if len(r) > 1 \
             else seg_max
-        stats.append(SegmentResidual(float(x[ok][0]), float(x[ok][-1]),
-                                     int(ok.sum()), seg_max, seg_l2))
-        overall = max(overall, seg_max)
+        stats.append(SegmentResidual(float(x[0]), float(x[-1]), len(r),
+                                     seg_max, seg_l2))
     if not stats:
         names = ("c0", "c1", "c2", "b0", "b1", "b2", "b3", "b4")
         for name, vals in zip(names, (*c, *b)):
@@ -718,7 +697,8 @@ def _residual_core(traj: Trajectory, c: Sequence, b: Sequence,
                     f"coefficient {name} is not finite anywhere on the grid")
         raise SegmentTooShortError(
             "no segment long enough for the residual stencils")
-    return ResidualReport(segments=tuple(stats), max_abs=overall,
+    return ResidualReport(segments=tuple(stats),
+                          max_abs=max(s.max_abs for s in stats),
                           guard_tol=guard_tol, skipped_segments=skipped)
 
 
@@ -727,17 +707,17 @@ def residual(bundle: "TransformBundle", traj: Trajectory,
     """Residual of the full nonlinear equation on a trajectory:
     R = psi'' - mu (beta - psi^2) psi' + alpha psi - v psi^2 - h psi^3
         - g psi^4 - f,
-    the Lienard residual of ``lienard_residual`` at the (c, b) that
-    ``VdpParams.lienard`` gives for the bundle's v, h, g and f."""
-    coeffs = _on_grid((bundle.v, bundle.h, bundle.g, bundle.f), traj.xs)
-    return _residual_core(traj, *bundle.params.lienard(*coeffs), guard_tol)
+    the Lienard residual at the (c, b) that ``VdpParams.lienard`` gives
+    for the bundle's v, h, g and f."""
+    return _residual(traj, *bundle.params.lienard(bundle.v, bundle.h,
+                                                  bundle.g, bundle.f),
+                     guard_tol)
 
 
 def lienard_residual(c: Sequence[Expr], b: Sequence[Expr], traj: Trajectory,
                      guard_tol: float = DEFAULT_GUARD_TOL) -> ResidualReport:
     """Residual of psi'' + (sum c_i psi^i) psi' + sum b_i psi^i = 0."""
-    return _residual_core(traj, _on_grid(c, traj.xs), _on_grid(b, traj.xs),
-                          guard_tol)
+    return _residual(traj, c, b, guard_tol)
 
 
 # ---------------------------------------------------------------------------

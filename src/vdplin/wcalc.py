@@ -10,7 +10,7 @@ a_4..a_0, and the Van der Pol chain, where at c1 = 0 and a given b1,
 a_4..a_1 fix b4, b3, b2 and U and become the zero polynomial and a_0 fixes
 b0.  An instance only puts P's jet, U and the coefficients in.  This is
 the source of truth for the reference formulas checked against it: the
-eleven that are polynomials (a_0..a_4 and f of the chain, the Lienard
+twelve that are polynomials (a_0..a_4, U and f of the chain, the Lienard
 b_0..b_4) are kept here as printed text, read into the ring once, and each
 kept beside its gap, derived minus reference, which an instance evaluates.
 An instance asks for P's jet and for its chain several times, so both
@@ -146,6 +146,9 @@ _REFERENCE_FORMS = {
     # the forcing f of the Van der Pol chain
     "forcing": ("ddP - 2*mb*dP + (6*dP + alpha + mb^2)*P + 4*(P - mb)*P^2"
                 " - mb*alpha/2",),
+    # the potential U of the chain, the seeded construction's; P -> mb/3 - P
+    # leaves it unchanged
+    "seed": ("3*P^2 - mb*P + alpha/2",),
     # the Lienard b_0..b_4 that annihilate a_0..a_4
     "lienard": ("ddP - c0*dP + dU - 2*P^3 + 2*P*U + c0*(P^2 - U)",
                 "(6 + c1)*P^2 - 2*c0*P - c1*dP - (c1 + 2)*U",
@@ -185,6 +188,7 @@ def _gaps(kind: str) -> tuple[tuple[Poly, Poly], ...]:
     """(reference, derived - reference) of each form of a kind."""
     derived = {"vdp": lambda: [_subst(a, {C1: {}}) for a in _reduced()],
                "forcing": lambda: [_chain()["f"]],
+               "seed": lambda: [_chain()["U"]],
                "lienard": _restoring}[kind]()
     refs = [_read(parse(text)) for text in _REFERENCE_FORMS[kind]]
     return tuple((_ordered(r), _add(d, _mul({(): -1}, r)))
@@ -324,9 +328,9 @@ def vdp_chain(P: Expr, params) -> dict[str, Expr]:
 
 def reference_gaps(kind: str, P: Expr, U: Expr, c: Sequence,
                    b: Sequence) -> list[tuple[Expr, Expr]]:
-    """Each transcribed form of ``kind`` ("vdp", "forcing" or "lienard")
-    and its gap, derived minus reference, at the pair (P, U) and the
-    coefficients c and b.  The gap is exact: one that folds to a number
+    """Each transcribed form of ``kind`` ("vdp", "forcing", "seed" or
+    "lienard") and its gap, derived minus reference, at the pair (P, U) and
+    the coefficients c and b.  The gap is exact: one that folds to a number
     decides its check."""
     values = _values(P, U, c, b)
     return [(_expr(r, values), _expr(g, values)) for r, g in _gaps(kind)]

@@ -1,6 +1,9 @@
 """Command-line front end: artifact generation, exit codes, determinism,
 environment overrides."""
 
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import re
@@ -15,6 +18,7 @@ from vdplin.cli import build_parser, run
 from vdplin.colehopf import (TransformBundle, VdpParams, bundle_to_dict,
                              bundle_to_json, solve_chain)
 from vdplin.expr import lambdify, parse
+from vdplin.odesolve import Grid, IntegratorConfig, integrate_linear
 
 
 def _read_tree(root):
@@ -603,3 +607,95 @@ def test_annihilation_gate_runs_before_the_residual_gate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("verification failure: annihilation failed")
     assert (tmp_path / "v" / "verify.json").is_file()
+
+
+# -0 is zero too
+_ZERO_STATE = ["--phi0", "0", "--dphi0", "-0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["custom", "--P", "x/(2+x^2)"],
+    ["seeded", "--s", "a*x"],
+    ["lienard", "--P", "0", "--U=-1"],
+    ["verify"],
+    # sqrt(1 - 2 e^x) is nowhere real: the basis falls back to integration
+    ["case3", "--mu", "1", "--beta", "1", "--alpha", "0", "--c=-2"],
+], ids=["custom", "seeded", "lienard", "verify", "case3-fallback"])
+def test_an_all_zero_initial_state_is_a_usage_error(tmp_path, capsys, argv):
+    # phi = 0 everywhere would leave no point for psi, and the stencils
+    # would be blamed
+    if argv[0] == "verify":
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(bundle_to_json(solve_chain(parse("x/(2+x^2)"),
+                                                     VdpParams(1, 1, 0))))
+        argv = argv + ["--bundle", str(bundle)]
+    out = tmp_path / "out"
+    assert run(argv + _ZERO_STATE + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: phi0 and dphi0 are both 0: phi would vanish "
+        "everywhere, and psi = P + phi'/phi with it\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["case1"], ["case2", "--mu", "2", "--beta", "2", "--alpha", "4"],
+    ["case3", "--mu", "1", "--beta", "1", "--alpha", "0", "--c", "1"],
+], ids=["case1", "case2", "case3"])
+def test_a_closed_form_phi_ignores_the_initial_state(tmp_path, argv):
+    runs = [tmp_path / "default", tmp_path / "zero"]
+    assert run(argv + ["--out", str(runs[0])]) == 0
+    assert run(argv + _ZERO_STATE + ["--out", str(runs[1])]) == 0
+    assert _read_tree(runs[0]) == _read_tree(runs[1])
+
+
+# ---------------------------------------------------------------------------
+# the traced benchmark's contract: perfbench/tracing.py wraps vdplin's
+# functions by name and reads integrate_linear's cfg argument
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", _PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves_in_vdplin():
+    tracing = _tracing()
+    for mod, names in tracing.TRACED.items():
+        module = importlib.import_module(f"vdplin.{mod}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{mod}.{name}"
+    # the integrator's span is labelled by cfg.method, defaulted or passed
+    signature = inspect.signature(integrate_linear)
+    assert signature.parameters["cfg"].default.method in ("adaptive", "rk4")
+    label = tracing._integrator_label(signature)
+    args = (parse("1"), Grid(0.0, 1.0, 11), 1.0, 0.0)
+    rk4 = IntegratorConfig(method="rk4")
+    assert label(None, args, {}) == signature.parameters["cfg"].default.method
+    assert label(None, args + (rk4,), {}) == "rk4"
+    assert label(None, args, {"cfg": rk4}) == "rk4"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["custom", "--P", "x/(2+x^2)", "--x1", "3"], "odesolve.residual"),
+    (["lienard", "--P", "0", "--U", "1", "--x1", "3"],
+     "odesolve.lienard_residual"),
+], ids=["custom", "lienard"])
+def test_a_traced_run_records_one_residual_span(tmp_path, argv, name):
+    # install() rebinds vdplin's module attributes for the rest of the
+    # process, so the traced run gets an interpreter of its own
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(_PERFBENCH / "cli_child.py"), str(spans), "--",
+         *argv, "--out", str(tmp_path / "out")],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans.read_text())
+    at = doc["fields"].index("name")
+    names = [rec[at] for rec in doc["spans"]]
+    residuals = {"odesolve.residual", "odesolve.lienard_residual"}
+    assert [n for n in names if n in residuals] == [name]

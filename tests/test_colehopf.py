@@ -185,21 +185,24 @@ def test_seeded_zero_seed_reduces_to_base():
     assert simplify(bundle.f) == Const(0.0)
 
 
+@pytest.mark.parametrize("seed", ["sinh(x)/5", "exp(x)"])
 @pytest.mark.parametrize("branch", ["plus", "minus"])
-def test_seeded_potential_claim_both_branches(branch):
+def test_seeded_potential_claim_both_branches(branch, seed):
     # both shifts P = s and P = -s + mu*beta/3 must induce the same
-    # potential 3 s^2 - mu beta s + alpha/2
+    # potential 3 s^2 - mu beta s + alpha/2; the claim is an identity,
+    # decided in the ring (sampled against an absolute 1e-12, exp(x) on
+    # the minus branch read 2.2e-11 on values near 1e4 and disagreed)
     params = VdpParams(0.9, 1.4, -0.6)
-    bundle = seeded_construction(parse("sinh(x)/5"), params, branch)
+    bundle = seeded_construction(parse(seed), params, branch)
     entry = [e for e in bundle.ledger
              if e.check == f"seed-potential-match-{branch}-branch"][0]
-    assert entry.agrees is True
-    assert entry.max_abs_diff <= 1e-12
+    assert (entry.agrees, entry.max_abs_diff, entry.points, entry.note) == (
+        True, 0.0, 0, "exact")
 
 
 def test_seeded_tan_seed_total():
     bundle = seeded_construction(parse("tan(x)"), params=VdpParams(1.0, 1.0, 0.5),
-                                 branch="plus", grid=np.linspace(-0.5, 0.5, 200))
+                                 branch="plus")
     assert bundle.f is not None
     vals = lambdify(bundle.f)(np.linspace(-0.5, 0.5, 50))
     assert np.all(np.isfinite(vals))
@@ -212,8 +215,7 @@ def test_seeded_tan_pipeline_residual():
                                  integrate_linear, residual)
 
     params = VdpParams(1.0, 1.0, 0.5)
-    bundle = seeded_construction(parse("tan(x)"), params, "plus",
-                                 grid=np.linspace(-0.6, 0.6, 400))
+    bundle = seeded_construction(parse("tan(x)"), params, "plus")
     grid = Grid(-0.6, 0.6, 1201)
     phi = integrate_linear(bundle.U, grid, 1.0, 0.0,
                            IntegratorConfig(method="rk4"))

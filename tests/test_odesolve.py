@@ -4,6 +4,7 @@ with pole handling, residual measurement and trajectory comparison."""
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -808,6 +809,66 @@ def test_residual_too_short_segment():
         residual(bundle, traj)
 
 
+def _both_routes(text, grid, segments):
+    """The closed-form trajectory of text on grid and its sampled twin, no
+    expr attached, both cut into the given segments."""
+    closed = replace(Trajectory.from_expr(parse(text), grid),
+                     segments=segments)
+    return closed, replace(closed, expr=None)
+
+
+def test_a_four_point_segment_is_skipped_on_both_routes():
+    bundle = solve_chain(Const(0.0), VdpParams(1.0, 2.0, 0.0))
+    grid = Grid(1.0, 2.0, 41)
+    for traj in _both_routes("1/x", grid, [(0, 4), (4, 41)]):
+        rep = residual(bundle, traj)
+        assert rep.skipped_segments == 1
+        (seg,) = rep.segments
+        assert seg.x_start >= grid.xs[4]
+
+
+def test_a_five_point_segment_is_measured_where_psi_pp_is_known():
+    # the stencil leaves psi'' nan on two points at each segment end, so
+    # only the middle point is measured; a closed form measures all five
+    bundle = solve_chain(Const(0.0), VdpParams(1.0, 2.0, 0.0))
+    grid = Grid(1.0, 1.1, 5)
+    closed, sampled = _both_routes("1/x", grid, [(0, 5)])
+    (seg,) = residual(bundle, closed).segments
+    assert (seg.n_points, seg.x_start, seg.x_end) == (5, 1.0, 1.1)
+    (seg,) = residual(bundle, sampled).segments
+    assert (seg.n_points, seg.x_start, seg.x_end) == (1, grid.xs[2],
+                                                      grid.xs[2])
+
+
+def test_a_closed_form_residual_reads_its_samples():
+    # psi and psi' are the trajectory's samples on both routes; only psi''
+    # comes from the closed form, so shifting the samples moves R
+    bundle = _manual_bundle(1.3, 0.7, 0.4, v="0.5*sin(x)", h="0.3 + 0.1*x",
+                            g="-1.3 + 0.2*cos(x)", f="0.2*x^2 - 1")
+    grid = Grid(1.0, 5.0, 401)
+    xs = grid.xs
+    traj = Trajectory.from_expr(parse("1/x"), grid)
+    shifted = replace(traj, values=traj.values + 0.01)
+    want = _vdp_reference(bundle, xs, 1 / xs + 0.01, -1 / xs ** 2,
+                          2 / xs ** 3)
+    rep = residual(bundle, shifted)
+    assert rep.max_abs == pytest.approx(np.max(np.abs(want)), rel=1e-9)
+    assert abs(rep.max_abs - residual(bundle, traj).max_abs) > 1e-3
+
+
+@pytest.mark.parametrize("route", ["closed", "sampled"])
+def test_residual_is_the_lienard_residual_of_its_coefficients(route):
+    bundle = _manual_bundle(1.3, 0.7, 0.4, v="0.5*sin(x)", h="0.3 + 0.1*x",
+                            g="-1.3 + 0.2*cos(x)", f="0.2*x^2 - 1")
+    closed, sampled = _both_routes("x/(2+x^2) + 0.1*sin(x)",
+                                   Grid(0.0, 3.0, 601), [(0, 300), (300, 601)])
+    traj = closed if route == "closed" else sampled
+    c, b = bundle.params.lienard(bundle.v, bundle.h, bundle.g, bundle.f)
+    rep = residual(bundle, traj)
+    assert rep == lienard_residual(c, b, traj)
+    assert len(rep.segments) == 2 and rep.max_abs > 0.1
+
+
 def _vdp_reference(bundle, xs, psi, dpsi, ddpsi):
     """R of the Van der Pol equation term by term, in plain numpy."""
     p = bundle.params
@@ -837,8 +898,8 @@ def test_residual_maps_every_vdp_term():
         np.sqrt(np.trapezoid(want ** 2, xs)), rel=1e-9)
     assert seg.max_abs > 0.1
 
-    # sampled, in two segments: five-point stencils, two points trimmed at
-    # each segment end
+    # sampled, in two segments: five-point stencils, whose psi'' is nan on
+    # two points at each segment end
     segments = [(0, 300), (300, len(xs))]
     sampled = Trajectory(xs=xs, values=psi, derivatives=dpsi,
                          segments=segments)
