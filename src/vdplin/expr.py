@@ -22,7 +22,9 @@ table, so structurally equal trees are the same object, equality and
 hashing are identity, and a tree printed and re-parsed shares its subtrees
 again.  ``printer`` and ``parser`` share their memos across the fields of
 one document.  The results of ``simplify`` and ``lambdify`` are cached on
-the node they were computed for.
+the node they were computed for.  ``diff``, and ``wcalc``'s ring builder,
+simplify each node as they make it (``_built``), so no walk of
+``simplify`` goes over what they build.
 
 Every pass except ``parse`` is one loop over ``_postorder``, the distinct
 nodes of the DAG each after its children, filling a map from node to
@@ -285,70 +287,84 @@ def sqrt(e) -> Fun:
 def diff(e: Expr) -> Expr:
     """Exact derivative with respect to x; parameters are constants.
 
-    The result is not simplified (run ``simplify`` afterwards if a tidy
-    tree matters).  Shared subtrees stay shared in the output, and since
-    nodes are interned, a derivative equal to an existing tree is that
-    tree.  Nothing is cached across calls."""
+    The result is ``simplify`` of the derivative the rules give over e's
+    own nodes, in one pass: each node is simplified as the rules make it
+    (``_built``), and a subtree of e they reuse is read as its simplified
+    form, which one walk of e caches first (a cache hit for an e
+    simplified before).  No walk goes over the result.  Shared subtrees
+    stay shared in the output, and since nodes are interned, a derivative
+    equal to an existing tree is that tree.  Nothing but simplify's cache
+    is kept across calls."""
+    simplify(e)
     d: dict[Expr, Expr] = {}  # node -> its derivative
+    s: dict[Expr, Expr] = {}  # node -> its simplified form
     for node in _postorder(e):
         t = type(node)
-        if t is Const or t is Param:
-            out = ZERO
-        elif t is Var:
-            out = ONE
-        elif t is Neg:
-            out = Neg(d[node.arg])
-        elif t is Add:
-            out = Add(d[node.left], d[node.right])
-        elif t is Sub:
-            out = Sub(d[node.left], d[node.right])
+        if t is Const or t is Param or t is Var:
+            s[node] = node
+            d[node] = ONE if t is Var else ZERO
+            continue
+        s[node] = simplify(node)
+        if t is Neg:
+            out = _built(Neg, d[node.arg])
+        elif t is Add or t is Sub:
+            out = _built(t, d[node.left], d[node.right])
         elif t is Mul:
-            out = Add(Mul(d[node.left], node.right),
-                      Mul(node.left, d[node.right]))
+            out = _built(Add, _built(Mul, d[node.left], s[node.right]),
+                         _built(Mul, s[node.left], d[node.right]))
         elif t is Div:
-            out = Div(Sub(Mul(d[node.left], node.right),
-                          Mul(node.left, d[node.right])),
-                      Pow(node.right, Const(2.0)))
+            right = s[node.right]
+            out = _built(Div, _built(Sub, _built(Mul, d[node.left], right),
+                                     _built(Mul, s[node.left], d[node.right])),
+                         _built(Pow, right, Const(2.0)))
         elif t is Pow:
-            out = _diff_pow(node, d[node.base], d[node.exponent])
+            out = _diff_pow(node, s, d)
         else:
-            out = _diff_fun(node, d[node.arg])
+            out = _diff_fun(node, s, d)
         d[node] = out
     return d[e]
 
 
-def _diff_pow(node: Pow, db: Expr, de: Expr) -> Expr:
-    """The derivative of base^exponent from those of base (db) and
-    exponent (de)."""
+def _diff_pow(node: Pow, s: Mapping[Expr, Expr],
+              d: Mapping[Expr, Expr]) -> Expr:
+    """The derivative of base^exponent from the simplified forms (s) and
+    the derivatives (d) of the node and its children.  The rule is chosen
+    by the exponent as written."""
     base, expo = node.base, node.exponent
     if isinstance(expo, Const) and float(expo.value).is_integer():
         n = expo.value
         if n == 0.0:
             return ZERO
-        return Mul(Mul(Const(n), Pow(base, Const(n - 1.0))), db)
+        return _built(Mul, _built(Mul, Const(n),
+                                  _built(Pow, s[base], Const(n - 1.0))),
+                      d[base])
     # general case via b^e = exp(e log b); domain restricted to b > 0
-    return Mul(node, Add(Mul(de, Fun("log", base)), Div(Mul(expo, db), base)))
+    return _built(Mul, s[node], _built(
+        Add, _built(Mul, d[expo], _built(Fun, "log", s[base])),
+        _built(Div, _built(Mul, s[expo], d[base]), s[base])))
 
 
-def _diff_fun(node: Fun, da: Expr) -> Expr:
-    """The derivative of name(arg) from that of arg (da)."""
-    a = node.arg
+def _diff_fun(node: Fun, s: Mapping[Expr, Expr],
+              d: Mapping[Expr, Expr]) -> Expr:
+    """The derivative of name(arg) from the simplified forms (s) and the
+    derivatives (d) of the node and its argument."""
+    fa, a, da = s[node], s[node.arg], d[node.arg]
     if node.name == "exp":
-        return Mul(node, da)
+        return _built(Mul, fa, da)
     if node.name == "log":
-        return Div(da, a)
+        return _built(Div, da, a)
     if node.name == "sin":
-        return Mul(Fun("cos", a), da)
+        return _built(Mul, _built(Fun, "cos", a), da)
     if node.name == "cos":
-        return Neg(Mul(Fun("sin", a), da))
+        return _built(Neg, _built(Mul, _built(Fun, "sin", a), da))
     if node.name == "tan":
-        return Mul(Add(ONE, Pow(node, Const(2.0))), da)
+        return _built(Mul, _built(Add, ONE, _built(Pow, fa, Const(2.0))), da)
     if node.name == "sinh":
-        return Mul(Fun("cosh", a), da)
+        return _built(Mul, _built(Fun, "cosh", a), da)
     if node.name == "cosh":
-        return Mul(Fun("sinh", a), da)
+        return _built(Mul, _built(Fun, "sinh", a), da)
     if node.name == "sqrt":
-        return Div(da, Mul(Const(2.0), node))
+        return _built(Div, da, _built(Mul, Const(2.0), fa))
     raise TypeError(f"unknown function {node.name!r}")  # pragma: no cover
 
 
@@ -356,7 +372,7 @@ def _diff_fun(node: Fun, da: Expr) -> Expr:
 # simplification
 
 def _is_const(e: Expr, v: float) -> bool:
-    return isinstance(e, Const) and e.value == v
+    return type(e) is Const and e.value == v
 
 
 def simplify(e: Expr) -> Expr:
@@ -366,7 +382,13 @@ def simplify(e: Expr) -> Expr:
     input is defined.  Unchanged subtrees keep their identity, so sharing
     in the input survives.  The result is cached on every node visited, so
     simplifying a tree again, or any tree sharing its subtrees, does not
-    walk them again."""
+    walk them again.
+
+    It is idempotent: ``simplify(simplify(e)) is simplify(e)``, since a
+    rule given children that are their own simplified forms makes a node
+    that is its own too.  So ``_built`` can simplify a node as it is made
+    from simplified children and cache the result as its own simplified
+    form."""
     out = getattr(e, "_simplified", None)
     if out is not None:
         return e if out is _SAME else out
@@ -380,6 +402,29 @@ def simplify(e: Expr) -> Expr:
                                _SAME if out is node else out)
         done[node] = node if out is _SAME else out
     return done[e]
+
+
+def _built(t: type, a, b: Expr | None = None) -> Expr:
+    """simplify(t(a, b)) for simplified children a and b (t(a) for a Neg;
+    a Fun's a is its name), by the rules of this one node: a tree built
+    bottom-up through here is the one simplify makes of the same tree
+    built raw, with no walk over it.  The node t(a, b) is made only if no
+    rule applies.  The result is cached as its own simplified form only
+    when every child is known to be a fixpoint."""
+    out = _rewrite(t, a, b)
+    if out is None:
+        out = t(a) if b is None else t(a, b)
+    if ((t is Fun or _fixpoint(a)) and (b is None or _fixpoint(b))
+            and not hasattr(out, "_simplified")):
+        object.__setattr__(out, "_simplified", _SAME)
+    return out
+
+
+def _fixpoint(e: Expr) -> bool:
+    """e is known to be its own simplified form: a leaf, or cached so."""
+    t = type(e)
+    return (t is Const or t is Var or t is Param
+            or getattr(e, "_simplified", None) is _SAME)
 
 
 def _neg_of(e: Expr) -> Expr:
@@ -396,77 +441,83 @@ def _simplify_node(node: Expr, done: Mapping[Expr, Expr]) -> Expr:
     """The simplified form of node; its children's are read from ``done``."""
     t = type(node)
     if t is Neg:
-        a = done[node.arg]
-        if isinstance(a, (Const, Neg)):
+        a, b = done[node.arg], None
+        kept = a is node.arg
+    elif t is Fun:
+        a, b = node.name, done[node.arg]
+        kept = b is node.arg
+    elif t is Pow:
+        a, b = done[node.base], done[node.exponent]
+        kept = a is node.base and b is node.exponent
+    elif t in _BINARY_NODES:
+        a, b = done[node.left], done[node.right]
+        kept = a is node.left and b is node.right
+    else:
+        return node  # Const, Var, Param
+    out = _rewrite(t, a, b)
+    if out is None:
+        out = node if kept else t(a) if b is None else t(a, b)
+    return out
+
+
+def _rewrite(t: type, a, b: Expr | None) -> Expr | None:
+    """What a rule makes of the node t(a, b) over simplified children (t(a)
+    for a Neg; a Fun's a is its name), or None if no rule applies."""
+    if t is Neg:
+        if type(a) is Const or type(a) is Neg:
             return _neg_of(a)
-        return node if a is node.arg else Neg(a)
+        return None
 
     if t is Fun:
-        a = done[node.arg]
-        if isinstance(a, Const):
-            folded = _fold(_SCALAR_NS["_" + node.name], a.value)
-            if folded is not None:
-                return folded
-        return node if a is node.arg else Fun(node.name, a)
+        if type(b) is Const:
+            return _fold(_SCALAR_NS["_" + a], b.value)
+        return None
 
     if t is Pow:
-        b = done[node.base]
-        ex = done[node.exponent]
-        if _is_const(ex, 0.0):
+        if _is_const(b, 0.0):
             return ONE
-        if _is_const(ex, 1.0):
+        if _is_const(b, 1.0):
+            return a
+        if _is_const(a, 1.0):
+            return ONE
+        if type(a) is Const and type(b) is Const:
+            return _fold(_pow_scalar, a.value, b.value)
+        return None
+
+    if type(a) is Const and type(b) is Const and not (
+            t is Div and b.value == 0.0):
+        v = _VECTOR_BINARY[t](a.value, b.value)
+        if math.isfinite(v):  # an overflow stays unfolded
+            return Const(v)
+    if t is Add:
+        if _is_const(a, 0.0):
+            return b
+        if _is_const(b, 0.0):
+            return a
+    elif t is Sub:
+        if _is_const(b, 0.0):
+            return a
+        if _is_const(a, 0.0):
+            return _neg_of(b)
+    elif t is Mul:
+        if _is_const(a, 0.0) or _is_const(b, 0.0):
+            return ZERO
+        if _is_const(a, 1.0):
             return b
         if _is_const(b, 1.0):
-            return ONE
-        if isinstance(b, Const) and isinstance(ex, Const):
-            folded = _fold(_pow_scalar, b.value, ex.value)
-            if folded is not None:
-                return folded
-        if b is node.base and ex is node.exponent:
-            return node
-        return Pow(b, ex)
-
-    if t in _BINARY_NODES:
-        a = done[node.left]
-        b = done[node.right]
-        if isinstance(a, Const) and isinstance(b, Const) and not (
-                t is Div and b.value == 0.0):
-            v = _VECTOR_BINARY[t](a.value, b.value)
-            if math.isfinite(v):  # an overflow stays unfolded
-                return Const(v)
-        if t is Add:
-            if _is_const(a, 0.0):
-                return b
-            if _is_const(b, 0.0):
-                return a
-        elif t is Sub:
-            if _is_const(b, 0.0):
-                return a
-            if _is_const(a, 0.0):
-                return _neg_of(b)
-        elif t is Mul:
-            if _is_const(a, 0.0) or _is_const(b, 0.0):
-                return ZERO
-            if _is_const(a, 1.0):
-                return b
-            if _is_const(b, 1.0):
-                return a
-            if _is_const(a, -1.0):
-                return _neg_of(b)
-            if _is_const(b, -1.0):
-                return _neg_of(a)
-        else:  # Div
-            if _is_const(a, 0.0):
-                return ZERO
-            if _is_const(b, 1.0):
-                return a
-            if _is_const(b, -1.0):
-                return _neg_of(a)
-        if a is node.left and b is node.right:
-            return node
-        return t(a, b)
-
-    return node  # Const, Var, Param
+            return a
+        if _is_const(a, -1.0):
+            return _neg_of(b)
+        if _is_const(b, -1.0):
+            return _neg_of(a)
+    else:  # Div
+        if _is_const(a, 0.0):
+            return ZERO
+        if _is_const(b, 1.0):
+            return a
+        if _is_const(b, -1.0):
+            return _neg_of(a)
+    return None
 
 
 def _fold(fn: Callable, *args: float) -> Const | None:

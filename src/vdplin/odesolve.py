@@ -146,7 +146,7 @@ class Trajectory:
     def from_expr(cls, e: Expr, grid: Grid) -> "Trajectory":
         e = simplify(e)
         xs = grid.xs
-        fn, dfn = lambdify(e), lambdify(simplify(diff(e)))
+        fn, dfn = lambdify(e), lambdify(diff(e))
         vals, derivs = fn(xs), dfn(xs)
         good = np.isfinite(vals) & np.isfinite(derivs)
         return cls(xs=xs, values=np.where(good, vals, np.nan),
@@ -536,7 +536,7 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
     vals = phi.values
     P = simplify(P)
     pfn = lambdify(P)
-    dpfn = lambdify(simplify(diff(P)))
+    dpfn = lambdify(diff(P))
 
     finite = np.isfinite(vals)
     runmax = np.maximum.accumulate(np.where(finite, np.abs(vals), 0.0))
@@ -665,7 +665,7 @@ def _residual(traj: Trajectory, c: Sequence, b: Sequence,
     b0, b1, b2, b3, b4 = b
     with np.errstate(all="ignore"):
         if traj.expr is not None:
-            ddpsi = lambdify(simplify(diff(simplify(diff(traj.expr)))))(xs)
+            ddpsi = lambdify(diff(diff(traj.expr)))(xs)
         else:
             ddpsi = np.full_like(psi, np.nan)
             h = float(xs[1] - xs[0])

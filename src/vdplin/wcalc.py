@@ -27,8 +27,8 @@ from functools import cache, reduce
 from itertools import accumulate, groupby
 from typing import Callable, Sequence
 
-from .expr import (ZERO, Const, Div, Expr, Mul, Neg, Param, Pow, Sub,
-                   as_expr, diff, parse, simplify)
+from .expr import (ZERO, Add, Const, Div, Expr, Mul, Neg, Param, Pow, Sub,
+                   _built, as_expr, diff, parse, simplify)
 
 __all__ = ["reduce_vdp", "reduce_lienard", "restoring_coeffs", "vdp_chain",
            "reference_gaps", "jet"]
@@ -212,16 +212,16 @@ def _memo(table: weakref.WeakKeyDictionary, node: Expr, key,
     return out
 
 
-# node -> simplify(diff(node)); P -> the chain of vdp_chain, keyed by
+# node -> diff(node); P -> the chain of vdp_chain, keyed by
 # the parameters' bits (float.hex tells 0.0 from -0.0)
 _DERIVATIVES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _CHAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _derivative(e: Expr) -> Expr:
-    """simplify(diff(e)), from the memo while the derivative is alive; the
-    same ``_memo`` keeps the chains of ``vdp_chain``."""
-    return _memo(_DERIVATIVES, e, None, lambda: (simplify(diff(e)),))[0]
+    """diff(e), from the memo while it is alive; the same ``_memo`` keeps
+    the chains of ``vdp_chain``."""
+    return _memo(_DERIVATIVES, e, None, lambda: (diff(e),))[0]
 
 
 def jet(P: Expr) -> tuple[Expr, Expr, Expr]:
@@ -244,46 +244,52 @@ def _values(P: Expr, U: Expr, c: Sequence, b: Sequence) -> list:
 
 
 def _expr(p: Poly, values: list) -> Expr:
-    """p at the generators' values.  A monomial's coefficient and its
-    Const values multiply into one number, summed over the monomials that
-    share their other values; a negative one is subtracted.  The number
-    is folded as floats, as simplify folds Consts, while it stays finite.
-    From the first step that is not, the rest is built over the number so
-    far and simplify finishes it: folding each node from its children's
-    results, it returns what it would for the tree of every Const."""
+    """p at the generators' values, simplified.  A monomial's coefficient
+    and its Const values multiply into one number, summed over the
+    monomials that share their other values; a negative one is
+    subtracted.  The number is folded as floats, as simplify folds
+    Consts, while it stays finite, and built on as nodes from the first
+    step that is not.  Every node is built over simplified children, a
+    value read as simplify(value), and simplified at once by
+    ``expr._built``, so the tree is the one simplify would make of the
+    whole sum, and no walk goes over it again."""
     groups: dict[tuple, float | Expr] = {}
     for m, k in p.items():
         num, rest = float(k), []
         for g in m:
             v = values[g]
             if type(v) is Const:
-                num = _combine(operator.mul, num, v.value)
+                num = _combine(Mul, num, v.value)
             else:
                 rest.append(v)
         key = tuple(rest)
-        groups[key] = (_combine(operator.add, groups[key], num)
+        groups[key] = (_combine(Add, groups[key], num)
                        if key in groups else num)
     total = ZERO
     for rest, num in groups.items():
-        num = Const(num) if type(num) is float else simplify(num)
+        if type(num) is float:
+            num = Const(num)
         minus = type(num) is Const and num.value < 0
         term = Const(-num.value) if minus else num
         for v, run in groupby(rest):
-            n = len(tuple(run))
-            term = term * (v ** n if n > 1 else v)
-        total = total - term if minus else total + term
-    return simplify(total)
+            n, v = len(tuple(run)), simplify(v)
+            term = _built(Mul, term,
+                          _built(Pow, v, Const(n)) if n > 1 else v)
+        total = _built(Sub if minus else Add, total, term)
+    return total
 
 
-def _combine(op: Callable, a: float | Expr, b: float | Expr) -> float | Expr:
-    """op(a, b) as a float if a and b are floats and it is finite, else the
-    node op builds over them."""
+_FLOAT_OPS = {Add: operator.add, Mul: operator.mul}
+
+
+def _combine(t: type, a: float | Expr, b: float | Expr) -> float | Expr:
+    """a + b or a * b (t is Add or Mul) as a float if a and b are floats
+    and it is finite, else the simplified node t over them."""
     if type(a) is float and type(b) is float:
-        v = op(a, b)
+        v = _FLOAT_OPS[t](a, b)
         if math.isfinite(v):
             return v
-        a = Const(a)
-    return op(a, b)
+    return _built(t, as_expr(a), as_expr(b))
 
 
 def reduce_vdp(P: Expr, U: Expr, params, v: Expr, h: Expr, g: Expr,

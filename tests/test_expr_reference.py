@@ -9,7 +9,8 @@ builder that made a Const node of every number for simplify to fold, all
 kept here verbatim as references.  The tape and the scalar code must
 give the same bits, the printer the same text, a fold the same constant
 where the interpreter gave a finite value and none elsewhere, each pass
-and the builder the very node the reference gave, and the parser the
+and the builder the very node the reference gave (``diff`` the node the
+reference simplify gives the reference derivative), and the parser the
 same node or the same error at the same offset."""
 
 import builtins
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdplin import colehopf, expr, wcalc
+from vdplin import colehopf, expr, lienard, wcalc
 from vdplin.colehopf import (bundle_from_json, bundle_to_json, solve_chain,
                              verify_printed_coeffs)
 from vdplin.cli import run as cli_run
@@ -331,7 +332,7 @@ def ref_print(node, ctx=0):
 
 def ref_diff(e):
     """Differentiation as it was: a recursion over the tree, memoized by
-    node id."""
+    node id, whose result is not simplified."""
     return _diff(e, {})
 
 
@@ -691,13 +692,14 @@ _BINARY = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}
 
 
 @st.composite
-def _dags(draw, max_ops=14, params=(), kinds=_KINDS):
+def _dags(draw, max_ops=14, params=(), kinds=_KINDS, extra=()):
     """Each new node takes its operands from the nodes built before it, so
     subtrees are shared, and constants meet constants often enough to give
     constant-only subtrees (1/0, 0^-1, 1e300*1e300, ...).  The leaves are x,
-    the constants and a parameter of each name in ``params``; the nodes
-    are of the ``kinds`` given."""
-    pool = [X, *map(Param, params)] + [
+    the constants and a parameter of each name in ``params``, and the
+    trees in ``extra`` are operands too; the nodes are of the ``kinds``
+    given."""
+    pool = [X, *map(Param, params), *extra] + [
         Const(v) for v in draw(st.lists(_CONSTANTS, min_size=1, max_size=4))]
     for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
         kind = draw(st.sampled_from(kinds))
@@ -760,12 +762,57 @@ def test_passes_return_the_node_of_the_recursive_walkers(e, a):
     # a is bound and b left alone; simplify is run on trees that share
     # subtrees simplified before, so its walk stops at cached nodes
     d = diff(e)
-    assert d is ref_diff(e)
+    assert d is ref_simplify(ref_diff(e))
     s = subst(e, {"a": a})
     assert s is ref_subst(e, {"a": a})
     for t in (e, d, s, diff(d)):
         assert simplify(t) is ref_simplify(t)
         assert to_str(t) == ref_print(t)
+
+
+# raw subtrees that are not their own simplified forms
+_NOT_FIXPOINTS = (Neg(Const(0.0)), Neg(Neg(X)), Add(Const(1.0), Const(2.0)),
+                  Mul(X, Const(1.0)), Sub(Const(0.0), Mul(Const(2.0), X)),
+                  Pow(Neg(Const(-0.0)), Const(3.0)), Fun("exp", Const(0.0)),
+                  Div(Const(1.0), Const(0.0)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dags(params=("a",), extra=_NOT_FIXPOINTS))
+def test_derivative_returns_the_node_of_the_simplified_reference(e):
+    # built simplified node by node, with e's raw subtrees read through
+    # simplify, the derivative is the node a walk over the raw one gives
+    d = diff(e)
+    assert d is ref_simplify(ref_diff(e))
+    assert d is simplify(ref_diff(e))
+    assert diff(d) is ref_simplify(ref_diff(d))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dags(params=("a",), extra=_NOT_FIXPOINTS))
+def test_simplify_is_idempotent(e):
+    # what lets a node built over simplified children be cached as its
+    # own simplified form; the reference's memo shares no cache
+    s = ref_simplify(e)
+    assert ref_simplify(s) is s
+    assert simplify(e) is s
+    assert simplify(s) is s
+
+
+def test_a_node_built_over_a_raw_child_is_not_cached():
+    # the rules of one node assume simplified children: over a raw child
+    # the node is returned as made, and simplify still walks it
+    raw = Neg(Neg(Param("raw")))
+    node = expr._built(Add, raw, X)
+    assert node is Add(raw, X)
+    assert simplify(node) is Add(Param("raw"), X)
+
+
+def test_general_p_jets_are_the_simplified_reference_derivatives():
+    for _, P in general_instances(4, seed=29):
+        P, dP, ddP = wcalc.jet(P)
+        assert dP is ref_simplify(ref_diff(P))
+        assert ddP is ref_simplify(ref_diff(dP))
 
 
 # contexts a shared subtree prints in: bare, as an operand of each
@@ -960,6 +1007,38 @@ def _generator_values(draw):
 def test_ring_builder_returns_the_node_of_the_reference(values):
     for p in _RING:
         assert wcalc._expr(p, values) is ref_expr(p, values)
+
+
+def test_no_walk_goes_over_what_the_ring_builder_or_derivative_built(
+        monkeypatch):
+    # every node they make is simplified as it is made, so no walk of
+    # simplify, theirs or a later caller's, steps on one: the walks are
+    # the steps of _simplify_node, and a built node is one the call made
+    (params, P), = general_instances(1, seed=37)
+    walked, built = [], []
+    step = expr._simplify_node
+
+    def walking(node, done):
+        walked.append(node)
+        return step(node, done)
+
+    def recording(fn):
+        def call(*args):
+            before = {ref() for ref in list(expr._NODES.values())}
+            out = fn(*args)
+            built.extend(n for n in _postorder(out) if n not in before)
+            return out
+        return call
+
+    monkeypatch.setattr(expr, "_simplify_node", walking)
+    monkeypatch.setattr(wcalc, "_expr", recording(wcalc._expr))
+    for module in (wcalc, lienard):
+        monkeypatch.setattr(module, "diff", recording(module.diff))
+    b = solve_chain(P, params)
+    verify_printed_coeffs(b.P, b.U, params, b.v, b.h, b.g, b.f)
+    lienard_coeffs([Const(0.25), Const(-0.4), Const(0.1)], P, riccati_u(P))
+    assert len(set(built)) > 100 and walked
+    assert not set(built) & set(walked)
 
 
 # ---------------------------------------------------------------------------
