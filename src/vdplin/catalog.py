@@ -23,8 +23,8 @@ import numpy as np
 
 from .colehopf import (LedgerEntry, TransformBundle, VdpParams, compare_forms,
                        solve_chain)
-from .expr import (Const, Expr, Param, X, cos, diff, exp, lambdify, simplify,
-                   sin, sqrt, to_str)
+from .expr import (Const, Expr, Param, X, cos, diff, exp, lambdify, sin, sqrt,
+                   to_str)
 
 __all__ = [
     "ClosedFormSolution", "CatalogError", "ComplexKError",
@@ -69,7 +69,7 @@ class ClosedFormSolution:
         constants C3 and C4, when there is a basis."""
         if self.phi_basis is None:
             return None
-        return simplify(C3 * self.phi_basis[0] + C4 * self.phi_basis[1])
+        return C3 * self.phi_basis[0] + C4 * self.phi_basis[1]
 
 
 def _power(name: str, value: float, exponent: int) -> float:
@@ -118,7 +118,7 @@ def p_general(params: VdpParams, C1: float, C2: float, k_sign: int = 1) -> Expr:
     num = (_scaled("C1", C1, 2.0 * C1 * mb) * e_mb
            + _scaled("C2", C2, C2 * (mb + k)) * e_k + Const(mb - k) * e_mk)
     den = Const(C1) * e_mb + Const(C2) * e_k + e_mk
-    return simplify(num / (4.0 * den))
+    return num / (4.0 * den)
 
 
 def _scaled(name: str, value: float, term: float) -> Const:
@@ -154,13 +154,13 @@ def _basis_residual_entry(name: str, basis: tuple[Expr, Expr],
     worst = 0.0
     points = 0
     for b in basis:
-        resid = lambdify(simplify(diff(diff(b)) - U * b))(xs)
+        resid = lambdify(diff(diff(b)) - U * b)(xs)
         scale = np.maximum(1.0, np.abs(lambdify(b)(xs)))
         ok = np.isfinite(resid) & np.isfinite(scale)
         if ok.any():
             worst = max(worst, float(np.max(np.abs(resid[ok]) / scale[ok])))
             points += int(ok.sum())
-    ref = " ; ".join(to_str(simplify(b)) for b in basis)
+    ref = " ; ".join(map(to_str, basis))
     if not points:
         return LedgerEntry(name, None, None, tol, 0, ref,
                            "not evaluated: no regular grid points")
@@ -179,7 +179,7 @@ def _family(name: str, params: VdpParams, P: Expr, C1: float, k_sign: int,
     bundle = solve_chain(P, params)
     entries = [compare_forms(f"{name}-P-from-general-P",
                              p_general(params, C1, 0.0, k_sign), P)]
-    U = simplify(bundle.U)
+    U = bundle.U
     if basis is None and not isinstance(U, Const):
         raise CatalogError(f"{name} potential did not fold to a constant: "
                            f"{to_str(U)}")
@@ -275,10 +275,9 @@ def case3(params: VdpParams, c: float) -> ClosedFormSolution:
         raise AlphaNonzeroError(f"this family needs alpha = 0, got {params.alpha:g}")
     mb = params.mu * params.beta
     e_neg, e_pos, cc = exp(Const(-mb) * X), exp(Const(mb) * X), Const(c)
-    P = simplify(Const(c * mb) / (2.0 * (cc + e_neg)))
+    P = Const(c * mb) / (2.0 * (cc + e_neg))
     root = sqrt(Const(1.0) + cc * e_pos)
-    basis = (simplify(Const(1.0) / root),
-             simplify((cc * e_pos + Const(mb) * X) / root))
+    basis = (Const(1.0) / root, (cc * e_pos + Const(mb) * X) / root)
     return _family("case3", params, P, c, 1 if mb >= 0 else -1, basis,
                    lambda b, u0: [
         ("case3-reference-P", P,

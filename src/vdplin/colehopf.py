@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import (ZERO, Const, Expr, as_expr, lambdify, parser, printer,
-                   simplify, to_str)
+                   to_str)
 from .wcalc import jet, reduce_vdp, reference_gaps, vdp_chain
 
 __all__ = [
@@ -177,7 +177,7 @@ def compare_forms(check: str, derived: Expr, reference: Expr,
     the largest pointwise difference.  Points where either side is not
     finite (poles, domain edges) are masked out."""
     xs = _grid_xs(grid)
-    ref_str = to_str(simplify(reference))
+    ref_str = to_str(reference)
     try:
         d = lambdify(derived)(xs)
         r = lambdify(reference)(xs)
@@ -220,7 +220,7 @@ def solve_chain(P: Expr, params: VdpParams) -> TransformBundle:
     ``wcalc.vdp_chain``'s, derived exactly.  The reference closed form for
     f is checked against the derived one by their gap, zero in the ring,
     and ledgered.  Never raises for differentiable P."""
-    P = simplify(as_expr(P))
+    P = as_expr(P)
     chain = vdp_chain(P, params)
     gaps = reference_gaps("forcing", P, ZERO,
                           *params.lienard(0.0, 0.0, 0.0, 0.0))
@@ -239,11 +239,11 @@ def seeded_construction(s: Expr, params: VdpParams,
     shift reproduces that potential is decided exactly, by the ring gap of
     the chain's U to 3 P^2 - mu*beta*P + alpha/2, a form the minus shift
     leaves unchanged, and recorded in the ledger."""
-    s = simplify(as_expr(s))
+    s = as_expr(s)
     if branch == "plus":
         P = s
     elif branch == "minus":
-        P = simplify(-s + Const(params.mu * params.beta / 3.0))
+        P = -s + Const(params.mu * params.beta / 3.0)
     else:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     gaps = reference_gaps("seed", P, ZERO,
@@ -257,7 +257,7 @@ def seeded_construction(s: Expr, params: VdpParams,
 
 def verify_annihilation(bundle: TransformBundle, grid) -> AnnihilationReport:
     """The max of |a_i| on the grid.  A bundle whose U, g, h, v and f
-    simplify to the very nodes ``wcalc.vdp_chain`` derives for its P has
+    are the very nodes ``wcalc.vdp_chain`` derives for its P has
     a_0..a_4 the zero polynomial in P, P' and P'', so where those are
     finite on the grid it is decided exactly, with nothing built or
     sampled.  Any other bundle has a_0..a_4 recomputed through the engine
@@ -284,9 +284,9 @@ def verify_annihilation(bundle: TransformBundle, grid) -> AnnihilationReport:
 def _is_chain_bundle(bundle: TransformBundle, xs: np.ndarray) -> bool:
     """Whether the fields are the chain's for P, and P's jet is finite on
     xs; an unbound parameter answers no, so the sampled path raises."""
-    P = simplify(bundle.P)
+    P = bundle.P
     chain = vdp_chain(P, bundle.params)
-    if any(simplify(getattr(bundle, name)) is not node
+    if any(getattr(bundle, name) is not node
            for name, node in chain.items()):
         return False
     try:

@@ -10,31 +10,35 @@ steps.  There is no tree interpreter: ``lambdify`` runs the tape as numpy
 calls, on a grid or at a point, and ``lambdify_ode`` prints the tape of
 the right-hand side of a second-order equation as one Python function
 over floats of (x, u, u'), the two parameters that name the state its
-arguments; ``simplify`` folds a function or a power of constants with
-the ``math`` functions that code calls.  A named parameter gets a value
+arguments; a function or a power of constants is folded with the
+``math`` functions that code calls.  A named parameter gets a value
 only from ``subst``: ``lambdify`` refuses a tree that still holds one.  The
 tape writes each result into a slot whose value has had its last read, so
 a call on a grid holds only as many arrays as values are live at once, and
 the buffers numpy frees are reused rather than new pages faulted in.
 
-Nodes are hash-consed: every constructor call goes through a weak intern
-table, so structurally equal trees are the same object, equality and
-hashing are identity, and a tree printed and re-parsed shares its subtrees
-again.  ``printer`` and ``parser`` share their memos across the fields of
-one document.  The results of ``simplify`` and ``lambdify`` are cached on
-the node they were computed for.  ``diff``, and ``wcalc``'s ring builder,
-simplify each node as they make it (``_built``), so no walk of
-``simplify`` goes over what they build.
+Nodes are hash-consed and born simplified (smart constructors over a
+hash-consing table; Filliatre & Conchon, *Type-Safe Modular
+Hash-Consing*, ML Workshop 2006): every constructor call goes through a
+weak intern table, and a call that misses it applies the rewrite rules of
+that one node first, so a node is made and interned only where no rule
+applies.  Structurally equal trees are the same object, equality and
+hashing are identity, a tree printed and re-parsed is the same node again,
+and no raw tree ever exists: ``simplify`` only coerces a number, and
+``diff``, ``subst``, the parser and ``wcalc``'s ring builder build through
+the constructors.  ``printer`` and ``parser`` share their memos across the
+fields of one document.  The ``lambdify`` result is cached on the node it
+was compiled for.
 
 Every pass except ``parse`` is one loop over ``_postorder``, the distinct
 nodes of the DAG each after its children, filling a map from node to
 result, so no pass recurses and a tree of any depth can be differentiated,
-simplified, substituted into, printed and compiled.  ``parse`` recurses
-once per level of nesting in the text.
+substituted into, printed and compiled.  ``parse`` recurses once per level
+of nesting in the text.
 
-There are no syntactic normal forms: ``simplify`` never changes the value
-of an expression anywhere the original is defined, and equal interned
-nodes are the one exact test of equality.  Downstream, a bundle the chain
+There are no syntactic normal forms: a rule never changes the value of a
+node anywhere its unsimplified form is defined, and equal interned nodes
+are the one exact test of equality.  Downstream, a bundle the chain
 derived is verified by that identity, since ``wcalc`` derives its fields
 exactly, and any other expression by evaluation at sample points.
 """
@@ -86,11 +90,13 @@ class _Interned(type):
     """Metaclass of Expr: a constructor call returns the live node with the
     same type, payload and children if there is one.  Children are already
     interned, so the key holds them by identity.  A Const is keyed by its
-    value's bits, so 0.0 and -0.0 stay apart and a NaN finds its node.  A
-    node enters the table only after its field checks have passed.  The
-    table is a plain dict of weak references to the nodes; the callback of
-    each drops its entry when the node dies, so the table holds no node
-    alive."""
+    value's bits, so 0.0 and -0.0 stay apart and a NaN finds its node.  On
+    a miss, a node that is not a leaf is first offered to ``_rewrite``:
+    the result of a rule that applies is returned and leaves no key in the
+    table.  A node enters the table only after its field checks have
+    passed.  The table is a plain dict of weak references to the nodes;
+    the callback of each drops its entry when the node dies, so the table
+    holds no node alive."""
 
     def __call__(cls, *args):
         if cls is Const:
@@ -100,6 +106,10 @@ class _Interned(type):
         ref = _NODES.get(key)
         node = None if ref is None else ref()
         if node is None:
+            if cls is not Const and cls is not Var and cls is not Param:
+                out = _rewrite(cls, *args)
+                if out is not None:
+                    return out
             node = type.__call__(cls, *args)
             _NODES[key] = weakref.ref(node, partial(_drop, key))
         return node
@@ -113,22 +123,18 @@ def _drop(key: tuple, ref: weakref.ref) -> None:
 
 _NODES: dict[tuple, weakref.ref] = {}  # key -> weak reference to the node
 
-# cached simplify result of a node that simplifies to itself (storing the
-# node in its own slot would make a reference cycle)
-_SAME = object()
-
 
 class Expr(metaclass=_Interned):
-    """Base node.  Instances are immutable and interned, through a dict of
-    weak references whose callbacks drop the entries of dead nodes:
-    building a tree equal to a live one returns that very object, so
-    ``==`` and ``hash`` are identity.  Arithmetic operators build new
-    trees (numbers are coerced to constants).  The slots hold the cached
-    ``simplify`` result and the ``lambdify`` callable, which runs a tape
-    of numpy steps and references no node, so caching makes no reference
-    cycle.  They are unset until first computed."""
+    """Base node.  Instances are immutable, simplified and interned,
+    through a dict of weak references whose callbacks drop the entries of
+    dead nodes: building a tree equal to a live one returns that very
+    object, so ``==`` and ``hash`` are identity.  Arithmetic operators
+    build new trees (numbers are coerced to constants).  The slot holds
+    the cached ``lambdify`` callable, which runs a tape of numpy steps and
+    references no node, so caching makes no reference cycle.  It is unset
+    until first computed."""
 
-    __slots__ = ("__weakref__", "_simplified", "_vector_fn")
+    __slots__ = ("__weakref__", "_vector_fn")
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -225,12 +231,8 @@ class Pow(Expr):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Fun(Expr):
-    name: str
+    name: str  # checked by _rewrite, which every Fun call runs first
     arg: Expr
-
-    def __post_init__(self):
-        if self.name not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.name!r}")
 
 
 X = Var()
@@ -287,84 +289,69 @@ def sqrt(e) -> Fun:
 def diff(e: Expr) -> Expr:
     """Exact derivative with respect to x; parameters are constants.
 
-    The result is ``simplify`` of the derivative the rules give over e's
-    own nodes, in one pass: each node is simplified as the rules make it
-    (``_built``), and a subtree of e they reuse is read as its simplified
-    form, which one walk of e caches first (a cache hit for an e
-    simplified before).  No walk goes over the result.  Shared subtrees
-    stay shared in the output, and since nodes are interned, a derivative
-    equal to an existing tree is that tree.  Nothing but simplify's cache
-    is kept across calls."""
-    simplify(e)
+    One pass over e's nodes builds the derivative the rules give through
+    the constructors, which simplify each node as they make it, so the
+    result needs no walk of its own.  Shared subtrees stay shared in the
+    output, and since nodes are interned, a derivative equal to an
+    existing tree is that tree.  Nothing is kept across calls."""
     d: dict[Expr, Expr] = {}  # node -> its derivative
-    s: dict[Expr, Expr] = {}  # node -> its simplified form
     for node in _postorder(e):
         t = type(node)
         if t is Const or t is Param or t is Var:
-            s[node] = node
-            d[node] = ONE if t is Var else ZERO
-            continue
-        s[node] = simplify(node)
-        if t is Neg:
-            out = _built(Neg, d[node.arg])
+            out = ONE if t is Var else ZERO
+        elif t is Neg:
+            out = Neg(d[node.arg])
         elif t is Add or t is Sub:
-            out = _built(t, d[node.left], d[node.right])
+            out = t(d[node.left], d[node.right])
         elif t is Mul:
-            out = _built(Add, _built(Mul, d[node.left], s[node.right]),
-                         _built(Mul, s[node.left], d[node.right]))
+            out = Add(Mul(d[node.left], node.right),
+                      Mul(node.left, d[node.right]))
         elif t is Div:
-            right = s[node.right]
-            out = _built(Div, _built(Sub, _built(Mul, d[node.left], right),
-                                     _built(Mul, s[node.left], d[node.right])),
-                         _built(Pow, right, Const(2.0)))
+            out = Div(Sub(Mul(d[node.left], node.right),
+                          Mul(node.left, d[node.right])),
+                      Pow(node.right, Const(2.0)))
         elif t is Pow:
-            out = _diff_pow(node, s, d)
+            out = _diff_pow(node, d)
         else:
-            out = _diff_fun(node, s, d)
+            out = _diff_fun(node, d)
         d[node] = out
     return d[e]
 
 
-def _diff_pow(node: Pow, s: Mapping[Expr, Expr],
-              d: Mapping[Expr, Expr]) -> Expr:
-    """The derivative of base^exponent from the simplified forms (s) and
-    the derivatives (d) of the node and its children.  The rule is chosen
-    by the exponent as written."""
+def _diff_pow(node: Pow, d: Mapping[Expr, Expr]) -> Expr:
+    """The derivative of base^exponent from the derivatives (d) of its
+    children.  The rule is chosen by the exponent as written."""
     base, expo = node.base, node.exponent
     if isinstance(expo, Const) and float(expo.value).is_integer():
         n = expo.value
         if n == 0.0:
             return ZERO
-        return _built(Mul, _built(Mul, Const(n),
-                                  _built(Pow, s[base], Const(n - 1.0))),
-                      d[base])
+        return Mul(Mul(Const(n), Pow(base, Const(n - 1.0))), d[base])
     # general case via b^e = exp(e log b); domain restricted to b > 0
-    return _built(Mul, s[node], _built(
-        Add, _built(Mul, d[expo], _built(Fun, "log", s[base])),
-        _built(Div, _built(Mul, s[expo], d[base]), s[base])))
+    return Mul(node, Add(Mul(d[expo], Fun("log", base)),
+                         Div(Mul(expo, d[base]), base)))
 
 
-def _diff_fun(node: Fun, s: Mapping[Expr, Expr],
-              d: Mapping[Expr, Expr]) -> Expr:
-    """The derivative of name(arg) from the simplified forms (s) and the
-    derivatives (d) of the node and its argument."""
-    fa, a, da = s[node], s[node.arg], d[node.arg]
+def _diff_fun(node: Fun, d: Mapping[Expr, Expr]) -> Expr:
+    """The derivative of name(arg) from the derivative (d) of its
+    argument."""
+    a, da = node.arg, d[node.arg]
     if node.name == "exp":
-        return _built(Mul, fa, da)
+        return Mul(node, da)
     if node.name == "log":
-        return _built(Div, da, a)
+        return Div(da, a)
     if node.name == "sin":
-        return _built(Mul, _built(Fun, "cos", a), da)
+        return Mul(Fun("cos", a), da)
     if node.name == "cos":
-        return _built(Neg, _built(Mul, _built(Fun, "sin", a), da))
+        return Neg(Mul(Fun("sin", a), da))
     if node.name == "tan":
-        return _built(Mul, _built(Add, ONE, _built(Pow, fa, Const(2.0))), da)
+        return Mul(Add(ONE, Pow(node, Const(2.0))), da)
     if node.name == "sinh":
-        return _built(Mul, _built(Fun, "cosh", a), da)
+        return Mul(Fun("cosh", a), da)
     if node.name == "cosh":
-        return _built(Mul, _built(Fun, "sinh", a), da)
+        return Mul(Fun("sinh", a), da)
     if node.name == "sqrt":
-        return _built(Div, da, _built(Mul, Const(2.0), fa))
+        return Div(da, Mul(Const(2.0), node))
     raise TypeError(f"unknown function {node.name!r}")  # pragma: no cover
 
 
@@ -376,55 +363,11 @@ def _is_const(e: Expr, v: float) -> bool:
 
 
 def simplify(e: Expr) -> Expr:
-    """Constant folding plus 0/1 identities and double-negation removal.
-
-    Pointwise equality with the input is preserved at every x where the
-    input is defined.  Unchanged subtrees keep their identity, so sharing
-    in the input survives.  The result is cached on every node visited, so
-    simplifying a tree again, or any tree sharing its subtrees, does not
-    walk them again.
-
-    It is idempotent: ``simplify(simplify(e)) is simplify(e)``, since a
-    rule given children that are their own simplified forms makes a node
-    that is its own too.  So ``_built`` can simplify a node as it is made
-    from simplified children and cache the result as its own simplified
-    form."""
-    out = getattr(e, "_simplified", None)
-    if out is not None:
-        return e if out is _SAME else out
-    done: dict[Expr, Expr] = {}  # node -> its simplified form
-    # the walk stops at a node simplified before, whose result is cached
-    for node in _postorder(e, lambda n: hasattr(n, "_simplified")):
-        out = getattr(node, "_simplified", None)
-        if out is None:
-            out = _simplify_node(node, done)
-            object.__setattr__(node, "_simplified",
-                               _SAME if out is node else out)
-        done[node] = node if out is _SAME else out
-    return done[e]
-
-
-def _built(t: type, a, b: Expr | None = None) -> Expr:
-    """simplify(t(a, b)) for simplified children a and b (t(a) for a Neg;
-    a Fun's a is its name), by the rules of this one node: a tree built
-    bottom-up through here is the one simplify makes of the same tree
-    built raw, with no walk over it.  The node t(a, b) is made only if no
-    rule applies.  The result is cached as its own simplified form only
-    when every child is known to be a fixpoint."""
-    out = _rewrite(t, a, b)
-    if out is None:
-        out = t(a) if b is None else t(a, b)
-    if ((t is Fun or _fixpoint(a)) and (b is None or _fixpoint(b))
-            and not hasattr(out, "_simplified")):
-        object.__setattr__(out, "_simplified", _SAME)
-    return out
-
-
-def _fixpoint(e: Expr) -> bool:
-    """e is known to be its own simplified form: a leaf, or cached so."""
-    t = type(e)
-    return (t is Const or t is Var or t is Param
-            or getattr(e, "_simplified", None) is _SAME)
+    """e as an Expr (a number becomes a constant).  Nodes are born
+    simplified: every constructor call applies the rules of ``_rewrite``
+    (constant folding, 0/1 identities, double-negation removal) to the
+    node it is asked for, so there is no raw tree left to simplify."""
+    return as_expr(e)
 
 
 def _neg_of(e: Expr) -> Expr:
@@ -437,38 +380,20 @@ def _neg_of(e: Expr) -> Expr:
     return Neg(e)
 
 
-def _simplify_node(node: Expr, done: Mapping[Expr, Expr]) -> Expr:
-    """The simplified form of node; its children's are read from ``done``."""
-    t = type(node)
-    if t is Neg:
-        a, b = done[node.arg], None
-        kept = a is node.arg
-    elif t is Fun:
-        a, b = node.name, done[node.arg]
-        kept = b is node.arg
-    elif t is Pow:
-        a, b = done[node.base], done[node.exponent]
-        kept = a is node.base and b is node.exponent
-    elif t in _BINARY_NODES:
-        a, b = done[node.left], done[node.right]
-        kept = a is node.left and b is node.right
-    else:
-        return node  # Const, Var, Param
-    out = _rewrite(t, a, b)
-    if out is None:
-        out = node if kept else t(a) if b is None else t(a, b)
-    return out
-
-
-def _rewrite(t: type, a, b: Expr | None) -> Expr | None:
-    """What a rule makes of the node t(a, b) over simplified children (t(a)
-    for a Neg; a Fun's a is its name), or None if no rule applies."""
+def _rewrite(t: type, a, b: Expr | None = None) -> Expr | None:
+    """What a rule makes of the node t(a, b) (t(a) for a Neg; a Fun's a is
+    its name), or None if no rule applies.  The children are simplified,
+    as every node is, so one step of the rules gives a node that is its
+    own simplified form.  Each rule keeps the value of the node at every
+    x where it is defined.  A Fun's name is checked first."""
     if t is Neg:
         if type(a) is Const or type(a) is Neg:
             return _neg_of(a)
         return None
 
     if t is Fun:
+        if a not in FUNCTIONS:
+            raise ValueError(f"unknown function {a!r}")
         if type(b) is Const:
             return _fold(_SCALAR_NS["_" + a], b.value)
         return None
@@ -538,8 +463,9 @@ def _fold(fn: Callable, *args: float) -> Const | None:
 def subst(e: Expr, values: Mapping[str, float]) -> Expr:
     """Replace named parameters with numeric constants.  Parameters not in
     ``values`` are left alone.  Every node is rebuilt from its children's
-    images, so, nodes being interned, an unchanged subtree is the same
-    node."""
+    images through the constructors, so the result is simplified as it is
+    rebuilt (a bound constant folds, an identity it makes goes), and,
+    nodes being interned, an unchanged subtree is the same node."""
     out: dict[Expr, Expr] = {}  # node -> its image
     for node in _postorder(e):
         t = type(node)
@@ -604,7 +530,8 @@ _INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 def _prec(node: Expr) -> int:
     if isinstance(node, Const):
-        return _PREC_ATOM if node.value >= 0 else _PREC_NEG
+        # -0.0 prints with its sign, as "-0"
+        return _PREC_ATOM if math.copysign(1.0, node.value) > 0 else _PREC_NEG
     if isinstance(node, (Var, Param, Fun)):
         return _PREC_ATOM
     if isinstance(node, Neg):
@@ -620,7 +547,7 @@ def _fmt_number(v: float) -> str:
     if not math.isfinite(v):  # no literal reads back as inf or nan
         raise ExprError(f"constant {v!r} is not finite")
     if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+        return f"{v:.0f}"  # exact, and "-0" for -0.0
     return repr(v)
 
 

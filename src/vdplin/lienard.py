@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .colehopf import (PRINTED_COEFF_TOL, LedgerEntry, gap_entries,
                        reading_document)
-from .expr import Expr, as_expr, diff, parser, printer, simplify
+from .expr import Expr, as_expr, diff, parser, printer
 from .wcalc import reference_gaps, restoring_coeffs
 
 __all__ = ["LienardSpec", "lienard_coeffs", "riccati_u",
@@ -49,9 +49,9 @@ def lienard_coeffs(c: Sequence[Expr], P: Expr, U: Expr,
     """The b_0..b_4 that annihilate a_0..a_4, derived exactly by the
     reduction's back substitution; the reference forms are checked against
     them by their gaps (``colehopf.gap_entries``) and ledgered."""
-    c = tuple(simplify(as_expr(ci)) for ci in c)
-    P = simplify(as_expr(P))
-    U = simplify(as_expr(U))
+    c = tuple(map(as_expr, c))
+    P = as_expr(P)
+    U = as_expr(U)
     b = restoring_coeffs(c, P, U)
     gaps = reference_gaps("lienard", P, U, c, (0.0,) * 5)
     ledger = gap_entries([f"restoring-coefficient-b{i}" for i in range(5)],
@@ -64,7 +64,7 @@ def riccati_u(P: Expr) -> Expr:
     this makes the derived b_0 vanish identically, leaving the damping
     coefficients free."""
     P = as_expr(P)
-    return simplify(P ** 2 - diff(P))
+    return P ** 2 - diff(P)
 
 
 # ---------------------------------------------------------------------------

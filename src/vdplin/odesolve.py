@@ -22,7 +22,7 @@ import numpy as np
 
 from ._floatfmt import _BLOCK, join_rows, repr_fields
 from .expr import (Expr, Param, UnboundParameterError, as_expr, diff,
-                   free_params, lambdify, lambdify_ode, simplify)
+                   free_params, lambdify, lambdify_ode)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .colehopf import TransformBundle
@@ -144,7 +144,6 @@ class Trajectory:
 
     @classmethod
     def from_expr(cls, e: Expr, grid: Grid) -> "Trajectory":
-        e = simplify(e)
         xs = grid.xs
         fn, dfn = lambdify(e), lambdify(diff(e))
         vals, derivs = fn(xs), dfn(xs)
@@ -471,10 +470,8 @@ def _compiled_rhs(owner, key: tuple, state: tuple[str, str],
 
 
 def _bound(e: Expr) -> Expr:
-    """e simplified, refused if it holds a parameter: a state argument of
-    the rhs must never take a user parameter's place, even one named like
-    it."""
-    e = simplify(e)
+    """e, refused if it holds a parameter: a state argument of the rhs
+    must never take a user parameter's place, even one named like it."""
     missing = free_params(e)
     if missing:
         raise UnboundParameterError(min(missing))
@@ -485,7 +482,7 @@ def integrate_linear(U: Expr, grid: Grid, phi0: float, dphi0: float,
                      cfg: IntegratorConfig = DEFAULT_CONFIG) -> Trajectory:
     """Integrate phi'' = U(x) phi from (phi0, phi0')."""
     if cfg.method == "rk4":
-        return _linear_rk4(lambdify(simplify(U)), grid.xs, phi0, dphi0)
+        return _linear_rk4(lambdify(U), grid.xs, phi0, dphi0)
     rhs = _compiled_rhs(U, (), ("phi", "dphi"),
                         lambda phi, dphi: _bound(U) * phi)
     return _integrate(rhs, grid, (phi0, dphi0), cfg)
@@ -534,7 +531,6 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
     """
     xs = phi.xs
     vals = phi.values
-    P = simplify(P)
     pfn = lambdify(P)
     dpfn = lambdify(diff(P))
 
@@ -546,7 +542,7 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
     with np.errstate(all="ignore"):
         w = phi.derivatives / vals
         psi = pfn(xs) + w
-        dpsi = dpfn(xs) + lambdify(simplify(U))(xs) - w * w
+        dpsi = dpfn(xs) + lambdify(U)(xs) - w * w
     keep &= np.isfinite(psi)
 
     # sign changes between finite samples that lie inside phi's segments
@@ -568,7 +564,7 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
         segments.append((start, i1))
 
     psi_expr = (None if phi.expr is None
-                else simplify(P + diff(phi.expr) / phi.expr))
+                else P + diff(phi.expr) / phi.expr)
     return Trajectory(xs=xs, values=np.where(keep, psi, np.nan),
                       derivatives=np.where(keep, dpsi, np.nan),
                       segments=segments, pole_brackets=brackets,
@@ -643,7 +639,7 @@ class ResidualReport:
 
 def _on_grid(coeffs: Sequence, xs: np.ndarray) -> list[np.ndarray]:
     """The values of each coefficient, an Expr or a float, on the grid xs."""
-    return [lambdify(simplify(as_expr(e)))(xs) for e in coeffs]
+    return [lambdify(as_expr(e))(xs) for e in coeffs]
 
 
 def _residual(traj: Trajectory, c: Sequence, b: Sequence,
@@ -856,7 +852,7 @@ def regular_window(exprs: Sequence[Expr], x0: float, x1: float,
     xs = np.linspace(x0, x1, _WINDOW_POINTS)
     good = np.ones(_WINDOW_POINTS, dtype=bool)
     for e in exprs:
-        vals = lambdify(simplify(e))(xs)
+        vals = lambdify(e)(xs)
         good &= np.isfinite(vals) & (np.abs(vals) <= cap)
     best = max(_runs(good), key=lambda r: r[1] - r[0], default=None)
     if best is None or best[1] - best[0] < 2:

@@ -28,7 +28,7 @@ from itertools import accumulate, groupby
 from typing import Callable, Sequence
 
 from .expr import (ZERO, Add, Const, Div, Expr, Mul, Neg, Param, Pow, Sub,
-                   _built, as_expr, diff, parse, simplify)
+                   as_expr, diff, parse)
 
 __all__ = ["reduce_vdp", "reduce_lienard", "restoring_coeffs", "vdp_chain",
            "reference_gaps", "jet"]
@@ -225,8 +225,8 @@ def _derivative(e: Expr) -> Expr:
 
 
 def jet(P: Expr) -> tuple[Expr, Expr, Expr]:
-    """P, P' and P'', simplified."""
-    P = simplify(as_expr(P))
+    """P, P' and P''."""
+    P = as_expr(P)
     dP = _derivative(P)
     return P, dP, _derivative(dP)
 
@@ -238,21 +238,18 @@ def _values(P: Expr, U: Expr, c: Sequence, b: Sequence) -> list:
     if len(b) != 5:
         raise ValueError(f"need 5 restoring coefficients, got {len(b)}")
     P, dP, ddP = jet(P)
-    U = simplify(as_expr(U))
-    return ([None, ddP, dP, P, _derivative(U), U]
-            + [simplify(as_expr(e)) for e in (*c, *b)])
+    U = as_expr(U)
+    return [None, ddP, dP, P, _derivative(U), U, *map(as_expr, (*c, *b))]
 
 
 def _expr(p: Poly, values: list) -> Expr:
-    """p at the generators' values, simplified.  A monomial's coefficient
-    and its Const values multiply into one number, summed over the
-    monomials that share their other values; a negative one is
-    subtracted.  The number is folded as floats, as simplify folds
-    Consts, while it stays finite, and built on as nodes from the first
-    step that is not.  Every node is built over simplified children, a
-    value read as simplify(value), and simplified at once by
-    ``expr._built``, so the tree is the one simplify would make of the
-    whole sum, and no walk goes over it again."""
+    """p at the generators' values.  A monomial's coefficient and its
+    Const values multiply into one number, summed over the monomials that
+    share their other values; a negative one is subtracted.  The number
+    is folded as floats, as the constructors fold Consts, while it stays
+    finite, and built on as nodes from the first step that is not.  The
+    constructors simplify each node as they make it, so the tree is the
+    one they make of the sum with a Const for every number."""
     groups: dict[tuple, float | Expr] = {}
     for m, k in p.items():
         num, rest = float(k), []
@@ -272,10 +269,9 @@ def _expr(p: Poly, values: list) -> Expr:
         minus = type(num) is Const and num.value < 0
         term = Const(-num.value) if minus else num
         for v, run in groupby(rest):
-            n, v = len(tuple(run)), simplify(v)
-            term = _built(Mul, term,
-                          _built(Pow, v, Const(n)) if n > 1 else v)
-        total = _built(Sub if minus else Add, total, term)
+            n = len(tuple(run))
+            term = Mul(term, Pow(v, Const(n)) if n > 1 else v)
+        total = (Sub if minus else Add)(total, term)
     return total
 
 
@@ -284,12 +280,12 @@ _FLOAT_OPS = {Add: operator.add, Mul: operator.mul}
 
 def _combine(t: type, a: float | Expr, b: float | Expr) -> float | Expr:
     """a + b or a * b (t is Add or Mul) as a float if a and b are floats
-    and it is finite, else the simplified node t over them."""
+    and it is finite, else the node t over them."""
     if type(a) is float and type(b) is float:
         v = _FLOAT_OPS[t](a, b)
         if math.isfinite(v):
             return v
-    return _built(t, as_expr(a), as_expr(b))
+    return t(as_expr(a), as_expr(b))
 
 
 def reduce_vdp(P: Expr, U: Expr, params, v: Expr, h: Expr, g: Expr,
@@ -320,7 +316,7 @@ def vdp_chain(P: Expr, params) -> dict[str, Expr]:
     """U, g, h, v and f for the shift P, derived exactly at the c and b_1
     of ``params.lienard``, which do not depend on v, h, g and f.  The
     chain of a P and parameters is derived once while its nodes live."""
-    P = simplify(as_expr(P))
+    P = as_expr(P)
 
     def derive() -> tuple[Expr, ...]:
         c, b = params.lienard(0.0, 0.0, 0.0, 0.0)

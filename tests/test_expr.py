@@ -13,14 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_compiles, float_fn, general_instances
-from test_expr_reference import ref_eval, ref_lambdify
+from test_expr_reference import build, raw, ref_eval, ref_lambdify
 from vdplin import expr, odesolve
 from vdplin.colehopf import (bundle_from_json, bundle_to_json, solve_chain,
                              verify_annihilation, verify_printed_coeffs)
-from vdplin.expr import (Add, Const, Fun, Mul, Neg, Param, ParseError, Pow,
-                         Sub, UnboundParameterError, X, diff, free_params,
-                         lambdify, lambdify_ode, parse, simplify, subst,
-                         to_str)
+from vdplin.expr import (ONE, Add, Const, Div, Fun, Mul, Neg, Param,
+                         ParseError, Pow, Sub, UnboundParameterError, Var, X,
+                         diff, free_params, lambdify, lambdify_ode, parse,
+                         simplify, subst, to_str)
 from vdplin.odesolve import Grid, integrate_linear, integrate_vdp
 from vdplin.wcalc import vdp_chain
 
@@ -115,11 +115,13 @@ def test_every_pass_runs_on_a_20000_deep_chain():
     e = Mul(Param("a"), X)
     for k in range(n):
         e = Add(e, Mul(X, X) if k % 2 else Const(0.5))
-    f = subst(e, {"a": 1.0})
+    f = subst(e, {"a": 1.0})  # 1*x is born x: every Add above is rebuilt
     assert free_params(f) == frozenset()
-    g = simplify(f)  # 1*x becomes x, so every Add above it is rebuilt
-    assert g is not f and simplify(f) is g
+    g = simplify(f)
+    assert simplify(f) is g
     d = simplify(diff(f))
+    # printed and parsed back through the constructors, with no recursion
+    assert parse(to_str(e)) is e
     assert parse(to_str(f)) is f
     xs = np.array([-1.5, 0.0, 0.5, 2.0])
     want = xs + (n // 2) * (xs * xs + 0.5)
@@ -164,28 +166,31 @@ def test_lambdify_constant_broadcasts():
 # ---------------------------------------------------------------------------
 # property tests
 
-def _exprs(max_leaves=10):
-    """Random trees over x and constants."""
+def _raw_exprs(max_leaves=10):
+    """Random raw trees (``test_expr_reference.build``) over x and
+    constants."""
     constants = st.floats(min_value=-2.0, max_value=2.0,
-                          allow_nan=False).map(lambda v: Const(round(v, 3)))
-    leaves = st.one_of(st.just(X), constants)
+                          allow_nan=False).map(lambda v: (Const, round(v, 3)))
+    leaves = st.one_of(st.just((Var,)), constants)
     fun_names = st.sampled_from(("exp", "sin", "cos", "sinh", "cosh",
                                  "tan", "log", "sqrt"))
     exponents = st.integers(min_value=0, max_value=3).map(
-        lambda k: Const(float(k)))
+        lambda k: (Const, float(k)))
     return st.recursive(
         leaves,
         lambda ch: st.one_of(
-            ch.map(Neg),
-            st.tuples(ch, ch).map(lambda t: Add(*t)),
-            st.tuples(ch, ch).map(lambda t: Sub(*t)),
-            st.tuples(ch, ch).map(lambda t: Mul(*t)),
-            st.tuples(ch, ch).map(lambda t: t[0] / t[1]),
-            st.tuples(ch, exponents).map(lambda t: Pow(*t)),
-            st.tuples(fun_names, ch).map(lambda t: Fun(*t)),
+            ch.map(lambda a: (Neg, a)),
+            *(st.tuples(st.just(t), ch, ch) for t in (Add, Sub, Mul, Div)),
+            st.tuples(st.just(Pow), ch, exponents),
+            st.tuples(st.just(Fun), fun_names, ch),
         ),
         max_leaves=max_leaves,
     )
+
+
+def _exprs(max_leaves=10):
+    """Random trees over x and constants."""
+    return _raw_exprs(max_leaves).map(build)
 
 
 def _try_eval(e, x):
@@ -220,11 +225,13 @@ def test_derivative_matches_finite_difference(e, xs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_exprs(), st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
-def test_simplify_preserves_values_to_ulps(e, x):
-    before = _try_eval(e, x)
+@given(_raw_exprs(), st.floats(min_value=-3.0, max_value=3.0,
+                               allow_nan=False))
+def test_simplify_preserves_values_to_ulps(t, x):
+    # the raw tree against the one the constructors build of it
+    before = _try_eval(raw(t), x)
     assume(before is not None)
-    after = _try_eval(simplify(e), x)
+    after = _try_eval(build(t), x)
     assume(after is not None)
     assert abs(after - before) <= 4 * math.ulp(max(abs(before), abs(after)))
 
@@ -252,23 +259,34 @@ def test_diff_twice_total(e):
 
 
 def test_simplify_ulp_budget_over_thousand_points():
-    # a few fixed shapes with random constants, sampled until the budget
-    # covers a thousand points
+    # a few fixed raw shapes with random constants, the raw tree against
+    # the one the constructors build of it, sampled until the budget covers
+    # a thousand points
     rng = np.random.default_rng(5)
+    x, n = (Var,), (lambda v: (Const, v))
+    shapes = [
+        # (a + x)*(b - x) + c
+        lambda a, b, c: (Add, (Mul, (Add, n(a), x), (Sub, n(b), x)), n(c)),
+        # sin(a*x) + x^2*b - c
+        lambda a, b, c: (Sub, (Add, (Fun, "sin", (Mul, n(a), x)),
+                                   (Mul, (Pow, x, n(2.0)), n(b))), n(c)),
+        # exp(x/3)*a + x/(b*b + 1) + 0*x
+        lambda a, b, c: (Add, (Add, (Mul, (Fun, "exp", (Div, x, n(3.0))),
+                                         n(a)),
+                                   (Div, x, (Add, (Mul, n(b), n(b)), n(1.0)))),
+                         (Mul, n(0.0), x)),
+        # (x + 0)*1 + a*(x - b)^2
+        lambda a, b, c: (Add, (Mul, (Add, x, n(0.0)), n(1.0)),
+                         (Mul, n(a), (Pow, (Sub, x, n(b)), n(2.0)))),
+    ]
     checked = 0
     while checked < 1000:
         a, b, c = (round(float(v), 3) for v in rng.uniform(-2, 2, 3))
-        text = rng.choice([
-            f"({a} + x)*({b} - x) + {c}",
-            f"sin({a}*x) + x^2*{b} - ({c})",
-            f"exp(x/3)*{a} + x/({b}*{b} + 1) + 0*x",
-            f"(x + 0)*1 + {a}*(x - {b})^2",
-        ])
-        e = parse(text)
-        se = simplify(e)
-        for x in rng.uniform(-3, 3, 10):
-            before = _try_eval(e, float(x))
-            after = _try_eval(se, float(x))
+        t = rng.choice(shapes)(a, b, c)
+        e, se = raw(t), build(t)
+        for point in rng.uniform(-3, 3, 10):
+            before = _try_eval(e, float(point))
+            after = _try_eval(se, float(point))
             if before is None or after is None:
                 continue
             budget = 4 * math.ulp(max(abs(before), abs(after), 1e-300))
@@ -318,6 +336,15 @@ def test_signed_zero_constants_stay_apart():
     assert lambdify(X / Const(0.0))(1.0) == np.inf
 
 
+def test_negative_zero_prints_with_its_sign():
+    # "-0" is born the constant -0.0, which must print back as "-0"
+    for text in ("-0", "x/-0", "(-0)^x"):
+        e = parse(text)
+        assert to_str(e) == text and parse(to_str(e)) is e
+    assert parse("-0") is Const(-0.0)
+    assert lambdify(parse("x/-0"))(1.0) == -np.inf
+
+
 def test_nan_constants_are_interned():
     nan = float("nan")
     held = [Const(nan)]
@@ -354,6 +381,29 @@ def test_invalid_names_enter_no_table_entry():
         # half-built node, alive: the table must not hold one
         assert err.tb is not None
         assert len(expr._NODES) == before
+
+
+def test_field_checks_run_before_any_rule():
+    # exp of a constant folds, so the name is refused before a rule reads
+    # it, and no node or key is made
+    before = len(expr._NODES)
+    with pytest.raises(ValueError, match="unknown function 'bogus'"):
+        Fun("bogus", Const(1.0))
+    with pytest.raises(ValueError, match="invalid parameter name 'x'"):
+        Param("x")
+    assert len(expr._NODES) == before
+
+
+def test_a_rewritten_call_leaves_no_table_entry():
+    # the rule's result is returned, and the node asked for gets no key
+    neg = Neg(X)
+    for call, key, out in (((Mul, X, ONE), (Mul, X, ONE), X),
+                           ((Neg, neg), (Neg, neg), X),
+                           ((Fun, "exp", Const(0.0)),
+                            (Fun, "exp", Const(0.0)), ONE)):
+        assert call[0](*call[1:]) is out
+        assert key not in expr._NODES
+    assert (Neg, X) in expr._NODES  # no rule: interned
 
 
 def test_intern_table_drains_without_collection():
@@ -403,11 +453,11 @@ def test_cached_results_match_a_fresh_compile():
 
     xs = np.linspace(-2.0, 2.0, 41)
     e = build()
-    vector, simple = lambdify(e), simplify(e)
-    assert simple is not e
-    # a tree built in another call is the same node, with the same results
+    vector = lambdify(e)
+    # a tree built in another call is the same node, with the same results;
+    # born simplified, it is its own simplified form
     assert lambdify(build()) is vector
-    assert simplify(build()) is simple
+    assert simplify(build()) is e
 
     alive = weakref.ref(e)
     del e
@@ -416,7 +466,7 @@ def test_cached_results_match_a_fresh_compile():
     fresh = lambdify(e2)
     assert fresh is not vector
     assert np.array_equal(fresh(xs), vector(xs))
-    assert simplify(e2) is simple
+    assert simplify(e2) is e2
 
 
 def test_lambdify_cache_follows_the_bound_values():
@@ -466,12 +516,11 @@ def test_subst_tells_signed_zeros_apart():
     q = parse("x/a")
     assert lambdify(subst(q, {"a": 0.0}))(1.0) == np.inf
     assert lambdify(subst(q, {"a": -0.0}))(1.0) == -np.inf
-    # the scalar code raises on the division and keeps the sign elsewhere
+    # the scalar code raises on the division; a*x at either zero is born 0
     for a in (0.0, -0.0):
         with pytest.raises(ZeroDivisionError):
             float_fn(subst(q, {"a": a}))(1.0)
-        got = float_fn(subst(parse("a*x"), {"a": a}))(1.0)
-        assert got.hex() == a.hex()
+        assert subst(parse("a*x"), {"a": a}) is Const(0.0)
 
 
 def _bits(fn, x):

@@ -1,21 +1,25 @@
 """The vector tape of ``lambdify``, the scalar code of ``lambdify_ode``,
-the printer, the constant folds of ``simplify``, the loops of ``diff``,
-``simplify`` and ``subst``, the parser and ``wcalc``'s ring builder
+the printer, the rules the constructors apply, the constant folds, the
+loops of ``diff`` and ``subst``, the parser and ``wcalc``'s ring builder
 against the code they replaced: a generated-source vector compiler, the
 scalar compiler's own forward walk, a recursive printer, the recursive
-interpreter that once evaluated a tree at a point, the recursive walkers
-of the three passes, a parser that tokenized the whole text first and a
-builder that made a Const node of every number for simplify to fold, all
-kept here verbatim as references.  The tape and the scalar code must
-give the same bits, the printer the same text, a fold the same constant
-where the interpreter gave a finite value and none elsewhere, each pass
-and the builder the very node the reference gave (``diff`` the node the
-reference simplify gives the reference derivative), and the parser the
-same node or the same error at the same offset."""
+interpreter that once evaluated a tree at a point, the recursive
+simplifier, the recursive walkers of the two passes, a parser that
+tokenized the whole text first and a builder that made a Const node of
+every number, all kept here verbatim as references.  The simplifier runs
+on raw trees, nested tuples that no constructor has seen, so it does not
+build through the rules it checks.  The tape and the scalar code must give
+the same bits, the printer the same text, a fold the same constant where
+the interpreter gave a finite value and none elsewhere, the constructors
+the tree the reference simplifier makes of a raw one, each pass and the
+builder the very node the reference gave, and the parser the same node or
+the same error at the same offset."""
 
 import builtins
+import dataclasses
 import json
 import math
+import operator
 import re
 import tracemalloc
 from itertools import groupby
@@ -30,13 +34,11 @@ from vdplin import colehopf, expr, lienard, wcalc
 from vdplin.colehopf import (bundle_from_json, bundle_to_json, solve_chain,
                              verify_printed_coeffs)
 from vdplin.cli import run as cli_run
-from vdplin.expr import (FUNCTIONS, ONE, ZERO, _SCALAR_NS, _VECTOR_BINARY,
-                         Add, Const, Div, Expr, Fun, Mul, Neg, Param,
-                         ParseError, Pow, Sub,
-                         UnboundParameterError, Var, X, _fold, _is_const,
-                         _neg_of, _postorder, _pow_scalar, diff, free_params,
-                         lambdify, lambdify_ode, parse, parser, printer,
-                         simplify, subst, to_str)
+from vdplin.expr import (FUNCTIONS, ONE, ZERO, _SCALAR_NS, Add, Const, Div,
+                         Expr, Fun, Mul, Neg, Param, ParseError, Pow, Sub,
+                         UnboundParameterError, Var, X, _postorder,
+                         _pow_scalar, diff, free_params, lambdify,
+                         lambdify_ode, parse, parser, printer, subst, to_str)
 from vdplin.lienard import lienard_coeffs, riccati_u
 
 from conftest import general_instances, vdp_coefficients
@@ -332,7 +334,8 @@ def ref_print(node, ctx=0):
 
 def ref_diff(e):
     """Differentiation as it was: a recursion over the tree, memoized by
-    node id, whose result is not simplified."""
+    node id, building through the constructors, which simplify each node
+    as they make it."""
     return _diff(e, {})
 
 
@@ -402,98 +405,164 @@ def _diff_fun(node: Fun, memo: dict) -> Expr:
     raise TypeError(f"unknown function {node.name!r}")  # pragma: no cover
 
 
-def ref_simplify(e):
-    """Simplification as it was: a recursion over the tree.  It cached
-    each result on the node; a dict memo stands in for that slot here, so
-    the reference shares no cache with ``simplify``."""
-    return _simplify(e, {})
+# ---------------------------------------------------------------------------
+# raw trees: a node class and its fields as a nested tuple, (Const, v),
+# (Var,), (Param, name), (Neg, a), (Fun, name, a), (Pow, base, exponent),
+# (Add, left, right) and so on; no Expr, so no rule has seen one
+
+_LEAVES = (Const, Var, Param)
 
 
-def _simplify(node: Expr, memo: dict) -> Expr:
+def build(t: tuple) -> Expr:
+    """t through the constructors, which simplify each node they make."""
+    return _make(t, lambda cls, *args: cls(*args), {})
+
+
+def raw(t: tuple) -> Expr:
+    """t as nodes no rule has seen: made by ``type.__call__``, past the
+    intern table, over interned leaves.  Each is shared with no other
+    tree, and ``ref_eval``, ``ref_print`` and ``lambdify`` read it as they
+    read any node."""
+    return _make(t, type.__call__, {})
+
+
+def _make(t: tuple, make, memo: dict) -> Expr:
+    key = id(t)
+    if key not in memo:
+        cls, *args = t
+        args = [_make(a, make, memo) if type(a) is tuple else a
+                for a in args]
+        memo[key] = cls(*args) if cls in _LEAVES else make(cls, *args)
+    return memo[key]
+
+
+def fields(e: Expr) -> tuple:
+    """The raw tree of e's nodes."""
+    out: dict[Expr, tuple] = {}
+    for node in _postorder(e):
+        out[node] = (type(node), *(
+            out[v] if isinstance(v, Expr) else v
+            for v in (getattr(node, f.name)
+                      for f in dataclasses.fields(node))))
+    return out[e]
+
+
+def same_tree(a: tuple, b: tuple) -> bool:
+    """Raw trees equal field by field, constants by their bits: the repr
+    of a float is exact and tells -0.0 from 0.0."""
+    return repr(a) == repr(b)
+
+
+def ref_simplify(t: tuple) -> tuple:
+    """Simplification as it was, over a raw tree: a recursion that gives
+    the simplified raw tree.  It cached each result on the node; a memo
+    by id stands in for that slot here."""
+    return _simplify(t, {})
+
+
+def _simplify(t: tuple, memo: dict) -> tuple:
+    key = id(t)
+    if key not in memo:
+        memo[key] = _simplify_node(t, memo)
+    return memo[key]
+
+
+def _is(t: tuple, v: float) -> bool:
+    return t[0] is Const and t[1] == v
+
+
+def _neg_of(t: tuple) -> tuple:
+    if t[0] is Const:
+        return (Const, -t[1])
+    if t[0] is Neg:
+        return t[1]
+    if t[0] is Mul and t[1][0] is Const:
+        return (Mul, (Const, -t[1][1]), t[2])
+    return (Neg, t)
+
+
+def _fold(fn, *args: float) -> tuple | None:
+    """fn of finite constants as a constant, if the call succeeds with a
+    finite value."""
+    if not all(map(math.isfinite, args)):
+        return None
     try:
-        out = memo[node]
-    except KeyError:
-        out = _simplify_node(node, memo)
-        memo[node] = out
-    return out
+        v = fn(*args)
+    except (ArithmeticError, ValueError):
+        return None
+    return (Const, v) if math.isfinite(v) else None
 
 
-def _simplify_node(node: Expr, memo: dict) -> Expr:
-    if isinstance(node, (Const, Var, Param)):
-        return node
+_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+        Div: operator.truediv}
 
-    if isinstance(node, Neg):
-        a = _simplify(node.arg, memo)
-        if isinstance(a, (Const, Neg)):
+
+def _simplify_node(t: tuple, memo: dict) -> tuple:
+    cls = t[0]
+    if cls in _LEAVES:
+        return t
+
+    if cls is Neg:
+        a = _simplify(t[1], memo)
+        if a[0] is Const or a[0] is Neg:
             return _neg_of(a)
-        return node if a is node.arg else Neg(a)
+        return (Neg, a)
 
-    if isinstance(node, Fun):
-        a = _simplify(node.arg, memo)
-        if isinstance(a, Const):
-            folded = _fold(_SCALAR_NS["_" + node.name], a.value)
+    if cls is Fun:
+        a = _simplify(t[2], memo)
+        if a[0] is Const:
+            folded = _fold(getattr(math, t[1]), a[1])
             if folded is not None:
                 return folded
-        return node if a is node.arg else Fun(node.name, a)
+        return (Fun, t[1], a)
 
-    if isinstance(node, Pow):
-        b = _simplify(node.base, memo)
-        ex = _simplify(node.exponent, memo)
-        if _is_const(ex, 0.0):
-            return ONE
-        if _is_const(ex, 1.0):
+    a, b = _simplify(t[1], memo), _simplify(t[2], memo)
+    if cls is Pow:
+        if _is(b, 0.0):
+            return (Const, 1.0)
+        if _is(b, 1.0):
+            return a
+        if _is(a, 1.0):
+            return (Const, 1.0)
+        if a[0] is Const and b[0] is Const:
+            folded = _fold(_pow_scalar, a[1], b[1])
+            if folded is not None:
+                return folded
+        return (Pow, a, b)
+
+    if a[0] is Const and b[0] is Const and not (cls is Div and b[1] == 0.0):
+        v = _OPS[cls](a[1], b[1])
+        if math.isfinite(v):  # an overflow stays unfolded
+            return (Const, v)
+    if cls is Add:
+        if _is(a, 0.0):
             return b
-        if _is_const(b, 1.0):
-            return ONE
-        if isinstance(b, Const) and isinstance(ex, Const):
-            folded = _fold(_pow_scalar, b.value, ex.value)
-            if folded is not None:
-                return folded
-        if b is node.base and ex is node.exponent:
-            return node
-        return Pow(b, ex)
-
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        a = _simplify(node.left, memo)
-        b = _simplify(node.right, memo)
-        if isinstance(a, Const) and isinstance(b, Const) and not (
-                isinstance(node, Div) and b.value == 0.0):
-            v = _VECTOR_BINARY[type(node)](a.value, b.value)
-            if math.isfinite(v):  # an overflow stays unfolded
-                return Const(v)
-        if isinstance(node, Add):
-            if _is_const(a, 0.0):
-                return b
-            if _is_const(b, 0.0):
-                return a
-        elif isinstance(node, Sub):
-            if _is_const(b, 0.0):
-                return a
-            if _is_const(a, 0.0):
-                return _neg_of(b)
-        elif isinstance(node, Mul):
-            if _is_const(a, 0.0) or _is_const(b, 0.0):
-                return ZERO
-            if _is_const(a, 1.0):
-                return b
-            if _is_const(b, 1.0):
-                return a
-            if _is_const(a, -1.0):
-                return _neg_of(b)
-            if _is_const(b, -1.0):
-                return _neg_of(a)
-        else:  # Div
-            if _is_const(a, 0.0):
-                return ZERO
-            if _is_const(b, 1.0):
-                return a
-            if _is_const(b, -1.0):
-                return _neg_of(a)
-        if a is node.left and b is node.right:
-            return node
-        return type(node)(a, b)
-
-    return node  # pragma: no cover
+        if _is(b, 0.0):
+            return a
+    elif cls is Sub:
+        if _is(b, 0.0):
+            return a
+        if _is(a, 0.0):
+            return _neg_of(b)
+    elif cls is Mul:
+        if _is(a, 0.0) or _is(b, 0.0):
+            return (Const, 0.0)
+        if _is(a, 1.0):
+            return b
+        if _is(b, 1.0):
+            return a
+        if _is(a, -1.0):
+            return _neg_of(b)
+        if _is(b, -1.0):
+            return _neg_of(a)
+    else:  # Div
+        if _is(a, 0.0):
+            return (Const, 0.0)
+        if _is(b, 1.0):
+            return a
+        if _is(b, -1.0):
+            return _neg_of(a)
+    return (cls, a, b)
 
 
 def ref_subst(e, values):
@@ -653,8 +722,8 @@ def ref_parse(text: str) -> Expr:
 def ref_expr(p, values):
     """p at the generators' values.  A monomial's coefficient and its
     Const values multiply into one number, summed over the monomials that
-    share their other values, and simplify folds that number unless it
-    overflows; a negative one is subtracted."""
+    share their other values, and the constructors fold that number unless
+    it overflows; a negative one is subtracted."""
     groups: dict[tuple, Expr] = {}
     for m, k in p.items():
         num, rest = Const(float(k)), []
@@ -668,14 +737,13 @@ def ref_expr(p, values):
         groups[key] = groups[key] + num if key in groups else num
     total = ZERO
     for rest, num in groups.items():
-        num = simplify(num)
         minus = type(num) is Const and num.value < 0
         term = Const(-num.value) if minus else num
         for v, run in groupby(rest):
             n = len(tuple(run))
             term = term * (v ** n if n > 1 else v)
         total = total - term if minus else total + term
-    return simplify(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -692,34 +760,52 @@ _BINARY = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}
 
 
 @st.composite
-def _dags(draw, max_ops=14, params=(), kinds=_KINDS, extra=()):
-    """Each new node takes its operands from the nodes built before it, so
+def _raw_trees(draw, max_ops=14, params=(), kinds=_KINDS, extra=()):
+    """Each new node takes its operands from the nodes made before it, so
     subtrees are shared, and constants meet constants often enough to give
     constant-only subtrees (1/0, 0^-1, 1e300*1e300, ...).  The leaves are x,
-    the constants and a parameter of each name in ``params``, and the
+    the constants and a parameter of each name in ``params``, and the raw
     trees in ``extra`` are operands too; the nodes are of the ``kinds``
     given."""
-    pool = [X, *map(Param, params), *extra] + [
-        Const(v) for v in draw(st.lists(_CONSTANTS, min_size=1, max_size=4))]
+    pool = [(Var,), *((Param, p) for p in params), *extra] + [
+        (Const, v) for v in draw(st.lists(_CONSTANTS, min_size=1,
+                                          max_size=4))]
     for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
         kind = draw(st.sampled_from(kinds))
         a = draw(st.sampled_from(pool))
         if kind == "neg":
-            node = Neg(a)
+            t = (Neg, a)
         elif kind in _BINARY:
-            node = _BINARY[kind](a, draw(st.sampled_from(pool)))
+            t = (_BINARY[kind], a, draw(st.sampled_from(pool)))
         elif kind == "int_pow":
             k = draw(st.integers(min_value=-3, max_value=4))
-            node = Pow(a, Const(float(k)))
+            t = (Pow, a, (Const, float(k)))
         elif kind == "frac_pow":
-            node = Pow(a, Const(draw(st.sampled_from([0.5, -0.5, 1.5,
-                                                      1 / 3, -2.25]))))
+            t = (Pow, a, (Const, draw(st.sampled_from([0.5, -0.5, 1.5,
+                                                       1 / 3, -2.25]))))
         elif kind == "pow":
-            node = Pow(a, draw(st.sampled_from(pool)))
+            t = (Pow, a, draw(st.sampled_from(pool)))
         else:
-            node = Fun(draw(st.sampled_from(FUNCTIONS)), a)
-        pool.append(node)
+            t = (Fun, draw(st.sampled_from(FUNCTIONS)), a)
+        pool.append(t)
     return pool[-1]
+
+
+def _dags(**kwargs):
+    """Raw trees of ``_raw_trees`` built through the constructors."""
+    return _raw_trees(**kwargs).map(build)
+
+
+# raw subtrees at the edges of the rules: ones no rule leaves as they are
+# (-0, --x, 1+2, x*1, 0-2*x, (-(-0))^3, exp(0)) and ones no fold may
+# touch (1/0, 1e300*1e300)
+_X = (Var,)
+_RAW_EDGES = ((Neg, (Const, 0.0)), (Neg, (Neg, _X)),
+              (Add, (Const, 1.0), (Const, 2.0)), (Mul, _X, (Const, 1.0)),
+              (Sub, (Const, 0.0), (Mul, (Const, 2.0), _X)),
+              (Pow, (Neg, (Const, -0.0)), (Const, 3.0)),
+              (Fun, "exp", (Const, 0.0)), (Div, (Const, 1.0), (Const, 0.0)),
+              (Mul, (Const, 1e300), (Const, 1e300)))
 
 
 _XS = np.array([-2.5, -1.0, -0.0, 0.0, 1e-8, 0.3, 1.0, 2.0, 7.5, 40.0])
@@ -759,60 +845,68 @@ def test_tape_matches_the_generated_code_bit_for_bit(e, extra):
 @settings(max_examples=400, deadline=None)
 @given(_dags(params=("a", "b")), st.sampled_from([0.0, -0.0, 1.0, -2.5]))
 def test_passes_return_the_node_of_the_recursive_walkers(e, a):
-    # a is bound and b left alone; simplify is run on trees that share
-    # subtrees simplified before, so its walk stops at cached nodes
+    # a is bound and b left alone; every node a pass makes is its own
+    # simplified form
     d = diff(e)
-    assert d is ref_simplify(ref_diff(e))
+    assert d is ref_diff(e)
     s = subst(e, {"a": a})
     assert s is ref_subst(e, {"a": a})
     for t in (e, d, s, diff(d)):
-        assert simplify(t) is ref_simplify(t)
+        assert same_tree(ref_simplify(fields(t)), fields(t))
         assert to_str(t) == ref_print(t)
 
 
-# raw subtrees that are not their own simplified forms
-_NOT_FIXPOINTS = (Neg(Const(0.0)), Neg(Neg(X)), Add(Const(1.0), Const(2.0)),
-                  Mul(X, Const(1.0)), Sub(Const(0.0), Mul(Const(2.0), X)),
-                  Pow(Neg(Const(-0.0)), Const(3.0)), Fun("exp", Const(0.0)),
-                  Div(Const(1.0), Const(0.0)))
+# operands at the edges of every rule: the constants of the identities,
+# of either sign, non-finite ones, and the nodes _neg_of reads
+_UNITS = tuple((Const, v) for v in (0.0, -0.0, 1.0, -1.0))
+_OPERANDS = (_X, (Param, "a"), (Neg, _X), (Mul, (Const, 2.0), _X), *_UNITS,
+             *((Const, v) for v in (2.0, -0.5, 1e300, math.inf, math.nan)),
+             (Mul, (Const, 1e300), (Const, 1e300)),
+             (Div, (Const, 1.0), (Const, 0.0)))
+
+
+def test_construction_matches_the_reference_simplifier_on_every_pair():
+    for a in _OPERANDS:
+        trees = [(Neg, a), *((Fun, name, a) for name in FUNCTIONS)]
+        trees += [(t, a, b) for t in (Add, Sub, Mul, Div, Pow)
+                  for b in _OPERANDS]
+        for t in trees:
+            assert same_tree(fields(build(t)), ref_simplify(t)), raw(t)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_dags(params=("a",), extra=_NOT_FIXPOINTS))
+@given(_raw_trees(params=("a",), extra=_RAW_EDGES + _UNITS))
+def test_construction_matches_the_reference_simplifier(t):
+    # the constructors, applying the rules of one node as they make it
+    # bottom-up, build the tree a walk of the reference over the raw tree
+    # makes; the reference's output is its own simplified form, and
+    # building it again changes nothing
+    s = ref_simplify(t)
+    assert same_tree(fields(build(t)), s)
+    assert same_tree(ref_simplify(s), s)
+    assert same_tree(fields(build(s)), s)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dags(params=("a",), extra=_RAW_EDGES))
 def test_derivative_returns_the_node_of_the_simplified_reference(e):
-    # built simplified node by node, with e's raw subtrees read through
-    # simplify, the derivative is the node a walk over the raw one gives
+    # the reference derivative is built through the constructors too
     d = diff(e)
-    assert d is ref_simplify(ref_diff(e))
-    assert d is simplify(ref_diff(e))
-    assert diff(d) is ref_simplify(ref_diff(d))
+    assert d is ref_diff(e)
+    assert diff(d) is ref_diff(d)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_dags(params=("a",), extra=_NOT_FIXPOINTS))
-def test_simplify_is_idempotent(e):
-    # what lets a node built over simplified children be cached as its
-    # own simplified form; the reference's memo shares no cache
-    s = ref_simplify(e)
-    assert ref_simplify(s) is s
-    assert simplify(e) is s
-    assert simplify(s) is s
-
-
-def test_a_node_built_over_a_raw_child_is_not_cached():
-    # the rules of one node assume simplified children: over a raw child
-    # the node is returned as made, and simplify still walks it
-    raw = Neg(Neg(Param("raw")))
-    node = expr._built(Add, raw, X)
-    assert node is Add(raw, X)
-    assert simplify(node) is Add(Param("raw"), X)
+@given(_dags(params=("a",)))
+def test_a_printed_dag_parses_back_to_its_node(e):
+    assert parse(to_str(e)) is e
 
 
 def test_general_p_jets_are_the_simplified_reference_derivatives():
     for _, P in general_instances(4, seed=29):
         P, dP, ddP = wcalc.jet(P)
-        assert dP is ref_simplify(ref_diff(P))
-        assert ddP is ref_simplify(ref_diff(dP))
+        assert dP is ref_diff(P)
+        assert ddP is ref_diff(dP)
 
 
 # contexts a shared subtree prints in: bare, as an operand of each
@@ -888,46 +982,48 @@ def test_scalar_and_vector_forms_agree_on_arithmetic(e, extra):
 
 
 def _ref_fold(e):
-    """What simplify folded e into when it asked the interpreter: the
-    constant if the value was finite, else e itself."""
+    """What the fold of e is when the interpreter is asked: the bits of
+    its value if that is finite, else None (left unfolded)."""
     try:
         v = ref_eval(e, 0.0)
     except RefDomainError:
-        return e
-    return Const(v) if math.isfinite(v) else e
+        return None
+    return v.hex() if math.isfinite(v) else None
 
 
 def _bits(e: Expr):
-    return e.value.hex() if isinstance(e, Const) else e
+    return e.value.hex() if isinstance(e, Const) else None
+
+
+def _pow(a: float, b: float) -> tuple:
+    return (Pow, (Const, a), (Const, b))
+
+
+def _fun(name: str, a: float) -> tuple:
+    return (Fun, name, (Const, a))
 
 
 _INF, _NAN = math.inf, math.nan
 _EDGE_FOLDS = [
-    Pow(Const(0.0), Const(-1.0)), Pow(Const(-0.0), Const(-3.0)),
-    Pow(Const(-8.0), Const(1 / 3)), Pow(Const(0.0), Const(0.5)),
-    Pow(Const(0.0), Const(-0.5)), Pow(Const(2.0), Const(1e20)),
-    Pow(Const(0.5), Const(1e20)), Pow(Const(-2.0), Const(3.0)),
-    Pow(Const(2.0), Const(0.5)), Pow(Const(1e200), Const(2.0)),
-    Pow(Const(10.0), Const(400.5)), Pow(Const(-1.0), Const(1e300)),
-    Fun("exp", Const(710.0)), Fun("exp", Const(709.0)),
-    Fun("log", Const(0.0)), Fun("log", Const(-0.0)), Fun("log", Const(-1.0)),
-    Fun("sqrt", Const(-0.0)), Fun("sqrt", Const(-1e-300)),
-    Fun("sqrt", Const(2.0)), Fun("cosh", Const(800.0)),
-    Fun("sinh", Const(-800.0)), Fun("tan", Const(1e300)),
-    Fun("sin", Const(1e300)),
+    _pow(0.0, -1.0), _pow(-0.0, -3.0), _pow(-8.0, 1 / 3), _pow(0.0, 0.5),
+    _pow(0.0, -0.5), _pow(2.0, 1e20), _pow(0.5, 1e20), _pow(-2.0, 3.0),
+    _pow(2.0, 0.5), _pow(1e200, 2.0), _pow(10.0, 400.5), _pow(-1.0, 1e300),
+    _fun("exp", 710.0), _fun("exp", 709.0), _fun("log", 0.0),
+    _fun("log", -0.0), _fun("log", -1.0), _fun("sqrt", -0.0),
+    _fun("sqrt", -1e-300), _fun("sqrt", 2.0), _fun("cosh", 800.0),
+    _fun("sinh", -800.0), _fun("tan", 1e300), _fun("sin", 1e300),
     # non-finite operands are never folded
-    Fun("exp", Const(_INF)), Fun("exp", Const(-_INF)), Fun("exp", Const(_NAN)),
-    Fun("log", Const(_INF)), Fun("sqrt", Const(_NAN)), Fun("sin", Const(_INF)),
-    Fun("tan", Const(_NAN)), Pow(Const(_INF), Const(2.0)),
-    Pow(Const(2.0), Const(-_INF)), Pow(Const(0.5), Const(_INF)),
-    Pow(Const(_NAN), Const(0.5)), Pow(Const(2.0), Const(_NAN)),
-    Pow(Const(-_INF), Const(3.0)),
+    _fun("exp", _INF), _fun("exp", -_INF), _fun("exp", _NAN),
+    _fun("log", _INF), _fun("sqrt", _NAN), _fun("sin", _INF),
+    _fun("tan", _NAN), _pow(_INF, 2.0), _pow(2.0, -_INF), _pow(0.5, _INF),
+    _pow(_NAN, 0.5), _pow(2.0, _NAN), _pow(-_INF, 3.0),
 ]
 
 
-@pytest.mark.parametrize("e", _EDGE_FOLDS, ids=repr)
+@pytest.mark.parametrize("e", _EDGE_FOLDS, ids=lambda t: repr(raw(t)))
 def test_fold_matches_the_interpreter_at_the_edges(e):
-    assert _bits(simplify(e)) == _bits(_ref_fold(e))
+    # the constructor's fold against the interpreter on the raw node
+    assert _bits(build(e)) == _ref_fold(raw(e))
 
 
 @settings(max_examples=400, deadline=None)
@@ -935,12 +1031,12 @@ def test_fold_matches_the_interpreter_at_the_edges(e):
        st.floats(width=64), st.floats(width=64))
 def test_fold_matches_the_interpreter(name, a, b):
     if name == "pow":
-        e = Pow(Const(a), Const(b))
+        e = _pow(a, b)
         if b in (0.0, 1.0) or a == 1.0:
             return  # x^0, x^1 and 1^x are identities, not folds
     else:
-        e = Fun(name, Const(a))
-    assert _bits(simplify(e)) == _bits(_ref_fold(e))
+        e = _fun(name, a)
+    assert _bits(build(e)) == _ref_fold(raw(e))
 
 
 # ---------------------------------------------------------------------------
@@ -1007,38 +1103,6 @@ def _generator_values(draw):
 def test_ring_builder_returns_the_node_of_the_reference(values):
     for p in _RING:
         assert wcalc._expr(p, values) is ref_expr(p, values)
-
-
-def test_no_walk_goes_over_what_the_ring_builder_or_derivative_built(
-        monkeypatch):
-    # every node they make is simplified as it is made, so no walk of
-    # simplify, theirs or a later caller's, steps on one: the walks are
-    # the steps of _simplify_node, and a built node is one the call made
-    (params, P), = general_instances(1, seed=37)
-    walked, built = [], []
-    step = expr._simplify_node
-
-    def walking(node, done):
-        walked.append(node)
-        return step(node, done)
-
-    def recording(fn):
-        def call(*args):
-            before = {ref() for ref in list(expr._NODES.values())}
-            out = fn(*args)
-            built.extend(n for n in _postorder(out) if n not in before)
-            return out
-        return call
-
-    monkeypatch.setattr(expr, "_simplify_node", walking)
-    monkeypatch.setattr(wcalc, "_expr", recording(wcalc._expr))
-    for module in (wcalc, lienard):
-        monkeypatch.setattr(module, "diff", recording(module.diff))
-    b = solve_chain(P, params)
-    verify_printed_coeffs(b.P, b.U, params, b.v, b.h, b.g, b.f)
-    lienard_coeffs([Const(0.25), Const(-0.4), Const(0.1)], P, riccati_u(P))
-    assert len(set(built)) > 100 and walked
-    assert not set(built) & set(walked)
 
 
 # ---------------------------------------------------------------------------
