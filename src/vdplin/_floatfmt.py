@@ -28,8 +28,10 @@ can: a call's temporaries stay a few hundred kB however long the file.
 
 Values the argument does not decide are printed by ``repr`` one at a time:
 zeros, non-finite values, powers of two (asymmetric interval), |v| outside
-[1e-6, 1e38), and candidates within ``_TOL`` of a rounding tie or of the
-interval's edge (where ``repr`` breaks ties by rules not reproduced here).
+[1e-6, 1e38), decade misses (a few ulps below a power of ten, where
+floor(log10|v|) rounds up and s falls outside [1e16, 1e17)), and
+candidates within ``_TOL`` of a rounding tie or of the interval's edge
+(where ``repr`` breaks ties by rules not reproduced here).
 """
 
 from __future__ import annotations
@@ -187,18 +189,10 @@ def repr_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del m
     np.clip(e10, -6, 37, out=e10)
     hi, lo, half = _scale(a, e10, e2)
-    # log10 can miss the decade by one next to a power of ten
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    miss = np.flatnonzero(below | above)
-    if miss.size:
-        e = e10[miss] + above[miss] - below[miss]
-        fast[miss[np.abs(16 - e) > 22]] = False
-        e10[miss] = e = np.clip(e, -6, 38)
-        h, l, half[miss] = _scale(a[miss], e, e2[miss])
-        hi[miss], lo[miss] = h, l
-        fast[miss] &= (h > 1e16) | ((h == 1e16) & (l >= 0))
-        fast[miss] &= (h < 1e17) | ((h == 1e17) & (l < 0))
+    # a few ulps below a power of ten, log10 can round up to the next
+    # decade, leaving s outside [1e16, 1e17): repr prints those values
+    fast &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))
+    fast &= (hi < 1e17) | ((hi == 1e17) & (lo < 0))
 
     # s = n17 + f17 exactly, |f17| <= 1/2; the 16- and 15-digit roundings
     # are n17 rounded to tens and hundreds, at distance d16 and d15

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Every subcommand runs one pipeline: build -> integrate -> map -> residual
--> emit -> gate.  Only build depends on the subcommand.  It yields P, U,
-the closed-form phi of case1-3, the residual of the Van der Pol or Lienard
-equation, the spec to write (a bundle with its discrepancy ledger, or a
-Lienard spec) and the gates checked before the residual gate (b0 for
-lienard --riccati, annihilation for verify).  A run writes the spec, the
-phi/psi trajectories and a residual report; verify writes verify.json.
+-> emit -> gate.  Only build depends on the subcommand, and it returns data,
+not callbacks: P, U, the closed-form phi of case1-3, the Lienard (c, b)
+whose residual is measured (VdpParams.lienard's for a Van der Pol run), the
+spec to write (a bundle with its ledger, or a Lienard spec), the report
+document and the gates failed before the residual gate (b0 for lienard
+--riccati, annihilation for verify).  A run writes the spec, the phi/psi
+trajectories and a residual report; verify writes verify.json.
 Exit codes: 0 success, 1 usage, 2 expression parse/eval failure or
 unusable input file, 3 verification failure.
 """
@@ -17,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .odesolve import (DEFAULT_GUARD_TOL, DEFAULT_POLE_TOL, Grid,
                        IntegratorConfig, NonFiniteCoefficientError,
                        SegmentTooShortError, StepUnderflowError, Trajectory,
                        cole_hopf_map, integrate_linear, lienard_residual,
-                       residual, trajectory_csv, trajectory_json)
+                       trajectory_csv, trajectory_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,11 +202,11 @@ def _emit_run(ns: argparse.Namespace, spec_name: str, spec: dict,
 # the pipeline
 
 def _build(ns: argparse.Namespace, grid: Grid):
-    """Returns ``(P, U, phi_expr, measure, spec, finish)``: the closed-form
-    phi or None; ``measure(psi, guard_tol=...)``, the residual report; the
-    spec's (file name, document), None for verify; ``finish(residual_doc)``,
-    the report document and the messages of the gates that failed before
-    the residual gate, None for a report of the residual alone."""
+    """Returns ``(P, U, phi_expr, (c, b), spec, doc, failures)``: the
+    closed-form phi or None; the Lienard coefficients whose residual the
+    run measures; the spec's (file name, document), None for verify; the
+    report document, whose "residual" slot the pipeline fills; and the
+    messages of the gates that failed before the residual gate."""
     def flag_expr(name: str) -> Expr:
         constants = {k: getattr(ns, k)
                      for k in ("C1", "C2", "C3", "C4", "c", "a")}
@@ -214,6 +215,7 @@ def _build(ns: argparse.Namespace, grid: Grid):
         except ExprError as err:
             raise ExprError(f"--{name}: {err}") from err
 
+    doc, failures = {"residual": None}, []
     if ns.subcommand == "lienard":
         if ns.riccati and ns.U is not None:
             raise UsageError("lienard takes --riccati or --U <expr>, not both")
@@ -226,28 +228,23 @@ def _build(ns: argparse.Namespace, grid: Grid):
         else:
             raise UsageError("lienard needs --riccati or --U <expr>")
         lien = lienard_coeffs(c, P, U, grid=grid.xs)
-
-        def finish(res: dict) -> tuple[dict, list[str]]:
+        if ns.riccati:
             b0 = float(np.max(np.abs(lambdify(lien.b[0])(grid.xs))))
-            return {"residual": res, "b0_max": b0}, (
-                [f"Riccati potential left b0 at {b0:g}"]
-                if b0 > ANNIHILATION_TOL else [])
+            doc["b0_max"] = b0
+            if b0 > ANNIHILATION_TOL:
+                failures.append(f"Riccati potential left b0 at {b0:g}")
+        return (lien.P, lien.U, None, (lien.c, lien.b),
+                ("lienard.json", lienard_spec_to_dict(lien)), doc, failures)
 
-        return (lien.P, lien.U, None,
-                partial(lienard_residual, lien.c, lien.b),
-                ("lienard.json", lienard_spec_to_dict(lien)),
-                finish if ns.riccati else None)
-
-    phi_expr, spec, finish = None, None, None
+    phi_expr, spec = None, None
     if ns.subcommand == "verify":
         bundle = bundle_from_json(ns.bundle.read_text())
         ann = verify_annihilation(bundle, grid)
-
-        def finish(res: dict) -> tuple[dict, list[str]]:
-            doc = {"annihilation": ann.to_dict(), "residual": res,
-                   "ledger": [e.to_dict() for e in bundle.ledger]}
-            return doc, [] if ann.passed else [
-                f"annihilation failed: max|a_i| = {max(ann.max_abs):g}"]
+        doc = {"annihilation": ann.to_dict(), "residual": None,
+               "ledger": [e.to_dict() for e in bundle.ledger]}
+        if not ann.passed:
+            failures.append(
+                f"annihilation failed: max|a_i| = {max(ann.max_abs):g}")
     else:
         params = VdpParams(ns.mu, ns.beta, ns.alpha)
         if ns.subcommand == "custom":
@@ -268,13 +265,14 @@ def _build(ns: argparse.Namespace, grid: Grid):
             bundle.P, bundle.U, params, bundle.v, bundle.h, bundle.g,
             bundle.f))
         spec = ("bundle.json", bundle_to_dict(bundle))
-    return (bundle.P, bundle.U, phi_expr, partial(residual, bundle), spec,
-            finish)
+    return (bundle.P, bundle.U, phi_expr,
+            bundle.params.lienard(bundle.v, bundle.h, bundle.g, bundle.f),
+            spec, doc, failures)
 
 
 def _pipeline(ns: argparse.Namespace, grid: Grid,
               cfg: IntegratorConfig) -> None:
-    P, U, phi_expr, measure, spec, finish = _build(ns, grid)
+    P, U, phi_expr, (c, b), spec, doc, failures = _build(ns, grid)
     if phi_expr is not None:
         phi = Trajectory.from_expr(phi_expr, grid)
     elif ns.phi0 == 0.0 and ns.dphi0 == 0.0:
@@ -283,9 +281,8 @@ def _pipeline(ns: argparse.Namespace, grid: Grid,
     else:
         phi = integrate_linear(U, grid, ns.phi0, ns.dphi0, cfg)
     psi = cole_hopf_map(P, phi, U=U, pole_tol=ns.pole_tol)
-    report = measure(psi, guard_tol=ns.guard_tol)
-    res = report.to_dict()
-    doc, failures = finish(res) if finish else ({"residual": res}, [])
+    report = lienard_residual(c, b, psi, guard_tol=ns.guard_tol)
+    doc["residual"] = report.to_dict()
     if spec is None:
         _write(ns.out / "verify.json", _json_bytes(doc))
     else:

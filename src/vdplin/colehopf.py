@@ -9,10 +9,11 @@ and the substitution psi = P(x) + phi'/phi with phi'' = U(x) phi, requiring
 the reduced coefficients a_1..a_4 to vanish fixes g, h, v and U in terms of
 P, and a_0 = 0 then defines the forcing f; :mod:`vdplin.wcalc` derives all
 five exactly.  Hand-derived reference formulas are kept as cross-checks
-whose outcome is recorded in a discrepancy ledger carried by the bundle:
-those of a_0..a_4, f and the seeded U are polynomials in P's jet, and
-``wcalc`` decides them exactly, by their gap to the derivation; the others
-are sampled.
+whose outcome is recorded in a discrepancy ledger carried by the bundle.
+Every check follows one rule, ``gap_entries``': its gap, derived -
+reference, decides it exactly when it folds to a number, as the ring's
+gaps of a_0..a_4, f and the seeded U and the catalog's constant rows do,
+and is sampled on a grid otherwise.
 ``verify_annihilation`` decides a bundle exactly too when its fields are
 the chain's own for its P, as every bundle ``solve_chain`` writes is, and
 samples a_0..a_4 for any other.
@@ -28,8 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .expr import (ZERO, Const, Expr, as_expr, lambdify, parser, printer,
-                   to_str)
+from .expr import ZERO, Const, Expr, as_expr, lambdify, parser, printer
 from .wcalc import jet, reduce_vdp, reference_gaps, vdp_chain
 
 __all__ = [
@@ -172,44 +172,43 @@ def _grid_xs(grid) -> np.ndarray:
 
 
 def compare_forms(check: str, derived: Expr, reference: Expr,
-                  grid=None, tol: float = ANNIHILATION_TOL) -> LedgerEntry:
-    """Evaluate a derived and a reference expression on a grid and record
-    the largest pointwise difference.  Points where either side is not
-    finite (poles, domain edges) are masked out."""
-    xs = _grid_xs(grid)
-    ref_str = to_str(reference)
-    try:
-        d = lambdify(derived)(xs)
-        r = lambdify(reference)(xs)
-    except ex.UnboundParameterError as err:
-        return LedgerEntry(check, None, None, tol, 0, ref_str,
-                           f"not evaluated: {err}")
-    mask = np.isfinite(d) & np.isfinite(r)
-    if not mask.any():
-        return LedgerEntry(check, None, None, tol, 0, ref_str,
-                           "not evaluated: no regular grid points")
-    gap = float(np.max(np.abs(d[mask] - r[mask])))
-    return LedgerEntry(check, gap <= tol, gap, tol, int(mask.sum()), ref_str)
+                  tol: float = ANNIHILATION_TOL) -> LedgerEntry:
+    """The ledger entry of a derived form against a reference one:
+    ``gap_entries``' rule applied to their gap, derived - reference."""
+    return gap_entries([check], [(reference, derived - reference)], None,
+                       tol)[0]
 
 
 def gap_entries(checks: Sequence[str], gaps, grid,
                 tol: float) -> list[LedgerEntry]:
-    """One entry per check and its (reference, gap) of
-    ``wcalc.reference_gaps``.  A gap that folds to a number decides the
-    check exactly, with ``max_abs_diff`` its size; one still a function of x
-    is sampled on the grid, as ``compare_forms`` samples a form against 0.
-    The references print through one ``expr.printer``.
-    """
-    entries, print_expr = [], printer()
-    for check, (reference, gap) in zip(checks, gaps):
-        if type(gap) is Const:
-            size = abs(gap.value)
-            entries.append(LedgerEntry(check, size <= tol, size, tol, 0,
-                                       print_expr(reference), "exact"))
-        else:
-            entries.append(replace(compare_forms(check, gap, ZERO, grid, tol),
-                                   reference=print_expr(reference)))
-    return entries
+    """One entry per check and its (reference, derived - reference), as
+    ``wcalc.reference_gaps`` gives them.  A gap that folds to a number
+    decides the check exactly, with ``max_abs_diff`` its size; any other is
+    sampled once on the grid, its non-finite points (poles, domain edges,
+    overflows) masked out.  The references print through one printer."""
+    xs, print_expr = _grid_xs(grid), printer()
+    return [_gap_entry(check, gap, xs, tol, print_expr(reference))
+            for check, (reference, gap) in zip(checks, gaps)]
+
+
+def _gap_entry(check: str, gap: Expr, xs: np.ndarray, tol: float,
+               reference: str) -> LedgerEntry:
+    if type(gap) is Const:
+        size = abs(gap.value)
+        return LedgerEntry(check, size <= tol, size, tol, 0, reference,
+                           "exact")
+    try:
+        vals = lambdify(gap)(xs)
+    except ex.UnboundParameterError as err:
+        return LedgerEntry(check, None, None, tol, 0, reference,
+                           f"not evaluated: {err}")
+    ok = np.isfinite(vals)
+    if not ok.any():
+        return LedgerEntry(check, None, None, tol, 0, reference,
+                           "not evaluated: no regular grid points")
+    size = float(np.max(np.abs(vals[ok])))
+    return LedgerEntry(check, size <= tol, size, tol, int(ok.sum()),
+                       reference)
 
 
 # ---------------------------------------------------------------------------

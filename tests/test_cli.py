@@ -609,6 +609,23 @@ def test_annihilation_gate_runs_before_the_residual_gate(tmp_path, capsys):
     assert (tmp_path / "v" / "verify.json").is_file()
 
 
+def test_report_documents_keep_their_key_order(tmp_path):
+    # the build step places the "residual" slot among the other gates'
+    # fields, and the pipeline fills it in place
+    out = tmp_path / "run"
+    assert run(_LIENARD + ["--riccati", "--out", str(out)]) == 0
+    doc = json.loads((out / "residual.json").read_text())
+    assert list(doc) == ["residual", "b0_max"]
+    assert run(["custom", "--P", "x/(2+x^2)", "--x1", "3",
+                "--out", str(out)]) == 0
+    assert list(json.loads((out / "residual.json").read_text())) == \
+        ["residual"]
+    assert run(["verify", "--bundle", str(out / "bundle.json"), "--x1", "3",
+                "--out", str(tmp_path / "v")]) == 0
+    doc = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert list(doc) == ["annihilation", "residual", "ledger"]
+
+
 # -0 is zero too
 _ZERO_STATE = ["--phi0", "0", "--dphi0", "-0"]
 
@@ -680,14 +697,15 @@ def test_every_traced_function_resolves_in_vdplin():
     assert label(None, args, {"cfg": rk4}) == "rk4"
 
 
-@pytest.mark.parametrize("argv, name", [
-    (["custom", "--P", "x/(2+x^2)", "--x1", "3"], "odesolve.residual"),
-    (["lienard", "--P", "0", "--U", "1", "--x1", "3"],
-     "odesolve.lienard_residual"),
+@pytest.mark.parametrize("argv", [
+    ["custom", "--P", "x/(2+x^2)", "--x1", "3"],
+    ["lienard", "--P", "0", "--U", "1", "--x1", "3"],
 ], ids=["custom", "lienard"])
-def test_a_traced_run_records_one_residual_span(tmp_path, argv, name):
-    # install() rebinds vdplin's module attributes for the rest of the
-    # process, so the traced run gets an interpreter of its own
+def test_a_traced_run_records_one_residual_span(tmp_path, argv):
+    # every run kind measures the Lienard residual, a Van der Pol run at
+    # VdpParams.lienard's coefficients; install() rebinds vdplin's module
+    # attributes for the rest of the process, so the traced run gets an
+    # interpreter of its own
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
         [sys.executable, str(_PERFBENCH / "cli_child.py"), str(spans), "--",
@@ -698,4 +716,5 @@ def test_a_traced_run_records_one_residual_span(tmp_path, argv, name):
     at = doc["fields"].index("name")
     names = [rec[at] for rec in doc["spans"]]
     residuals = {"odesolve.residual", "odesolve.lienard_residual"}
-    assert [n for n in names if n in residuals] == [name]
+    assert [n for n in names if n in residuals] == \
+        ["odesolve.lienard_residual"]

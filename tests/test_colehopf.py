@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from vdplin import catalog
-from vdplin.colehopf import (BundleFormatError, SingularGridError,
-                             TransformBundle, VdpParams, bundle_from_dict,
-                             bundle_from_json, bundle_to_dict, bundle_to_json,
+from vdplin.colehopf import (DEFAULT_CHECK_POINTS, BundleFormatError,
+                             SingularGridError, TransformBundle, VdpParams,
+                             bundle_from_dict, bundle_from_json,
+                             bundle_to_dict, bundle_to_json, compare_forms,
                              seeded_construction, solve_chain,
                              verify_annihilation, verify_printed_coeffs)
 from vdplin.expr import X, Const, lambdify, parse, simplify, subst, to_str
@@ -259,6 +260,44 @@ def test_chain_with_free_parameters_is_total():
     assert (b1.check, b1.agrees, b1.points) == (
         "restoring-coefficient-b1", None, 0)
     assert b1.note == "not evaluated: parameter 'a' is not bound"
+
+
+def test_compare_forms_decides_two_constants_exactly():
+    for d, r in [(0.1, 0.3), (2.5, 2.5), (-0.0, 0.0), (1.0, 1.0 + 2e-9)]:
+        e = compare_forms("two-constants", Const(d), Const(r), tol=1e-9)
+        assert (e.points, e.note) == (0, "exact")
+        assert e.max_abs_diff == abs(d - r)
+        assert e.agrees is (abs(d - r) <= 1e-9)
+    # a difference that overflows does not fold: it is sampled, and masked
+    e = compare_forms("overflow", Const(1e308), Const(-1e308))
+    assert (e.agrees, e.points) == (None, 0)
+    assert e.note == "not evaluated: no regular grid points"
+
+
+@pytest.mark.parametrize("params, c", [
+    (VdpParams(1.0, 1.0, 0.0), 1.0), (VdpParams(-1.0, 1.0, 0.0), 2.0),
+    (VdpParams(1.0, 1.0, 0.0), -2.0)], ids=["c1", "c2", "fallback"])
+def test_compare_forms_samples_x_dependent_rows_as_each_side(monkeypatch,
+                                                             params, c):
+    # case3's rows are functions of x; their one sampled gap gives the
+    # max_abs_diff and points that sampling each side and masking where
+    # either is not finite gave
+    calls = []
+
+    def recording(check, derived, reference, tol=1e-9):
+        calls.append((derived, reference))
+        return compare_forms(check, derived, reference, tol)
+
+    monkeypatch.setattr(catalog, "compare_forms", recording)
+    catalog.case3(params, c)
+    assert len(calls) == 5
+    for derived, reference in calls:
+        e = compare_forms("row", derived, reference)
+        d, r = lambdify(derived)(DEFAULT_CHECK_POINTS), \
+            lambdify(reference)(DEFAULT_CHECK_POINTS)
+        ok = np.isfinite(d) & np.isfinite(r)
+        assert (e.note, e.points) == ("", int(ok.sum()))
+        assert e.max_abs_diff == float(np.max(np.abs(d[ok] - r[ok])))
 
 
 def test_polynomial_checks_are_exact_on_general_instances():

@@ -1056,7 +1056,6 @@ def test_general_bundles_print_and_serialize_as_the_reference(monkeypatch):
         values = [lambdify(a)(xs) for a in vdp_coefficients(b)]
 
         with monkeypatch.context() as m:
-            m.setattr(colehopf, "to_str", ref_print)
             m.setattr(colehopf, "printer", lambda: ref_print)
             m.setattr(colehopf, "lambdify", ref_lambdify)
             ref = solve_chain(P, params)

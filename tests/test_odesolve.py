@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1106,6 +1107,23 @@ def test_kernel_sweep_powers_and_their_neighbours():
     values += [-v for v in values]
     assert _first_mismatch(_kernel_texts(values),
                            [repr(v) for v in values]) is None
+
+
+def test_kernel_hands_decade_misses_to_repr():
+    # a few ulps below 10^k, floor(log10|v|) can round up to k, and the
+    # scaled s falls outside [1e16, 1e17): such a value goes to repr
+    values = []
+    for k in range(-5, 17):
+        v = float(f"1e{k}")
+        for _ in range(8):
+            v = float(np.nextafter(v, 0.0))
+            if Fraction(v) < Fraction(10) ** k and np.log10(v) >= k:
+                values.append(v)
+    assert len(values) > 50
+    values += [-v for v in values]
+    slow = repr_fields(np.array(values))[1]
+    assert set(slow.tolist()) == set(range(len(values)))
+    assert _kernel_texts(values) == [repr(v) for v in values]
 
 
 def test_kernel_near_the_rounding_interval_edge():
