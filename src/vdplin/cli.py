@@ -101,7 +101,13 @@ _SHARED_OPTIONS = (
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="vdplin", description=__doc__)
+    parser = _Parser(prog="vdplin", description=(
+        "Solve the perturbed Van der Pol equation through the substitution "
+        "psi = P + phi'/phi, phi'' = U phi: a run subcommand builds one "
+        "instance, integrates phi, maps it to psi, checks the residual and "
+        "writes its files to --out; verify checks a stored bundle again. "
+        "Exit codes: 0 success, 1 usage error, 2 expression parse/eval "
+        "failure or unusable input file, 3 verification failure."))
     sub = parser.add_subparsers(dest="subcommand", required=True)
     run_options = argparse.ArgumentParser(add_help=False)
     verify_options = argparse.ArgumentParser(add_help=False)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -109,22 +109,26 @@ class LedgerEntry:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "agrees": self.agrees,
-            "max_abs_diff": self.max_abs_diff,
-            "tol": self.tol,
-            "points": self.points,
-            "reference": self.reference,
-            "note": self.note,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "LedgerEntry":
-        return cls(check=d["check"], agrees=d["agrees"],
-                   max_abs_diff=d["max_abs_diff"], tol=d["tol"],
-                   points=d["points"], reference=d.get("reference", ""),
-                   note=d.get("note", ""))
+        return cls(**{f.name: d[f.name] for f in fields(cls)
+                      if f.default is MISSING or f.name in d})
+
+    @classmethod
+    def from_samples(cls, check: str, sizes: np.ndarray, tol: float,
+                     reference: str) -> "LedgerEntry":
+        """The entry of a check sampled as ``sizes``, one |difference| per
+        point: its non-finite points (poles, domain edges, overflows) are
+        masked out, and it agrees when the largest size left is within
+        tol."""
+        ok = np.isfinite(sizes)
+        if not ok.any():
+            return cls(check, None, None, tol, 0, reference,
+                       "not evaluated: no regular grid points")
+        size = float(np.max(sizes[ok]))
+        return cls(check, size <= tol, size, tol, int(ok.sum()), reference)
 
 
 @dataclass(frozen=True)
@@ -158,9 +162,7 @@ class AnnihilationReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"max_abs": list(self.max_abs), "tol": self.tol,
-                "n_points": self.n_points, "passed": self.passed,
-                "note": self.note}
+        return dict(vars(self))
 
 
 def _grid_xs(grid) -> np.ndarray:
@@ -202,13 +204,7 @@ def _gap_entry(check: str, gap: Expr, xs: np.ndarray, tol: float,
     except ex.UnboundParameterError as err:
         return LedgerEntry(check, None, None, tol, 0, reference,
                            f"not evaluated: {err}")
-    ok = np.isfinite(vals)
-    if not ok.any():
-        return LedgerEntry(check, None, None, tol, 0, reference,
-                           "not evaluated: no regular grid points")
-    size = float(np.max(np.abs(vals[ok])))
-    return LedgerEntry(check, size <= tol, size, tol, int(ok.sum()),
-                       reference)
+    return LedgerEntry.from_samples(check, np.abs(vals), tol, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +308,7 @@ def bundle_to_dict(bundle: TransformBundle) -> dict:
     ``expr.printer``, so P's text is made once for all of them."""
     print_expr = printer()
     return {
-        "params": {"mu": bundle.params.mu, "beta": bundle.params.beta,
-                   "alpha": bundle.params.alpha},
+        "params": dict(vars(bundle.params)),
         **{name: print_expr(getattr(bundle, name))
            for name in ("P", "U", "g", "h", "v", "f")},
         "ledger": [e.to_dict() for e in bundle.ledger],
@@ -342,9 +337,8 @@ def bundle_from_dict(d: dict) -> TransformBundle:
     ``BundleFormatError``, an expression that does not parse ``ParseError``."""
     parse = parser()
     with reading_document(d, "bundle"):
-        params = VdpParams(mu=float(d["params"]["mu"]),
-                           beta=float(d["params"]["beta"]),
-                           alpha=float(d["params"]["alpha"]))
+        params = VdpParams(**{f.name: float(d["params"][f.name])
+                              for f in fields(VdpParams)})
         return TransformBundle(
             P=parse(d["P"]), U=parse(d["U"]), g=parse(d["g"]), h=parse(d["h"]),
             v=parse(d["v"]), f=parse(d["f"]), params=params,

@@ -73,8 +73,9 @@ class DisjointSegmentsError(Exception):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform output grid on [x0, x1] with n samples, coarse enough that
-    the 12*h^2 of the residual stencils does not underflow."""
+    """Uniform output grid on [x0, x1] with n samples, whose span x1 - x0
+    is a finite float and whose spacing h keeps the 12*h^2 of the residual
+    stencils from underflowing or overflowing."""
 
     x0: float
     x1: float
@@ -89,7 +90,13 @@ class Grid:
             raise ValueError(f"need x1 > x0, got [{self.x0}, {self.x1}]")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
+        if not math.isfinite(self.x1 - self.x0):
+            raise ValueError(f"the grid's span x1 - x0 overflows a float: "
+                             f"[{self.x0}, {self.x1}]")
         h = self.spacing
+        if not math.isfinite(12 * h * h):
+            raise ValueError(f"grid spacing {h:g} is too coarse for the "
+                             "residual stencils: 12*h^2 overflows")
         if 12 * h * h < sys.float_info.min:
             raise ValueError(f"grid spacing {h:g} is too fine for the "
                              "residual stencils: 12*h^2 underflows")
@@ -619,9 +626,7 @@ class SegmentResidual:
     l2: float
 
     def to_dict(self) -> dict:
-        return {"x_start": self.x_start, "x_end": self.x_end,
-                "n_points": self.n_points, "max_abs": self.max_abs,
-                "l2": self.l2}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -632,9 +637,7 @@ class ResidualReport:
     skipped_segments: int
 
     def to_dict(self) -> dict:
-        return {"segments": [s.to_dict() for s in self.segments],
-                "max_abs": self.max_abs, "guard_tol": self.guard_tol,
-                "skipped_segments": self.skipped_segments}
+        return {**vars(self), "segments": [s.to_dict() for s in self.segments]}
 
 
 def _on_grid(coeffs: Sequence, xs: np.ndarray) -> list[np.ndarray]:
@@ -727,8 +730,7 @@ class ErrorMetrics:
     n_points: int
 
     def to_dict(self) -> dict:
-        return {"linf": self.linf, "rel_linf": self.rel_linf,
-                "rel_l2": self.rel_l2, "n_points": self.n_points}
+        return dict(vars(self))
 
 
 def compare(a: Trajectory, b: Trajectory) -> ErrorMetrics:
@@ -805,18 +807,16 @@ def trajectory_csv(*trajs: Trajectory) -> list[bytes]:
     return [b"".join(files.pop(0)) for _ in trajs]
 
 
-def _json_array(values: np.ndarray,
-                nonfinite: Callable[[float], str]) -> bytes:
+def _json_array(values: np.ndarray) -> bytes:
     """A float array as ``json.dumps(list, indent=2)`` prints it one level
-    deep, each non-finite value v as ``nonfinite(v)``."""
+    deep, each non-finite value as null."""
     chunks = [b"[\n    " if len(values) else b"[]"]
     for start in range(0, len(values), _BLOCK):
         block = values[start:start + _BLOCK]
         fields = repr_fields(block)[0]
-        for i in np.flatnonzero(~np.isfinite(block)).tolist():
-            text = nonfinite(float(block[i])).encode()
-            fields[i] = 0
-            fields[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        null = ~np.isfinite(block)
+        fields[null] = 0
+        fields[null, :4] = np.frombuffer(b"null", dtype=np.uint8)
         last = np.zeros(len(block), dtype=np.intp)
         last[-1] = start + _BLOCK >= len(values)
         chunks.append(join_rows([fields], [b",\n    ", b"\n  ]"], last))
@@ -828,16 +828,15 @@ def trajectory_json(*trajs: Trajectory) -> list[bytes]:
     ``json.dumps(doc, indent=2)`` and a newline, for doc = {"x", "value",
     "derivative", "segments", "pole_brackets"} with non-finite samples as
     null.  The grid array is formatted once."""
-    x_text = _json_array(_shared_grid(trajs), json.dumps)
-    null = lambda v: "null"  # noqa: E731
+    x_text = _json_array(_shared_grid(trajs))
 
     def nested(doc) -> bytes:
         return json.dumps(doc, indent=2).replace("\n", "\n  ").encode()
 
     return [b"".join((
         b'{\n  "x": ', x_text,
-        b',\n  "value": ', _json_array(traj.values, null),
-        b',\n  "derivative": ', _json_array(traj.derivatives, null),
+        b',\n  "value": ', _json_array(traj.values),
+        b',\n  "derivative": ', _json_array(traj.derivatives),
         b',\n  "segments": ', nested([list(s) for s in traj.segments]),
         b',\n  "pole_brackets": ',
         nested([list(b) for b in traj.pole_brackets]),

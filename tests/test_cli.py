@@ -153,8 +153,8 @@ def test_exit_codes_usage_and_parse(tmp_path):
                                   "seeded", "lienard"])
 def test_help_text_is_pinned(monkeypatch, capsys, name):
     # tests/help holds the --help text of each run subcommand and of the
-    # top level at 80 columns, as it was before the shared options were
-    # built once; only verify's help has changed since
+    # top level at 80 columns; the run subcommands' text is as it was
+    # before the shared options were built once
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit):
         build_parser().parse_args(([] if name == "top" else [name])
@@ -343,6 +343,24 @@ def test_grid_too_fine_for_the_stencils_is_a_usage_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == ("usage error: grid spacing 2e-303 is too fine for "
                            "the residual stencils: 12*h^2 underflows\n")
+
+
+@pytest.mark.parametrize("bounds, cause", [
+    (["--x0=-1e308", "--x1", "1e308", "--n", "5"],
+     "the grid's span x1 - x0 overflows a float: [-1e+308, 1e+308]"),
+    (["--x1", "1e160", "--n", "3"],
+     "grid spacing 5e+159 is too coarse for the residual stencils: "
+     "12*h^2 overflows"),
+])
+def test_grid_that_overflows_is_a_usage_error(tmp_path, bounds, cause):
+    # both once exited 2 or 3 after numpy warnings: linspace made nan and
+    # inf grid points, or the stencils divided by an infinite 12*h^2
+    proc = subprocess.run(
+        [sys.executable, "-m", "vdplin", "custom", "--P", "x/(2+x^2)",
+         *bounds, "--out", str(tmp_path)],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == f"usage error: {cause}\n"
 
 
 def test_grid_too_short_for_the_stencils_is_a_verification_failure(

@@ -1188,10 +1188,12 @@ def test_trajectory_json_equals_json_dumps():
     phi, psi = _fourteen_poles(4001)
     assert trajectory_json(phi, psi) == [_json_reference(phi),
                                          _json_reference(psi)]
-    # non-finite samples print as null, a non-finite x as json.dumps does
-    xs = np.array([0.0, -0.0, 1e-7, math.nan, math.inf, -math.inf, 2.5])
-    odd = Trajectory(xs=xs, values=xs[::-1].copy(), derivatives=xs * 3,
-                     segments=[], pole_brackets=[(0.5, 0.75)])
+    # non-finite samples print as null; a Grid's points are all finite
+    xs = np.array([0.0, -0.0, 1e-7, 5e-324, 1e300, -2.0, 2.5])
+    samples = np.array([0.0, -0.0, 1e-7, math.nan, math.inf, -math.inf, 2.5])
+    odd = Trajectory(xs=xs, values=samples[::-1].copy(),
+                     derivatives=samples * 3, segments=[],
+                     pole_brackets=[(0.5, 0.75)])
     assert trajectory_json(odd) == [_json_reference(odd)]
     with pytest.raises(ValueError):
         trajectory_json(phi, odd)
@@ -1275,6 +1277,21 @@ def test_grid_refuses_non_finite_bounds():
             Grid(x0, x1, 5)
     with pytest.raises(ValueError, match="need x1 > x0"):
         Grid(1.0, 1.0, 5)
+
+
+def test_grid_refuses_a_span_or_spacing_that_overflows():
+    # linspace would make nan and inf grid points of the first, and the
+    # stencils would divide by an infinite 12*h^2 on the second
+    with pytest.raises(ValueError, match=r"^the grid's span x1 - x0 "
+                       r"overflows a float: \[-1e\+308, 1e\+308\]$"):
+        Grid(-1e308, 1e308, 5)
+    with pytest.raises(ValueError, match=r"^grid spacing 5e\+159 is too "
+                       r"coarse for the residual stencils: 12\*h\^2 "
+                       r"overflows$"):
+        Grid(0.0, 1e160, 3)
+    grid = Grid(-1e153, 1e153, 3)
+    assert math.isfinite(12 * grid.spacing ** 2)
+    assert np.isfinite(grid.xs).all()
 
 
 def test_integrator_config_refuses_nan_tolerances():
