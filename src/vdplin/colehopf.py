@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .expr import ZERO, Const, Expr, as_expr, lambdify, parser, printer
+from .expr import ZERO, Const, Expr, as_expr, lambdify, parser, to_str
 from .wcalc import jet, reduce_vdp, reference_gaps, vdp_chain
 
 __all__ = [
@@ -187,9 +187,9 @@ def gap_entries(checks: Sequence[str], gaps, grid,
     ``wcalc.reference_gaps`` gives them.  A gap that folds to a number
     decides the check exactly, with ``max_abs_diff`` its size; any other is
     sampled once on the grid, its non-finite points (poles, domain edges,
-    overflows) masked out.  The references print through one printer."""
-    xs, print_expr = _grid_xs(grid), printer()
-    return [_gap_entry(check, gap, xs, tol, print_expr(reference))
+    overflows) masked out."""
+    xs = _grid_xs(grid)
+    return [_gap_entry(check, gap, xs, tol, to_str(reference))
             for check, (reference, gap) in zip(checks, gaps)]
 
 
@@ -304,12 +304,11 @@ def verify_printed_coeffs(P: Expr, U: Expr, params: VdpParams, v: Expr,
 # serialization
 
 def bundle_to_dict(bundle: TransformBundle) -> dict:
-    """The bundle as a document; its fields print through one
-    ``expr.printer``, so P's text is made once for all of them."""
-    print_expr = printer()
+    """The bundle as a document; each field's text is kept on its node
+    (``expr.to_str``), so P's is made once for all of them."""
     return {
         "params": dict(vars(bundle.params)),
-        **{name: print_expr(getattr(bundle, name))
+        **{name: to_str(getattr(bundle, name))
            for name in ("P", "U", "g", "h", "v", "f")},
         "ledger": [e.to_dict() for e in bundle.ledger],
     }

@@ -26,9 +26,10 @@ applies.  Structurally equal trees are the same object, equality and
 hashing are identity, a tree printed and re-parsed is the same node again,
 and no raw tree ever exists: ``simplify`` only coerces a number, and
 ``diff``, ``subst``, the parser and ``wcalc``'s ring builder build through
-the constructors.  ``printer`` and ``parser`` share their memos across the
-fields of one document.  The ``lambdify`` result is cached on the node it
-was compiled for.
+the constructors.  ``parser`` shares its memo of groups across the fields
+of one document.  The ``lambdify`` result is cached on the node it was
+compiled for, and ``to_str`` keeps the text of a root or a shared subtree
+on its node.
 
 Every pass except ``parse`` is one loop over ``_postorder``, the distinct
 nodes of the DAG each after its children, filling a map from node to
@@ -59,7 +60,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Param", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Fun", "X", "as_expr", "parse", "parser", "diff", "simplify",
-    "subst", "free_params", "lambdify", "lambdify_ode", "to_str", "printer",
+    "subst", "free_params", "lambdify", "lambdify_ode", "to_str",
     "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "sqrt",
     "ExprError", "ParseError", "UnboundParameterError",
     "FUNCTIONS",
@@ -129,12 +130,15 @@ class Expr(metaclass=_Interned):
     through a dict of weak references whose callbacks drop the entries of
     dead nodes: building a tree equal to a live one returns that very
     object, so ``==`` and ``hash`` are identity.  Arithmetic operators
-    build new trees (numbers are coerced to constants).  The slot holds
-    the cached ``lambdify`` callable, which runs a tape of numpy steps and
-    references no node, so caching makes no reference cycle.  It is unset
-    until first computed."""
+    build new trees (numbers are coerced to constants).  ``_vector_fn``
+    holds the cached ``lambdify`` callable, which runs a tape of numpy
+    steps and references no node, so caching makes no reference cycle.
+    ``_text`` holds the node's printed text, unparenthesized, and its
+    precedence, set by ``to_str`` on the root of a call and on each node
+    that call reached through two parents; a string holds no node either.
+    Both are unset until first computed."""
 
-    __slots__ = ("__weakref__", "_vector_fn")
+    __slots__ = ("__weakref__", "_vector_fn", "_text")
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -489,13 +493,14 @@ def free_params(e: Expr) -> frozenset[str]:
     return frozenset(n.name for n in _postorder(e) if isinstance(n, Param))
 
 
-def _postorder(e: Expr, skip: Callable[[Expr], bool] | None = None
-               ) -> list[Expr]:
+def _postorder(e: Expr, skip: Callable[[Expr], bool] | None = None,
+               shared: set[Expr] | None = None) -> list[Expr]:
     """The distinct nodes under e, each after its children (left before
     right, base before exponent).  A node for which ``skip`` is true is
-    listed without its children.  Iterative, so deep trees cannot hit the
-    recursion limit; a None on the stack marks that the node below it has
-    had its children listed."""
+    neither listed nor walked into, and a node reached again, through
+    another parent or as both operands of one, is added to ``shared``.
+    Iterative, so deep trees cannot hit the recursion limit; a None on the
+    stack marks that the node below it has had its children listed."""
     order: list[Expr] = []
     seen: set[Expr] = set()
     stack: list = [e]
@@ -505,10 +510,11 @@ def _postorder(e: Expr, skip: Callable[[Expr], bool] | None = None
             order.append(stack.pop())
             continue
         if node in seen:
+            if shared is not None:
+                shared.add(node)
             continue
         seen.add(node)
         if skip is not None and skip(node):
-            order.append(node)
             continue
         stack += (node, None)
         t = type(node)
@@ -525,22 +531,16 @@ def _postorder(e: Expr, skip: Callable[[Expr], bool] | None = None
 # printing
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 10, 20, 30, 40, 50
+_PREC = {Const: _PREC_ATOM, Var: _PREC_ATOM, Param: _PREC_ATOM,
+         Fun: _PREC_ATOM, Neg: _PREC_NEG, Add: _PREC_ADD, Sub: _PREC_ADD,
+         Mul: _PREC_MUL, Div: _PREC_MUL, Pow: _PREC_POW}
 _INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
 def _prec(node: Expr) -> int:
-    if isinstance(node, Const):
-        # -0.0 prints with its sign, as "-0"
-        return _PREC_ATOM if math.copysign(1.0, node.value) > 0 else _PREC_NEG
-    if isinstance(node, (Var, Param, Fun)):
-        return _PREC_ATOM
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
-    return _PREC_POW
+    if type(node) is Const and math.copysign(1.0, node.value) < 0:
+        return _PREC_NEG  # -0.0 prints with its sign, as "-0"
+    return _PREC[type(node)]
 
 
 def _fmt_number(v: float) -> str:
@@ -554,49 +554,51 @@ def _fmt_number(v: float) -> str:
 def to_str(e: Expr) -> str:
     """Print in the input grammar; the output re-parses to a tree that is
     pointwise equal (and, for parser-produced trees, the same node).  The
-    DAG prints as a tree, but parsing it shares equal subtrees again.  Each
-    distinct subtree is printed once and its text reused, in parentheses
-    where the context binds tighter, so the work is the size of the DAG
-    plus the output.  ``printer`` reuses the text across calls."""
-    return printer()(e)
+    DAG prints as a tree, but parsing it shares equal subtrees again.
 
-
-def printer() -> Callable[[Expr], str]:
-    """A ``to_str`` whose calls share one memo of text, for the fields of
-    one document: a subtree printed in an earlier field (P's, inside U, h,
-    v and f) is not walked again.  A node's text depends on the node
-    alone, so every result is the one ``to_str`` gives."""
-    # node -> its text, unparenthesized, and its precedence
-    text: dict[Expr, tuple[str, int]] = {}
+    One walk lists the nodes under e that have no text yet, each after its
+    children, and notes those it reaches twice; a node that has text is
+    not walked into.  Each listed node's text is built once from its
+    children's, in parentheses where the context binds tighter.  It is
+    kept in the node's ``_text`` slot, with its precedence, when the node
+    is e or was reached twice: a later call that meets the node reads it
+    there, so the fields of a document print P's text once, and a
+    document printed again reprints nothing.  The text of a node reached
+    once is handed to its one parent and dropped, so a deep unshared chain
+    keeps only its root's text.  A node's text depends on the node alone,
+    so every result is the same whatever was printed before."""
+    done = getattr(e, "_text", None)
+    if done is not None:
+        return done[0]
+    shared: set[Expr] = set()
+    passed: dict[Expr, tuple[str, int]] = {}  # text its parent has not read
 
     def sub(node: Expr, ctx: int) -> str:
-        s, p = text[node]
+        s, p = passed.pop(node, None) or node._text
         return "(" + s + ")" if p < ctx else s
 
-    def print_expr(e: Expr) -> str:
-        for node in _postorder(e, text.__contains__):
-            if node in text:
-                continue
-            t, p = type(node), _prec(node)
-            if t is Const:
-                s = _fmt_number(node.value)
-            elif t is Var:
-                s = "x"
-            elif t is Param:
-                s = node.name
-            elif t is Fun:
-                s = f"{node.name}({text[node.arg][0]})"
-            elif t is Neg:
-                s = "-" + sub(node.arg, _PREC_NEG)
-            elif t is Pow:
-                s = (sub(node.base, _PREC_POW + 1) + "^"
-                     + sub(node.exponent, _PREC_NEG))
-            else:
-                s = sub(node.left, p) + _INFIX[t] + sub(node.right, p + 1)
-            text[node] = s, p
-        return text[e][0]
-
-    return print_expr
+    for node in _postorder(e, lambda n: hasattr(n, "_text"), shared):
+        t, p = type(node), _prec(node)
+        if t is Const:
+            s = _fmt_number(node.value)
+        elif t is Var:
+            s = "x"
+        elif t is Param:
+            s = node.name
+        elif t is Fun:
+            s = f"{node.name}({sub(node.arg, 0)})"
+        elif t is Neg:
+            s = "-" + sub(node.arg, _PREC_NEG)
+        elif t is Pow:
+            s = (sub(node.base, _PREC_POW + 1) + "^"
+                 + sub(node.exponent, _PREC_NEG))
+        else:
+            s = sub(node.left, p) + _INFIX[t] + sub(node.right, p + 1)
+        if node is e or node in shared:
+            object.__setattr__(node, "_text", (s, p))
+        else:
+            passed[node] = s, p
+    return e._text[0]
 
 
 # ---------------------------------------------------------------------------

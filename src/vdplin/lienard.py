@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .colehopf import (PRINTED_COEFF_TOL, LedgerEntry, gap_entries,
                        reading_document)
-from .expr import Expr, as_expr, diff, parser, printer
+from .expr import Expr, as_expr, diff, parser, to_str
 from .wcalc import reference_gaps, restoring_coeffs
 
 __all__ = ["LienardSpec", "lienard_coeffs", "riccati_u",
@@ -71,14 +71,12 @@ def riccati_u(P: Expr) -> Expr:
 # serialization
 
 def lienard_spec_to_dict(spec: LienardSpec) -> dict:
-    """The spec as a document; its fields print through one
-    ``expr.printer``."""
-    print_expr = printer()
+    """The spec as a document."""
     return {
-        "c": [print_expr(ci) for ci in spec.c],
-        "b": [print_expr(bi) for bi in spec.b],
-        "P": print_expr(spec.P),
-        "U": print_expr(spec.U),
+        "c": [to_str(ci) for ci in spec.c],
+        "b": [to_str(bi) for bi in spec.b],
+        "P": to_str(spec.P),
+        "U": to_str(spec.U),
         "ledger": [e.to_dict() for e in spec.ledger],
     }
 

@@ -6,6 +6,7 @@ import gc
 import math
 import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from vdplin.expr import (ONE, Add, Const, Div, Fun, Mul, Neg, Param,
                          diff, free_params, lambdify, lambdify_ode, parse,
                          simplify, subst, to_str)
 from vdplin.odesolve import Grid, integrate_linear, integrate_vdp
-from vdplin.wcalc import vdp_chain
+from vdplin.wcalc import reference_gaps, vdp_chain
 
 
 def test_parse_variable_identity():
@@ -130,6 +131,26 @@ def test_every_pass_runs_on_a_20000_deep_chain():
     np.testing.assert_allclose([float_fn(g)(x) for x in xs], want,
                                rtol=1e-12)
     np.testing.assert_allclose(lambdify(d)(xs), 1.0 + n * xs, rtol=1e-12)
+
+
+def test_printing_a_deep_chain_keeps_the_text_of_shared_nodes_only():
+    # the text of a node with one parent is handed to it and dropped, so
+    # printing the 20,000-deep chain keeps no prefix of the output: only
+    # the root and the nodes with more than one parent (x, 0.5, x*x) carry
+    # text, 4 of its 20,005 nodes
+    e = Mul(Param("chain"), X)
+    for k in range(20000):
+        e = Add(e, Mul(X, X) if k % 2 else Const(0.5))
+    text = to_str(e)
+    assert parse(text) is e
+    nodes = expr._postorder(e)
+    parents = Counter(getattr(node, f.name) for node in nodes
+                      for f in dataclasses.fields(node)
+                      if isinstance(getattr(node, f.name), expr.Expr))
+    carriers = [node for node in nodes if hasattr(node, "_text")]
+    assert all(node is e or parents[node] > 1 for node in carriers)
+    assert (len(carriers), len(nodes)) == (4, 20005)
+    assert to_str(e) is text
 
 
 def test_lambdify_matches_interpreter():
@@ -426,8 +447,8 @@ def test_intern_table_drains_without_collection():
     # with the cyclic collector off, the table can only drain if no node
     # is kept alive by a reference cycle; the right-hand sides compiled
     # for the adaptive integrators outlive the bundle, so they must hold
-    # no node either, and neither may the jet and chain memos, the printer
-    # nor the exact path of verify_annihilation
+    # no node either, and neither may the jet and chain memos, the text
+    # printing keeps on a node nor the exact path of verify_annihilation
     gc.collect()
     gc.disable()
     try:
@@ -436,13 +457,19 @@ def test_intern_table_drains_without_collection():
         b = solve_chain(P, params)
         b = b.with_entries(verify_printed_coeffs(b.P, b.U, params, b.v, b.h,
                                                  b.g, b.f))
+        # every field and ledger reference printed, each root's text kept
+        # on its node, outliving the nodes below
+        roots = [b.P, b.U, b.g, b.h, b.v, b.f, *(r for r, _ in reference_gaps(
+            "vdp", b.P, b.U, *params.lienard(b.v, b.h, b.g, b.f)))]
+        texts = list(map(to_str, roots))
+        assert texts[6:] == [e.reference for e in b.ledger[1:]]
+        assert all(e._text[0] is t for e, t in zip(roots, texts))
         lambdify(b.f)(np.linspace(0.0, 1.0, 5))
         grid = Grid(0.0, 0.01, 3)
         integrate_vdp(b, grid, 1.0, 0.0)
         integrate_linear(b.U, grid, 1.0, 0.0)
         rhs = [odesolve._RHS[b][1], odesolve._RHS[b.U][1]]
-        # the chain memo hands back the bundle's own nodes, and the
-        # printer's memo of text dies with the document
+        # the chain memo hands back the bundle's own nodes
         chain = vdp_chain(P, params)
         assert all(chain[name] is getattr(b, name) for name in chain)
         assert vdp_chain(P, params) == chain
@@ -454,7 +481,7 @@ def test_intern_table_drains_without_collection():
         grows = solve_chain(parse("exp(2*x)*2"), params)
         assert verify_annihilation(grows, grid).note == "exact"
         assert len(expr._NODES) > before + 100
-        del b, P, back, grows, chain
+        del b, P, back, grows, chain, roots
         assert len(expr._NODES) == before
         assert len(odesolve._RHS) == rhs_before
         for fn in rhs:

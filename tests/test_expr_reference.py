@@ -38,7 +38,7 @@ from vdplin.expr import (FUNCTIONS, ONE, ZERO, _SCALAR_NS, Add, Const, Div,
                          Expr, Fun, Mul, Neg, Param, ParseError, Pow, Sub,
                          UnboundParameterError, Var, X, _postorder,
                          _pow_scalar, diff, free_params, lambdify,
-                         lambdify_ode, parse, parser, printer, subst, to_str)
+                         lambdify_ode, parse, parser, subst, to_str)
 from vdplin.lienard import lienard_coeffs, riccati_u
 
 from conftest import general_instances, vdp_coefficients
@@ -919,14 +919,18 @@ _CONTEXTS = (lambda e: e, Neg, lambda e: Pow(e, Const(2.0)),
 
 @settings(max_examples=300, deadline=None)
 @given(_dags(), st.lists(_dags(max_ops=6), max_size=3),
-       st.lists(st.sampled_from(_CONTEXTS), min_size=2, max_size=6))
-def test_a_shared_printer_prints_each_root_as_to_str(shared, others, wraps):
-    # the roots share one subtree, printed first in whatever context the
-    # draw puts first, and the other DAGs may share nodes with it
+       st.lists(st.sampled_from(_CONTEXTS), min_size=2, max_size=6),
+       st.data())
+def test_roots_sharing_a_subtree_print_as_the_reference(shared, others,
+                                                        wraps, data):
+    # the roots share one subtree, printed first in whatever context and
+    # order the draw puts first, and the other DAGs may share nodes with
+    # it; the text a call keeps on a node is what any later call reads
     roots = [wrap(shared) for wrap in wraps] + [Mul(o, shared) for o in others]
-    print_expr = printer()
-    for e in roots:
-        assert print_expr(e) == to_str(e) == ref_print(e)
+    for e in data.draw(st.permutations(roots)):
+        text = to_str(e)
+        assert text == ref_print(e)
+        assert to_str(e) is text is e._text[0]
 
 
 @pytest.mark.parametrize("name", FUNCTIONS)
@@ -1056,7 +1060,7 @@ def test_general_bundles_print_and_serialize_as_the_reference(monkeypatch):
         values = [lambdify(a)(xs) for a in vdp_coefficients(b)]
 
         with monkeypatch.context() as m:
-            m.setattr(colehopf, "printer", lambda: ref_print)
+            m.setattr(colehopf, "to_str", ref_print)
             m.setattr(colehopf, "lambdify", ref_lambdify)
             ref = solve_chain(P, params)
             ref = ref.with_entries(verify_printed_coeffs(
