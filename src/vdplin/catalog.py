@@ -109,9 +109,12 @@ def p_general(params: VdpParams, C1: float, C2: float, k_sign: int = 1) -> Expr:
     parameters, as ``tests/test_catalog.py::
     test_general_shift_annihilates_the_forcing`` proves in the ring.  A
     constant that is not finite, or overflows a float in the numerator, is
-    refused by name."""
+    refused by name.  At C1 = C2 = 0 the quotient is the constant
+    (mb - k)/4 wherever it is defined, and that constant is returned."""
     k = _k_value(params, k_sign)
     mb = params.mu * params.beta
+    if C1 == 0.0 and C2 == 0.0:
+        return Const((mb - k) / 4.0)
     e_mb = exp(Const(mb / 2.0) * X)
     e_k = exp(Const(k / 2.0) * X)
     e_mk = exp(Const(-k / 2.0) * X)

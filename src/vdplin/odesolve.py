@@ -133,13 +133,15 @@ DEFAULT_CONFIG = IntegratorConfig()
 @dataclass
 class Trajectory:
     """Sampled solution: grid, values, first-derivative samples, the
-    maximal pole-free index ranges (half-open) and the x-brackets of the
-    poles.  The grid is the one asked for, or its prefix up to the last
-    point reached when integration stalled, so trajectories of one grid
-    compare index by index.  ``expr`` is set when the samples come from a
-    closed form, which lets residuals take psi'' exactly; ``dense`` maps x
-    to (value, derivative), in memory only (never serialized): the
-    adaptive integrator's interpolant, or a closed form's two tapes."""
+    pole-free index ranges (half-open; ``values`` is NaN exactly outside
+    them, and two meet where a pole splits a run of finite samples between
+    neighbours) and the x-brackets of the poles.  The grid is the one
+    asked for, or its prefix up to the last point reached when integration
+    stalled, so trajectories of one grid compare index by index.  ``expr``
+    is set when the samples come from a closed form, which lets residuals
+    take psi'' exactly; ``dense`` maps x to (value, derivative), in memory
+    only (never serialized): the adaptive integrator's interpolant, or a
+    closed form's two tapes."""
 
     xs: np.ndarray
     values: np.ndarray
@@ -552,14 +554,10 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
         dpsi = dpfn(xs) + lambdify(U)(xs) - w * w
     keep &= np.isfinite(psi)
 
-    # sign changes between finite samples that lie inside phi's segments
-    usable = np.zeros_like(finite)
-    for i0, i1 in phi.segments:
-        usable[i0:i1] = True
-    usable &= finite
+    # sign changes between neighbouring finite samples
     with np.errstate(all="ignore"):
         crossing = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
-    cuts = np.flatnonzero(usable[:-1] & usable[1:] & crossing)
+    cuts = np.flatnonzero(finite[:-1] & finite[1:] & crossing)
     brackets = [_refine_zero(phi, i) for i in cuts.tolist()]
 
     segments = []
@@ -734,21 +732,15 @@ class ErrorMetrics:
 
 
 def compare(a: Trajectory, b: Trajectory) -> ErrorMetrics:
-    """Pointwise error metrics at the grid points inside a pole-free
-    segment of both trajectories, taken by index: the two must share one
+    """Pointwise error metrics at the grid points where both trajectories
+    have a sample, a finite value, taken by index: the two must share one
     grid, though either may stop short of the other, as a partial
     trajectory does.  Relative metrics are floored at scale 1."""
     n = min(len(a.xs), len(b.xs))
     if not np.array_equal(a.xs[:n], b.xs[:n]):
         raise ValueError("trajectories compared need one grid")
-    inside = np.zeros(n, dtype=bool)
-    for i0, i1 in a.segments:
-        for j0, j1 in b.segments:
-            inside[max(i0, j0):min(i1, j1)] = True
-    ya = a.values[:n][inside]
-    yb = b.values[:n][inside]
-    good = np.isfinite(ya) & np.isfinite(yb)
-    ya, yb = ya[good], yb[good]
+    good = np.isfinite(a.values[:n]) & np.isfinite(b.values[:n])
+    ya, yb = a.values[:n][good], b.values[:n][good]
     if not ya.size:
         raise DisjointSegmentsError("no overlapping pole-free region")
     d = np.abs(ya - yb)

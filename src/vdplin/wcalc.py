@@ -125,11 +125,10 @@ def _chain() -> dict[str, Poly]:
     env[DU] = _derive(env[U])
     assert not any(_subst(a[i], env) for i in range(1, 5))
     env[B0] = _solve(_subst(a[0], env), B0)
-    # read off through b = (-f, alpha, -v, -h, -g), VdpParams.lienard's map
-    out = {"U": env[U]}
-    for name, g in (("g", B4), ("h", B3), ("v", B2), ("f", B0)):
-        out[name] = {m: -k for m, k in env[g].items()}
-    return {name: _ordered(p) for name, p in out.items()}
+    # read off through _NAMED, which states VdpParams.lienard's map
+    # b = (-f, alpha, -v, -h, -g) once
+    return {name: _ordered(_subst(_NAMED[name], env))
+            for name in ("U", "g", "h", "v", "f")}
 
 
 # The transcribed reference forms the derivation is checked against, as

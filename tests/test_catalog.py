@@ -38,6 +38,18 @@ def test_p_general_constants_only():
     assert np.allclose(lambdify(P)(xs), 0.25, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("k_sign", [1, -1])
+def test_case1_shift_row_is_exact_for_both_k_signs(k_sign):
+    # at C1 = C2 = 0 p_general is the constant (mu*beta - k)/4 itself, not
+    # a quotient with a common factor, so the row's gap folds to zero
+    params = VdpParams(2.0, 1.0, 0.75)  # mu*beta = 2, k = k_sign
+    P = p_general(params, 0.0, 0.0, k_sign)
+    assert isinstance(P, Const) and P.value == (2.0 - k_sign) / 4.0
+    row = _entry(case1(params, k_sign), "case1-P-from-general-P")
+    assert (row.agrees, row.max_abs_diff, row.points, row.note) == \
+        (True, 0.0, 0, "exact")
+
+
 def test_p_general_zero_when_k_equals_mb():
     P = p_general(VdpParams(1.0, 2.0, 0.0), 0.0, 0.0, 1)
     xs = np.linspace(0.0, 5.0, 50)
@@ -365,13 +377,13 @@ def test_catalog_composes_with_chain():
 
 @pytest.mark.parametrize("build, digest", [
     (lambda: case1(VdpParams(2.0, 1.0, 0.75)),
-     "b2867c35b8f040d05da16bba0f1a0055f00d205ec32489424dfe228605e97881"),
+     "ed8729fc55010944cd461afda8fe10f6a9022874132304063092cc4d37bf4d85"),
     (lambda: case2(VdpParams(2.0, 2.0, 4.0)),
      "036dd02698e8eedf4ca287b1cd9051ea36bd7ecf83136ac4604268b654353744"),
     (lambda: case3(VdpParams(1.0, 1.0, 0.0), 1.0),
      "6ee407972cb2de86302305a7bd009cb5417d387d3a9f2ccf5cb205c484058c75"),
     (lambda: case1(VdpParams(1.0, 2.0, 0.0), -1),
-     "5ea360e0138c9eaadef3f14f7e690a4032048953c2446b206962fe0b421efe8d"),
+     "f878591f6420e5d88db2d36c12ff5d73c7607ac42257d79797080603cd764312"),
     (lambda: case3(VdpParams(-1.0, 1.0, 0.0), 2.0),
      "b7ec2246df6ae7f0c2d7290ceb76ca407fb8b4b560eed33e5e973f9d0857a90a"),
     # no trigonometric-basis entry at u0 = 0; two references are the
@@ -388,7 +400,8 @@ def test_family_ledgers_keep_their_bytes(build, digest):
     # the basis, as three separate constructions made them before the
     # families shared one builder; since then the constant rows of case1
     # and case2 are decided exactly, which moved their points (1000 -> 0)
-    # and note ("" -> "exact") and nothing else
+    # and note ("" -> "exact") and nothing else, and so is case1's shift
+    # row now that p_general at C1 = C2 = 0 is the constant itself
     sol = build()
     doc = {"ledger": [e.to_dict() for e in sol.bundle.ledger
                       if e.check.startswith("case")],

@@ -1004,12 +1004,54 @@ def test_compare_needs_one_grid_and_takes_a_prefix():
 
 
 def test_compare_disjoint_raises():
-    grid = Grid(0.0, 1.0, 11)
-    a = Trajectory.from_expr(parse("x"), grid)
-    b = Trajectory.from_expr(parse("x"), grid)
-    a.segments, b.segments = [(0, 5)], [(5, 11)]
+    # samples on complementary halves: no point where both have one
+    x = Trajectory.from_expr(parse("x"), Grid(0.0, 1.0, 11))
+    a, b = _with_segments(x, [(0, 5)]), _with_segments(x, [(5, 11)])
     with pytest.raises(DisjointSegmentsError):
         compare(a, b)
+
+
+# ---------------------------------------------------------------------------
+# every producer writes NaN exactly outside its segments, which is all that
+# cole_hopf_map and compare read of them
+
+def _assert_nan_exactly_outside_segments(traj):
+    inside = np.zeros(len(traj.xs), dtype=bool)
+    for i0, i1 in traj.segments:
+        assert 0 <= i0 < i1 <= len(traj.xs) and not inside[i0:i1].any()
+        inside[i0:i1] = True
+    assert np.array_equal(np.isfinite(traj.values), inside)
+
+
+def test_from_expr_is_nan_exactly_outside_its_segments():
+    # sqrt(x^2 - 1) has no real value inside (-1, 1), nor a finite
+    # derivative at +-1
+    t = Trajectory.from_expr(parse("sqrt(x^2 - 1)"), Grid(-2.0, 2.0, 41))
+    assert t.segments == [(0, 10), (31, 41)]
+    _assert_nan_exactly_outside_segments(t)
+
+
+@pytest.mark.parametrize("method", ["rk4", "adaptive"])
+def test_integrators_are_nan_exactly_outside_their_segments(method):
+    cfg = IntegratorConfig(method=method)
+    grid = Grid(0.0, 10.0, 1001)
+    _assert_nan_exactly_outside_segments(
+        integrate_linear(Const(-1.0), grid, 1.0, 0.0, cfg))
+    # phi grows as exp(1000 x) and overflows near x = 0.7: a stalled prefix
+    with pytest.raises(StepUnderflowError) as err:
+        integrate_linear(Const(1e6), grid, 1.0, 0.0, cfg)
+    part = err.value.partial
+    assert 2 <= len(part.xs) < grid.n
+    _assert_nan_exactly_outside_segments(part)
+
+
+def test_cole_hopf_map_is_nan_exactly_outside_its_segments():
+    phi = Trajectory.from_expr(parse("sin(3*x)"), Grid(-2.0, 2.0, 4001))
+    psi = cole_hopf_map(Const(0.0), phi, U=Const(-9.0))  # 3 cot(3x)
+    assert len(psi.pole_brackets) == 3 and len(psi.segments) == 4
+    _assert_nan_exactly_outside_segments(psi)
+    for traj in _fourteen_poles(20001):
+        _assert_nan_exactly_outside_segments(traj)
 
 
 # ---------------------------------------------------------------------------
