@@ -20,11 +20,15 @@ argument in the spirit of Ryu (Adams, PLDI 2018):
    17-digit one.
 3. Sign, digits, point and exponent are laid out through a small table
    keyed by (decimal point position, digit count), filled lazily, and each
-   value becomes a NUL-padded field of ``WIDTH`` bytes.
+   value becomes a NUL-padded field of ``WIDTH`` bytes.  The digits are
+   gathered four at a time into rows of ``WIDTH`` bytes, in the bytes they
+   take in a field, so the masks apply to them row for row.
 
-Files are printed in blocks of ``_BLOCK`` rows, one ``repr_fields`` call and
-one ``join_rows`` call per block, and the arithmetic runs in place where it
-can: a call's temporaries stay a few hundred kB however long the file.
+Files are printed in blocks of ``_BLOCK`` rows, one ``repr_fields`` call per
+block and one ``join_rows`` call per file and block, and the arithmetic
+runs in place where it can: a call's temporaries stay a few hundred kB
+however long the file.  ``join_rows`` writes every byte of a block's lines,
+fields and all, and ``bytes.translate`` drops the NUL bytes in one pass.
 
 Values the argument does not decide are printed by ``repr`` one at a time:
 zeros, non-finite values, powers of two (asymmetric interval), |v| outside
@@ -53,12 +57,13 @@ _POW10 = np.array([float(10 ** k) for k in range(23)])  # all exact
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 
 
-# A field is one byte for the sign, five for "0." and up to three zeros,
-# eighteen for the digits with the point among them, and four for the
-# exponent.  Its bytes are literal bytes from a table row OR'ed with the
-# digits under two masks from the same table: in place, or shifted right by
-# one past the point.  Unused bytes are NUL, and NUL bytes are dropped.
-_BODY, _EXP = 6, 24
+# A field is the sign in byte 0; then "0." and up to three zeros ending at
+# byte _BODY - 1, the digits after them, or the digits with the point among
+# them from byte _BODY - 1 on; and the exponent in the last four bytes.  Its
+# bytes are literal bytes from a table row OR'ed with the digits under two
+# masks from the same table: in place from byte _BODY, or shifted left by
+# one before the point.  Unused bytes are NUL, and NUL bytes are dropped.
+_BODY, _EXP = 7, 24
 WIDTH = 28
 _DECPT_MIN, _DECPT_MAX = -5, 39  # decimal point positions on [1e-6, 1e38]
 _NKEYS = (_DECPT_MAX - _DECPT_MIN + 1) * 17
@@ -101,17 +106,22 @@ def _scale(a: np.ndarray, e10: np.ndarray, e2: np.ndarray):
 @functools.cache
 def _quads() -> tuple[np.ndarray, np.ndarray]:
     """For 0..9999: the four ASCII digits packed into one little-endian
-    uint32, and how many of them remain without the trailing zeros."""
+    uint32; and at 10000 (i - 1) + r, the digits up to limb i = 1..4 of a
+    17-digit number without the trailing zeros when that limb is r, 1 when
+    r is 0 (the leading digit is limb 0)."""
     r = np.arange(10000, dtype=np.uint32)
     quads = sum((r // 10 ** p % 10 + ord("0")) << 8 * (3 - p)
                 for p in range(4))
     significant = 4 - sum(r % 10 ** p == 0 for p in range(1, 5))
-    return quads.astype("<u4"), significant.astype(np.intp)
+    ends = np.where(significant > 0,
+                    np.arange(1, 14, 4)[:, None] + significant, 1)
+    return quads.astype("<u4"), ends.astype(np.uint8).ravel()
 
 
 def _digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 decimal digits of each n in [1e16, 1e17) as ASCII bytes, and
-    how many of them remain without the trailing zeros."""
+    """The 17 decimal digits of each n in [1e16, 1e17) as ASCII bytes
+    _BODY to _BODY + 16 of a row of WIDTH bytes, whose other bytes are
+    undefined, and how many of them remain without the trailing zeros."""
     # limbs: the leading digit, then four groups of four
     limbs = np.empty((5, n.size), dtype=np.intp)
     np.floor_divide(n, 10 ** 16, out=limbs[0])
@@ -120,12 +130,15 @@ def _digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.floor_divide(rest, p, out=limbs[i])
         rest -= limbs[i] * p
     limbs[4] = rest
-    quads, significant = _quads()
-    last = np.take(significant, limbs[1:])
-    k = np.ones(n.size, dtype=np.intp)
-    for i in range(4):
-        k = np.where(last[i] > 0, 4 * i + 1 + last[i], k)
-    return np.take(quads, limbs.T).view(np.uint8)[:, 3:], k
+    quads, ends = _quads()
+    # the digits end in the last limb that is not 0
+    k = np.take(ends, limbs[1:] + np.arange(0, 40000, 10000)[:, None])
+    k = k.max(axis=0)
+    # the leading digit's quad "000d" fills bytes _BODY - 3 to _BODY
+    plane = np.empty((n.size, WIDTH // 4), dtype="<u4")
+    for i in range(5):
+        np.take(quads, limbs[i], out=plane[:, (_BODY - 3) // 4 + i])
+    return plane.view(np.uint8), k
 
 
 def _put(row: np.ndarray, col: int, text: str) -> None:
@@ -138,22 +151,22 @@ def _fill(key: int) -> None:
     decpt, k = divmod(key, 17)
     decpt, k = decpt + _DECPT_MIN, k + 1
     literal, in_place, shifted = _literal[key], _in_place[key], _shifted[key]
-    if decpt <= -4 or decpt > 16:
-        in_place[_BODY] = 0xFF
-        if k > 1:
-            _put(literal, _BODY + 1, ".")
-            shifted[_BODY + 2:_BODY + k + 1] = 0xFF
+    exponent = decpt <= -4 or decpt > 16
+    if exponent:
         _put(literal, _EXP, f"e{decpt - 1:+03d}")
-    elif decpt <= 0:
-        _put(literal, 1, "0." + "0" * -decpt)
+    if -4 < decpt <= 0:
+        _put(literal, _BODY - 2 + decpt, "0." + "0" * -decpt)
         in_place[_BODY:_BODY + k] = 0xFF
-    elif decpt < k:
-        in_place[_BODY:_BODY + decpt] = 0xFF
-        _put(literal, _BODY + decpt, ".")
-        shifted[_BODY + decpt + 1:_BODY + k + 1] = 0xFF
-    else:  # the zeros up to the point are digits of the 17-digit n
-        in_place[_BODY:_BODY + decpt] = 0xFF
-        _put(literal, _BODY + decpt, ".0")
+    else:
+        # the p digits before the point move one byte left, to bytes
+        # _BODY - 1 to _BODY + p - 2, and the point takes byte _BODY + p - 1
+        p = 1 if exponent else decpt
+        shifted[_BODY - 1:_BODY - 1 + p] = 0xFF
+        if p < k:
+            _put(literal, _BODY - 1 + p, ".")
+            in_place[_BODY + p:_BODY + k] = 0xFF
+        elif not exponent:  # the zeros up to the point are digits of n
+            _put(literal, _BODY - 1 + p, ".0")
     _filled[key] = True
 
 
@@ -162,16 +175,14 @@ def _layout(digits: np.ndarray, decpt: np.ndarray, k: np.ndarray) -> np.ndarray:
     keys = (np.clip(decpt, _DECPT_MIN, _DECPT_MAX) - _DECPT_MIN) * 17 + k - 1
     for key in set(keys[~_filled[keys]].tolist()):
         _fill(key)
-    plane = np.zeros((digits.shape[0], WIDTH), dtype=np.uint8)
-    plane[:, _BODY:_BODY + 17] = digits
     fields = np.take(_literal, keys, axis=0)
     mask = np.take(_in_place, keys, axis=0)
-    mask &= plane
+    mask &= digits
     fields |= mask
-    # the digits shifted right by one byte, NUL shifted into the first
+    # the digits shifted left by one byte; the mask of a row's last byte is
+    # NUL, so no byte of the next row comes in
     np.take(_shifted, keys, axis=0, out=mask)
-    mask.ravel()[1:] &= plane.ravel()[:-1]
-    mask.ravel()[:1] = 0
+    mask.ravel()[:-1] &= digits.ravel()[1:]
     fields |= mask
     return fields
 
@@ -210,11 +221,14 @@ def repr_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.abs(np.subtract(d16, 10 * up16, out=d16), out=d16)
     np.abs(np.subtract(d15, 100 * up15, out=d15), out=d15)
     d17 = np.abs(f17, out=f17)
-    for dist, tie in ((d17, 0.5), (d16, 5.0), (d15, 50.0)):
+    # half = 2^(e2-54) 10^j > s 2^-54 >= 1e16 2^-54 > 0.555 >= d17 + 0.055:
+    # the 17-digit rounding is inside, far from the edge, and its tie
+    # always matters, so d17 needs only the tie test
+    fast &= np.abs(d17 - 0.5) > _TOL
+    for dist, tie in ((d16, 5.0), (d15, 50.0)):
         # a tie decides nothing when both neighbours lie outside
         fast &= (np.abs(dist - tie) > _TOL) | (tie > half + _TOL)
         fast &= np.abs(dist - half) > _TOL
-    # half >= 2^-54 * 1e16 > 0.55, so the 17-digit rounding is inside
     n = n17
     np.copyto(n, n16 + 10 * up16, where=d16 < half)
     np.copyto(n, n15 + 100 * up15, where=d15 < half)
@@ -236,21 +250,24 @@ def repr_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def join_rows(columns: Sequence[np.ndarray], tails: Sequence[bytes],
-              tail_of_row: np.ndarray) -> bytes:
+              tail_of_row: np.ndarray | None) -> bytes:
     """One line per row of the field arrays ``columns`` (each of shape
-    (n, WIDTH), as ``repr_fields`` returns them): the row's fields joined by
-    commas, then ``tails[tail_of_row[row]]``, which ends the line.  Every
-    byte of the rows is written before the NUL bytes are dropped."""
+    (n, WIDTH), as ``repr_fields`` returns them, or a slice of that): the
+    row's fields joined by commas, then ``tails[tail_of_row[row]]``, which
+    ends the line.  With one tail every row ends in it and ``tail_of_row``
+    is not read.  Every byte of the rows is written, then ``translate``
+    drops the NUL bytes in one pass."""
     # the tails as NUL-padded rows, one per tail
     tails = np.array(tails, dtype=bytes).view(np.uint8).reshape(len(tails), -1)
     field = WIDTH + 1
     width = len(columns) * field - 1
-    rows = np.empty((len(tail_of_row), width + tails.shape[1]),
-                    dtype=np.uint8)
+    rows = np.empty((len(columns[0]), width + tails.shape[1]), dtype=np.uint8)
     for j, col in enumerate(columns):
         rows[:, j * field:j * field + WIDTH] = col
         if j:
             rows[:, j * field - 1] = ord(",")
-    rows[:, width:] = np.take(tails, tail_of_row, axis=0)
-    flat = rows.ravel()
-    return flat[flat != 0].tobytes()
+    if len(tails) == 1:
+        rows[:, width:] = tails[0]
+    else:
+        rows[:, width:] = np.take(tails, tail_of_row, axis=0)
+    return rows.tobytes().translate(None, b"\0")

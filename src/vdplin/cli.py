@@ -168,6 +168,8 @@ def _check_args(ns: argparse.Namespace) -> tuple[Grid, IntegratorConfig]:
         value = getattr(ns, name)
         if value is not None and not value > 0:  # nan fails too
             raise UsageError(f"{name} must be positive")
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"{name} must be finite")
     return grid, cfg
 
 

@@ -123,6 +123,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (self.rtol > 0 and self.atol > 0):  # nan is not positive
             raise ValueError("rtol and atol must be positive")
+        for name in ("rtol", "atol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.method not in ("adaptive", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -769,7 +772,10 @@ def trajectory_csv(*trajs: Trajectory) -> list[bytes]:
     per grid point inside a pole-free segment, floats as shortest round-trip
     decimals (the bytes of ``repr``).  The files are printed together in
     blocks of ``_BLOCK`` grid points: one ``repr_fields`` call formats a
-    block's grid points and every file's samples kept in it."""
+    block's grid points and every file's samples kept in it, and one
+    ``join_rows`` call per file prints its lines of the block.  A file that
+    keeps every row of a block takes the grid's fields by a slice, and a
+    block within one segment has one tail, which ``join_rows`` broadcasts."""
     xs = _shared_grid(trajs)
     files, seg_of_row, tails = [], [], []
     for traj in trajs:
@@ -783,18 +789,21 @@ def trajectory_csv(*trajs: Trajectory) -> list[bytes]:
         tails.append([f",{i}\n".encode() for i in range(len(traj.segments))])
     for start in range(0, len(xs), _BLOCK):
         block = slice(start, start + _BLOCK)
-        kept = [np.flatnonzero(seg[block] >= 0) for seg in seg_of_row]
-        fields = repr_fields(np.concatenate([xs[block]] + [
-            col[block][rows] for traj, rows in zip(trajs, kept)
-            for col in (traj.values, traj.derivatives)]))[0]
         at = len(xs[block])
-        for file, seg, tail, rows in zip(files, seg_of_row, tails, kept):
-            if rows.size:
+        # each file's rows of the block, a slice when it keeps them all
+        kept = [np.flatnonzero(seg[block] >= 0) for seg in seg_of_row]
+        kept = [(r.size, slice(at) if r.size == at else r) for r in kept]
+        fields = repr_fields(np.concatenate([xs[block]] + [
+            col[block][rows] for traj, (_, rows) in zip(trajs, kept)
+            for col in (traj.values, traj.derivatives)]))[0]
+        for file, seg, tail, (n, rows) in zip(files, seg_of_row, tails, kept):
+            if n:
+                ids = seg[block][rows]  # nondecreasing segment ids
                 file.append(join_rows(
-                    [fields[rows], fields[at:at + rows.size],
-                     fields[at + rows.size:at + 2 * rows.size]],
-                    tail, seg[block][rows]))
-            at += 2 * rows.size
+                    [fields[rows], fields[at:at + n],
+                     fields[at + n:at + 2 * n]],
+                    tail[ids[0]:ids[-1] + 1], ids - ids[0]))
+            at += 2 * n
     # each file's blocks are freed once joined
     return [b"".join(files.pop(0)) for _ in trajs]
 
@@ -809,9 +818,9 @@ def _json_array(values: np.ndarray) -> bytes:
         null = ~np.isfinite(block)
         fields[null] = 0
         fields[null, :4] = np.frombuffer(b"null", dtype=np.uint8)
-        last = np.zeros(len(block), dtype=np.intp)
-        last[-1] = start + _BLOCK >= len(values)
-        chunks.append(join_rows([fields], [b",\n    ", b"\n  ]"], last))
+        chunks.append(join_rows([fields], [b",\n    "], None))
+    if len(values):  # the last value ends the array instead
+        chunks[-1] = chunks[-1][:-len(b",\n    ")] + b"\n  ]"
     return b"".join(chunks)
 
 

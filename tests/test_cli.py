@@ -363,6 +363,26 @@ def test_grid_that_overflows_is_a_usage_error(tmp_path, bounds, cause):
     assert proc.stderr == f"usage error: {cause}\n"
 
 
+@pytest.mark.parametrize("option, name", [
+    (["--guard-tol", "inf"], "guard_tol"),
+    (["--pole-tol", "inf"], "pole_tol"),
+    (["--rtol", "inf", "--method", "adaptive"], "rtol"),
+    (["--atol", "inf", "--method", "adaptive"], "atol"),
+    (["--residual-tol", "inf"], "residual_tol"),
+])
+def test_infinite_tolerance_is_a_usage_error(tmp_path, option, name):
+    # each once ran: exit 0 with "guard_tol": Infinity in residual.json (not
+    # JSON), exit 3 or 2 blaming the grid or the integrator, or a residual
+    # gate quietly switched off
+    proc = subprocess.run(
+        [sys.executable, "-m", "vdplin", "custom", "--P", "x/(2+x^2)",
+         *option, "--out", str(tmp_path / "out")],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == f"usage error: {name} must be finite\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_too_short_for_the_stencils_is_a_verification_failure(
         tmp_path, capsys):
     code = run(["custom", "--P", "x/(2+x^2)", "--n", "3",

@@ -7,8 +7,8 @@ gate is the CLI's 1e-6 for a sampled residual.  A right row integrates U
 and must pass the gate; a wrong row integrates U (1 + 1e-6), is checked
 against the spec's own (c, b) and must fail it.  Beside each verdict a row
 reports psi's true relative error and the largest distance of a pole
-bracket from its pole, so that the verdict can be read against the answer
-it judged.  A right row that fails today is a strict xfail naming its
+bracket from its pole (a pole of the equation the row integrates), so that
+the verdict can be read against the answer it judged.  A right row that fails today is a strict xfail naming its
 defect: the change that mends the defect turns it into an XPASS, which
 fails the run until the mark goes.  This is the method of manufactured
 solutions (Roache, *Verification and Validation in Computational Science
@@ -52,7 +52,7 @@ class Outcome(NamedTuple):
     residual: float
     rel_error: float  # psi against -tan x, floored at scale 1
     poles: int
-    bracket_distance: float  # the largest, 0 with no pole
+    bracket_distance: float  # the largest, 0 with no pole of the row's U
 
     @property
     def passes(self) -> bool:
@@ -70,8 +70,10 @@ def _run(row: Row) -> Outcome:
     ok = np.isfinite(psi.values)
     true = -np.tan(psi.xs[ok])
     rel = np.abs(psi.values[ok] - true) / np.maximum(1.0, np.abs(true))
+    # phi = cos(w x) with w = sqrt(1 + delta) has its poles at (k + 1/2) pi/w
+    w = math.sqrt(1.0 + row.delta)
     distance = max((max(abs(lo - p), abs(hi - p)) for (lo, hi), p in zip(
-        psi.pole_brackets, ((k + 0.5) * math.pi for k in count()))),
+        psi.pole_brackets, ((k + 0.5) * math.pi / w for k in count()))),
         default=0.0)
     return Outcome(report.max_abs, float(np.max(rel)),
                    len(psi.pole_brackets), distance)
@@ -84,9 +86,9 @@ def _right(method, n, x1, defect=None):
                         id=f"right-{method}-n{n}-x1_{x1:g}")
 
 
-def _wrong(method, n):
-    return pytest.param(Row(method, n, 1.4, DELTA),
-                        id=f"wrong-{method}-n{n}-x1_1.4")
+def _wrong(method, n, x1):
+    return pytest.param(Row(method, n, x1, DELTA),
+                        id=f"wrong-{method}-n{n}-x1_{x1:g}")
 
 
 # each row's comment is the residual it reads today
@@ -94,16 +96,21 @@ ROWS = [
     # pole-free: [0, 1.4] stops short of pi/2
     _right("rk4", 2001, 1.4),  # 4.3e-7
     _right("rk4", 20001, 1.4, STENCIL_FLOOR),  # 1.08e-6
+    _right("rk4", 100001, 1.4, STENCIL_FLOOR),  # 3.2e-5
     _right("adaptive", 2001, 1.4, DENSE_OUTPUT),  # 1.41e-6
     _right("adaptive", 20001, 1.4, DENSE_OUTPUT),  # 2.87e-6
+    # the floor alone fails it, as the RK4 row on this grid shows
+    _right("adaptive", 100001, 1.4, STENCIL_FLOOR),  # 6.5e-5
     # 13 poles on [0, 40]
     _right("rk4", 2001, 40.0, NEAR_POLES),  # 5.6e5
     _right("rk4", 20001, 40.0, NEAR_POLES),  # 9.45e3
+    _right("rk4", 100001, 40.0, NEAR_POLES),  # 20.4
     _right("adaptive", 2001, 40.0, NEAR_POLES),  # 5.6e5
     _right("adaptive", 20001, 40.0, NEAR_POLES),  # 1.57e4
-    # U (1 + 1e-6): 1.1e-5 to 1.4e-5
-    _wrong("rk4", 2001), _wrong("rk4", 20001),
-    _wrong("adaptive", 2001), _wrong("adaptive", 20001),
+    _right("adaptive", 100001, 40.0, NEAR_POLES),  # 20.6
+    # U (1 + 1e-6): 1.1e-5 to 7.6e-5 on [0, 1.4], 20 to 5.8e5 on [0, 40]
+    *(_wrong(method, n, x1) for x1 in (1.4, 40.0)
+      for method in ("rk4", "adaptive") for n in (2001, 20001, 100001)),
 ]
 
 

@@ -1312,6 +1312,69 @@ def test_trajectory_files_long_fields_then_short_ones():
     _assert_prints_like_the_references(traj)
 
 
+# values the kernel hands to repr: zeros, powers of two and |v| >= 1e38
+_SLOW_PATH_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda e, sign: sign * 2.0 ** e, st.integers(-1074, 1023),
+              st.sampled_from([1.0, -1.0])),
+    st.floats(min_value=1e38, allow_infinity=False),
+    st.floats(max_value=-1e38, allow_infinity=False))
+
+
+@st.composite
+def _trajectories_on_one_grid(draw):
+    """1-3 trajectories on one grid of up to two blocks and three points:
+    their samples mix drawn floats with random ones of every decade, NaN
+    outside segments that may touch, be empty or be one row long."""
+    n = draw(st.integers(1, 2 * _BLOCK + 3))
+    pool = np.array(draw(st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  _SLOW_PATH_FLOATS), min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def samples():
+        decades = 10.0 ** rng.integers(-8, 40, n)
+        return np.where(rng.random(n) < 0.3, rng.choice(pool, n),
+                        rng.standard_normal(n) * decades)
+
+    xs = samples()
+    # gaps and segment sizes of 0 and 1 rows and up to a block edge
+    step = st.one_of(st.sampled_from([0, 1]),
+                     st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1]),
+                     st.integers(0, n))
+    trajs = []
+    for _ in range(draw(st.integers(1, 3))):
+        segments, i1 = [], 0
+        for _ in range(draw(st.integers(0, 4))):
+            i0 = min(i1 + draw(step), n)
+            i1 = min(i0 + draw(step), n)
+            segments.append((i0, i1))
+        keep = np.zeros(n, dtype=bool)
+        for i0, i1 in segments:
+            keep[i0:i1] = True
+        brackets = draw(st.lists(st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(allow_nan=False, allow_infinity=False)), max_size=3))
+        trajs.append(Trajectory(
+            xs=xs, values=np.where(keep, samples(), np.nan),
+            derivatives=np.where(keep, samples(), np.nan),
+            segments=segments, pole_brackets=brackets))
+    return trajs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trajectories_on_one_grid())
+def test_trajectory_files_equal_the_references_on_drawn_trajectories(trajs):
+    for got, traj in zip(trajectory_csv(*trajs), trajs):
+        want = _csv_reference(traj).encode()
+        assert _first_mismatch(got.splitlines(), want.splitlines()) is None
+        assert got == want
+    for got, traj in zip(trajectory_json(*trajs), trajs):
+        want = _json_reference(traj)
+        assert _first_mismatch(got.splitlines(), want.splitlines()) is None
+        assert got == want
+
+
 def test_grid_refuses_non_finite_bounds():
     for x0, x1 in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
                    (0.0, math.nan)):
@@ -1343,4 +1406,13 @@ def test_integrator_config_refuses_nan_tolerances():
                 {"atol": -1e-12}, {"rtol": math.nan, "method": "rk4"}):
         with pytest.raises(ValueError, match="rtol and atol must be positive"):
             IntegratorConfig(**bad)
+
+
+def test_integrator_config_refuses_infinite_tolerances():
+    # an infinite rtol stalls the adaptive integrator, an infinite atol
+    # lets it take steps that fail the residual gate
+    for name in ("rtol", "atol"):
+        for method in ("adaptive", "rk4"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                IntegratorConfig(**{name: math.inf, "method": method})
 
