@@ -8,9 +8,11 @@ removal, no canonical forms), a printer whose output re-parses to an
 equivalent tree, and compilation to callables: one lowering to a tape of
 steps.  There is no tree interpreter: ``lambdify`` runs the tape as numpy
 calls, on a grid or at a point, and ``lambdify_ode`` prints the tape of
-the right-hand side of a second-order equation as one Python function
-over floats of (x, u, u'), the two parameters that name the state its
-arguments; a function or a power of constants is folded with the
+the right-hand side of a second-order equation as Python code over
+floats in two parts, split at the steps that read the state (the two
+parameters that name it): an x part looped over the abscissae it is
+given, and a state part over (u, u') and the x part's values at one
+abscissa; a function or a power of constants is folded with the
 ``math`` functions that code calls.  A named parameter gets a value
 only from ``subst``: ``lambdify`` refuses a tree that still holds one.  The
 tape writes each result into a slot whose value has had its last read, so
@@ -53,14 +55,14 @@ import struct
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Param", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Fun", "X", "as_expr", "parse", "parser", "diff", "simplify",
-    "subst", "free_params", "lambdify", "lambdify_ode", "to_str",
+    "subst", "free_params", "lambdify", "lambdify_ode", "OdeRhs", "to_str",
     "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "sqrt",
     "ExprError", "ParseError", "UnboundParameterError",
     "FUNCTIONS",
@@ -810,41 +812,90 @@ def lambdify(e: Expr) -> Callable:
     """
     fn = getattr(e, "_vector_fn", None)
     if fn is None:
-        init, steps, (result,) = _lower(_postorder(e), (), (e,))
+        init, steps, (result,) = _lower(_postorder(e), (X,), (e,))
         fn = _vectorized(init, steps, result)
         object.__setattr__(e, "_vector_fn", fn)
     return fn
 
 
-def lambdify_ode(rate: Expr, y: str, dy: str) -> Callable:
+class OdeRhs(NamedTuple):
+    """The right-hand side f(x, (u, u')) = (u', rate) that ``lambdify_ode``
+    compiles, in two parts.  ``x_part(xs)`` runs the steps that read only x
+    and constants once for each abscissa of the sequence xs and returns a
+    list of one tuple per abscissa, the values the rest reads;
+    ``state_part(y, v)`` runs the steps that read the state over the pair y
+    and one such tuple v and returns (u', rate).  Calling the pair is f."""
+
+    x_part: Callable
+    state_part: Callable
+
+    def __call__(self, x, y):
+        return self.state_part(y, self.x_part((x,))[0])
+
+
+def lambdify_ode(rate: Expr, y: str, dy: str) -> OdeRhs:
     """Compile the second-order equation u'' = rate(x, u, u') to the
-    right-hand side f(x, (u, u')) = (u', rate) of its first-order system:
-    the tape of ``_lower`` printed as one Python function over floats, in
-    which the parameters named y and dy are the arguments u and u'.  The
-    state may be any pair that unpacks, a tuple or a numpy array.  Any
-    other parameter raises UnboundParameterError, so a caller that builds
-    rate from expressions of its own must first make sure that they hold
-    no parameter, or one would be taken for the state.  Not cached: rate
-    is typically built for the call."""
-    init, steps, results = _lower(_postorder(rate), (y, dy),
-                                  (Param(dy), rate))
-    return _scalar_code(init, steps, 2, results)
+    right-hand side f(x, (u, u')) = (u', rate) of its first-order system,
+    split where the tape stops reading x alone: the steps that read only x
+    and constants are the x part, the ones that read the parameters named
+    y and dy, the state, directly or through another step are the state
+    part, each printed as a Python function over floats, both in one
+    ``compile``.  An integrator evaluates the x part once for all the
+    abscissae of a step and the state part once a stage.  Each part runs
+    its steps in tape order on the same operands, so the split changes no
+    bit of a result; a domain error of the x part is raised before any
+    step of the state part runs.  The state may be any pair that unpacks,
+    a tuple or a numpy array.  Any other parameter raises
+    UnboundParameterError, so a caller that builds rate from expressions
+    of its own must first make sure that they hold no parameter, or one
+    would be taken for the state.  Not cached: rate is typically built for
+    the call."""
+    order = _postorder(rate)
+    state = (Param(y), Param(dy))
+    reads = set(state)  # the nodes that read the state
+    x_order, state_order = [], []
+    for node in order:
+        if node in reads or not reads.isdisjoint(_children(node)):
+            reads.add(node)
+            state_order.append(node)
+        else:
+            x_order.append(node)
+    # the values of the x part that the state part's steps and roots read,
+    # bar constants, which it binds as names
+    roots = (state[1], rate)
+    operands = [c for node in state_order for c in _children(node)]
+    passed = tuple(dict.fromkeys(
+        c for c in operands + list(roots)
+        if c not in reads and type(c) is not Const))
+    return _scalar_code(_lower(x_order, (X,), passed),
+                        _lower(state_order, (*state, *passed), roots))
 
 
-def _lower(order: list[Expr], args: tuple[str, ...],
+def _children(node: Expr) -> tuple[Expr, ...]:
+    t = type(node)
+    if t in _BINARY_NODES:
+        return (node.left, node.right)
+    if t is Neg or t is Fun:
+        return (node.arg,)
+    if t is Pow:
+        return (node.base, node.exponent)
+    return ()
+
+
+def _lower(order: list[Expr], leaves: tuple[Expr, ...],
            roots: tuple[Expr, ...]) -> tuple[tuple, tuple, tuple[int, ...]]:
     """Lower the post-ordered nodes (root last) to a tape: the slots'
     initial values, the steps and the slot of each root (a node in
-    ``order`` or a parameter named in ``args``).  Slot 0 is x and slots
-    1..k the parameters named in ``args``, in that order, all filled by
-    the caller; any other parameter raises UnboundParameterError (the
-    first by name).  A constant's slot starts with its value, as a float,
-    and the slot of a computed value with None.  Each step
-    ``(fn, out, a, b)`` stores ``fn`` of slots a and b (b None for unary
-    steps) in slot ``out``: an ``operator`` function or a numpy ufunc.  An
-    integer power is ``operator.pow`` with b a slot holding the exponent
-    as an int, any other power ``np.power``.  The tape holds values and
-    functions only, never a node.
+    ``order`` or a leaf).  Slots 0..k-1 hold the k ``leaves``, in that
+    order, all filled by the caller: x, or the state and the values an
+    earlier tape passed on; any parameter not among them raises
+    UnboundParameterError (the first by name).  A constant's slot starts
+    with its value, as a float, and the slot of a computed value with
+    None.  Each step ``(fn, out, a, b)`` stores ``fn`` of slots a and b (b
+    None for unary steps) in slot ``out``: an ``operator`` function or a
+    numpy ufunc.  An integer power is ``operator.pow`` with b a slot
+    holding the exponent as an int, any other power ``np.power``.  The
+    tape holds values and functions only, never a node.
 
     Slots of computed values are reused, as registers are in linear-scan
     allocation (Poletto & Sarkar, ACM TOPLAS 21(5), 1999).  One walk from
@@ -856,13 +907,11 @@ def _lower(order: list[Expr], args: tuple[str, ...],
     buffers it has just freed instead of faulting in new pages.  The
     steps make the same calls on the same operands in the same order as
     the nodes come in ``order``, so reuse changes no bit of any result."""
-    missing = [n.name for n in order
-               if isinstance(n, Param) and n.name not in args]
+    home: dict[Expr, int] = {leaf: s for s, leaf in enumerate(leaves)}
+    missing = [n.name for n in order if type(n) is Param and n not in home]
     if missing:
         raise UnboundParameterError(min(missing))
-    init: list = [None] * (len(args) + 1)
-    home: dict[Expr, int] = {X: 0}
-    home.update((Param(name), i) for i, name in enumerate(args, 1))
+    init: list = [None] * len(leaves)
     free: list[int] = []
 
     def slot(node: Expr) -> int:
@@ -906,30 +955,45 @@ def _lower(order: list[Expr], args: tuple[str, ...],
     return tuple(init), tuple(steps), results
 
 
-def _scalar_code(init: tuple, steps: tuple, nargs: int,
-                 out: tuple[int, ...]) -> Callable:
-    """Print the tape of ``_lower`` as a Python function over floats, one
-    assignment per step, constants bound as names (the repr of inf or nan
-    is not a Python literal) and integer exponents as literals.  It is
-    f(x, args), where the sequence args holds the values of the tape's
-    ``nargs`` parameter slots in order, and it returns the tuple of the
-    slots in ``out``.  Domain violations raise, as ``math`` does."""
+def _scalar_code(x_tape: tuple, state_tape: tuple) -> OdeRhs:
+    """Print the two tapes of ``lambdify_ode``, each made by ``_lower``, as
+    the Python functions over floats of its ``OdeRhs``, one assignment per
+    step, constants bound as names (the repr of inf or nan is not a Python
+    literal) and integer exponents as literals, and compile them in one
+    ``compile``.  The x part runs its tape, whose one leaf is x, once for
+    each abscissa it is given and keeps the roots of each run; the state
+    part's leaves are the state and then those roots, and it returns its
+    own two roots.  Domain violations raise, as ``math`` does."""
     ns = dict(_SCALAR_NS)
-    names = ["x"]
-    for s, v in enumerate(init[1:], 1):
-        if type(v) is float:
-            ns[f"c{s}"] = v
-        names.append(f"c{s}" if type(v) is float
-                     else repr(v) if type(v) is int else f"v{s}")
-    lines = [f"    {', '.join(names[1:nargs + 1])}, = args"]
-    for fn, o, a, b in steps:
-        operands = (names[a],) if b is None else (names[a], names[b])
-        lines.append(f"    {names[o]} = "
-                     + _SCALAR_SOURCE[fn].format(*operands))
-    code = ("def _compiled(x, args):\n" + "\n".join(lines)
-            + f"\n    return ({', '.join(names[s] for s in out)},)\n")
-    exec(compile(code, "<lambdify>", "exec"), ns)
-    return ns.pop("_compiled")  # so fn and its globals form no cycle
+
+    def printed(part: str, tape: tuple, indent: str):
+        """The names of the tape's slots, each constant's bound in ns
+        under the part's own prefix, its steps as lines and its roots as
+        a tuple display."""
+        init, steps, out = tape
+        names = []
+        for s, v in enumerate(init):
+            if type(v) is float:
+                ns[f"{part}{s}"] = v
+            names.append(f"{part}{s}" if type(v) is float
+                         else repr(v) if type(v) is int else f"v{s}")
+        lines = [f"{indent}{names[o]} = " + _SCALAR_SOURCE[fn].format(
+            *((names[a],) if b is None else (names[a], names[b])))
+            for fn, o, a, b in steps]
+        return names, lines, "(" + "".join(names[s] + ", " for s in out) + ")"
+
+    names, lines, roots = printed("c", x_tape, " " * 8)
+    code = [f"def _x_part(xs):\n    out = []\n    for {names[0]} in xs:",
+            *lines, f"        out.append({roots})\n    return out"]
+    names, lines, roots = printed("k", state_tape, " " * 4)
+    passed = names[2:2 + len(x_tape[2])]
+    code += ["def _state_part(args, passed):",
+             f"    {names[0]}, {names[1]}, = args",
+             *([f"    {', '.join(passed)}, = passed"] if passed else []),
+             *lines, f"    return {roots}\n"]
+    exec(compile("\n".join(code), "<lambdify>", "exec"), ns)
+    # popped, so the functions and their globals form no cycle
+    return OdeRhs(ns.pop("_x_part"), ns.pop("_state_part"))
 
 
 def _vectorized(init: tuple, steps: tuple, result: int) -> Callable:

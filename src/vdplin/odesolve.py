@@ -21,8 +21,9 @@ from typing import Callable, Sequence, TYPE_CHECKING
 import numpy as np
 
 from ._floatfmt import _BLOCK, join_rows, repr_fields
-from .expr import (Expr, Param, UnboundParameterError, as_expr, diff,
-                   free_params, lambdify, lambdify_ode)
+from .expr import (Expr, OdeRhs, Param, UnboundParameterError, as_expr,
+                   diff, free_params, lambdify, lambdify_ode)
+from .wcalc import derivative
 
 if TYPE_CHECKING:  # pragma: no cover
     from .colehopf import TransformBundle
@@ -176,17 +177,10 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # integrators
 
-def _integrate(rhs, grid: Grid, y0: Sequence[float],
+def _integrate(rhs: OdeRhs, grid: Grid, y0: Sequence[float],
                cfg: IntegratorConfig) -> Trajectory:
-    def guarded(x, y):
-        # scalar callbacks raise on a singular or out-of-domain coefficient
-        try:
-            return rhs(x, y)
-        except (ArithmeticError, ValueError):
-            raise StepUnderflowError((float(x), grid.x1), None) from None
-
     xs = grid.xs
-    ts, starts, stages, finished = _dopri45(guarded, grid.x0, grid.x1, y0,
+    ts, starts, stages, finished = _dopri45(rhs, grid.x0, grid.x1, y0,
                                             cfg.rtol, cfg.atol)
     # the grid points up to the last accepted step
     n_ok = len(xs) if finished else int(np.searchsorted(xs, ts[-1], "right"))
@@ -235,7 +229,8 @@ _DENSE_P = np.array([
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 # accepted steps a run may take, over 100 times the most any test or
 # documented run takes; every step is kept for the dense output, so a
-# stiff run creeping on at steps near the smallest stops at about 100 MB
+# stiff run creeping on at steps near the smallest stops at about 100 MB,
+# after about six state-part calls and one x-part call a step
 _MAX_STEPS = 300_000
 _EXPONENT = -1 / 5  # minus one over (error estimator order + 1)
 _RTOL_FLOOR = 100 * np.finfo(float).eps
@@ -246,15 +241,36 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / _SQRT2
 
 
-def _initial_step(rhs, t: float, ya: float, yb: float, fa: float, fb: float,
-                  length: float, rtol: float, atol: float) -> float:
+def _stall(x_part: Callable, xs: tuple, x1: float) -> StepUnderflowError:
+    """The stall an error of x_part at the abscissae xs is charged to: at
+    the first of them, in order, at which x_part raises alone, with no
+    partial trajectory."""
+    for x in xs:
+        try:
+            x_part((x,))
+        except (ArithmeticError, ValueError):
+            break
+    return StepUnderflowError((float(x), x1), None)
+
+
+def _rhs_at(rhs: OdeRhs, x: float, y: tuple, x1: float) -> tuple:
+    """The right-hand side at the single abscissa x."""
+    try:
+        values = rhs.x_part((x,))
+    except (ArithmeticError, ValueError):
+        raise _stall(rhs.x_part, (x,), x1) from None
+    return rhs.state_part(y, values[0])
+
+
+def _initial_step(rhs: OdeRhs, t: float, ya: float, yb: float, fa: float,
+                  fb: float, x1: float, rtol: float, atol: float) -> float:
     """The first step size of Hairer, Norsett and Wanner, Sec. II.4."""
     sa, sb = atol + abs(ya) * rtol, atol + abs(yb) * rtol
     d0 = _rms(ya / sa, yb / sb)
     d1 = _rms(fa / sa, fb / sb)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, length)
-    ga, gb = rhs(t + h0, (ya + h0 * fa, yb + h0 * fb))
+    h0 = min(h0, x1 - t)
+    ga, gb = _rhs_at(rhs, t + h0, (ya + h0 * fa, yb + h0 * fb), x1)
     # h0 is 0 only for an infinite d1, and then h1 is 0 whatever d2 is; a
     # float divided by zero raises, where numpy's gives inf
     d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0 if h0 > 0 else math.inf
@@ -263,17 +279,32 @@ def _initial_step(rhs, t: float, ya: float, yb: float, fa: float, fb: float,
     else:
         d = max(d1, d2)
         h1 = (0.01 / d) ** 0.2 if d > 0 else math.inf
-    return min(100 * h0, h1, length)
+    return min(100 * h0, h1, x1 - t)
 
 
-def _dopri45(rhs, x0: float, x1: float, y0: Sequence[float], rtol: float,
-             atol: float) -> tuple[array, array, array, bool]:
+def _dopri45(rhs: OdeRhs, x0: float, x1: float, y0: Sequence[float],
+             rtol: float, atol: float) -> tuple[array, array, array, bool]:
     """Integrate the pair y' = rhs(x, y) from x0 to x1 > x0 on Python
     floats, step for step as scipy's RK45.  Returns the step ends (x0
     first), the state at each step start and the seven stages of each
     step, both flattened, and whether x1 was reached; a step that would
     have to shrink below ten ulps of x, a non-finite initial state, or
-    _MAX_STEPS accepted steps short of x1 end the run early."""
+    _MAX_STEPS accepted steps short of x1 end the run early.
+
+    Each step attempt calls rhs's x part once, for the abscissae of
+    stages 2 to 6, and its state part six times: stage 7 sits at t + h
+    too and reads stage 6's values.  An error of the x part raises the
+    stall that ``_stall`` charges it to.  The state parts of the
+    integrators' rates are products and sums of floats, which overflow to
+    inf rather than raise."""
+    x_part, state_part = rhs
+    nextafter, inf, sqrt, sqrt2 = math.nextafter, math.inf, math.sqrt, _SQRT2
+    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     t, x1 = float(x0), float(x1)
     ya, yb = float(y0[0]), float(y0[1])
     # 8 bytes a value: a long run keeps every stage of every step
@@ -281,45 +312,56 @@ def _dopri45(rhs, x0: float, x1: float, y0: Sequence[float], rtol: float,
     if not (math.isfinite(ya) and math.isfinite(yb)):
         return ts, starts, stages, False
     rtol = max(rtol, _RTOL_FLOOR)
-    fa, fb = rhs(t, (ya, yb))
-    h_abs = _initial_step(rhs, t, ya, yb, fa, fb, x1 - t, rtol, atol)
+    fa, fb = _rhs_at(rhs, t, (ya, yb), x1)
+    h_abs = _initial_step(rhs, t, ya, yb, fa, fb, x1, rtol, atol)
     while t < x1:
         if len(ts) > _MAX_STEPS:
             return ts, starts, stages, False
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        min_step = 10 * (nextafter(t, inf) - t)
+        if min_step > h_abs:  # max(h_abs, min_step)
+            h_abs = min_step
         rejected = False
         while True:
             if not h_abs >= min_step:  # a nan step size fails too
                 return ts, starts, stages, False
             t_new = min(t + h_abs, x1)
             h = h_abs = t_new - t
-            k2a, k2b = rhs(t + _C2 * h, (ya + _A21 * fa * h,
-                                         yb + _A21 * fb * h))
-            k3a, k3b = rhs(t + _C3 * h, (ya + (_A31 * fa + _A32 * k2a) * h,
-                                         yb + (_A31 * fb + _A32 * k2b) * h))
-            k4a, k4b = rhs(t + _C4 * h, (
-                ya + (_A41 * fa + _A42 * k2a + _A43 * k3a) * h,
-                yb + (_A41 * fb + _A42 * k2b + _A43 * k3b) * h))
-            k5a, k5b = rhs(t + _C5 * h, (
-                ya + (_A51 * fa + _A52 * k2a + _A53 * k3a + _A54 * k4a) * h,
-                yb + (_A51 * fb + _A52 * k2b + _A53 * k3b + _A54 * k4b) * h))
-            k6a, k6b = rhs(t + h, (
-                ya + (_A61 * fa + _A62 * k2a + _A63 * k3a + _A64 * k4a
-                      + _A65 * k5a) * h,
-                yb + (_A61 * fb + _A62 * k2b + _A63 * k3b + _A64 * k4b
-                      + _A65 * k5b) * h))
-            na = ya + h * (_B1 * fa + _B3 * k3a + _B4 * k4a + _B5 * k5a
-                           + _B6 * k6a)
-            nb = yb + h * (_B1 * fb + _B3 * k3b + _B4 * k4b + _B5 * k5b
-                           + _B6 * k6b)
-            k7a, k7b = rhs(t + h, (na, nb))
-            ea = (_E1 * fa + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a
-                  + _E7 * k7a) * h
-            eb = (_E1 * fb + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b
-                  + _E7 * k7b) * h
-            err = _rms(ea / (atol + max(abs(ya), abs(na)) * rtol),
-                       eb / (atol + max(abs(yb), abs(nb)) * rtol))
+            xs = (t + c2 * h, t + c3 * h, t + c4 * h, t + c5 * h, t + h)
+            try:
+                values = x_part(xs)
+            except (ArithmeticError, ValueError):
+                raise _stall(x_part, xs, x1) from None
+            v2, v3, v4, v5, v6 = values
+            k2a, k2b = state_part((ya + a21 * fa * h, yb + a21 * fb * h), v2)
+            k3a, k3b = state_part((ya + (a31 * fa + a32 * k2a) * h,
+                                   yb + (a31 * fb + a32 * k2b) * h), v3)
+            k4a, k4b = state_part((
+                ya + (a41 * fa + a42 * k2a + a43 * k3a) * h,
+                yb + (a41 * fb + a42 * k2b + a43 * k3b) * h), v4)
+            k5a, k5b = state_part((
+                ya + (a51 * fa + a52 * k2a + a53 * k3a + a54 * k4a) * h,
+                yb + (a51 * fb + a52 * k2b + a53 * k3b + a54 * k4b) * h), v5)
+            k6a, k6b = state_part((
+                ya + (a61 * fa + a62 * k2a + a63 * k3a + a64 * k4a
+                      + a65 * k5a) * h,
+                yb + (a61 * fb + a62 * k2b + a63 * k3b + a64 * k4b
+                      + a65 * k5b) * h), v6)
+            na = ya + h * (b1 * fa + b3 * k3a + b4 * k4a + b5 * k5a
+                           + b6 * k6a)
+            nb = yb + h * (b1 * fb + b3 * k3b + b4 * k4b + b5 * k5b
+                           + b6 * k6b)
+            k7a, k7b = state_part((na, nb), v6)
+            ea = (e1 * fa + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a
+                  + e7 * k7a) * h
+            eb = (e1 * fb + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b
+                  + e7 * k7b) * h
+            # max(abs(ya), abs(na)) and the same of yb, nb, as max picks
+            # it, without the cost of a call of max
+            m, n = abs(ya), abs(na)
+            ea /= atol + (n if n > m else m) * rtol
+            m, n = abs(yb), abs(nb)
+            eb /= atol + (n if n > m else m) * rtol
+            err = sqrt(ea * ea + eb * eb) / sqrt2
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(
                     _MAX_FACTOR, _SAFETY * err ** _EXPONENT)
@@ -506,11 +548,12 @@ def integrate_vdp(bundle: "TransformBundle", grid: Grid, psi0: float,
     """Directly integrate the full nonlinear equation carried by a bundle,
     psi'' = mu (beta - psi^2) psi' - alpha psi + v psi^2 + h psi^3
     + g psi^4 + f.  This is the oracle route: it never sees the
-    substitution algebra.  The right-hand side is one compiled function
-    of (x, psi, psi'), so the subexpressions v, h, g and f share are
-    evaluated once per call; it is compiled on the first run of a bundle
-    and reused by the next.  The integration is adaptive only: "rk4" is
-    refused."""
+    substitution algebra.  The right-hand side is compiled in two parts
+    on the first run of a bundle and reused by the next: the x part
+    evaluates v, h, g and f, and the subexpressions they share once, at
+    each abscissa of a step's stages, and the state part combines them
+    with (psi, psi') once a stage.  The integration is adaptive only:
+    "rk4" is refused."""
     if cfg.method != "adaptive":
         raise ValueError(f"integrate_vdp is adaptive only, got method "
                          f"{cfg.method!r}")
@@ -539,12 +582,13 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
     pole_tol times the running maximum are excluded, sign changes of phi
     are bracketed (bisecting phi's dense output when it has one) and
     segments are split there.  Poles are data, not errors.
-    psi' is computed through phi'' = U phi.
+    psi' is computed through phi'' = U phi, with P' from the weak memo
+    that keeps P's jet.
     """
     xs = phi.xs
     vals = phi.values
     pfn = lambdify(P)
-    dpfn = lambdify(diff(P))
+    dpfn = lambdify(derivative(P))
 
     finite = np.isfinite(vals)
     runmax = np.maximum.accumulate(np.where(finite, np.abs(vals), 0.0))
@@ -808,40 +852,52 @@ def trajectory_csv(*trajs: Trajectory) -> list[bytes]:
     return [b"".join(files.pop(0)) for _ in trajs]
 
 
-def _json_array(values: np.ndarray) -> bytes:
-    """A float array as ``json.dumps(list, indent=2)`` prints it one level
-    deep, each non-finite value as null."""
-    chunks = [b"[\n    " if len(values) else b"[]"]
-    for start in range(0, len(values), _BLOCK):
-        block = values[start:start + _BLOCK]
-        fields = repr_fields(block)[0]
-        null = ~np.isfinite(block)
+def _json_arrays(columns: Sequence[np.ndarray]) -> list[bytes]:
+    """Each of the equally long float arrays ``columns`` as
+    ``json.dumps(list, indent=2)`` prints it one level deep, each
+    non-finite value as null.  One ``repr_fields`` call formats a block of
+    ``_BLOCK`` values of every array, and one ``join_rows`` call per array
+    prints its lines of the block."""
+    sep = b",\n    "
+    n = len(columns[0])
+    chunks = [[b"[\n    " if n else b"[]"] for _ in columns]
+    for start in range(0, n, _BLOCK):
+        values = np.concatenate([col[start:start + _BLOCK] for col in columns])
+        fields = repr_fields(values)[0]
+        null = ~np.isfinite(values)
         fields[null] = 0
         fields[null, :4] = np.frombuffer(b"null", dtype=np.uint8)
-        chunks.append(join_rows([fields], [b",\n    "], None))
-    if len(values):  # the last value ends the array instead
-        chunks[-1] = chunks[-1][:-len(b",\n    ")] + b"\n  ]"
-    return b"".join(chunks)
+        at = len(values) // len(columns)
+        for i, chunk in enumerate(chunks):
+            chunk.append(join_rows([fields[i * at:(i + 1) * at]], [sep],
+                                   None))
+    for chunk in chunks:
+        if n:  # the last value ends the array instead
+            chunk[-1] = chunk[-1][:-len(sep)] + b"\n  ]"
+    return [b"".join(chunk) for chunk in chunks]
 
 
 def trajectory_json(*trajs: Trajectory) -> list[bytes]:
     """The JSON file of each trajectory, all on one grid: the bytes of
     ``json.dumps(doc, indent=2)`` and a newline, for doc = {"x", "value",
     "derivative", "segments", "pole_brackets"} with non-finite samples as
-    null.  The grid array is formatted once."""
-    x_text = _json_array(_shared_grid(trajs))
+    null.  The grid and every trajectory's samples are printed together,
+    the grid once."""
+    x_text, *samples = _json_arrays([_shared_grid(trajs)] + [
+        col for traj in trajs for col in (traj.values, traj.derivatives)])
 
     def nested(doc) -> bytes:
         return json.dumps(doc, indent=2).replace("\n", "\n  ").encode()
 
     return [b"".join((
         b'{\n  "x": ', x_text,
-        b',\n  "value": ', _json_array(traj.values),
-        b',\n  "derivative": ', _json_array(traj.derivatives),
+        b',\n  "value": ', values,
+        b',\n  "derivative": ', derivatives,
         b',\n  "segments": ', nested([list(s) for s in traj.segments]),
         b',\n  "pole_brackets": ',
         nested([list(b) for b in traj.pole_brackets]),
-        b"\n}\n")) for traj in trajs]
+        b"\n}\n")) for traj, values, derivatives in
+        zip(trajs, samples[0::2], samples[1::2])]
 
 
 def regular_window(exprs: Sequence[Expr], x0: float, x1: float,

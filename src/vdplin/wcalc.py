@@ -31,7 +31,7 @@ from .expr import (ZERO, Add, Const, Div, Expr, Mul, Neg, Param, Pow, Sub,
                    as_expr, diff, parse)
 
 __all__ = ["reduce_vdp", "reduce_lienard", "restoring_coeffs", "vdp_chain",
-           "reference_gaps", "jet"]
+           "reference_gaps", "jet", "derivative"]
 
 # the generators, numbered in the order a monomial lists them
 W, DDP, DP, P, DU, U, C0, C1, C2, B0, B1, B2, B3, B4 = range(14)
@@ -217,7 +217,7 @@ _DERIVATIVES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _CHAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _derivative(e: Expr) -> Expr:
+def derivative(e: Expr) -> Expr:
     """diff(e), from the memo while it is alive; the same ``_memo`` keeps
     the chains of ``vdp_chain``."""
     return _memo(_DERIVATIVES, e, None, lambda: (diff(e),))[0]
@@ -226,8 +226,8 @@ def _derivative(e: Expr) -> Expr:
 def jet(P: Expr) -> tuple[Expr, Expr, Expr]:
     """P, P' and P''."""
     P = as_expr(P)
-    dP = _derivative(P)
-    return P, dP, _derivative(dP)
+    dP = derivative(P)
+    return P, dP, derivative(dP)
 
 
 def _values(P: Expr, U: Expr, c: Sequence, b: Sequence) -> list:
@@ -238,7 +238,7 @@ def _values(P: Expr, U: Expr, c: Sequence, b: Sequence) -> list:
         raise ValueError(f"need 5 restoring coefficients, got {len(b)}")
     P, dP, ddP = jet(P)
     U = as_expr(U)
-    return [None, ddP, dP, P, _derivative(U), U, *map(as_expr, (*c, *b))]
+    return [None, ddP, dP, P, derivative(U), U, *map(as_expr, (*c, *b))]
 
 
 def _expr(p: Poly, values: list) -> Expr:

@@ -4,21 +4,26 @@ with pole handling, residual measurement and trajectory comparison."""
 import json
 import math
 import tracemalloc
+from array import array
 from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (_integrate_rk4, _stalled, build_instance,
                       count_compiles, float_fn, round_trip_metrics)
-from vdplin import odesolve
+from test_expr_reference import (_XS, _raw_trees, _same_outcome, build,
+                                 ref_scalar_code)
+from vdplin import odesolve, wcalc
 from vdplin._floatfmt import _BLOCK, repr_fields
 from vdplin.catalog import case3
 from vdplin.colehopf import TransformBundle, VdpParams, solve_chain
-from vdplin.expr import (Const, UnboundParameterError, lambdify, parse,
+from vdplin.expr import (Add, Const, Mul, OdeRhs, Param, UnboundParameterError,
+                         X, _postorder, exp, lambdify, lambdify_ode, parse,
                          simplify, subst)
 from vdplin.odesolve import (DisjointSegmentsError, Grid, IntegratorConfig,
                              NonFiniteCoefficientError, SegmentTooShortError,
@@ -335,20 +340,26 @@ _ADAPTIVE_FIXTURES = {
 }
 
 
-def _counted(rhs):
+def _counted(fn):
     calls = [0]
 
-    def counting(x, y):
+    def counting(*args):
         calls[0] += 1
-        return rhs(x, y)
+        return fn(*args)
     return counting, calls
+
+
+def _counted_states(rhs):
+    """rhs with its state-part calls counted."""
+    state_part, calls = _counted(rhs.state_part)
+    return OdeRhs(rhs.x_part, state_part), calls
 
 
 @pytest.mark.parametrize("name", list(_ADAPTIVE_FIXTURES))
 def test_adaptive_steps_as_scipy_rk45(monkeypatch, name):
-    # scipy's RK45 stays the reference: the same rhs calls, the same grid
-    # points reached, and the same samples up to the rounding of its dot
-    # products
+    # scipy's RK45 stays the reference: as many state-part calls as it
+    # makes rhs calls, the same grid points reached, and the same samples
+    # up to the rounding of its dot products
     from scipy.integrate import solve_ivp
 
     runs = []
@@ -362,7 +373,7 @@ def test_adaptive_steps_as_scipy_rk45(monkeypatch, name):
     _ADAPTIVE_FIXTURES[name]()
     assert runs
     for rhs, grid, y0, cfg in runs:
-        ours, our_calls = _counted(rhs)
+        ours, our_calls = _counted_states(rhs)
         try:
             t = integrate(ours, grid, y0, cfg)
         except StepUnderflowError as err:
@@ -454,6 +465,12 @@ def _reference_linear_rhs(U):
     return lambda x, y: (y[1], ufn(x) * y[0])
 
 
+def _as_pair(rhs):
+    """A right-hand side f(x, y) as an OdeRhs: an x part that passes each
+    abscissa on alone and a state part that calls f."""
+    return OdeRhs(lambda xs: [(x,) for x in xs], lambda y, v: rhs(v[0], y))
+
+
 def _outcome(run):
     """(None, trajectory), or (bracket, partial trajectory) of a stall."""
     try:
@@ -469,6 +486,17 @@ def _assert_bit_identical(got, want):
         assert np.array_equal(got[1].xs, want[1].xs)
         assert np.array_equal(got[1].values, want[1].values)
         assert np.array_equal(got[1].derivatives, want[1].derivatives)
+
+
+def _assert_same_steps(rhs, want_rhs, grid, y0, cfg):
+    """The adaptive loop takes the same steps through both pairs: the same
+    step ends, starts and stages to the bit, or the same stall."""
+    def steps(r):
+        ts, starts, stages, finished = odesolve._dopri45(
+            r, grid.x0, grid.x1, y0, cfg.rtol, cfg.atol)
+        return ts.tobytes(), starts.tobytes(), stages.tobytes(), finished
+
+    assert _outcome(lambda: steps(rhs)) == _outcome(lambda: steps(want_rhs))
 
 
 def _general_p_problem(seed):
@@ -496,25 +524,47 @@ _VDP_PROBLEMS = {
 }
 
 
+def _compiled_pair(monkeypatch, run):
+    """The pair run hands the adaptive loop, and run's outcome."""
+    pairs = []
+    integrate = odesolve._integrate
+
+    def spy(rhs, grid, y0, cfg):
+        pairs.append(rhs)
+        return integrate(rhs, grid, y0, cfg)
+
+    monkeypatch.setattr(odesolve, "_integrate", spy)
+    outcome = _outcome(run)
+    (pair,) = pairs
+    return pair, outcome
+
+
 @pytest.mark.parametrize("name", list(_VDP_PROBLEMS))
-def test_vdp_compiled_rhs_is_bit_identical_to_four_coefficients(name):
+def test_vdp_compiled_rhs_is_bit_identical_to_four_coefficients(monkeypatch,
+                                                                name):
     bundle, grid, psi0, dpsi0 = _VDP_PROBLEMS[name]()
-    got = _outcome(lambda: integrate_vdp(bundle, grid, psi0, dpsi0, TIGHT))
-    want = _outcome(lambda: odesolve._integrate(
-        _reference_vdp_rhs(bundle), grid, (psi0, dpsi0), TIGHT))
+    pair, got = _compiled_pair(monkeypatch, lambda: integrate_vdp(
+        bundle, grid, psi0, dpsi0, TIGHT))
+    reference = _as_pair(_reference_vdp_rhs(bundle))
+    want = _outcome(lambda: odesolve._integrate(reference, grid,
+                                                (psi0, dpsi0), TIGHT))
     _assert_bit_identical(got, want)
+    _assert_same_steps(pair, reference, grid, (psi0, dpsi0), TIGHT)
     if name == "blow-up":
         assert want[0] is not None and want[1] is not None
 
 
-def test_linear_compiled_rhs_is_bit_identical_to_the_potential():
+def test_linear_compiled_rhs_is_bit_identical_to_the_potential(monkeypatch):
     bundle, a, b = build_instance(np.random.default_rng(98))
     grid = Grid(a, b, 301)
-    got = _outcome(lambda: integrate_linear(bundle.U, grid, 1.0, 0.3, TIGHT))
-    want = _outcome(lambda: odesolve._integrate(
-        _reference_linear_rhs(bundle.U), grid, (1.0, 0.3), TIGHT))
+    pair, got = _compiled_pair(monkeypatch, lambda: integrate_linear(
+        bundle.U, grid, 1.0, 0.3, TIGHT))
+    reference = _as_pair(_reference_linear_rhs(bundle.U))
+    want = _outcome(lambda: odesolve._integrate(reference, grid, (1.0, 0.3),
+                                                TIGHT))
     assert want[0] is None
     _assert_bit_identical(got, want)
+    _assert_same_steps(pair, reference, grid, (1.0, 0.3), TIGHT)
 
 
 def test_a_second_run_compiles_nothing(monkeypatch):
@@ -573,20 +623,21 @@ def test_a_state_argument_never_takes_a_free_parameter(method):
 def test_adaptive_step_budget_bounds_memory(monkeypatch):
     # a stiff direct integration creeps on at steps just above the smallest
     # for as long as it is let; the budget ends it with the grid prefix it
-    # reached.  Lowered here to keep the test short; the rhs-call cap makes
-    # a run that ignores the budget fail in seconds instead of running on.
+    # reached.  Lowered here to keep the test short; the cap on state-part
+    # calls makes a run that ignores the budget fail in seconds instead of
+    # running on.
     budget = 4000
     monkeypatch.setattr(odesolve, "_MAX_STEPS", budget)
     integrate = odesolve._integrate
     calls = [0]
 
     def capped(rhs, grid, y0, cfg):
-        def counting(x, y):
+        def counting(y, v):
             calls[0] += 1
-            if calls[0] > 30 * budget:  # about 7 a step are made
+            if calls[0] > 30 * budget:  # about 6 a step are made
                 raise RuntimeError("the step budget was not enforced")
-            return rhs(x, y)
-        return integrate(counting, grid, y0, cfg)
+            return rhs.state_part(y, v)
+        return integrate(OdeRhs(rhs.x_part, counting), grid, y0, cfg)
 
     monkeypatch.setattr(odesolve, "_integrate", capped)
     bundle = _manual_bundle(0.386, -0.435, -0.406, v="-2.61", h="2.82")
@@ -607,8 +658,182 @@ def test_adaptive_step_budget_bounds_memory(monkeypatch):
     assert np.all(np.isfinite(part.derivatives))
 
 
+def test_a_singular_stage_abscissa_inside_a_step_is_the_bracket():
+    # 1/sqrt(1 - x) raises past x = 1.  The step that crosses it has its
+    # stage 2 and 3 abscissae below 1 and stages 4 to 7 above, so the stall
+    # is charged to stage 4's abscissa t + 4/5 h, inside the step; the
+    # bracket is the one the loop that evaluated the whole rhs stage by
+    # stage reported
+    with pytest.raises(StepUnderflowError) as err:
+        integrate_linear(parse("1/sqrt(1 - x)"), Grid(0.0, 2.0, 41), 1.0,
+                         0.0)
+    assert err.value.bracket == (1.0000000000022304, 2.0)
+    assert err.value.partial is None
+
+
+def _reference_dopri45(rhs, x0, x1, y0, rtol, atol, max_steps):
+    """The adaptive loop as it was: every stage calls the whole rhs f(x, y)
+    through a wrapper that turns its domain errors into stalls."""
+    def guarded(x, y):
+        try:
+            return rhs(x, y)
+        except (ArithmeticError, ValueError):
+            raise StepUnderflowError((float(x), x1), None) from None
+
+    o = odesolve
+    rms = o._rms
+    t, x1 = float(x0), float(x1)
+    ya, yb = float(y0[0]), float(y0[1])
+    ts, starts, stages = array("d", [t]), array("d"), array("d")
+    if not (math.isfinite(ya) and math.isfinite(yb)):
+        return ts, starts, stages, False
+    rtol = max(rtol, o._RTOL_FLOOR)
+    fa, fb = guarded(t, (ya, yb))
+    length = x1 - t
+    sa, sb = atol + abs(ya) * rtol, atol + abs(yb) * rtol
+    d0 = rms(ya / sa, yb / sb)
+    d1 = rms(fa / sa, fb / sb)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    ga, gb = guarded(t + h0, (ya + h0 * fa, yb + h0 * fb))
+    d2 = rms((ga - fa) / sa, (gb - fb) / sb) / h0 if h0 > 0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        d = max(d1, d2)
+        h1 = (0.01 / d) ** 0.2 if d > 0 else math.inf
+    h_abs = min(100 * h0, h1, length)
+    while t < x1:
+        if len(ts) > max_steps:
+            return ts, starts, stages, False
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                return ts, starts, stages, False
+            t_new = min(t + h_abs, x1)
+            h = h_abs = t_new - t
+            k2a, k2b = guarded(t + o._C2 * h, (ya + o._A21 * fa * h,
+                                               yb + o._A21 * fb * h))
+            k3a, k3b = guarded(t + o._C3 * h, (
+                ya + (o._A31 * fa + o._A32 * k2a) * h,
+                yb + (o._A31 * fb + o._A32 * k2b) * h))
+            k4a, k4b = guarded(t + o._C4 * h, (
+                ya + (o._A41 * fa + o._A42 * k2a + o._A43 * k3a) * h,
+                yb + (o._A41 * fb + o._A42 * k2b + o._A43 * k3b) * h))
+            k5a, k5b = guarded(t + o._C5 * h, (
+                ya + (o._A51 * fa + o._A52 * k2a + o._A53 * k3a
+                      + o._A54 * k4a) * h,
+                yb + (o._A51 * fb + o._A52 * k2b + o._A53 * k3b
+                      + o._A54 * k4b) * h))
+            k6a, k6b = guarded(t + h, (
+                ya + (o._A61 * fa + o._A62 * k2a + o._A63 * k3a
+                      + o._A64 * k4a + o._A65 * k5a) * h,
+                yb + (o._A61 * fb + o._A62 * k2b + o._A63 * k3b
+                      + o._A64 * k4b + o._A65 * k5b) * h))
+            na = ya + h * (o._B1 * fa + o._B3 * k3a + o._B4 * k4a
+                           + o._B5 * k5a + o._B6 * k6a)
+            nb = yb + h * (o._B1 * fb + o._B3 * k3b + o._B4 * k4b
+                           + o._B5 * k5b + o._B6 * k6b)
+            k7a, k7b = guarded(t + h, (na, nb))
+            ea = (o._E1 * fa + o._E3 * k3a + o._E4 * k4a + o._E5 * k5a
+                  + o._E6 * k6a + o._E7 * k7a) * h
+            eb = (o._E1 * fb + o._E3 * k3b + o._E4 * k4b + o._E5 * k5b
+                  + o._E6 * k6b + o._E7 * k7b) * h
+            err = rms(ea / (atol + max(abs(ya), abs(na)) * rtol),
+                      eb / (atol + max(abs(yb), abs(nb)) * rtol))
+            if err < 1:
+                factor = o._MAX_FACTOR if err == 0 else min(
+                    o._MAX_FACTOR, o._SAFETY * err ** o._EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(o._MIN_FACTOR, o._SAFETY * err ** o._EXPONENT)
+            rejected = True
+        starts.extend((ya, yb))
+        stages.extend((fa, fb, k2a, k2b, k3a, k3b, k4a, k4b, k5a, k5b, k6a,
+                       k6b, k7a, k7b))
+        ts.append(t_new)
+        t, ya, yb, fa, fb = t_new, na, nb, k7a, k7b
+    return ts, starts, stages, True
+
+
+@st.composite
+def _drawn_rates(draw):
+    """u'' = rate(x, u, u') as the integrators build it: x-only DAGs of
+    every kind, the coefficients, joined with u, u', x and the constants,
+    at times inf or nan, by sums, differences, products and negations
+    only, so that the state part cannot raise.  The first coefficient
+    times u is added, so that the rate reads the state."""
+    coeffs = draw(st.lists(_raw_trees(max_ops=8), min_size=1, max_size=3))
+    odd = draw(st.sampled_from([(), (), (), ((Const, math.inf),),
+                                ((Const, math.nan),)]))
+    tree = draw(_raw_trees(max_ops=8, params=("u", "du"),
+                           kinds=("neg", "add", "sub", "mul"),
+                           extra=(*coeffs, *odd)))
+    return build((Add, tree, (Mul, coeffs[0], (Param, "u"))))
+
+
+_INF_NAN = Const(math.inf) * exp(-X) * Param("u") + Const(math.nan) * X
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drawn_rates(), st.sampled_from([(-2.5, 1.0), (0.0, 2.0), (0.3, 8.0)]),
+       st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+# every function the scalar code calls, _pow by a real and by a variable
+# exponent among them
+@example(parse("u*(exp(x) + log(x + 3) + sin(x) + cos(x) + tan(x) + sinh(x)"
+               " + cosh(x) + sqrt(x + 3) + (x + 3)^1.5 + (x + 3)^x) + du"),
+         (-2.5, 1.0), (1.0, 0.5))
+@example(_INF_NAN, (0.0, 2.0), (1.0, 0.5))  # inf and nan bound as names
+@example(parse("x^2*u - x^-3*du + (x + 3)^0.5*u*u"), (0.3, 8.0), (1.0, 0.5))
+@example(parse("-1.5*u"), (0.0, 2.0), (1.0, 0.0))  # no x part
+@example(parse("x*u + x*x*du"), (0.0, 2.0), (1.0, 0.5))  # x read directly
+@example(parse("u/sqrt(1 - x)"), (0.0, 2.0), (1.0, 0.0))  # raises at x > 1
+def test_drawn_rates_take_the_reference_loops_steps_bit_for_bit(rate, span,
+                                                                y0):
+    # the pair of lambdify_ode, called as f(x, y) and driven by the loop,
+    # against the token walk's code driven by the loop that called it
+    # whole at every stage: the same values or errors, and the same step
+    # ends, starts and stages to the bit, or the same stall
+    pair = lambdify_ode(rate, "u", "du")
+    ref = ref_scalar_code(_postorder(rate), ("u", "du"), (Param("du"), rate))
+    for x in _XS.tolist():
+        for y in (y0, (0.0, -0.0), (1e300, -1e300)):
+            _same_outcome(pair, ref, x, y)
+    budget = 60
+
+    def steps(run):
+        ts, starts, stages, finished = run()
+        return ts.tobytes(), starts.tobytes(), stages.tobytes(), finished
+
+    with patch.object(odesolve, "_MAX_STEPS", budget):
+        got = _outcome(lambda: steps(lambda: odesolve._dopri45(
+            pair, *span, y0, 1e-6, 1e-9)))
+    want = _outcome(lambda: steps(lambda: _reference_dopri45(
+        ref, *span, y0, 1e-6, 1e-9, budget)))
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # the map and poles
+
+def test_map_takes_p_prime_from_the_jet_memo(monkeypatch):
+    # the chain keeps P's jet in wcalc's weak memo, so mapping phi derives
+    # nothing again
+    bundle = solve_chain(parse("x/(3+x^2)"), VdpParams(0.8, 1.2, 0.1))
+    phi = integrate_linear(bundle.U, Grid(0.0, 2.0, 41), 1.0, 0.2,
+                           IntegratorConfig(method="rk4"))
+    want = cole_hopf_map(bundle.P, phi, U=bundle.U)
+
+    def refused(e):
+        raise AssertionError("P' was derived again")
+
+    monkeypatch.setattr(wcalc, "diff", refused)
+    monkeypatch.setattr(odesolve, "diff", refused)
+    got = cole_hopf_map(bundle.P, phi, U=bundle.U)
+    assert np.array_equal(got.derivatives, want.derivatives, equal_nan=True)
+
 
 def test_map_exponential_is_constant():
     grid = Grid(0.0, 2.0, 41)
