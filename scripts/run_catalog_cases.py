@@ -35,9 +35,9 @@ def main():
         rep = residual(bundle, psi)
 
         (OUT / f"{name}.bundle.json").write_text(bundle_to_json(bundle))
-        phi_csv, psi_csv = trajectory_csv(phi, psi)
-        (OUT / f"{name}.phi.csv").write_bytes(phi_csv)
-        (OUT / f"{name}.psi.csv").write_bytes(psi_csv)
+        with open(OUT / f"{name}.phi.csv", "wb") as phi_csv, \
+                open(OUT / f"{name}.psi.csv", "wb") as psi_csv:
+            trajectory_csv(phi, psi, out=(phi_csv, psi_csv))
         (OUT / f"{name}.residual.json").write_text(
             json.dumps(rep.to_dict(), indent=2) + "\n")
 

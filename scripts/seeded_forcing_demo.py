@@ -36,7 +36,8 @@ def run(tag, seed_text, params, branch, grid, consts=None):
     header = "x,forcing"
     rows = [f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, fvals)]
     (OUT / f"{tag}.forcing.csv").write_text("\n".join([header] + rows) + "\n")
-    (OUT / f"{tag}.psi.csv").write_bytes(trajectory_csv(psi)[0])
+    with open(OUT / f"{tag}.psi.csv", "wb") as psi_csv:
+        trajectory_csv(psi, out=(psi_csv,))
 
     print(f"{tag} ({branch} branch): P = {to_str(bundle.P)}")
     print(f"  potential U = {to_str(bundle.U)}")

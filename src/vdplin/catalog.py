@@ -23,8 +23,9 @@ import numpy as np
 
 from .colehopf import (LedgerEntry, TransformBundle, VdpParams, compare_forms,
                        solve_chain)
-from .expr import (Const, Expr, Param, X, cos, diff, exp, lambdify, sin, sqrt,
+from .expr import (Const, Expr, Param, X, cos, exp, lambdify, sin, sqrt,
                    to_str)
+from .wcalc import derivative
 
 __all__ = [
     "ClosedFormSolution", "CatalogError", "ComplexKError",
@@ -156,7 +157,7 @@ def _basis_residual_entry(name: str, basis: tuple[Expr, Expr],
     xs = np.linspace(0.0, 5.0, 501)
     rel = []
     for b in basis:
-        resid = np.abs(lambdify(diff(diff(b)) - U * b)(xs))
+        resid = np.abs(lambdify(derivative(derivative(b)) - U * b)(xs))
         scale = np.maximum(1.0, np.abs(lambdify(b)(xs)))
         rel.append(np.divide(resid, scale, out=np.full_like(xs, np.nan),
                              where=np.isfinite(resid) & np.isfinite(scale)))

@@ -193,16 +193,21 @@ _ARTIFACTS = ("bundle.json", "lienard.json", "phi.csv", "psi.csv",
 def _emit_run(ns: argparse.Namespace, spec_name: str, spec: dict,
               phi: Trajectory, psi: Trajectory, report_doc: dict) -> None:
     """Write a run's spec, trajectories and residual report, and remove the
-    artifacts of other runs, so --out holds only this run's files."""
-    printer = trajectory_json if ns.fmt == "json" else trajectory_csv
-    phi_data, psi_data = printer(phi, psi)
-    files = {spec_name: _json_bytes(spec), f"phi.{ns.fmt}": phi_data,
-             f"psi.{ns.fmt}": psi_data,
+    artifacts of other runs, so --out holds only this run's files.  The
+    CSV trajectories are written block by block as they are printed."""
+    files = {spec_name: _json_bytes(spec),
              "residual.json": _json_bytes(report_doc)}
+    phi_name, psi_name = f"phi.{ns.fmt}", f"psi.{ns.fmt}"
+    if ns.fmt == "json":
+        files[phi_name], files[psi_name] = trajectory_json(phi, psi)
     for name, data in files.items():
         _write(ns.out / name, data)
+    if ns.fmt == "csv":
+        with open(ns.out / phi_name, "wb") as phi_file, \
+                open(ns.out / psi_name, "wb") as psi_file:
+            trajectory_csv(phi, psi, out=(phi_file, psi_file))
     for name in _ARTIFACTS:
-        if name not in files:
+        if name not in (*files, phi_name, psi_name):
             (ns.out / name).unlink(missing_ok=True)
 
 

@@ -13,7 +13,10 @@ whose outcome is recorded in a discrepancy ledger carried by the bundle.
 Every check follows one rule, ``gap_entries``': its gap, derived -
 reference, decides it exactly when it folds to a number, as the ring's
 gaps of a_0..a_4, f and the seeded U and the catalog's constant rows do,
-and is sampled on a grid otherwise.
+and is sampled on a grid otherwise.  An entry of a transcribed form
+records the form's text as ``wcalc`` keeps it, in the names of the
+bundle's fields and parameters, never its expansion at the bundle; a
+catalog row records its reference ``Expr`` printed.
 ``verify_annihilation`` decides a bundle exactly too when its fields are
 the chain's own for its P, as every bundle ``solve_chain`` writes is, and
 samples a_0..a_4 for any other.
@@ -98,7 +101,17 @@ class LedgerEntry:
 
     ``agrees`` is None when the comparison could not be evaluated (free
     parameters or no regular grid points).  A check decided exactly, with
-    nothing sampled, has ``points`` 0 and ``note`` "exact"."""
+    nothing sampled, has ``points`` 0 and ``note`` "exact".
+
+    ``reference`` is the text of the form checked against.  For a form
+    transcribed in ``wcalc._REFERENCE_FORMS`` (the forcing, a_0..a_4, the
+    seeded potential, the Lienard b_0..b_4) it is that text, over P, dP,
+    ddP, U, dU, the c and b and the aliases mu, mb (mu*beta), alpha, v, h,
+    g and f; the document's own fields and parameters give each name its
+    value.  For a catalog row it is the reference ``Expr`` printed, a
+    function of x.  A document written before transcribed forms were
+    recorded as text holds their expansion at its fields instead, and
+    loads as it is."""
 
     check: str
     agrees: bool | None
@@ -176,20 +189,21 @@ def _grid_xs(grid) -> np.ndarray:
 def compare_forms(check: str, derived: Expr, reference: Expr,
                   tol: float = ANNIHILATION_TOL) -> LedgerEntry:
     """The ledger entry of a derived form against a reference one:
-    ``gap_entries``' rule applied to their gap, derived - reference."""
-    return gap_entries([check], [(reference, derived - reference)], None,
-                       tol)[0]
+    ``gap_entries``' rule applied to their gap, derived - reference, with
+    the reference printed as the entry's text."""
+    return gap_entries([check], [(to_str(reference), derived - reference)],
+                       None, tol)[0]
 
 
 def gap_entries(checks: Sequence[str], gaps, grid,
                 tol: float) -> list[LedgerEntry]:
-    """One entry per check and its (reference, derived - reference), as
-    ``wcalc.reference_gaps`` gives them.  A gap that folds to a number
+    """One entry per check and its (reference text, derived - reference),
+    as ``wcalc.reference_gaps`` gives them.  A gap that folds to a number
     decides the check exactly, with ``max_abs_diff`` its size; any other is
     sampled once on the grid, its non-finite points (poles, domain edges,
     overflows) masked out."""
     xs = _grid_xs(grid)
-    return [_gap_entry(check, gap, xs, tol, to_str(reference))
+    return [_gap_entry(check, gap, xs, tol, reference)
             for check, (reference, gap) in zip(checks, gaps)]
 
 

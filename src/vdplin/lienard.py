@@ -7,12 +7,12 @@ coefficients a_4..a_0 are linear in the restoring coefficients b_4..b_0
 with a triangular structure, so ``wcalc`` derives them exactly, once, by
 back substitution.  They are authoritative; the transcribed reference
 forms are checked against them by their gaps in the same ring, and the
-outcome recorded: b_4 agrees and b_3 is off by -4, exactly, and the gaps
-of b_2..b_0, polynomials in P's and U's jets, are sampled wherever they
-depend on x.  The choice U = P^2 - P' (a Riccati
-relation: -P is then a logarithmic derivative of a linear solution) makes
-the derived b_0 the zero polynomial, with the damping left free.  The Van der
-Pol equation is one instance, with the c and b of
+outcome recorded, each entry with the form's text: b_4 agrees and b_3
+is off by -4, exactly, and the gaps of b_2..b_0, polynomials in P's and
+U's jets, are sampled wherever they depend on x.  The choice
+U = P^2 - P' (a Riccati relation: -P is then a logarithmic derivative of
+a linear solution) makes the derived b_0 the zero polynomial, with the
+damping left free.  The Van der Pol equation is one instance, with the c and b of
 ``colehopf.VdpParams.lienard``; ``odesolve.lienard_residual`` measures a
 trajectory against a spec.
 """
@@ -25,8 +25,8 @@ from typing import Sequence
 
 from .colehopf import (PRINTED_COEFF_TOL, LedgerEntry, gap_entries,
                        reading_document)
-from .expr import Expr, as_expr, diff, parser, to_str
-from .wcalc import reference_gaps, restoring_coeffs
+from .expr import Expr, as_expr, parser, to_str
+from .wcalc import derivative, reference_gaps, restoring_coeffs
 
 __all__ = ["LienardSpec", "lienard_coeffs", "riccati_u",
            "lienard_spec_to_json", "lienard_spec_from_json"]
@@ -62,9 +62,10 @@ def lienard_coeffs(c: Sequence[Expr], P: Expr, U: Expr,
 def riccati_u(P: Expr) -> Expr:
     """U = P^2 - P'.  Substituted into the bottom annihilation condition
     this makes the derived b_0 vanish identically, leaving the damping
-    coefficients free."""
+    coefficients free.  P' comes from wcalc's memo, where the spec's jet
+    of P finds it."""
     P = as_expr(P)
-    return P ** 2 - diff(P)
+    return P ** 2 - derivative(P)
 
 
 # ---------------------------------------------------------------------------

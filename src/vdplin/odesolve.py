@@ -16,13 +16,13 @@ import sys
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TYPE_CHECKING
+from typing import BinaryIO, Callable, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from ._floatfmt import _BLOCK, join_rows, repr_fields
 from .expr import (Expr, OdeRhs, Param, UnboundParameterError, as_expr,
-                   diff, free_params, lambdify, lambdify_ode)
+                   free_params, lambdify, lambdify_ode)
 from .wcalc import derivative
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -158,13 +158,19 @@ class Trajectory:
     @classmethod
     def from_expr(cls, e: Expr, grid: Grid) -> "Trajectory":
         xs = grid.xs
-        fn, dfn = lambdify(e), lambdify(diff(e))
+        de = derivative(e)
+        fn, dfn = lambdify(e), lambdify(de)
         vals, derivs = fn(xs), dfn(xs)
         good = np.isfinite(vals) & np.isfinite(derivs)
+
+        def dense(x, held=de):
+            # holds e' while the trajectory lives, so that cole_hopf_map
+            # finds it in wcalc's memo
+            return fn(x), dfn(x)
+
         return cls(xs=xs, values=np.where(good, vals, np.nan),
                    derivatives=np.where(good, derivs, np.nan),
-                   segments=_runs(good), expr=e,
-                   dense=lambda x: (fn(x), dfn(x)))
+                   segments=_runs(good), expr=e, dense=dense)
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -583,7 +589,8 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
     are bracketed (bisecting phi's dense output when it has one) and
     segments are split there.  Poles are data, not errors.
     psi' is computed through phi'' = U phi, with P' from the weak memo
-    that keeps P's jet.
+    that keeps P's jet; a closed-form phi's phi', for the closed form of
+    psi, comes from the same memo.
     """
     xs = phi.xs
     vals = phi.values
@@ -616,7 +623,7 @@ def cole_hopf_map(P: Expr, phi: Trajectory, U: Expr,
         segments.append((start, i1))
 
     psi_expr = (None if phi.expr is None
-                else P + diff(phi.expr) / phi.expr)
+                else P + derivative(phi.expr) / phi.expr)
     return Trajectory(xs=xs, values=np.where(keep, psi, np.nan),
                       derivatives=np.where(keep, dpsi, np.nan),
                       segments=segments, pole_brackets=brackets,
@@ -698,7 +705,8 @@ def _residual(traj: Trajectory, c: Sequence, b: Sequence,
 
     Both polynomials are evaluated in Horner form.  psi and psi' are the
     trajectory's own samples on every route; psi'' is exact for a closed
-    form and a five-point stencil of psi otherwise, whose ends are nan.  A
+    form, derived through wcalc's memo, and a five-point stencil of psi
+    otherwise, whose ends are nan.  A
     guard band of width guard_tol in x is excluded around every pole
     bracket; segments shorter than the stencil's five points, or with no
     point left, are skipped and counted.  If none is left, the error names
@@ -709,7 +717,7 @@ def _residual(traj: Trajectory, c: Sequence, b: Sequence,
     b0, b1, b2, b3, b4 = b
     with np.errstate(all="ignore"):
         if traj.expr is not None:
-            ddpsi = lambdify(diff(diff(traj.expr)))(xs)
+            ddpsi = lambdify(derivative(derivative(traj.expr)))(xs)
         else:
             ddpsi = np.full_like(psi, np.nan)
             h = float(xs[1] - xs[0])
@@ -810,22 +818,24 @@ def _shared_grid(trajs: Sequence[Trajectory]) -> np.ndarray:
     return xs
 
 
-def trajectory_csv(*trajs: Trajectory) -> list[bytes]:
-    """The CSV file of each trajectory, all on one grid: header
-    x,value,derivative,segment, pole brackets as comment lines, then one row
-    per grid point inside a pole-free segment, floats as shortest round-trip
-    decimals (the bytes of ``repr``).  The files are printed together in
-    blocks of ``_BLOCK`` grid points: one ``repr_fields`` call formats a
-    block's grid points and every file's samples kept in it, and one
-    ``join_rows`` call per file prints its lines of the block.  A file that
-    keeps every row of a block takes the grid's fields by a slice, and a
-    block within one segment has one tail, which ``join_rows`` broadcasts."""
+def trajectory_csv(*trajs: Trajectory, out: Sequence[BinaryIO]) -> None:
+    """Write the CSV file of each trajectory, all on one grid, to its
+    binary stream in ``out``: header x,value,derivative,segment, pole
+    brackets as comment lines, then one row per grid point inside a
+    pole-free segment, floats as shortest round-trip decimals (the bytes
+    of ``repr``).  The files are printed together in blocks of ``_BLOCK``
+    grid points, and each block is written as it is printed, so no file is
+    held whole: one ``repr_fields`` call formats a block's grid points and
+    every file's samples kept in it, and one ``join_rows`` call per file
+    prints its lines of the block.  A file that keeps every row of a block
+    takes the grid's fields by a slice, and a block within one segment has
+    one tail, which ``join_rows`` broadcasts."""
     xs = _shared_grid(trajs)
-    files, seg_of_row, tails = [], [], []
-    for traj in trajs:
-        files.append([("x,value,derivative,segment\n" + "".join(
+    seg_of_row, tails = [], []
+    for traj, stream in zip(trajs, out, strict=True):
+        stream.write(("x,value,derivative,segment\n" + "".join(
             f"# pole [{float(a)!r},{float(b)!r}]\n"
-            for a, b in traj.pole_brackets)).encode()])
+            for a, b in traj.pole_brackets)).encode())
         seg = np.full(len(xs), -1, dtype=np.intp)  # -1 outside segments
         for i, (i0, i1) in enumerate(traj.segments):
             seg[i0:i1] = i
@@ -840,16 +850,14 @@ def trajectory_csv(*trajs: Trajectory) -> list[bytes]:
         fields = repr_fields(np.concatenate([xs[block]] + [
             col[block][rows] for traj, (_, rows) in zip(trajs, kept)
             for col in (traj.values, traj.derivatives)]))[0]
-        for file, seg, tail, (n, rows) in zip(files, seg_of_row, tails, kept):
+        for stream, seg, tail, (n, rows) in zip(out, seg_of_row, tails, kept):
             if n:
                 ids = seg[block][rows]  # nondecreasing segment ids
-                file.append(join_rows(
+                stream.write(join_rows(
                     [fields[rows], fields[at:at + n],
                      fields[at + n:at + 2 * n]],
                     tail[ids[0]:ids[-1] + 1], ids - ids[0]))
             at += 2 * n
-    # each file's blocks are freed once joined
-    return [b"".join(files.pop(0)) for _ in trajs]
 
 
 def _json_arrays(columns: Sequence[np.ndarray]) -> list[bytes]:

@@ -11,8 +11,9 @@ a_4..a_1 fix b4, b3, b2 and U and become the zero polynomial and a_0 fixes
 b0.  An instance only puts P's jet, U and the coefficients in.  This is
 the source of truth for the reference formulas checked against it: the
 twelve that are polynomials (a_0..a_4, U and f of the chain, the Lienard
-b_0..b_4) are kept here as printed text, read into the ring once, and each
-kept beside its gap, derived minus reference, which an instance evaluates.
+b_0..b_4) are kept here as printed text and read into the ring once, where
+only each one's gap, derived minus reference, is kept; an instance
+evaluates the gap and keeps the text as it is.
 An instance asks for P's jet and for its chain several times, so both
 come from one weak memo that holds no node alive: a hit lasts while
 something else, such as a bundle, holds what the memo found.
@@ -183,15 +184,14 @@ def _read(e: Expr) -> Poly:
 
 
 @cache
-def _gaps(kind: str) -> tuple[tuple[Poly, Poly], ...]:
-    """(reference, derived - reference) of each form of a kind."""
+def _gaps(kind: str) -> tuple[Poly, ...]:
+    """derived - reference of each form of a kind."""
     derived = {"vdp": lambda: [_subst(a, {C1: {}}) for a in _reduced()],
                "forcing": lambda: [_chain()["f"]],
                "seed": lambda: [_chain()["U"]],
                "lienard": _restoring}[kind]()
-    refs = [_read(parse(text)) for text in _REFERENCE_FORMS[kind]]
-    return tuple((_ordered(r), _add(d, _mul({(): -1}, r)))
-                 for d, r in zip(derived, refs))
+    return tuple(_add(d, _mul({(): -1}, _read(parse(text))))
+                 for d, text in zip(derived, _REFERENCE_FORMS[kind]))
 
 
 def _memo(table: weakref.WeakKeyDictionary, node: Expr, key,
@@ -328,10 +328,14 @@ def vdp_chain(P: Expr, params) -> dict[str, Expr]:
 
 
 def reference_gaps(kind: str, P: Expr, U: Expr, c: Sequence,
-                   b: Sequence) -> list[tuple[Expr, Expr]]:
-    """Each transcribed form of ``kind`` ("vdp", "forcing", "seed" or
-    "lienard") and its gap, derived minus reference, at the pair (P, U) and
-    the coefficients c and b.  The gap is exact: one that folds to a number
-    decides its check."""
+                   b: Sequence) -> list[tuple[str, Expr]]:
+    """The text of each transcribed form of ``kind`` ("vdp", "forcing",
+    "seed" or "lienard"), as ``_REFERENCE_FORMS`` holds it, and its gap,
+    derived minus reference, at the pair (P, U) and the coefficients c and
+    b.  The gap is exact: one that folds to a number decides its check.
+    The form itself is never built at the instance; its text names the
+    generators and the aliases of ``_NAMED``, which the instance's P, U, c
+    and b give values."""
     values = _values(P, U, c, b)
-    return [(_expr(r, values), _expr(g, values)) for r, g in _gaps(kind)]
+    return [(text, _expr(g, values))
+            for text, g in zip(_REFERENCE_FORMS[kind], _gaps(kind))]

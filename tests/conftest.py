@@ -1,17 +1,22 @@
 """Shared helpers: random instance generation for the annihilation and
 round-trip suites, the growth-budget window used to keep the direct
 nonlinear integration inside its conditioning limits, an expression as
-scalar code over floats, a counter of compiled code and the generic RK4
-loop that the linear integrator's step propagators are checked against."""
+scalar code over floats, a counter of compiled code, the generic RK4
+loop that the linear integrator's step propagators are checked against, and
+the transcribed reference forms instantiated at a document's fields, as the
+ledger printed them before it recorded their texts."""
 
+import json
+import sys
 from typing import Sequence
 
 import numpy as np
 
-from vdplin import expr
+from vdplin import expr, wcalc
 from vdplin.catalog import p_general
-from vdplin.colehopf import VdpParams, solve_chain
-from vdplin.expr import lambdify, lambdify_ode, simplify
+from vdplin.colehopf import VdpParams, bundle_from_dict, solve_chain
+from vdplin.expr import ZERO, lambdify, lambdify_ode, parse, simplify, to_str
+from vdplin.lienard import lienard_spec_from_json
 from vdplin.odesolve import (Grid, IntegratorConfig, StepUnderflowError,
                              Trajectory, cole_hopf_map, compare,
                              integrate_linear, integrate_vdp, regular_window)
@@ -150,6 +155,22 @@ def count_compiles(monkeypatch, name="_scalar_code"):
     return calls
 
 
+def record_derivations(monkeypatch):
+    """A list that gets every node ``expr.diff`` is called on from now on,
+    through any vdplin module that holds the name."""
+    derived = []
+    real = expr.diff
+
+    def recording(e):
+        derived.append(e)
+        return real(e)
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("vdplin")
+                and getattr(module, "diff", None) is real):
+            monkeypatch.setattr(module, "diff", recording)
+    return derived
+
+
 def _integrate_rk4(rhs, xs: np.ndarray, y0: Sequence[float]) -> Trajectory:
     """Classical RK4 for a general system y' = rhs(x, y), one step per grid
     interval; stops at the first non-finite state."""
@@ -181,3 +202,45 @@ def _stalled(xs: np.ndarray, values: np.ndarray, derivatives: np.ndarray,
                              derivatives=derivatives[:i + 1],
                              segments=[(0, i + 1)])
     return StepUnderflowError((float(xs[i]), float(xs[-1])), partial)
+
+
+# the transcribed form of each ledger check: its kind in
+# wcalc._REFERENCE_FORMS and its place there
+TEMPLATES = {
+    "forcing-from-a0-vs-reference-closed-form": ("forcing", 0),
+    "seed-potential-match-plus-branch": ("seed", 0),
+    "seed-potential-match-minus-branch": ("seed", 0),
+    **{f"reduced-coefficient-a{i}": ("vdp", i) for i in range(5)},
+    **{f"restoring-coefficient-b{i}": ("lienard", i) for i in range(5)},
+}
+
+
+def instantiate(text, P, U, c, b):
+    """A transcribed form's text at the pair (P, U) and coefficients c, b,
+    built through wcalc's own reader and ring builder."""
+    return wcalc._expr(wcalc._ordered(wcalc._read(parse(text))),
+                       wcalc._values(P, U, c, b))
+
+
+def expanded(doc):
+    """A bundle or Lienard spec document whose transcribed-form entries
+    hold the form instantiated at the document's own fields, as documents
+    written before the ledger recorded the texts do; each entry's text must
+    be its check's template."""
+    if "params" in doc:
+        b = bundle_from_dict(doc)
+        chain = (b.P, ZERO, *b.params.lienard(0.0, 0.0, 0.0, 0.0))
+        at = {"forcing": chain, "seed": chain,
+              "vdp": (b.P, b.U, *b.params.lienard(b.v, b.h, b.g, b.f))}
+    else:
+        s = lienard_spec_from_json(json.dumps(doc))
+        at = {"lienard": (s.P, s.U, s.c, (0.0,) * 5)}
+    ledger = []
+    for e in doc["ledger"]:
+        if e["check"] in TEMPLATES:
+            kind, i = TEMPLATES[e["check"]]
+            text = wcalc._REFERENCE_FORMS[kind][i]
+            assert e["reference"] == text, e["check"]
+            e = {**e, "reference": to_str(instantiate(text, *at[kind]))}
+        ledger.append(e)
+    return {**doc, "ledger": ledger}

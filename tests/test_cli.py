@@ -20,6 +20,8 @@ from vdplin.colehopf import (TransformBundle, VdpParams, bundle_to_dict,
 from vdplin.expr import lambdify, parse
 from vdplin.odesolve import Grid, IntegratorConfig, integrate_linear
 
+from conftest import expanded, record_derivations
+
 
 def _read_tree(root):
     out = {}
@@ -139,6 +141,40 @@ def test_verify_round_trip_and_tamper(tmp_path):
     bad.write_text(json.dumps(doc))
     assert run(["verify", "--bundle", str(bad), "--out",
                 str(tmp_path / "v2")]) == 3
+
+
+def test_verify_copies_an_old_format_ledger_unchanged(tmp_path):
+    # a bundle written before the ledger recorded the transcribed forms'
+    # texts holds their expansion at its fields; verify loads it, decides
+    # it and copies its ledger as it is
+    out = tmp_path / "run"
+    assert run(["custom", "--P", "x/(2+x^2)", "--mu", "1", "--beta", "1.5",
+                "--alpha", "0.4", "--out", str(out)]) == 0
+    new = json.loads((out / "bundle.json").read_text())
+    doc = expanded(new)
+    assert all(a["reference"] != b["reference"]
+               for a, b in zip(doc["ledger"], new["ledger"]))
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc, indent=2) + "\n")
+    vout = tmp_path / "verify"
+    assert run(["verify", "--bundle", str(old), "--out", str(vout)]) == 0
+    report = json.loads((vout / "verify.json").read_text())
+    assert report["ledger"] == doc["ledger"]
+    assert report["annihilation"]["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["case1"], ["case2", "--mu", "2", "--beta", "2", "--alpha", "4"],
+    ["case3"]])
+def test_a_warm_closed_form_run_derives_no_node_twice(tmp_path, monkeypatch,
+                                                      argv):
+    # phi', psi' and psi'' come from wcalc's memo, as P's jet does, and the
+    # trajectory of phi holds phi' for the map
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    derived = record_derivations(monkeypatch)
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert derived
+    assert len(set(map(id, derived))) == len(derived)
 
 
 def test_exit_codes_usage_and_parse(tmp_path):

@@ -20,7 +20,7 @@ from vdplin.lienard import (lienard_coeffs, lienard_spec_to_dict,
                             lienard_spec_to_json, riccati_u)
 from vdplin.odesolve import Grid
 
-from conftest import (general_instances, pole_free_window,
+from conftest import (expanded, general_instances, pole_free_window,
                       sampled_annihilation)
 
 XS = np.linspace(0.0, 5.0, 501)
@@ -350,25 +350,54 @@ def test_finite_constant_bundles_keep_their_bytes():
     assert (forcing["agrees"], forcing["max_abs_diff"]) == (True, 0.0)
 
 
+def _general_documents():
+    """The JSON texts of 40 general-P bundles, with their printed
+    coefficients' entries, and of 40 Riccati specs over quadratic shifts."""
+    bundles, specs = [], []
+    for params, P in general_instances(40, seed=17):
+        b = solve_chain(P, params)
+        b = b.with_entries(verify_printed_coeffs(b.P, b.U, params, b.v, b.h,
+                                                 b.g, b.f))
+        bundles.append(bundle_to_json(b))
+    for p0, p1, p2, *c in np.random.default_rng(17).uniform(-1, 1, (40, 6)):
+        P = float(p0) + float(p1) * X + float(p2) * X ** 2
+        spec = lienard_coeffs([Const(float(ci)) for ci in c], P, riccati_u(P))
+        specs.append(lienard_spec_to_json(spec))
+    return bundles, specs
+
+
+def _digest(texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
 def test_general_bundles_and_riccati_specs_keep_their_bytes():
     # sha256 of the whole JSON text, ledger included: general-P bundles,
     # whose every entry is decided exactly, and Riccati specs over
     # quadratic shifts, whose sampled entries are arithmetic only, so
     # neither depends on a libm
-    bundles = hashlib.sha256()
-    for params, P in general_instances(40, seed=17):
-        b = solve_chain(P, params)
-        b = b.with_entries(verify_printed_coeffs(b.P, b.U, params, b.v, b.h,
-                                                 b.g, b.f))
-        bundles.update(bundle_to_json(b).encode())
-    specs = hashlib.sha256()
-    for p0, p1, p2, *c in np.random.default_rng(17).uniform(-1, 1, (40, 6)):
-        P = float(p0) + float(p1) * X + float(p2) * X ** 2
-        spec = lienard_coeffs([Const(float(ci)) for ci in c], P, riccati_u(P))
-        specs.update(lienard_spec_to_json(spec).encode())
-    assert bundles.hexdigest() == (
+    bundles, specs = _general_documents()
+    assert _digest(bundles) == (
+        "a137adf23f866921fa652c2ebaf518eff179767bb799d462e507890b14265da6")
+    assert _digest(specs) == (
+        "b47abbf56a7eadc02a0db78edff25b23e453381b6d20765ca7efd64cf71a086e")
+
+
+def test_old_documents_rebuild_from_the_transcribed_texts():
+    # each transcribed form's entry records its text; instantiated at the
+    # document's own fields, as the ledger printed it before, the texts
+    # give back the documents written then, byte for byte
+    bundles, specs = _general_documents()
+
+    def old(texts):
+        return [json.dumps(expanded(json.loads(t)), indent=2) + "\n"
+                for t in texts]
+
+    assert _digest(old(bundles)) == (
         "beba3ce04a7c0573fa34ec577fa317c6694b7dc02accb815fb6d39af5d4f1a03")
-    assert specs.hexdigest() == (
+    assert _digest(old(specs)) == (
         "183f19cfe0bf43ec95c77338af3266c02285159dbad9075077f408e74e36b879")
 
 

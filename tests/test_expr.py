@@ -23,7 +23,7 @@ from vdplin.expr import (ONE, Add, Const, Div, Fun, Mul, Neg, Param,
                          diff, free_params, lambdify, lambdify_ode, parse,
                          simplify, subst, to_str)
 from vdplin.odesolve import Grid, integrate_linear, integrate_vdp
-from vdplin.wcalc import reference_gaps, vdp_chain
+from vdplin.wcalc import _REFERENCE_FORMS, reference_gaps, vdp_chain
 
 
 def test_parse_variable_identity():
@@ -457,13 +457,17 @@ def test_intern_table_drains_without_collection():
         b = solve_chain(P, params)
         b = b.with_entries(verify_printed_coeffs(b.P, b.U, params, b.v, b.h,
                                                  b.g, b.f))
-        # every field and ledger reference printed, each root's text kept
-        # on its node, outliving the nodes below
-        roots = [b.P, b.U, b.g, b.h, b.v, b.f, *(r for r, _ in reference_gaps(
-            "vdp", b.P, b.U, *params.lienard(b.v, b.h, b.g, b.f)))]
+        gaps = reference_gaps("vdp", b.P, b.U,
+                              *params.lienard(b.v, b.h, b.g, b.f))
+        # every field printed, each root's text kept on its node, outliving
+        # the nodes below; the ledger's references are the forms' texts,
+        # and only their gaps are built
+        roots = [b.P, b.U, b.g, b.h, b.v, b.f, *(gap for _, gap in gaps)]
         texts = list(map(to_str, roots))
-        assert texts[6:] == [e.reference for e in b.ledger[1:]]
         assert all(e._text[0] is t for e, t in zip(roots, texts))
+        assert [e.reference for e in b.ledger] == [
+            *_REFERENCE_FORMS["forcing"], *_REFERENCE_FORMS["vdp"]]
+        assert [text for text, _ in gaps] == list(_REFERENCE_FORMS["vdp"])
         lambdify(b.f)(np.linspace(0.0, 1.0, 5))
         grid = Grid(0.0, 0.01, 3)
         integrate_vdp(b, grid, 1.0, 0.0)
@@ -481,7 +485,7 @@ def test_intern_table_drains_without_collection():
         grows = solve_chain(parse("exp(2*x)*2"), params)
         assert verify_annihilation(grows, grid).note == "exact"
         assert len(expr._NODES) > before + 100
-        del b, P, back, grows, chain, roots
+        del b, P, back, grows, chain, roots, gaps
         assert len(expr._NODES) == before
         assert len(odesolve._RHS) == rhs_before
         for fn in rhs:

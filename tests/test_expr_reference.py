@@ -1081,8 +1081,11 @@ def test_general_bundles_print_and_serialize_as_the_reference(monkeypatch):
 
 # every polynomial wcalc builds Exprs from
 _RING = [*wcalc._reduced(), *wcalc._chain().values(), *wcalc._restoring(),
-         *(p for kind in ("vdp", "forcing", "lienard")
-           for pair in wcalc._gaps(kind) for p in pair)]
+         *(gap for kind in ("vdp", "forcing", "lienard")
+           for gap in wcalc._gaps(kind)),
+         # the forms themselves, as a ledger text is instantiated
+         *(wcalc._ordered(wcalc._read(parse(text)))
+           for texts in wcalc._REFERENCE_FORMS.values() for text in texts)]
 # values whose sums and products round, overflow, cancel to inf - inf or
 # meet 0 * inf, of either sign of zero
 _GENERATOR_CONSTANTS = st.one_of(

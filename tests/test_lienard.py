@@ -16,6 +16,8 @@ from vdplin.odesolve import (Grid, IntegratorConfig, cole_hopf_map,
                              integrate_linear, lienard_residual)
 from vdplin.wcalc import reduce_lienard
 
+from conftest import record_derivations
+
 RNG = np.random.default_rng(23)
 XS = np.linspace(0.0, 2.0, 201)
 
@@ -23,6 +25,17 @@ XS = np.linspace(0.0, 2.0, 201)
 def _max_abs(e, xs=XS):
     vals = lambdify(e)(xs)
     return float(np.max(np.abs(vals)))
+
+
+def test_a_riccati_spec_derives_no_node_twice(monkeypatch):
+    # riccati_u takes P' from wcalc's memo, where the spec's jet of P finds
+    # it
+    derived = record_derivations(monkeypatch)
+    P = parse("0.3 - 0.2*x + 0.15*x^2")
+    lienard_coeffs([Const(0.4), Const(-0.2), Const(0.3)], P, riccati_u(P),
+                   grid=XS)
+    assert derived[0] is P
+    assert len(set(map(id, derived))) == len(derived)
 
 
 def test_riccati_u_basics():

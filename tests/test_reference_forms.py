@@ -1,8 +1,8 @@
-"""The transcribed reference forms as data: each printed text, read into
-``wcalc``'s ring, against the ``Expr`` builder it replaced, kept here
-verbatim as a reference; the gaps between derivation and reference, pinned
-exactly with sympy; and the ledger entries those gaps decide without
-compiling anything."""
+"""The transcribed reference forms as data: each printed text the ledger
+records, read into ``wcalc``'s ring and instantiated, against the ``Expr``
+builder it replaced, kept here verbatim as a reference; the gaps between
+derivation and reference, pinned exactly with sympy; and the ledger
+entries those gaps decide without compiling anything."""
 
 from fractions import Fraction
 
@@ -14,7 +14,7 @@ from vdplin.colehopf import VdpParams, solve_chain, verify_printed_coeffs
 from vdplin.expr import ZERO, Const, as_expr, diff, lambdify, parse
 from vdplin.lienard import lienard_coeffs
 
-from conftest import general_instances
+from conftest import general_instances, instantiate
 
 RNG = np.random.default_rng(19)
 XS = np.linspace(0.1, 2.5, 241)
@@ -98,7 +98,9 @@ def test_ring_references_sample_as_their_builders(trial):
     params = VdpParams(*map(float, RNG.uniform(-2.0, 2.0, 3)))
 
     def ring(kind, *instance):
-        return [r for r, _ in wcalc.reference_gaps(kind, *instance)]
+        # each text the ledger records, instantiated at the instance
+        return [instantiate(text, *instance)
+                for text, _ in wcalc.reference_gaps(kind, *instance)]
 
     _assert_same_samples(ring("vdp", P, U, *params.lienard(v, h, g, f)),
                          reference_coefficient_forms(P, U, params, v, h, g,
@@ -142,7 +144,7 @@ def test_gaps_pinned_with_sympy():
         gaps = wcalc._gaps(kind)
         texts = wcalc._REFERENCE_FORMS[kind]
         assert len(gaps) == len(texts) == len(want)
-        for d, (_, gap), text, w in zip(derived[kind], gaps, texts, want):
+        for d, gap, text, w in zip(derived[kind], gaps, texts, want):
             read = sp.sympify(text.replace("^", "**"),
                               locals={**dict(zip(names, gens)), **aliases})
             assert sp.expand(to_sympy(d) - read - w) == 0, (kind, text)
